@@ -37,10 +37,11 @@ def _simulate_into(config_path: str, out_dir: str | None):
             "no output directory: set [output] directory or pass --out"
         )
     scheme, data = cfgmod.build_problem(run_cfg)
+    snapshot_steps = cfgmod.snapshot_steps(run_cfg.snapshots, run_cfg.steps)
     traj = st.run(scheme, data)
     with open(config_path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    meta = runio.write_run(directory, traj, run_cfg, text)
+    meta = runio.write_run(directory, traj, run_cfg, text, snapshot_steps)
     return directory, traj, meta
 
 

@@ -346,17 +346,19 @@ def snapshot_steps(descriptor: str, steps: int) -> list:
     if len(tokens) != 2:
         raise ConfigurationError(f"bad snapshot schedule {descriptor!r}")
     kind, arg = tokens
-    if kind == "every":
-        k = int(arg)
-        if k < 1:
-            raise ConfigurationError("snapshot cadence must be at least 1")
-        chosen = set(range(0, steps + 1, k))
-    elif kind == "log":
+    try:
         count = int(arg)
+    except ValueError:
+        raise ConfigurationError(
+            f"bad snapshot schedule {descriptor!r}: {arg!r} is not an integer") from None
+    if kind == "every":
+        if count < 1:
+            raise ConfigurationError("snapshot cadence must be at least 1")
+        chosen = set(range(0, steps + 1, count))
+    elif kind == "log":
         if count < 2:
             raise ConfigurationError("log schedule needs at least 2 snapshots")
-        marks = np.unique(np.round(
-            np.geomspace(1, max(steps, 1), count - 1)).astype(int))
+        marks = np.round(np.geomspace(1, max(steps, 1), count - 1))
         chosen = {0} | {int(v) for v in marks}
     else:
         raise ConfigurationError(f"unknown snapshot schedule kind {kind!r}")

@@ -14,12 +14,16 @@ solver residual or round-off.  A separate data functional,
 ``|u(0)| + integral |du/dt|``, is recorded for boundedness monitoring:
 the classical step from the summed inequality to a horizon-uniform bound
 introduces generic constants, so it is monitored, not asserted.
+
+Every pass works on all rows of the trajectory's state arrays at once;
+running totals are cumulative sums.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -66,10 +70,41 @@ class EnergyLedgerEntry:
         return max(max(terms), SLACK_FLOOR)
 
 
-def _split_energy(config: SchemeConfig, y: sp.Field) -> float:
-    reg = config.regularization
-    integrand = pot.yosida_primal(reg, y.values) + config.spec.pi_hat(y.values)
-    return float(np.sum(y.grid.w * integrand))
+@dataclass(frozen=True, eq=False)
+class EnergyLedger(Sequence):
+    """The summed inequality at every step, one array entry per step.
+
+    ``terms`` holds the eight left-hand quantities as columns in
+    :data:`LEDGER_TERMS` order.  Indexing with an integer gives the
+    :class:`EnergyLedgerEntry` of one step, slicing a shorter ledger.
+    """
+
+    step: np.ndarray
+    terms: np.ndarray
+    rhs_bound: np.ndarray
+    slack: np.ndarray
+    data_bound: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.step)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return EnergyLedger(self.step[k], self.terms[k], self.rhs_bound[k],
+                                self.slack[k], self.data_bound[k])
+        k = range(len(self))[k]
+        return EnergyLedgerEntry(
+            step=int(self.step[k]),
+            lhs_terms=dict(zip(LEDGER_TERMS, self.terms[k].tolist())),
+            rhs_bound=float(self.rhs_bound[k]),
+            slack=float(self.slack[k]),
+            data_bound=float(self.data_bound[k]),
+        )
+
+
+def _split_integrand(config: SchemeConfig, y: np.ndarray) -> np.ndarray:
+    """Nodal values of ``beta_hat_lam + pi_hat`` at the states ``y``."""
+    return pot.yosida_primal(config.regularization, y) + config.spec.pi_hat(y)
 
 
 def convexity_gap(config: SchemeConfig, prev_y: sp.Field, next_y: sp.Field) -> float:
@@ -84,6 +119,46 @@ def convexity_gap(config: SchemeConfig, prev_y: sp.Field, next_y: sp.Field) -> f
     fprime = shift * b + pot.yosida(reg, b) + config.spec.pi(b)
     gap = fprime * (b - a) - (f(b) - f(a))
     return float(gap.min())
+
+
+def _step_norms(config: SchemeConfig, y: np.ndarray, mu: np.ndarray) -> dict:
+    """Per-step squared norms shared by the ledger, uniform and dual-norm passes.
+
+    For K+1 consecutive state rows: |dy|^2, |dmu|^2, |B^s dy|^2 and
+    |A^r mu^k|^2, one value per step k = 1..K.
+    """
+    dy = np.diff(y, axis=0)
+    return {
+        "dy": sp.row_norms(dy, config.grid) ** 2,
+        "dmu": sp.row_norms(np.diff(mu, axis=0), config.grid) ** 2,
+        "b_dy": sp.row_power_norms(config.op_B, dy) ** 2,
+        "ar_mu": sp.row_power_norms(config.op_A, mu[1:]) ** 2,
+    }
+
+
+def _ledger_increments(config: SchemeConfig, y: np.ndarray, mu: np.ndarray):
+    """Per-step increments of the ledger terms for K+1 consecutive state rows.
+
+    Returns the (K, 8) increments and the initial split energy and B-norm
+    term that the summed inequality moves to its right side.
+    """
+    h, tau = config.h, config.tau
+    shift = config.spec.stability_shift
+    sq = _step_norms(config, y, mu)
+    mu_sq = sp.row_norms(mu, config.grid) ** 2
+    b_sq = sp.row_power_norms(config.op_B, y) ** 2
+    energy = np.sum(config.grid.w * _split_integrand(config, y), axis=1)
+    increments = np.column_stack([
+        0.5 * h * np.diff(mu_sq),
+        0.5 * h * sq["dmu"],
+        h * sq["ar_mu"],
+        tau / h * sq["dy"],
+        0.5 * np.diff(b_sq),
+        0.5 * sq["b_dy"],
+        np.diff(energy),
+        0.5 * shift * sq["dy"],
+    ])
+    return increments, float(energy[0]), 0.5 * float(b_sq[0])
 
 
 @dataclass(frozen=True)
@@ -107,24 +182,11 @@ def per_step_inequality(prev, next_state, u_next: sp.Field,
     term raises :class:`EstimateViolationError`: the inequality is exact
     algebra for exact discrete solutions, so that signals a solver bug.
     """
-    y0, mu0 = prev
-    y1, mu1 = next_state
-    h, tau = config.h, config.tau
-    shift = config.spec.stability_shift
-    dy = y1 - y0
-    dmu = mu1 - mu0
-    increments = {
-        "mu_l2_accum": 0.5 * h * (sp.norm(mu1) ** 2 - sp.norm(mu0) ** 2),
-        "mu_increment_accum": 0.5 * h * sp.norm(dmu) ** 2,
-        "Ar_mu_accum": h * sp.norm(sp.apply_power(config.op_A, mu1)) ** 2,
-        "tau_rate_accum": tau / h * sp.norm(dy) ** 2,
-        "B_sigma_norm": 0.5 * (sp.norm(sp.apply_power(config.op_B, y1)) ** 2
-                               - sp.norm(sp.apply_power(config.op_B, y0)) ** 2),
-        "B_sigma_increment_accum": 0.5 * sp.norm(sp.apply_power(config.op_B, dy)) ** 2,
-        "beta_pi_integral": _split_energy(config, y1) - _split_energy(config, y0),
-        "y_increment_accum": 0.5 * shift * sp.norm(dy) ** 2,
-    }
-    rhs = sp.inner(u_next, dy)
+    y = np.array([prev[0].values, next_state[0].values])
+    mu = np.array([prev[1].values, next_state[1].values])
+    terms, _, _ = _ledger_increments(config, y, mu)
+    increments = dict(zip(LEDGER_TERMS, terms[0].tolist()))
+    rhs = sp.inner(u_next, next_state[0] - prev[0])
     slack = rhs - sum(increments.values())
     if tol_rel is not None:
         scale = max(max(abs(v) for v in increments.values()), abs(rhs), SLACK_FLOOR)
@@ -137,7 +199,7 @@ def per_step_inequality(prev, next_state, u_next: sp.Field,
 
 
 def gronwall_ledger(traj: DiscreteTrajectory, data: ProblemData,
-                    config: SchemeConfig) -> List[EnergyLedgerEntry]:
+                    config: SchemeConfig) -> EnergyLedger:
     """Accumulate the per-step inequality into one entry per step.
 
     Entry k restates the summed inequality: the eight left-hand terms
@@ -146,58 +208,23 @@ def gronwall_ledger(traj: DiscreteTrajectory, data: ProblemData,
     ``data_bound`` carries ``|u(0)| + integral |du/dt|`` up to the entry's
     horizon for uniformity monitoring.
     """
-    entries: List[EnergyLedgerEntry] = []
-    h = traj.h
-    e0_split = _split_energy(config, traj.ys[0])
-    e0_b = 0.5 * sp.norm(sp.apply_power(config.op_B, traj.ys[0])) ** 2
-    u0_norm = sp.norm(data.source.at(0.0))
-    totals = dict.fromkeys(LEDGER_TERMS, 0.0)
-    rhs_pairing = 0.0
-    for k in range(1, traj.steps + 1):
-        u_next = data.source.at(k * h)
-        inc = per_step_inequality(
-            (traj.ys[k - 1], traj.mus[k - 1]),
-            (traj.ys[k], traj.mus[k]),
-            u_next,
-            config,
-        )
-        for name in LEDGER_TERMS:
-            totals[name] += inc.increments[name]
-        rhs_pairing += inc.rhs_increment
-        rhs_bound = e0_split + e0_b + rhs_pairing
-        lhs_state = dict(totals)
-        # shift the telescoped initial energies onto the right side
-        lhs_state["B_sigma_norm"] += e0_b
-        lhs_state["beta_pi_integral"] += e0_split
-        slack = rhs_bound - sum(lhs_state.values())
-        entries.append(
-            EnergyLedgerEntry(
-                step=k,
-                lhs_terms=lhs_state,
-                rhs_bound=rhs_bound,
-                slack=slack,
-                data_bound=u0_norm + data.source.derivative_l1(k * h),
-            )
-        )
-    return entries
-
-
-def summed_source_pairing(traj: DiscreteTrajectory, data: ProblemData, k: int) -> float:
-    """Summation-by-parts value of the source pairing up to step k.
-
-    Equals ``(u^k, y^k) - (u^1, y^0) - sum_{n=1}^{k-1} (u^{n+1} - u^n, y^n)``,
-    which is the same number as the accumulated per-step pairings.
-    """
-    h = traj.h
-    if k == 0:
-        return 0.0
-    uk = data.source.at(k * h)
-    u1 = data.source.at(h)
-    total = sp.inner(uk, traj.ys[k]) - sp.inner(u1, traj.ys[0])
-    for n in range(1, k):
-        du = data.source.at((n + 1) * h) - data.source.at(n * h)
-        total -= sp.inner(du, traj.ys[n])
-    return total
+    steps = np.arange(1, traj.steps + 1)
+    times = traj.h * steps
+    terms, e0_split, e0_b = _ledger_increments(config, traj.y, traj.mu)
+    pairing = sp.row_inner(data.source.values(times), np.diff(traj.y, axis=0), config.grid)
+    lhs = np.cumsum(terms, axis=0)
+    # shift the telescoped initial energies onto the right side
+    lhs[:, LEDGER_TERMS.index("B_sigma_norm")] += e0_b
+    lhs[:, LEDGER_TERMS.index("beta_pi_integral")] += e0_split
+    rhs = e0_split + e0_b + np.cumsum(pairing)
+    data_bound = sp.norm(data.source.at(0.0)) + data.source.derivative_l1(times)
+    return EnergyLedger(
+        step=steps,
+        terms=lhs,
+        rhs_bound=rhs,
+        slack=rhs - lhs.sum(axis=1),
+        data_bound=np.broadcast_to(data_bound, steps.shape),
+    )
 
 
 @dataclass(frozen=True)
@@ -214,48 +241,27 @@ class UniformReport:
     data_bound: float
 
     def as_dict(self) -> dict:
-        return {
-            "mu_jump_l2": self.mu_jump_l2,
-            "ar_mu_l2": self.ar_mu_l2,
-            "sup_y_graph_norm": self.sup_y_graph_norm,
-            "b_jump_scaled": self.b_jump_scaled,
-            "rate_l2_scaled": self.rate_l2_scaled,
-            "sup_split_energy": self.sup_split_energy,
-            "dual_rate_l2": self.dual_rate_l2,
-            "data_bound": self.data_bound,
-        }
+        return dataclasses.asdict(self)
 
 
 def uniform_report(traj: DiscreteTrajectory, data: ProblemData,
                    config: SchemeConfig) -> UniformReport:
     """Evaluate the uniform-in-horizon quantities of the trajectory."""
     h, tau = traj.h, config.tau
-    reg = config.regularization
-    mu_jump = ar_mu = b_jump = rate = 0.0
-    sup_graph = 0.0
-    sup_split = 0.0
-    for k in range(traj.steps + 1):
-        y = traj.ys[k]
-        graph = np.hypot(sp.norm(y), sp.norm(sp.apply_power(config.op_B, y)))
-        sup_graph = max(sup_graph, float(graph))
-        integrand = np.abs(pot.yosida_primal(reg, y.values) + config.spec.pi_hat(y.values))
-        sup_split = max(sup_split, float(np.sum(y.grid.w * integrand)))
-    for k in range(1, traj.steps + 1):
-        dy = traj.ys[k] - traj.ys[k - 1]
-        dmu = traj.mus[k] - traj.mus[k - 1]
-        mu_jump += h * sp.norm(dmu) ** 2
-        ar_mu += h * sp.norm(sp.apply_power(config.op_A, traj.mus[k])) ** 2
-        b_jump += sp.norm(sp.apply_power(config.op_B, dy)) ** 2
-        rate += sp.norm(dy) ** 2 / h
+    grid = config.grid
+    sq = _step_norms(config, traj.y, traj.mu)
+    graph = np.hypot(sp.row_norms(traj.y, grid), sp.row_power_norms(config.op_B, traj.y))
+    split = np.sum(grid.w * np.abs(_split_integrand(config, traj.y)), axis=1)
     return UniformReport(
-        mu_jump_l2=float(np.sqrt(mu_jump)),
-        ar_mu_l2=float(np.sqrt(ar_mu)),
-        sup_y_graph_norm=sup_graph,
-        b_jump_scaled=float(np.sqrt(b_jump)),
-        rate_l2_scaled=float(np.sqrt(tau * rate)),
-        sup_split_energy=sup_split,
+        mu_jump_l2=float(np.sqrt(np.sum(h * sq["dmu"]))),
+        ar_mu_l2=float(np.sqrt(np.sum(h * sq["ar_mu"]))),
+        sup_y_graph_norm=float(graph.max()),
+        b_jump_scaled=float(np.sqrt(np.sum(sq["b_dy"]))),
+        rate_l2_scaled=float(np.sqrt(tau * np.sum(sq["dy"] / h))),
+        sup_split_energy=float(split.max()),
         dual_rate_l2=dual_norm_rate(traj, config),
-        data_bound=sp.norm(data.source.at(0.0)) + data.source.derivative_l1(traj.final_time),
+        data_bound=float(sp.norm(data.source.at(0.0))
+                         + data.source.derivative_l1(traj.final_time)),
     )
 
 
@@ -280,17 +286,13 @@ def dual_norm_report(traj: DiscreteTrajectory, config: SchemeConfig) -> DualNorm
     """
     op = config.op_A
     h = traj.h
-    direct = identity = 0.0
-    jump = power = 0.0
-    for k in range(1, traj.steps + 1):
-        dy_rate = (traj.ys[k] - traj.ys[k - 1]) * (1.0 / h)
-        direct += h * sp.fractional_dual_norm(op, dy_rate) ** 2
-        reconstructed = (
-            traj.mus[k - 1] - traj.mus[k] - sp.apply_power(op, traj.mus[k], 2.0)
-        )
-        identity += h * sp.fractional_dual_norm(op, reconstructed) ** 2
-        jump += h * sp.norm(traj.mus[k - 1] - traj.mus[k]) ** 2
-        power += h * sp.norm(sp.apply_power(op, traj.mus[k])) ** 2
+    analysis = op.basis.analysis_matrix
+    sq = _step_norms(config, traj.y, traj.mu)
+    rate = (np.diff(traj.y, axis=0) * (1.0 / h)) @ analysis.T
+    c_mu = traj.mu @ analysis.T
+    reconstructed = c_mu[:-1] - c_mu[1:] - op.power_weights(2.0) * c_mu[1:]
+    direct = np.sum(h * sp.dual_norms(op, rate) ** 2)
+    identity = np.sum(h * sp.dual_norms(op, reconstructed) ** 2)
     lam = op.basis.lambdas
     if op.lambda1 > 0.0:
         c0 = float(lam[0] ** (-op.exponent))
@@ -299,7 +301,7 @@ def dual_norm_report(traj: DiscreteTrajectory, config: SchemeConfig) -> DualNorm
     return DualNormReport(
         value=float(np.sqrt(direct)),
         value_identity=float(np.sqrt(identity)),
-        bound=c0 * float(np.sqrt(jump)) + float(np.sqrt(power)),
+        bound=c0 * float(np.sqrt(np.sum(h * sq["dmu"]))) + float(np.sqrt(np.sum(h * sq["ar_mu"]))),
         c0=c0,
     )
 

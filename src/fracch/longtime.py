@@ -15,10 +15,17 @@ plain norm plus a uniform graph-norm bound stand in for the weak
 compactness, the constant part of the potential is extracted from a
 trailing window, and the stationarity residual measures the distance of
 the reconstructed graph selection from the graph.
+
+:func:`longtime_report` assembles these witnesses into the payload of
+``report.json``.  It reads only what a run directory stores: the snapshot
+rows, the per-step scalar columns of ``trajectory.csv`` and the range of
+the state.  A reloaded run and the in-memory trajectory it came from feed
+it bit-identical inputs, so they give the same report byte for byte.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -27,8 +34,36 @@ import numpy as np
 
 from . import potentials as pot
 from . import spectral as sp
-from .errors import BranchError, DomainError, InsufficientDataError
-from .stepper import DiscreteTrajectory
+from .errors import (BranchError, ConfigurationError, DomainError,
+                     InsufficientDataError)
+from .stepper import DiscreteTrajectory, ProblemData, SchemeConfig
+
+#: The per-step scalar series of a run, in ``trajectory.csv`` column order.
+TRAJECTORY_COLUMNS = ("t", "mean_y", "mean_mu", "norm_y", "norm_B_sigma_y",
+                      "norm_mu", "norm_Ar_mu", "newton_iters")
+
+
+def trajectory_columns(traj: DiscreteTrajectory) -> dict:
+    """The :data:`TRAJECTORY_COLUMNS` series of a trajectory, from its state arrays."""
+    cfg, grid = traj.config, traj.config.grid
+    return {
+        "t": traj.times(),
+        "mean_y": sp.row_means(traj.y, grid),
+        "mean_mu": sp.row_means(traj.mu, grid),
+        "norm_y": sp.row_norms(traj.y, grid),
+        "norm_B_sigma_y": sp.row_power_norms(cfg.op_B, traj.y),
+        "norm_mu": sp.row_norms(traj.mu, grid),
+        "norm_Ar_mu": sp.row_power_norms(cfg.op_A, traj.mu),
+        "newton_iters": np.array([0] + [s.iterations for s in traj.solver_stats], dtype=float),
+    }
+
+
+def _window_start(steps: int, window_fraction: float) -> int:
+    """First step of the trailing window holding ``window_fraction`` of the run."""
+    if not 0.0 < window_fraction < 1.0:
+        raise ConfigurationError(
+            f"window fraction must lie in (0, 1), got {window_fraction!r}")
+    return int(math.ceil(steps * (1.0 - window_fraction)))
 
 
 @dataclass(frozen=True)
@@ -42,33 +77,18 @@ class MuTailStats:
     mean_mu_series: np.ndarray
 
 
-def _window_steps(traj: DiscreteTrajectory, window_fraction: float):
-    if not (0.0 < window_fraction < 1.0):
-        raise ValueError("window fraction must lie in (0, 1)")
-    start = int(math.ceil(traj.steps * (1.0 - window_fraction)))
-    return range(start, traj.steps + 1)
-
-
 def mu_tail_stats(traj: DiscreteTrajectory, window_fraction: float = 0.5) -> MuTailStats:
     """Sup norm, power-norm integral and mean series of mu over the tail window."""
-    op = traj.config.op_A
-    steps = list(_window_steps(traj, window_fraction))
-    sup = 0.0
-    integral = 0.0
-    means = []
-    for k in steps:
-        mu = traj.mus[k]
-        sup = max(sup, sp.norm(mu))
-        if k > 0:
-            integral += traj.h * sp.norm(sp.apply_power(op, mu)) ** 2
-        means.append(sp.mean(mu))
-    times = traj.h * np.array(steps, dtype=float)
+    start = _window_start(traj.steps, window_fraction)
+    columns = trajectory_columns(traj)
+    times = columns["t"][start:]
+    ar_mu = columns["norm_Ar_mu"][max(start, 1):]
     return MuTailStats(
         window=(float(times[0]), float(times[-1])),
-        sup_norm_mu=float(sup),
-        integral_ar_mu_sq=float(integral),
+        sup_norm_mu=float(columns["norm_mu"][start:].max()),
+        integral_ar_mu_sq=float(np.sum(traj.h * ar_mu ** 2)),
         mean_mu_times=times,
-        mean_mu_series=np.array(means),
+        mean_mu_series=columns["mean_mu"][start:],
     )
 
 
@@ -102,16 +122,14 @@ def extract_mu_infinity(traj: DiscreteTrajectory,
             "first eigenvalue is positive: the potential vanishes at infinity, "
             "use mu_tail_stats instead"
         )
-    steps = list(_window_steps(traj, window_fraction))
-    means = []
-    flatness = 0.0
-    for k in steps:
-        mu = traj.mus[k]
-        m = sp.mean(mu)
-        means.append(m)
-        flatness = max(flatness, sp.norm(mu - sp.constant_field(m, mu.grid)))
-    times = traj.h * np.array(steps, dtype=float)
-    return MuInfinityEstimate(times=times, series=np.array(means), flatness=float(flatness))
+    start = _window_start(traj.steps, window_fraction)
+    columns = trajectory_columns(traj)
+    means = columns["mean_mu"][start:]
+    # measured on the fields: the columns resolve the flatness only to about
+    # sqrt(machine epsilon) times |mu|, see longtime_report
+    flatness = sp.row_norms(traj.mu[start:] - means[:, None], traj.config.grid).max()
+    return MuInfinityEstimate(times=columns["t"][start:], series=means,
+                              flatness=float(flatness))
 
 
 def stationarity_residual(y: sp.Field, mu_inf: float, u_inf: sp.Field,
@@ -189,22 +207,6 @@ def variational_inequality_check(y: sp.Field, mu_inf: float, u_inf: sp.Field,
     return worst
 
 
-@dataclass(frozen=True)
-class OmegaLimitReport:
-    """Witnesses for the limit-point characterization of a run."""
-
-    probe_times: np.ndarray
-    candidate: sp.Field
-    cauchy_gaps: np.ndarray
-    b_sigma_bound: float
-    stationarity_residual: float
-    residual_scale: float
-    mu_infinity_samples: Optional[MuInfinityEstimate]
-    mu_infinity_value: float
-    mass_identity_defect: float
-    branch: str
-
-
 def residual_scale(y: sp.Field, mu_inf: float, u_inf: sp.Field,
                    spec: pot.PotentialSpec, op_B: sp.FractionalOperator,
                    overshoot_tol: float = 0.0) -> float:
@@ -223,63 +225,6 @@ def residual_scale(y: sp.Field, mu_inf: float, u_inf: sp.Field,
         if np.all(np.isfinite(beta_vals)):
             terms.append(sp.norm(sp.Field(beta_vals, y.grid)))
     return max(max(terms), 1e-12)
-
-
-def omega_probe(traj: DiscreteTrajectory, snapshot_times: Sequence[float],
-                window_fraction: float = 0.5,
-                overshoot_tol: float = 0.0) -> OmegaLimitReport:
-    """Assemble the limit-point witnesses from stored states.
-
-    Needs at least two probe times.  Gaps are plain-norm distances between
-    probe states; the uniform graph-power bound is the compactness
-    ingredient that makes the limit set nonempty.  On the positive branch
-    the stationarity residual is evaluated with a zero constant; on the
-    zero branch with the tail average of the potential's spatial mean.
-    """
-    times = np.asarray(sorted(snapshot_times), dtype=float)
-    if times.size < 2:
-        raise InsufficientDataError("need at least two snapshot times")
-    indices = []
-    for t in times:
-        k = int(round(t / traj.h))
-        if k < 0 or k > traj.steps or abs(k * traj.h - t) > 0.5 * traj.h + 1e-12:
-            raise InsufficientDataError(f"no stored state near time {t}")
-        indices.append(k)
-    snaps = [traj.ys[k] for k in indices]
-    gaps = np.zeros((len(snaps), len(snaps)))
-    for i in range(len(snaps)):
-        for j in range(i + 1, len(snaps)):
-            gaps[i, j] = gaps[j, i] = sp.norm(snaps[i] - snaps[j])
-    b_bound = max(sp.norm(sp.apply_power(traj.config.op_B, s)) for s in snaps)
-    lam1 = traj.config.op_A.lambda1
-    u_inf = traj.data.u_infinity
-    spec = traj.config.spec
-    candidate = snaps[-1]
-    if lam1 > 0.0:
-        branch = "lambda1_positive"
-        mu_est = None
-        mu_value = 0.0
-    else:
-        branch = "lambda1_zero"
-        mu_est = extract_mu_infinity(traj, window_fraction)
-        mu_value = mu_est.tail_average
-    resid = stationarity_residual(candidate, mu_value, u_inf, spec,
-                                  traj.config.op_B, overshoot_tol)
-    scale = residual_scale(candidate, mu_value, u_inf, spec,
-                           traj.config.op_B, overshoot_tol)
-    final_mass = sp.mean(traj.ys[-1]) + traj.h * sp.mean(traj.mus[-1])
-    return OmegaLimitReport(
-        probe_times=times,
-        candidate=candidate,
-        cauchy_gaps=gaps,
-        b_sigma_bound=float(b_bound),
-        stationarity_residual=resid,
-        residual_scale=scale,
-        mu_infinity_samples=mu_est,
-        mu_infinity_value=mu_value,
-        mass_identity_defect=float(abs(final_mass - sp.mean(traj.ys[0]))),
-        branch=branch,
-    )
 
 
 @dataclass(frozen=True)
@@ -356,8 +301,12 @@ def range_certificate(traj: DiscreteTrajectory, spec: pot.PotentialSpec,
     Overshoot beyond the interval is attributable to the regularization
     level recorded in the certificate.
     """
-    y_min = min(float(y.values.min()) for y in traj.ys)
-    y_max = max(float(y.values.max()) for y in traj.ys)
+    return _certify_range(float(traj.y.min()), float(traj.y.max()), spec,
+                          traj.config.yosida_lambda, interval)
+
+
+def _certify_range(y_min: float, y_max: float, spec: pot.PotentialSpec,
+                   yosida_lambda: float, interval: Optional[tuple] = None) -> RangeCertificate:
     if interval is None:
         dom = spec.beta_domain
         interval = (dom.lo, dom.hi) if dom.bounded else (y_min, y_max)
@@ -369,7 +318,7 @@ def range_certificate(traj: DiscreteTrajectory, spec: pot.PotentialSpec,
         interval=(a, b),
         contained=overshoot == 0.0,
         overshoot=overshoot,
-        yosida_lambda=traj.config.yosida_lambda,
+        yosida_lambda=yosida_lambda,
     )
 
 
@@ -381,8 +330,84 @@ def goodmui_certified(traj: DiscreteTrajectory, cert: RangeCertificate) -> bool:
     functions in the operator domain is automatic for the interval bases
     and recorded as an assumption for matrix-backed ones.
     """
-    spec = traj.config.spec
+    return _unique_constant_certified(traj.config.spec, cert)
+
+
+def _unique_constant_certified(spec: pot.PotentialSpec, cert: RangeCertificate) -> bool:
     if not spec.smooth_graph:
         return False
     dom = spec.beta_domain
     return dom.lo < cert.y_min and cert.y_max < dom.hi
+
+
+def longtime_report(config: SchemeConfig, data: ProblemData, snapshots: np.ndarray,
+                    snapshot_steps: Sequence[int], columns: dict, y_range: tuple,
+                    window_fraction: float = 0.5,
+                    overshoot_tol: Optional[float] = None) -> dict:
+    """Limit-point analysis of a run; the payload of ``report.json``.
+
+    Inputs: the (S, m) state rows at ``snapshot_steps``, the
+    :data:`TRAJECTORY_COLUMNS` series and the (min, max) of the state.
+    Gaps are plain-norm distances between snapshots, one row at a time.
+    The stationarity residual of the last snapshot uses a zero constant on
+    the positive branch and, on the zero branch, the tail average of the
+    potential's mean over the trailing ``window_fraction``; its flatness
+    follows from ``|mu - mean|^2 = |mu|^2 - mean^2 * length``.  Without an
+    ``overshoot_tol``, the last snapshot's own overshoot is tolerated.
+    """
+    start = _window_start(len(columns["t"]) - 1, window_fraction)
+    if len(snapshot_steps) < 2:
+        raise InsufficientDataError("need at least two snapshots")
+    grid, h = config.grid, config.h
+    spec, op_b, u_inf = config.spec, config.op_B, data.u_infinity
+    gaps = np.empty((len(snapshots), len(snapshots)))
+    for i, row in enumerate(snapshots):
+        gaps[i] = sp.row_norms(snapshots - row, grid)
+    candidate = sp.Field(snapshots[-1], grid)
+    if config.op_A.lambda1 > 0.0:
+        branch = "lambda1_positive"
+        mu_value = 0.0
+        mu_payload = None
+    else:
+        branch = "lambda1_zero"
+        tail = columns["mean_mu"][start:]
+        flatness = np.sqrt(np.maximum(
+            columns["norm_mu"][start:] ** 2 - grid.length * tail ** 2, 0.0))
+        mu_value = float(tail.mean())
+        mu_payload = {
+            "times": columns["t"][start:],
+            "series": tail,
+            "tail_average": mu_value,
+            "spread": float(tail.max() - tail.min()),
+            "flatness_max": float(flatness.max()),
+        }
+    dom = spec.beta_domain
+    if overshoot_tol is None:
+        exceed = max(0.0, dom.lo - float(candidate.values.min()),
+                     float(candidate.values.max()) - dom.hi)
+        overshoot_tol = exceed * (1.0 + 1e-9) + 1e-15
+    cert = _certify_range(y_range[0], y_range[1], spec, config.yosida_lambda)
+    basis_kinds = {config.op_A.basis.kind, op_b.basis.kind}
+    mean_y = columns["mean_y"]
+    return {
+        "schema": "fracch-longtime/1",
+        "branch": branch,
+        "window_fraction": window_fraction,
+        "probe_times": h * np.array(snapshot_steps, dtype=float),
+        "cauchy_gaps": gaps,
+        "b_sigma_bound": float(sp.row_power_norms(op_b, snapshots).max()),
+        "stationarity_residual": stationarity_residual(
+            candidate, mu_value, u_inf, spec, op_b, overshoot_tol),
+        "residual_scale": residual_scale(candidate, mu_value, u_inf, spec, op_b, overshoot_tol),
+        "variational_inequality_violation": variational_inequality_check(
+            candidate, mu_value, u_inf, spec, op_b),
+        "mu_infinity_value": mu_value,
+        "mu_infinity": mu_payload,
+        "mass_identity_defect": float(abs(mean_y[-1] + h * columns["mean_mu"][-1] - mean_y[0])),
+        "range_certificate": dataclasses.asdict(cert),
+        "assumptions": {
+            "bounded_density": ("verified_interval_bases" if "matrix" not in basis_kinds
+                                else "assumed_for_matrix_basis"),
+            "unique_constant_multiplier_certified": _unique_constant_certified(spec, cert),
+        },
+    }

@@ -1,18 +1,19 @@
 """Deterministic file output and reload of runs.
 
 Every number is serialized with 17 significant digits, which round-trips
-doubles exactly; reloading a run and re-analyzing it therefore reproduces
-the analysis of the fresh run bit for bit.  A run directory contains the
-verbatim configuration, a per-step scalar table, the energy ledger, field
-snapshots at the configured schedule, a metadata file and a gnuplot
-script referencing the tables.  Nothing time- or host-dependent is ever
-written.
+doubles exactly.  A run directory contains the verbatim configuration, a
+per-step scalar table, the energy ledger, field snapshots at the
+configured schedule, a metadata file and a gnuplot script referencing the
+tables.  Nothing time- or host-dependent is ever written.  The long-time
+report of a stored run is :func:`longtime.longtime_report` fed with the
+reloaded tables, which are bit-identical to what the fresh run computed;
+analyzing a reloaded run therefore reproduces the fresh analysis byte for
+byte.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from typing import List, Optional
@@ -22,12 +23,10 @@ import numpy as np
 from . import config as cfgmod
 from . import estimates as est
 from . import longtime
-from . import spectral as sp
 from . import stepper as st
 from .errors import ConfigurationError
 
-TRAJECTORY_COLUMNS = ("t", "mean_y", "mean_mu", "norm_y", "norm_B_sigma_y",
-                      "norm_mu", "norm_Ar_mu", "newton_iters")
+TRAJECTORY_COLUMNS = longtime.TRAJECTORY_COLUMNS
 
 
 def fmt(x) -> str:
@@ -54,7 +53,8 @@ def _json_value(obj) -> str:
             return '"inf"' if v > 0 else '"-inf"'
         return fmt(v)
     if isinstance(obj, np.ndarray):
-        return _json_value(obj.tolist())
+        # row by row: a whole-matrix tolist() would hold every element as a float object
+        return _json_value(obj.tolist() if obj.ndim <= 1 else list(obj))
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_value(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -65,55 +65,21 @@ def _json_value(obj) -> str:
 
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_value(obj) + "\n")
+        fh.write(_json_value(obj))
+        fh.write("\n")
 
 
-def trajectory_rows(traj: st.DiscreteTrajectory):
-    """Per-step scalar summary rows for the trajectory table."""
-    cfg = traj.config
-    rows = []
-    for k in range(traj.steps + 1):
-        y, mu = traj.ys[k], traj.mus[k]
-        iters = traj.solver_stats[k - 1].iterations if k > 0 else 0
-        rows.append((
-            k * traj.h,
-            sp.mean(y),
-            sp.mean(mu),
-            sp.norm(y),
-            sp.norm(sp.apply_power(cfg.op_B, y)),
-            sp.norm(mu),
-            sp.norm(sp.apply_power(cfg.op_A, mu)),
-            iters,
-        ))
-    return rows
+def trajectory_rows(traj: st.DiscreteTrajectory) -> np.ndarray:
+    """Per-step scalar summary rows for the trajectory table, one row per step."""
+    columns = longtime.trajectory_columns(traj)
+    return np.column_stack([columns[name] for name in TRAJECTORY_COLUMNS])
 
 
-def write_trajectory_csv(path, traj: st.DiscreteTrajectory) -> None:
+def _write_table(path, header, rows: np.ndarray, sep: str) -> None:
+    # '%.17g' formats exactly like fmt(); integral values print without a point
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-        for row in trajectory_rows(traj):
-            fh.write(",".join(fmt(v) for v in row) + "\n")
-
-
-def write_ledger_tsv(path, entries: List[est.EnergyLedgerEntry]) -> None:
-    header = ("step",) + est.LEDGER_TERMS + ("rhs_bound", "slack", "data_bound")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(header) + "\n")
-        for e in entries:
-            cells = [str(e.step)]
-            cells += [fmt(e.lhs_terms[name]) for name in est.LEDGER_TERMS]
-            cells += [fmt(e.rhs_bound), fmt(e.slack), fmt(e.data_bound)]
-            fh.write("\t".join(cells) + "\n")
-
-
-def write_snapshots_csv(path, traj: st.DiscreteTrajectory, steps, which: str) -> None:
-    fields = traj.ys if which == "y" else traj.mus
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        ncols = traj.config.grid.size
-        fh.write("t," + ",".join(f"v{i}" for i in range(ncols)) + "\n")
-        for k in steps:
-            row = [fmt(k * traj.h)] + [fmt(v) for v in fields[k].values]
-            fh.write(",".join(row) + "\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=sep, header=sep.join(header),
+                   comments="")
 
 
 PLOT_SCRIPT = """\
@@ -135,44 +101,49 @@ plot 'ledger.tsv' using 1:11 with lines title 'ledger slack'
 
 
 def write_run(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
-              config_text: str) -> dict:
+              config_text: str, snapshot_steps: List[int]) -> dict:
     """Write the full run directory; returns the metadata dictionary."""
     os.makedirs(directory, exist_ok=True)
-    data = traj.data
-    write_trajectory_csv(os.path.join(directory, "trajectory.csv"), traj)
-    entries = est.gronwall_ledger(traj, data, traj.config)
-    write_ledger_tsv(os.path.join(directory, "ledger.tsv"), entries)
-    snap_steps = cfgmod.snapshot_steps(run_cfg.snapshots, traj.steps)
-    write_snapshots_csv(os.path.join(directory, "snapshots_y.csv"), traj, snap_steps, "y")
-    write_snapshots_csv(os.path.join(directory, "snapshots_mu.csv"), traj, snap_steps, "mu")
-    report = est.uniform_report(traj, data, traj.config)
-    halfway = entries[len(entries) // 2 - 1] if len(entries) >= 2 else None
+    config = traj.config
+    rows = trajectory_rows(traj)
+    _write_table(os.path.join(directory, "trajectory.csv"), TRAJECTORY_COLUMNS, rows, ",")
+    ledger = est.gronwall_ledger(traj, traj.data, config)
+    _write_table(os.path.join(directory, "ledger.tsv"),
+                 ("step",) + est.LEDGER_TERMS + ("rhs_bound", "slack", "data_bound"),
+                 np.column_stack([ledger.step, ledger.terms, ledger.rhs_bound,
+                                  ledger.slack, ledger.data_bound]), "\t")
+    snap_header = ["t"] + [f"v{i}" for i in range(config.grid.size)]
+    snap_times = traj.h * np.array(snapshot_steps, dtype=float)
+    for name, states in (("snapshots_y.csv", traj.y), ("snapshots_mu.csv", traj.mu)):
+        _write_table(os.path.join(directory, name), snap_header,
+                     np.column_stack([snap_times, states[snapshot_steps]]), ",")
+    report = est.uniform_report(traj, traj.data, config)
     plateau = {}
-    if halfway is not None:
-        final = entries[-1]
-        for name in est.LEDGER_TERMS:
-            scale = max(abs(final.lhs_terms[name]), est.SLACK_FLOOR)
-            plateau[name] = abs(final.lhs_terms[name] - halfway.lhs_terms[name]) / scale
+    if len(ledger) >= 2:
+        final, halfway = ledger.terms[-1], ledger.terms[len(ledger) // 2 - 1]
+        ratios = np.abs(final - halfway) / np.maximum(np.abs(final), est.SLACK_FLOOR)
+        plateau = dict(zip(est.LEDGER_TERMS, ratios.tolist()))
     est_payload = {
         "uniform": report.as_dict(),
-        "dual_norm": est.dual_norm_report(traj, traj.config).__dict__,
-        "min_slack": min(e.slack for e in entries) if entries else 0.0,
+        "dual_norm": est.dual_norm_report(traj, config).__dict__,
+        "min_slack": float(ledger.slack.min()) if len(ledger) else 0.0,
         "halfway_plateau_ratios": plateau,
     }
     write_json(os.path.join(directory, "estimates.json"), est_payload)
+    columns = dict(zip(TRAJECTORY_COLUMNS, rows.T))
+    mean_y = columns["mean_y"]
     meta = {
         "schema": "fracch-run/1",
         "seed": run_cfg.seed,
         "h": traj.h,
         "steps": traj.steps,
-        "snapshot_steps": snap_steps,
-        "initial_mean": sp.mean(traj.ys[0]),
+        "snapshot_steps": snapshot_steps,
+        "initial_mean": mean_y[0],
         "final_mass_identity_defect": abs(
-            sp.mean(traj.ys[-1]) + traj.h * sp.mean(traj.mus[-1]) - sp.mean(traj.ys[0])
-        ),
-        "y_min": min(float(y.values.min()) for y in traj.ys),
-        "y_max": max(float(y.values.max()) for y in traj.ys),
-        "newton_iterations_max": max((s.iterations for s in traj.solver_stats), default=0),
+            mean_y[-1] + traj.h * columns["mean_mu"][-1] - mean_y[0]),
+        "y_min": float(traj.y.min()),
+        "y_max": float(traj.y.max()),
+        "newton_iterations_max": int(columns["newton_iters"].max()),
     }
     write_json(os.path.join(directory, "meta.json"), meta)
     with open(os.path.join(directory, "config.ini"), "w", encoding="utf-8", newline="\n") as fh:
@@ -182,35 +153,32 @@ def write_run(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
     return meta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StoredRun:
     """A run directory loaded back into memory.
 
-    Fields are reconstructed from the snapshot tables and the verbatim
-    configuration; scalar series come from the trajectory table.  All
-    numbers are bit-identical to the ones computed by the fresh run.
+    ``columns`` holds the :data:`TRAJECTORY_COLUMNS` series and the
+    snapshot tables give (S, m) arrays of states at ``snapshot_steps``.
+    All numbers are bit-identical to the ones computed by the fresh run.
     """
 
     run_config: cfgmod.RunConfig
     scheme: st.SchemeConfig
     data: st.ProblemData
-    times: np.ndarray
     columns: dict
     snapshot_steps: List[int]
-    y_snapshots: List[sp.Field]
-    mu_snapshots: List[sp.Field]
-
+    y_snapshots: np.ndarray
+    mu_snapshots: np.ndarray
     meta: dict
-
-    @property
-    def snapshot_times(self) -> np.ndarray:
-        return self.scheme.h * np.array(self.snapshot_steps, dtype=float)
 
 
 def _read_table(path, sep):
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(sep)
-        rows = [line.strip().split(sep) for line in fh if line.strip()]
+        try:
+            rows = np.loadtxt(fh, delimiter=sep, ndmin=2)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path} is malformed: {exc}") from None
     return header, rows
 
 
@@ -221,25 +189,19 @@ def load_run(directory) -> StoredRun:
         raise ConfigurationError(f"{directory} does not contain a run (no config.ini)")
     run_cfg = cfgmod.load_config(cfg_path)
     scheme, data = cfgmod.build_problem(run_cfg)
-    header, rows = _read_table(os.path.join(directory, "trajectory.csv"), ",")
+    header, values = _read_table(os.path.join(directory, "trajectory.csv"), ",")
     if tuple(header) != TRAJECTORY_COLUMNS:
         raise ConfigurationError("trajectory table has unexpected columns")
-    values = np.array([[float(c) for c in row] for row in rows])
-    columns = {name: values[:, i] for i, name in enumerate(TRAJECTORY_COLUMNS)}
-    grid = scheme.grid
+    columns = dict(zip(TRAJECTORY_COLUMNS, values.T))
 
-    def read_snaps(name):
-        _, srows = _read_table(os.path.join(directory, name), ",")
-        steps = []
-        fields = []
-        for row in srows:
-            t = float(row[0])
-            steps.append(int(round(t / scheme.h)))
-            fields.append(sp.Field(np.array([float(v) for v in row[1:]]), grid))
-        return steps, fields
+    def read_snapshots(name):
+        _, rows = _read_table(os.path.join(directory, name), ",")
+        if rows.shape[1] != scheme.grid.size + 1:
+            raise ConfigurationError(f"{name} rows do not match the grid size")
+        return np.rint(rows[:, 0] / scheme.h).astype(int).tolist(), rows[:, 1:]
 
-    steps_y, y_snaps = read_snaps("snapshots_y.csv")
-    steps_mu, mu_snaps = read_snaps("snapshots_mu.csv")
+    steps_y, y_snaps = read_snapshots("snapshots_y.csv")
+    steps_mu, mu_snaps = read_snapshots("snapshots_mu.csv")
     if steps_y != steps_mu:
         raise ConfigurationError("snapshot tables disagree on stored steps")
     with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
@@ -248,7 +210,6 @@ def load_run(directory) -> StoredRun:
         run_config=run_cfg,
         scheme=scheme,
         data=data,
-        times=columns["t"],
         columns=columns,
         snapshot_steps=steps_y,
         y_snapshots=y_snaps,
@@ -261,87 +222,9 @@ def stored_longtime_report(stored: StoredRun, window_fraction: float = 0.5,
                            overshoot_tol: Optional[float] = None) -> dict:
     """Limit-point analysis of a stored run; the payload of report.json.
 
-    Works entirely from the stored tables so that analyzing a reloaded run
-    reproduces the fresh analysis byte for byte.  The spatial flatness of
-    the potential is reconstructed from the scalar columns through
-    ``|mu - mean|^2 = |mu|^2 - mean^2 * length``.
+    Feeds the reloaded tables to :func:`longtime.longtime_report`.
     """
-    scheme, data = stored.scheme, stored.data
-    steps = stored.meta["steps"]
-    h = scheme.h
-    length = scheme.grid.length
-    lam1 = scheme.op_A.lambda1
-    window_start = int(math.ceil(steps * (1.0 - window_fraction)))
-    in_window = [i for i, t in enumerate(stored.times)
-                 if int(round(t / h)) >= window_start]
-    mean_mu = stored.columns["mean_mu"]
-    norm_mu = stored.columns["norm_mu"]
-    flatness = np.sqrt(np.maximum(norm_mu**2 - length * mean_mu**2, 0.0))
-    gaps = np.zeros((len(stored.y_snapshots),) * 2)
-    for i in range(len(stored.y_snapshots)):
-        for j in range(i + 1, len(stored.y_snapshots)):
-            gaps[i, j] = gaps[j, i] = sp.norm(stored.y_snapshots[i] - stored.y_snapshots[j])
-    b_bound = max(sp.norm(sp.apply_power(scheme.op_B, y)) for y in stored.y_snapshots)
-    candidate = stored.y_snapshots[-1]
-    if lam1 > 0.0:
-        branch = "lambda1_positive"
-        mu_value = 0.0
-        mu_payload = None
-    else:
-        branch = "lambda1_zero"
-        tail = mean_mu[in_window]
-        mu_value = float(tail.mean())
-        mu_payload = {
-            "times": stored.times[in_window],
-            "series": tail,
-            "tail_average": mu_value,
-            "spread": float(tail.max() - tail.min()),
-            "flatness_max": float(flatness[in_window].max()),
-        }
-    dom = scheme.spec.beta_domain
-    if overshoot_tol is None:
-        exceed = max(0.0, dom.lo - float(candidate.values.min()),
-                     float(candidate.values.max()) - dom.hi)
-        overshoot_tol = exceed * (1.0 + 1e-9) + 1e-15
-    resid = longtime.stationarity_residual(candidate, mu_value, data.u_infinity,
-                                           scheme.spec, scheme.op_B, overshoot_tol)
-    scale = longtime.residual_scale(candidate, mu_value, data.u_infinity,
-                                    scheme.spec, scheme.op_B, overshoot_tol)
-    vi_violation = longtime.variational_inequality_check(
-        candidate, mu_value, data.u_infinity, scheme.spec, scheme.op_B)
-    interval = (dom.lo, dom.hi) if dom.bounded else (stored.meta["y_min"], stored.meta["y_max"])
-    overshoot = max(0.0, interval[0] - stored.meta["y_min"],
-                    stored.meta["y_max"] - interval[1])
-    mass_defect = abs(stored.columns["mean_y"][-1] + h * mean_mu[-1]
-                      - stored.columns["mean_y"][0])
-    basis_kinds = {scheme.op_A.basis.kind, scheme.op_B.basis.kind}
-    density_flag = ("verified_interval_bases" if "matrix" not in basis_kinds
-                    else "assumed_for_matrix_basis")
-    goodmui = (scheme.spec.smooth_graph
-               and dom.lo < stored.meta["y_min"] and stored.meta["y_max"] < dom.hi)
-    return {
-        "schema": "fracch-longtime/1",
-        "branch": branch,
-        "window_fraction": window_fraction,
-        "probe_times": stored.snapshot_times,
-        "cauchy_gaps": gaps,
-        "b_sigma_bound": float(b_bound),
-        "stationarity_residual": resid,
-        "residual_scale": scale,
-        "variational_inequality_violation": vi_violation,
-        "mu_infinity_value": mu_value,
-        "mu_infinity": mu_payload,
-        "mass_identity_defect": float(mass_defect),
-        "range_certificate": {
-            "y_min": stored.meta["y_min"],
-            "y_max": stored.meta["y_max"],
-            "interval": list(interval),
-            "contained": overshoot == 0.0,
-            "overshoot": overshoot,
-            "yosida_lambda": scheme.yosida_lambda,
-        },
-        "assumptions": {
-            "bounded_density": density_flag,
-            "unique_constant_multiplier_certified": goodmui,
-        },
-    }
+    return longtime.longtime_report(
+        stored.scheme, stored.data, stored.y_snapshots, stored.snapshot_steps,
+        stored.columns, (stored.meta["y_min"], stored.meta["y_max"]),
+        window_fraction, overshoot_tol)

@@ -374,19 +374,42 @@ def fractional_dual_norm(op: FractionalOperator, f: Field) -> float:
     With a zero first eigenvalue the first coefficient again enters
     unweighted.  Components outside the span do not contribute.
     """
-    c = op.basis.analyze(f)
-    lam = op.basis.lambdas
-    with np.errstate(divide="ignore"):
-        inv = np.where(lam > 0.0, lam ** (-op.exponent), 0.0)
-    weighted = inv * c
-    if op.lambda1 > 0.0:
-        return float(np.sqrt(np.sum(weighted**2)))
-    return float(np.sqrt(c[0] ** 2 + np.sum(weighted[1:] ** 2)))
+    return float(dual_norms(op, op.basis.analyze(f)))
 
 
-def graph_norm(op: FractionalOperator, f: Field) -> float:
-    """Graph norm ``(|f|^2 + |A^r f|^2)^(1/2)`` of the power's domain."""
-    return float(np.hypot(norm(f), norm(apply_power(op, f))))
+def dual_norms(op: FractionalOperator, coefficients: np.ndarray) -> np.ndarray:
+    """:func:`fractional_dual_norm` from expansion coefficients along the last axis."""
+    weights = op.power_weights(-1.0)
+    if op.lambda1 == 0.0:
+        weights[0] = 1.0
+    return np.sqrt(np.sum((weights * coefficients) ** 2, axis=-1))
+
+
+def row_norms(rows: np.ndarray, grid: Grid) -> np.ndarray:
+    """Quadrature L2 norm of each row of a (K, m) array of nodal values."""
+    return np.sqrt(row_inner(rows, rows, grid))
+
+
+def row_inner(u: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
+    """Quadrature inner product of matching rows of two (K, m) arrays."""
+    # fused: no (K, m) temporaries
+    return np.einsum("...j,...j,j->...", u, v, grid.w)
+
+
+def row_means(rows: np.ndarray, grid: Grid) -> np.ndarray:
+    """Mean value of each row of a (K, m) array of nodal values."""
+    return np.sum(grid.w * rows, axis=-1) / grid.length
+
+
+def row_power_norms(op: FractionalOperator, rows: np.ndarray) -> np.ndarray:
+    """``norm(apply_power(op, row))`` for each row of a (K, m) array.
+
+    The power lies in the span, where the quadrature norm is the Euclidean
+    norm of the coefficients, so one product with the analysis matrix
+    serves every row.
+    """
+    c = op.power_weights() * (rows @ op.basis.analysis_matrix.T)
+    return np.sqrt(np.sum(c * c, axis=-1))
 
 
 def poincare_constant(op: FractionalOperator) -> float:

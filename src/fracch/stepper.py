@@ -13,13 +13,17 @@ potential value is eliminated through the diagonal spectral inverse
 nodal equation in ``y+`` that a damped Newton iteration solves to a
 prescribed residual.  Trajectories start from ``y0`` with ``mu0 = 0``;
 that initialization is part of the scheme, not a configurable choice, and
-it is what makes the discrete mass identity exact.
+it is what makes the discrete mass identity exact.  A trajectory stores
+the states as two read-only (N+1, m) arrays, one row per step, which the
+stepper fills in place.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -96,11 +100,15 @@ class DecaySource:
             raise DimensionError("bump and settled value live on different grids")
 
     def at(self, t: float) -> sp.Field:
-        if self.bump is None:
-            return self.u_inf
-        return self.u_inf + np.exp(-self.rate * t) * self.bump
+        return sp.Field(self.values(np.array([t]))[0], self.u_inf.grid)
 
-    def derivative_l1(self, horizon: float) -> float:
+    def values(self, times: np.ndarray) -> np.ndarray:
+        """Nodal values at each of the given times, one row per time."""
+        if self.bump is None:
+            return np.broadcast_to(self.u_inf.values, (len(times), self.u_inf.grid.size))
+        return self.u_inf.values + np.exp(-self.rate * times)[:, None] * self.bump.values
+
+    def derivative_l1(self, horizon):
         """Exact value of the integral of |du/dt| over (0, horizon)."""
         if self.bump is None or self.rate == 0.0:
             return 0.0
@@ -126,21 +134,27 @@ class TabulatedSource:
             raise ConfigurationError("tabulated times must be strictly increasing")
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
+        table = np.array([f.values for f in self.fields])
+        table.flags.writeable = False
+        object.__setattr__(self, "_table", table)
 
     @property
     def u_inf(self) -> sp.Field:
         return self.fields[-1]
 
     def at(self, t: float) -> sp.Field:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self.fields[max(idx, 0)]
+        return sp.Field(self.values(np.array([t]))[0], self.u_inf.grid)
 
-    def derivative_l1(self, horizon: float) -> float:
-        total = 0.0
-        for i in range(1, len(self.fields)):
-            if self.times[i] <= horizon:
-                total += sp.norm(self.fields[i] - self.fields[i - 1])
-        return total
+    def values(self, times: np.ndarray) -> np.ndarray:
+        """Nodal values at each of the given times, one row per time."""
+        idx = np.searchsorted(self.times, times, side="right") - 1
+        return self._table[np.maximum(idx, 0)]
+
+    def derivative_l1(self, horizon):
+        """Sum of the jump norms at the tabulated times up to each horizon."""
+        jumps = sp.row_norms(np.diff(self._table, axis=0), self.u_inf.grid)
+        totals = np.concatenate(([0.0], np.cumsum(jumps)))
+        return totals[np.searchsorted(self.times[1:], horizon, side="right")]
 
     def settles(self) -> bool:
         return True  # compactly supported variation
@@ -239,20 +253,55 @@ class StepStats:
     dampings: int = 0
 
 
-@dataclass(frozen=True)
-class DiscreteTrajectory:
-    """Solution tuples (y^0..y^N, mu^0..mu^N) plus solver diagnostics."""
+class FieldRows(Sequence):
+    """The rows of a (K, m) array of nodal values, each indexed as a Field."""
 
-    ys: List[sp.Field]
-    mus: List[sp.Field]
+    def __init__(self, values: np.ndarray, grid: sp.Grid):
+        self.values = values
+        self.grid = grid
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, k) -> sp.Field:
+        return sp.Field(self.values[k], self.grid)
+
+
+@dataclass(frozen=True, eq=False)
+class DiscreteTrajectory:
+    """Solution tuples (y^0..y^N, mu^0..mu^N) plus solver diagnostics.
+
+    ``y`` and ``mu`` are read-only (N+1, m) arrays of nodal values with one
+    row per step; ``ys[k]`` and ``mus[k]`` return row k as a Field.
+    """
+
+    y: np.ndarray
+    mu: np.ndarray
     h: float
     solver_stats: List[StepStats]
     config: SchemeConfig
     data: ProblemData
 
+    def __post_init__(self):
+        shape = (len(self.solver_stats) + 1, self.config.grid.size)
+        for name in ("y", "mu"):
+            rows = np.asarray(getattr(self, name), dtype=float)
+            if rows.shape != shape:
+                raise DimensionError(f"{name} must hold {shape[0]} rows of {shape[1]} nodal values")
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
+
+    @property
+    def ys(self) -> FieldRows:
+        return FieldRows(self.y, self.config.grid)
+
+    @property
+    def mus(self) -> FieldRows:
+        return FieldRows(self.mu, self.config.grid)
+
     @property
     def steps(self) -> int:
-        return len(self.ys) - 1
+        return len(self.y) - 1
 
     @property
     def final_time(self) -> float:
@@ -262,17 +311,11 @@ class DiscreteTrajectory:
         return self.h * np.arange(self.steps + 1)
 
     def truncated(self, steps: int) -> "DiscreteTrajectory":
-        """Prefix of the trajectory with the given number of steps."""
+        """Prefix of the trajectory with the given number of steps; a view."""
         if not (0 <= steps <= self.steps):
             raise ConfigurationError("truncation exceeds the trajectory length")
-        return DiscreteTrajectory(
-            ys=self.ys[: steps + 1],
-            mus=self.mus[: steps + 1],
-            h=self.h,
-            solver_stats=self.solver_stats[:steps],
-            config=self.config,
-            data=self.data,
-        )
+        return dataclasses.replace(self, y=self.y[: steps + 1], mu=self.mu[: steps + 1],
+                                   solver_stats=self.solver_stats[:steps])
 
 
 class _Workspace:
@@ -384,20 +427,21 @@ def run(config: SchemeConfig, data: ProblemData) -> DiscreteTrajectory:
     """Validate, then march the scheme from (y0, 0) for the configured steps."""
     validate(config, data)
     ws = _Workspace(config)
-    ys = [data.y0]
-    mus = [sp.constant_field(0.0, config.grid)]
+    y = np.empty((config.steps + 1, config.grid.size))
+    mu = np.zeros_like(y)
+    y[0] = data.y0.values
+    y_n, mu_n = data.y0, sp.constant_field(0.0, config.grid)
     stats: List[StepStats] = []
     for n in range(config.steps):
         u_next = data.source.at((n + 1) * config.h)
         try:
-            y, mu, st = solve_step(ys[-1], mus[-1], u_next, config, workspace=ws)
+            y_n, mu_n, st = solve_step(y_n, mu_n, u_next, config, workspace=ws)
         except StepError as exc:
             exc.step_index = n
             raise
-        ys.append(y)
-        mus.append(mu)
+        y[n + 1], mu[n + 1] = y_n.values, mu_n.values
         stats.append(st)
-    return DiscreteTrajectory(ys=ys, mus=mus, h=config.h, solver_stats=stats,
+    return DiscreteTrajectory(y=y, mu=mu, h=config.h, solver_stats=stats,
                               config=config, data=data)
 
 

@@ -8,6 +8,7 @@ the same trajectories.
 import numpy as np
 import pytest
 
+from fracch import longtime as lt
 from fracch import potentials as pot
 from fracch import spectral as sp
 from fracch import stepper as st
@@ -132,3 +133,10 @@ def smooth_benchmark(h, steps, lam):
     data = st.ProblemData(y0=y0, source=st.DecaySource(
         sp.constant_field(0.0, grid), bump, 1.0))
     return st.run(config, data)
+
+
+def fresh_longtime_report(traj, steps, **kwargs):
+    """The report.json payload of an in-memory run with snapshots at ``steps``."""
+    return lt.longtime_report(traj.config, traj.data, traj.y[steps], steps,
+                              lt.trajectory_columns(traj),
+                              (float(traj.y.min()), float(traj.y.max())), **kwargs)

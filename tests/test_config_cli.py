@@ -9,10 +9,13 @@ import pytest
 
 from fracch import cli
 from fracch import config as cfgmod
+from fracch import longtime as lt
 from fracch import runio
 from fracch import spectral as sp
 from fracch import stepper as st
 from fracch.errors import ConfigurationError
+
+from conftest import fresh_longtime_report
 
 MINIMAL = """\
 [operator_a]
@@ -52,6 +55,12 @@ snapshots = log 9
 [run]
 seed = 42
 """
+
+
+# both operators zero-boundary with the quartic well: the positive branch
+POSITIVE_BRANCH = MINIMAL.replace("kind = neumann", "kind = dirichlet") \
+                         .replace("name = obstacle\nc2 = 1.0", "name = regular") \
+                         .replace("y0 = cosine 0.1 0.4 0.2", "y0 = cosine 0 0.2 0.1")
 
 
 class TestParseConfig:
@@ -118,6 +127,8 @@ class TestParseConfig:
         assert len(log) <= 7
         with pytest.raises(ConfigurationError):
             cfgmod.snapshot_steps("weekly 2", 10)
+        with pytest.raises(ConfigurationError, match="not an integer"):
+            cfgmod.snapshot_steps("log many", 10)
 
 
 class TestSerialization:
@@ -161,8 +172,8 @@ class TestRunDirectory:
         scheme, data = cfgmod.build_problem(cfg)
         traj = st.run(scheme, data)
         stored = runio.load_run(str(out))
-        for k, y in zip(stored.snapshot_steps, stored.y_snapshots):
-            assert np.array_equal(y.values, traj.ys[k].values)
+        assert np.array_equal(stored.y_snapshots, traj.y[stored.snapshot_steps])
+        assert np.array_equal(stored.mu_snapshots, traj.mu[stored.snapshot_steps])
 
     def test_determinism_byte_identical(self, tmp_path):
         path, out = write_config(tmp_path)
@@ -194,16 +205,28 @@ class TestRunDirectory:
         assert (out2 / "report.json").exists()
 
     def test_positive_branch_report_tag(self, tmp_path):
-        doc = MINIMAL.replace("kind = neumann", "kind = dirichlet") \
-                     .replace("name = obstacle\nc2 = 1.0", "name = regular") \
-                     .replace("y0 = cosine 0.1 0.4 0.2", "y0 = cosine 0 0.2 0.1")
-        path, out = write_config(tmp_path, doc=doc)
+        path, out = write_config(tmp_path, doc=POSITIVE_BRANCH)
         assert cli.main(["longtime-report", "--config", str(path)]) == 0
         import json
 
         report = json.loads((out / "report.json").read_text())
         assert report["branch"] == "lambda1_positive"
         assert report["mu_infinity"] is None
+
+    @pytest.mark.parametrize("branch, doc", [
+        ("lambda1_zero", MINIMAL),
+        ("lambda1_positive", POSITIVE_BRANCH),
+    ], ids=["neumann_obstacle", "dirichlet_quartic"])
+    def test_fresh_report_matches_reloaded_bytes(self, tmp_path, branch, doc):
+        path, out = write_config(tmp_path, doc=doc)
+        assert cli.main(["simulate", str(path)]) == 0
+        assert cli.main(["longtime-report", str(out)]) == 0
+        cfg = cfgmod.load_config(str(path))
+        traj = st.run(*cfgmod.build_problem(cfg))
+        payload = fresh_longtime_report(traj, cfgmod.snapshot_steps(cfg.snapshots, cfg.steps))
+        assert payload["branch"] == branch
+        fresh = (runio._json_value(payload) + "\n").encode()
+        assert fresh == (out / "report.json").read_bytes()
 
     def test_zero_data_config_writes_zero_tables(self, tmp_path):
         doc = MINIMAL.replace("y0 = cosine 0.1 0.4 0.2", "y0 = constant 0") \
@@ -230,6 +253,26 @@ class TestCliErrors:
 
     def test_missing_run_directory(self, tmp_path):
         assert cli.main(["longtime-report", str(tmp_path / "nope")]) == 2
+
+    def test_window_outside_unit_interval(self, tmp_path, capsys):
+        path, out = write_config(tmp_path)
+        assert cli.main(["simulate", str(path)]) == 0
+        capsys.readouterr()
+        for window in ("0", "1", "2"):
+            assert cli.main(["longtime-report", str(out), "--window", window]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and '"exit_code": 2' in err[0] and "window" in err[0]
+        assert not (out / "report.json").exists()
+        with pytest.raises(ConfigurationError):
+            lt.mu_tail_stats(st.run(*cfgmod.build_problem(cfgmod.load_config(str(path)))), 1.0)
+
+    def test_bad_snapshot_schedule_fails_before_running(self, tmp_path, capsys):
+        path, out = write_config(tmp_path, doc=MINIMAL.replace("snapshots = log 9",
+                                                               "snapshots = log many"))
+        assert cli.main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and '"exit_code": 2' in err[0] and "many" in err[0]
+        assert not out.exists()
 
 
 class TestCliAnalysis:

@@ -21,6 +21,24 @@ def zero_run(steps=5):
     return st.run(config, data), data, config
 
 
+def summed_source_pairing(traj, data, k):
+    """Summation-by-parts value of the source pairing up to step k.
+
+    Equals ``(u^k, y^k) - (u^1, y^0) - sum_{n=1}^{k-1} (u^{n+1} - u^n, y^n)``,
+    which is the same number as the accumulated per-step pairings.
+    """
+    h = traj.h
+    if k == 0:
+        return 0.0
+    uk = data.source.at(k * h)
+    u1 = data.source.at(h)
+    total = sp.inner(uk, traj.ys[k]) - sp.inner(u1, traj.ys[0])
+    for n in range(1, k):
+        du = data.source.at((n + 1) * h) - data.source.at(n * h)
+        total -= sp.inner(du, traj.ys[n])
+    return total
+
+
 class TestPerStepInequality:
     def test_zero_trajectory_equality(self):
         traj, data, config = zero_run()
@@ -124,9 +142,12 @@ class TestGronwallLedger:
         entries = est.gronwall_ledger(traj, data, traj.config)
         k = traj.steps
         accumulated = entries[k - 1].rhs_bound
-        e0_split = est._split_energy(traj.config, traj.ys[0])
-        e0_b = 0.5 * sp.norm(sp.apply_power(traj.config.op_B, traj.ys[0])) ** 2
-        by_parts = e0_split + e0_b + est.summed_source_pairing(traj, data, k)
+        config = traj.config
+        y0 = traj.ys[0]
+        e0_split = float(np.sum(y0.grid.w * (
+            pot.yosida_primal(config.regularization, y0.values) + config.spec.pi_hat(y0.values))))
+        e0_b = 0.5 * sp.norm(sp.apply_power(config.op_B, y0)) ** 2
+        by_parts = e0_split + e0_b + summed_source_pairing(traj, data, k)
         assert accumulated == pytest.approx(by_parts, abs=1e-10)
 
     def test_decaying_source_data_bound(self, small_obstacle_run):
@@ -189,8 +210,8 @@ class TestDualNorm:
         rate = sp.Field(-(1.0 + lam_j) * mu_field.values, grid)
         y1 = sp.Field(rate.values * config.h, grid)
         traj = st.DiscreteTrajectory(
-            ys=[zero, y1], mus=[zero, mu_field], h=config.h,
-            solver_stats=[], config=config,
+            y=np.array([zero.values, y1.values]), mu=np.array([zero.values, mu_field.values]),
+            h=config.h, solver_stats=[st.StepStats(0, 0.0, 0.0)], config=config,
             data=st.ProblemData(y0=zero, source=st.zero_source(grid)))
         report = est.dual_norm_report(traj, config)
         expected = np.sqrt(config.h) * lam_j ** (-0.5) * abs(

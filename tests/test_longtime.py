@@ -9,12 +9,17 @@ from fracch import spectral as sp
 from fracch import stepper as st
 from fracch.errors import BranchError, DomainError, InsufficientDataError
 
+from conftest import fresh_longtime_report
+
 
 def synthetic_trajectory(config, ys, mus):
     grid = config.grid
     data = st.ProblemData(y0=ys[0], source=st.zero_source(grid))
-    return st.DiscreteTrajectory(ys=list(ys), mus=list(mus), h=config.h,
-                                 solver_stats=[], config=config, data=data)
+    stats = [st.StepStats(iterations=0, residual_phase=0.0, residual_potential=0.0)]
+    return st.DiscreteTrajectory(y=np.array([f.values for f in ys]),
+                                 mu=np.array([f.values for f in mus]), h=config.h,
+                                 solver_stats=stats * (len(ys) - 1), config=config,
+                                 data=data)
 
 
 def neumann_config(spec, steps=4, h=0.1):
@@ -172,6 +177,8 @@ class TestVariationalInequality:
 
 
 class TestOmegaProbe:
+    """The limit-point witnesses of :func:`longtime.longtime_report`."""
+
     def test_stationary_data_zero_gaps(self):
         spec = pot.make_potential("obstacle", c2=1.0)
         config = neumann_config(spec, steps=4)
@@ -180,35 +187,34 @@ class TestOmegaProbe:
         y = sp.constant_field(m0, grid)
         mu = sp.constant_field(-2.0 * m0, grid)
         traj = synthetic_trajectory(config, [y] * 5, [mu] * 5)
-        report = lt.omega_probe(traj, [0.0, 0.2, 0.4])
-        assert np.abs(report.cauchy_gaps).max() == 0.0
-        assert report.stationarity_residual <= 1e-10
-        assert report.branch == "lambda1_zero"
+        report = fresh_longtime_report(traj, [0, 2, 4])
+        assert np.abs(report["cauchy_gaps"]).max() == 0.0
+        assert report["stationarity_residual"] <= 1e-10
+        assert report["branch"] == "lambda1_zero"
 
     def test_positive_branch_report(self, small_dirichlet_run):
         traj = small_dirichlet_run
-        t_final = traj.final_time
-        report = lt.omega_probe(traj, [t_final / 4, t_final / 2, t_final])
-        assert report.branch == "lambda1_positive"
-        assert report.mu_infinity_samples is None
-        assert report.mu_infinity_value == 0.0
-        gaps = report.cauchy_gaps
+        n = traj.steps
+        report = fresh_longtime_report(traj, [n // 4, n // 2, n])
+        assert report["branch"] == "lambda1_positive"
+        assert report["mu_infinity"] is None
+        assert report["mu_infinity_value"] == 0.0
+        gaps = report["cauchy_gaps"]
         assert gaps[0, 2] >= gaps[1, 2]  # later states closer together
-        assert np.isfinite(report.b_sigma_bound)
+        assert np.isfinite(report["b_sigma_bound"])
 
     def test_zero_branch_report(self, small_obstacle_run):
         traj = small_obstacle_run
-        t_final = traj.final_time
-        report = lt.omega_probe(traj, [t_final / 2, t_final],
-                                overshoot_tol=1e-2)
-        assert report.branch == "lambda1_zero"
-        assert report.mu_infinity_samples is not None
-        assert report.mu_infinity_samples.spread >= 0.0
-        assert report.mass_identity_defect <= 1e-10
+        n = traj.steps
+        report = fresh_longtime_report(traj, [n // 2, n], overshoot_tol=1e-2)
+        assert report["branch"] == "lambda1_zero"
+        assert report["mu_infinity"] is not None
+        assert report["mu_infinity"]["spread"] >= 0.0
+        assert report["mass_identity_defect"] <= 1e-10
 
     def test_insufficient_snapshots(self, small_obstacle_run):
         with pytest.raises(InsufficientDataError):
-            lt.omega_probe(small_obstacle_run, [1.0])
+            fresh_longtime_report(small_obstacle_run, [100])
 
 
 class TestNonuniquenessConstruction:
