@@ -254,6 +254,14 @@ def _build_operator(section: OperatorSection, base_dir: str) -> sp.FractionalOpe
     return sp.FractionalOperator(basis, section.exponent)
 
 
+def parse_number(token: str, where: str) -> float:
+    """``float(token)``, or a :class:`ConfigurationError` naming ``where``."""
+    try:
+        return float(token)
+    except ValueError:
+        raise ConfigurationError(f"{where}: cannot parse {token!r} as a number") from None
+
+
 def _build_field(descriptor: str, grid: sp.Grid, base_dir: str) -> sp.Field:
     tokens = descriptor.split()
     if not tokens:
@@ -262,11 +270,11 @@ def _build_field(descriptor: str, grid: sp.Grid, base_dir: str) -> sp.Field:
     if kind == "constant":
         if len(args) != 1:
             raise ConfigurationError("constant descriptor takes one value")
-        return sp.constant_field(float(args[0]), grid)
+        return sp.constant_field(parse_number(args[0], "constant descriptor"), grid)
     if kind == "cosine":
         if not args:
             raise ConfigurationError("cosine descriptor needs coefficients")
-        coeffs = [float(a) for a in args]
+        coeffs = [parse_number(a, "cosine descriptor") for a in args]
         values = np.zeros(grid.size)
         for k, c in enumerate(coeffs):
             values += c * np.cos(np.pi * k * grid.x / grid.length)
@@ -297,7 +305,7 @@ def _build_source(cfg: RunConfig, grid: sp.Grid):
     if kind == "decay":
         if len(tokens) != 2:
             raise ConfigurationError("decay descriptor takes exactly one rate")
-        rate = float(tokens[1])
+        rate = parse_number(tokens[1], "decay descriptor")
         if cfg.u_bump_descriptor is None:
             raise ConfigurationError("decay source needs a u_bump descriptor")
         bump = _build_field(cfg.u_bump_descriptor, grid, cfg.base_dir)

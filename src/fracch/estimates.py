@@ -107,20 +107,6 @@ def _split_integrand(config: SchemeConfig, y: np.ndarray) -> np.ndarray:
     return pot.yosida_primal(config.regularization, y) + config.spec.pi_hat(y)
 
 
-def convexity_gap(config: SchemeConfig, prev_y: sp.Field, next_y: sp.Field) -> float:
-    """Nodal minimum of F'(y+)(y+ - y) - (F(y+) - F(y)), nonnegative by convexity."""
-    reg = config.regularization
-    shift = config.spec.stability_shift
-    a, b = prev_y.values, next_y.values
-
-    def f(v):
-        return 0.5 * shift * v * v + pot.yosida_primal(reg, v) + config.spec.pi_hat(v)
-
-    fprime = shift * b + pot.yosida(reg, b) + config.spec.pi(b)
-    gap = fprime * (b - a) - (f(b) - f(a))
-    return float(gap.min())
-
-
 def _step_norms(config: SchemeConfig, y: np.ndarray, mu: np.ndarray) -> dict:
     """Per-step squared norms shared by the ledger, uniform and dual-norm passes.
 

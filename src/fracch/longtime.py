@@ -161,14 +161,10 @@ def stationarity_residual(y: sp.Field, mu_inf: float, u_inf: sp.Field,
     clamped = np.clip(values, lo, hi)
     b2y = sp.apply_power(op_B, sp.Field(clamped, y.grid), 2.0)
     xi = mu_inf + u_inf.values - b2y.values - spec.pi(clamped)
-    violations = np.empty_like(xi)
-    for i, (yi, xii) in enumerate(zip(clamped, xi)):
-        if dom.contains(yi):
-            glo, ghi = spec.beta(yi)
-            violations[i] = max(glo - xii, xii - ghi, 0.0)
-        else:
-            # contact with an open boundary: no admissible selection exists
-            violations[i] = np.inf
+    # contact with an open boundary: no admissible selection exists
+    violations = np.full_like(xi, np.inf)
+    inside = dom.contains(clamped)
+    violations[inside] = pot.graph_selection_residual(spec, clamped[inside], xi[inside])
     return float(np.sqrt(np.sum(y.grid.w * violations * violations)))
 
 
@@ -220,8 +216,8 @@ def residual_scale(y: sp.Field, mu_inf: float, u_inf: sp.Field,
         abs(mu_inf) * np.sqrt(y.grid.length),
         sp.norm(u_inf),
     ]
-    if spec.smooth_graph and all(dom.contains(v) for v in clamped):
-        beta_vals = np.array([spec.beta(v)[0] for v in clamped])
+    if spec.smooth_graph and np.all(dom.contains(clamped)):
+        beta_vals = spec.beta(clamped)[0]
         if np.all(np.isfinite(beta_vals)):
             terms.append(sp.norm(sp.Field(beta_vals, y.grid)))
     return max(max(terms), 1e-12)
@@ -266,17 +262,14 @@ def example_best_check(mu_bar, sample_times: Sequence[float],
         raise DomainError(
             f"profile leaves the admissible band: |mu_bar| reaches {worst}"
         )
-    eq_res = np.empty_like(mu_values)
-    sel_res = np.empty_like(mu_values)
-    for i, v in enumerate(mu_values):
-        mu_field = sp.constant_field(v, grid)
-        eq_res[i] = sp.norm(sp.apply_power(op_A, mu_field))
-        sel_res[i] = pot.graph_selection_residual(spec, 0.0, v)
+    eq_res = np.array([sp.norm(sp.apply_power(op_A, sp.constant_field(v, grid)))
+                       for v in mu_values])
     return NonuniquenessReport(
         sample_times=times,
         mu_values=mu_values,
         first_equation_residuals=eq_res,
-        selection_residuals=sel_res,
+        selection_residuals=pot.graph_selection_residual(spec, np.zeros_like(mu_values),
+                                                         mu_values),
     )
 
 

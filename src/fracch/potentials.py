@@ -14,15 +14,19 @@ regularized convex part evaluates in primal form as
     beta_hat_lam(s) = |s - J_lam(s)|^2 / (2*lam) + beta_hat(J_lam(s)),
 
 which coincides with the infimal convolution of ``beta_hat`` with the
-scaled quadratic.  Closed forms are used wherever the graph admits them;
-the logarithmic graph is inverted by a safeguarded Newton iteration.
+scaled quadratic.  Each :class:`PotentialSpec` carries its own vectorized
+resolvent, Yosida map and Yosida slope.  :func:`make_potential` builds the
+four canonical splits with closed forms (the logarithmic graph is inverted
+by a safeguarded Newton iteration).  Any other graph enters through
+:func:`custom_potential`, which validates the split and supplies bracketing
+bisection, the difference quotient and centered differences.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -32,7 +36,10 @@ from .errors import CoercivityError, ConfigurationError, DomainError, NumericalE
 ALPHA_LADDER = (8.0, 4.0, 2.0, 1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0,
                 1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0)
 
-_FD_STEP = 1e-6  # centered-difference step for derivatives without closed form
+_FD_STEP = 1e-6  # centered-difference step for slopes without closed form
+
+#: A regularized map of a spec: (level, array of points) -> array of values.
+RegularizedMap = Callable[[float, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -44,20 +51,15 @@ class DomainInterval:
     lo_closed: bool = False
     hi_closed: bool = False
 
-    def contains(self, s: float) -> bool:
-        if s < self.lo or s > self.hi:
-            return False
-        if s == self.lo and not self.lo_closed:
-            return False
-        if s == self.hi and not self.hi_closed:
-            return False
-        return True
+    def contains(self, s):
+        """Elementwise membership of scalars or arrays."""
+        s = np.asarray(s, dtype=float)
+        above = s >= self.lo if self.lo_closed else s > self.lo
+        below = s <= self.hi if self.hi_closed else s < self.hi
+        return above & below
 
     def strictly_contains(self, s: float) -> bool:
         return self.lo < s < self.hi
-
-    def closure_contains(self, s: float) -> bool:
-        return self.lo <= s <= self.hi
 
     @property
     def bounded(self) -> bool:
@@ -74,65 +76,96 @@ def _xlogx(t):
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Convex/smooth split of a double-well potential.
+    """Convex/smooth split of a double-well potential with its regularized maps.
 
-    ``beta_hat`` and ``pi_hat`` are vectorized scalar functions; ``beta``
-    maps a point of its domain to the (possibly degenerate, possibly
-    unbounded) interval of graph values there; ``pi`` is the derivative of
-    ``pi_hat`` with Lipschitz constant ``lipschitz_pi``.
+    ``beta_hat``, ``pi_hat``, ``pi`` and ``pi_prime`` are vectorized scalar
+    functions; ``pi`` has Lipschitz constant ``lipschitz_pi``.  ``beta``
+    maps an array of points of its domain to the arrays ``(lo, hi)`` of the
+    ends of the (possibly degenerate, possibly unbounded) graph intervals
+    there.  ``resolvent``, ``yosida`` and ``yosida_slope`` map a level and
+    an array of points to ``J_lam``, ``beta_lam`` and the derivative of
+    ``beta_lam`` at those points.  Build specs with :func:`make_potential`
+    or :func:`custom_potential`.
     """
 
-    name: str
     beta_hat: Callable[[np.ndarray], np.ndarray]
-    beta: Callable[[float], Tuple[float, float]]
+    beta: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     pi_hat: Callable[[np.ndarray], np.ndarray]
     pi: Callable[[np.ndarray], np.ndarray]
+    pi_prime: Callable[[np.ndarray], np.ndarray]
     lipschitz_pi: float
-    beta_domain: DomainInterval
-    beta_hat_domain: DomainInterval
-    pi_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    resolvent: RegularizedMap
+    yosida: RegularizedMap
+    yosida_slope: RegularizedMap
+    beta_domain: DomainInterval = DomainInterval()
+    beta_hat_domain: DomainInterval = DomainInterval()
     #: set when the graph is a single-valued C^1 function on an open interval
     smooth_graph: bool = False
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        # custom splits enter the scheme only after passing the sampled
-        # structural checks; the built-in constructors are exact by design
-        if self.name == "custom":
-            validate_potential(self)
 
     @property
     def stability_shift(self) -> float:
         """Lipschitz constant of ``pi`` plus one; the convexifying shift of the scheme."""
         return self.lipschitz_pi + 1.0
 
-    def pi_derivative(self, s: np.ndarray) -> np.ndarray:
-        if self.pi_prime is not None:
-            return self.pi_prime(np.asarray(s, dtype=float))
-        s = np.asarray(s, dtype=float)
-        return (self.pi(s + _FD_STEP) - self.pi(s - _FD_STEP)) / (2.0 * _FD_STEP)
 
-    def beta_interval(self, y: float) -> Tuple[float, float]:
-        if not self.beta_domain.contains(y):
-            raise DomainError(f"{y!r} is outside the effective domain of the graph")
-        return self.beta(y)
+def _quotient(resolvent: RegularizedMap) -> RegularizedMap:
+    """The Yosida map ``(s - J_lam(s))/lam`` of a resolvent."""
+    return lambda lam, s: (s - resolvent(lam, s)) / lam
 
 
 def _regular_spec() -> PotentialSpec:
     # quartic double well split so the convex part vanishes at the origin
     # and the perturbation derivative has Lipschitz constant one
+    def resolvent(lam, s):
+        # J + lam*J^3 = s, single real root of the depressed cubic in hyperbolic form
+        p = 1.0 / lam
+        arg = (s / lam) / (2.0 * (p / 3.0) ** 1.5)
+        return 2.0 * np.sqrt(p / 3.0) * np.sinh(np.arcsinh(arg) / 3.0)
+
+    def yosida_slope(lam, s):
+        j = resolvent(lam, s)
+        return 3.0 * j * j / (1.0 + 3.0 * lam * j * j)
+
     return PotentialSpec(
-        name="regular",
         beta_hat=lambda s: np.asarray(s, dtype=float) ** 4 / 4.0,
         beta=lambda y: (y**3, y**3),
         pi_hat=lambda s: (1.0 - 2.0 * np.asarray(s, dtype=float) ** 2) / 4.0,
         pi=lambda s: -np.asarray(s, dtype=float),
         pi_prime=lambda s: -np.ones_like(np.asarray(s, dtype=float)),
         lipschitz_pi=1.0,
-        beta_domain=DomainInterval(),
-        beta_hat_domain=DomainInterval(),
+        resolvent=resolvent,
+        yosida=_quotient(resolvent),
+        yosida_slope=yosida_slope,
         smooth_graph=True,
     )
+
+
+def _logarithmic_newton(lam, s, tol=1e-12, budget=100):
+    # substitute J = tanh(theta); then tanh(theta) + 2*lam*theta = s is smooth
+    # and strictly increasing on the whole line, and beta_lam(s) = 2*theta exactly
+    s = np.asarray(s, dtype=float)
+    lo = (s - 1.0) / (2.0 * lam)
+    hi = (s + 1.0) / (2.0 * lam)
+    theta = np.clip(s / (1.0 + 2.0 * lam), lo, hi)
+    lo, hi = lo.copy(), hi.copy()
+    for _ in range(budget):
+        t = np.tanh(theta)
+        f = t + 2.0 * lam * theta - s
+        if np.max(np.abs(f)) < tol:
+            break
+        hi = np.where(f > 0, theta, hi)
+        lo = np.where(f <= 0, theta, lo)
+        step = f / ((1.0 - t * t) + 2.0 * lam)
+        candidate = theta - step
+        outside = (candidate <= lo) | (candidate >= hi)
+        theta = np.where(outside, 0.5 * (lo + hi), candidate)
+    else:
+        worst = float(np.max(np.abs(np.tanh(theta) + 2.0 * lam * theta - s)))
+        raise NumericalError(
+            f"logarithmic resolvent failed to converge: residual {worst:.3e} "
+            f"after {budget} iterations at level {lam}"
+        )
+    return np.tanh(theta), 2.0 * theta
 
 
 def _logarithmic_spec(c1: float) -> PotentialSpec:
@@ -144,11 +177,14 @@ def _logarithmic_spec(c1: float) -> PotentialSpec:
         return out
 
     def beta(y):
-        v = math.log((1.0 + y) / (1.0 - y))
-        return (v, v)
+        v = np.log((1.0 + y) / (1.0 - y))
+        return v, v
+
+    def yosida_slope(lam, s):
+        j, _ = _logarithmic_newton(lam, s)
+        return 2.0 / ((1.0 - j * j) + 2.0 * lam)
 
     return PotentialSpec(
-        name="logarithmic",
         beta_hat=beta_hat,
         beta=beta,
         pi_hat=lambda s: -c1 * np.asarray(s, dtype=float) ** 2,
@@ -157,8 +193,10 @@ def _logarithmic_spec(c1: float) -> PotentialSpec:
         lipschitz_pi=2.0 * c1,
         beta_domain=DomainInterval(-1.0, 1.0),
         beta_hat_domain=DomainInterval(-1.0, 1.0, True, True),
+        resolvent=lambda lam, s: _logarithmic_newton(lam, s)[0],
+        yosida=lambda lam, s: _logarithmic_newton(lam, s)[1],
+        yosida_slope=yosida_slope,
         smooth_graph=True,
-        params={"c1": c1},
     )
 
 
@@ -168,14 +206,13 @@ def _obstacle_spec(c2: float) -> PotentialSpec:
         return np.where(np.abs(s) <= 1.0, 0.0, np.inf)
 
     def beta(y):
-        if abs(y) < 1.0:
-            return (0.0, 0.0)
-        if y == 1.0:
-            return (0.0, math.inf)
-        return (-math.inf, 0.0)
+        y = np.asarray(y, dtype=float)
+        return np.where(y <= -1.0, -np.inf, 0.0), np.where(y >= 1.0, np.inf, 0.0)
+
+    def resolvent(lam, s):
+        return np.clip(s, -1.0, 1.0)
 
     return PotentialSpec(
-        name="obstacle",
         beta_hat=beta_hat,
         beta=beta,
         pi_hat=lambda s: -c2 * np.asarray(s, dtype=float) ** 2,
@@ -184,7 +221,9 @@ def _obstacle_spec(c2: float) -> PotentialSpec:
         lipschitz_pi=2.0 * c2,
         beta_domain=DomainInterval(-1.0, 1.0, True, True),
         beta_hat_domain=DomainInterval(-1.0, 1.0, True, True),
-        params={"c2": c2},
+        resolvent=resolvent,
+        yosida=_quotient(resolvent),
+        yosida_slope=lambda lam, s: np.where(np.abs(s) > 1.0, 1.0 / lam, 0.0),
     )
 
 
@@ -192,24 +231,24 @@ def _nonunique_mu_spec() -> PotentialSpec:
     # quadratic plus absolute value: the graph jumps across [-1, 1] at zero,
     # the construction behind the nonuniqueness of the longtime multiplier
     def beta(y):
-        if y > 0.0:
-            v = 2.0 * y + 1.0
-            return (v, v)
-        if y < 0.0:
-            v = 2.0 * y - 1.0
-            return (v, v)
-        return (-1.0, 1.0)
+        y = np.asarray(y, dtype=float)
+        v = 2.0 * y + np.sign(y)
+        return np.where(y == 0.0, -1.0, v), np.where(y == 0.0, 1.0, v)
+
+    def resolvent(lam, s):
+        return np.sign(s) * np.maximum(np.abs(s) - lam, 0.0) / (1.0 + 2.0 * lam)
 
     return PotentialSpec(
-        name="example_best",
         beta_hat=lambda s: np.asarray(s, dtype=float) ** 2 + np.abs(np.asarray(s, dtype=float)),
         beta=beta,
         pi_hat=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         pi=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         pi_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         lipschitz_pi=0.0,
-        beta_domain=DomainInterval(),
-        beta_hat_domain=DomainInterval(),
+        resolvent=resolvent,
+        yosida=_quotient(resolvent),
+        yosida_slope=lambda lam, s: np.where(np.abs(s) <= lam, 1.0 / lam,
+                                             2.0 / (1.0 + 2.0 * lam)),
     )
 
 
@@ -242,25 +281,27 @@ def make_potential(name: str, **params) -> PotentialSpec:
     raise ConfigurationError(f"unknown potential name: {name!r}")
 
 
-def zero_potential() -> PotentialSpec:
-    """Trivial split with no graph part and no perturbation (testing aid).
+def custom_potential(**fields) -> PotentialSpec:
+    """Spec of a graph without closed forms, admitted by :func:`validate_potential`.
 
-    Does not satisfy the quadratic coercivity hypothesis; it exists so that
-    linear closed-form solutions of the scheme can be checked.
+    ``fields`` are the fields of :class:`PotentialSpec` other than the three
+    regularized maps; ``beta`` must accept arrays.  The resolvent is found
+    by bracketing bisection, the Yosida map is ``(s - J)/lam`` and its
+    slope a centered difference with step 1e-6.  Raises
+    :class:`ConfigurationError` when the sampled structural checks fail.
     """
-    zeros = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    return PotentialSpec(
-        name="custom",
-        beta_hat=zeros,
-        beta=lambda y: (0.0, 0.0),
-        pi_hat=zeros,
-        pi=zeros,
-        pi_prime=zeros,
-        lipschitz_pi=0.0,
-        beta_domain=DomainInterval(),
-        beta_hat_domain=DomainInterval(),
-        smooth_graph=True,
-    )
+    def resolvent(lam, s):
+        return _resolvent_bisection(spec, lam, s)
+
+    yosida = _quotient(resolvent)
+
+    def yosida_slope(lam, s):
+        return (yosida(lam, s + _FD_STEP) - yosida(lam, s - _FD_STEP)) / (2.0 * _FD_STEP)
+
+    spec = PotentialSpec(resolvent=resolvent, yosida=yosida, yosida_slope=yosida_slope,
+                         **fields)
+    validate_potential(spec)
+    return spec
 
 
 def validate_potential(spec: PotentialSpec, samples: int = 1000, seed: int = 0,
@@ -268,9 +309,9 @@ def validate_potential(spec: PotentialSpec, samples: int = 1000, seed: int = 0,
     """Sampled check of the structural hypotheses; raises on failure.
 
     Verifies ``beta_hat(0) = 0`` and nonnegativity, monotonicity of the
-    graph on random pairs inside its domain, and the declared Lipschitz
-    constant of the perturbation derivative.  Custom specs must pass this
-    before entering the scheme.
+    graph on sorted samples inside its domain, and the declared Lipschitz
+    constant of the perturbation derivative.  :func:`custom_potential`
+    runs it on every spec it builds.
     """
     rng = np.random.default_rng(seed)
     b0 = float(spec.beta_hat(np.array([0.0]))[0])
@@ -280,17 +321,17 @@ def validate_potential(spec: PotentialSpec, samples: int = 1000, seed: int = 0,
     lo = max(dom.lo, -span)
     hi = min(dom.hi, span)
     pts = rng.uniform(lo, hi, size=2 * samples)
-    pts = pts[[dom.contains(p) for p in pts]]
+    pts = pts[dom.contains(pts)]
     vals = spec.beta_hat(pts)
     if np.any(vals < -1e-12):
         raise ConfigurationError("beta_hat takes negative values")
     # graph monotonicity: sup beta(s) <= inf beta(t) whenever s < t
     order = np.sort(pts[:samples])
-    for s, t in zip(order[:-1], order[1:]):
-        if s == t:
-            continue
-        if spec.beta(s)[1] > spec.beta(t)[0] + 1e-12:
-            raise ConfigurationError(f"graph is not monotone between {s} and {t}")
+    s, t = order[:-1], order[1:]
+    bad = (s != t) & (spec.beta(s)[1] > spec.beta(t)[0] + 1e-12)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ConfigurationError(f"graph is not monotone between {s[i]} and {t[i]}")
     a = rng.uniform(-span, span, size=samples)
     b = rng.uniform(-span, span, size=samples)
     gap = np.abs(spec.pi(a) - spec.pi(b))
@@ -310,119 +351,64 @@ class YosidaRegularization:
         if not self.lam > 0:
             raise ConfigurationError("regularization level must be positive")
 
-    def with_level(self, lam: float) -> "YosidaRegularization":
-        return replace(self, lam=lam)
-
-
-def _resolvent_regular(lam, s):
-    # J + lam*J^3 = s, single real root of the depressed cubic in hyperbolic form
-    p = 1.0 / lam
-    arg = (s / lam) / (2.0 * (p / 3.0) ** 1.5)
-    return 2.0 * np.sqrt(p / 3.0) * np.sinh(np.arcsinh(arg) / 3.0)
-
-
-def _resolvent_logarithmic(lam, s, tol=1e-12, budget=100):
-    # substitute J = tanh(theta); then tanh(theta) + 2*lam*theta = s is smooth
-    # and strictly increasing on the whole line, and beta_lam(s) = 2*theta exactly
-    s = np.asarray(s, dtype=float)
-    lo = (s - 1.0) / (2.0 * lam)
-    hi = (s + 1.0) / (2.0 * lam)
-    theta = np.clip(s / (1.0 + 2.0 * lam), lo, hi)
-    lo, hi = lo.copy(), hi.copy()
-    for _ in range(budget):
-        t = np.tanh(theta)
-        f = t + 2.0 * lam * theta - s
-        if np.max(np.abs(f)) < tol:
-            break
-        hi = np.where(f > 0, theta, hi)
-        lo = np.where(f <= 0, theta, lo)
-        step = f / ((1.0 - t * t) + 2.0 * lam)
-        candidate = theta - step
-        outside = (candidate <= lo) | (candidate >= hi)
-        theta = np.where(outside, 0.5 * (lo + hi), candidate)
-    else:
-        worst = float(np.max(np.abs(np.tanh(theta) + 2.0 * lam * theta - s)))
-        raise NumericalError(
-            f"logarithmic resolvent failed to converge: residual {worst:.3e} "
-            f"after {budget} iterations at level {lam}"
-        )
-    return np.tanh(theta), 2.0 * theta
-
-
-def _resolvent_obstacle(s):
-    return np.clip(s, -1.0, 1.0)
-
-
-def _resolvent_nonunique(lam, s):
-    s = np.asarray(s, dtype=float)
-    shifted = np.sign(s) * np.maximum(np.abs(s) - lam, 0.0)
-    return shifted / (1.0 + 2.0 * lam)
-
 
 def _resolvent_bisection(spec, lam, s, budget=200):
     # generic maximal monotone graph: J is the unique point with
-    # s - J in lam*beta(J); bracket via nonexpansiveness through 0
-    out = np.empty_like(np.asarray(s, dtype=float).ravel())
-    flat = np.asarray(s, dtype=float).ravel()
+    # s - J in lam*beta(J); bracket via nonexpansiveness through 0.  The
+    # first two probes are the bracket's ends, where a multivalued point of
+    # the graph (a kink of beta_hat or a closed domain end) may sit exactly;
+    # later probes are midpoints.  A point leaves the active set once its
+    # probe is a selection or its bracket has shrunk to round-off.
+    s = np.asarray(s, dtype=float)
+    flat = s.ravel()
+    out = np.empty_like(flat)
     dom = spec.beta_domain
-    for i, si in enumerate(flat):
-        lo = min(0.0, si)
-        hi = max(0.0, si)
-        lo = max(lo, dom.lo)
-        hi = min(hi, dom.hi)
-        for _ in range(budget):
-            mid = 0.5 * (lo + hi)
-            if not dom.contains(mid):
-                # nudge into the domain; the bracket endpoints may sit on
-                # an open boundary
-                mid = math.nextafter(mid, 0.0)
-            blo, bhi = spec.beta(mid)
-            target = (si - mid) / lam
-            if target > bhi:
-                lo = mid
-            elif target < blo:
-                hi = mid
-            else:
-                break
-            if hi - lo < 4.0 * np.finfo(float).eps * max(1.0, abs(si)):
-                mid = 0.5 * (lo + hi)
-                break
-        else:
-            raise NumericalError(
-                f"resolvent bisection exhausted {budget} iterations at s={si!r}, "
-                f"level {lam}: bracket [{lo!r}, {hi!r}]"
-            )
-        residual = graph_selection_residual(spec, mid, (si - mid) / lam)
-        if residual > 1e-10 * max(1.0, abs(si) / lam):
-            raise NumericalError(
-                f"resolvent bisection left selection residual {residual:.3e} "
-                f"at s={si!r}, level {lam}"
-            )
-        out[i] = mid
-    return out.reshape(np.shape(s))
+    active = np.arange(flat.size)
+    lo = np.maximum(np.minimum(flat, 0.0), dom.lo)
+    hi = np.minimum(np.maximum(flat, 0.0), dom.hi)
+    width_tol = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(flat))
+    for k in range(budget):
+        if not active.size:
+            break
+        si = flat[active]
+        probe = lo if k == 0 else hi if k == 1 else 0.5 * (lo + hi)
+        # nudge into the domain; the bracket ends may sit on an open boundary
+        probe = np.where(dom.contains(probe), probe, np.nextafter(probe, 0.0))
+        blo, bhi = spec.beta(probe)
+        target = (si - probe) / lam
+        up, down = target > bhi, target < blo
+        lo, hi = np.where(up, probe, lo), np.where(down, probe, hi)
+        hit = ~(up | down)
+        narrow = ~hit & (hi - lo < width_tol[active])
+        out[active[hit]] = probe[hit]
+        out[active[narrow]] = 0.5 * (lo[narrow] + hi[narrow])
+        keep = ~(hit | narrow)
+        active, lo, hi = active[keep], lo[keep], hi[keep]
+    if active.size:
+        raise NumericalError(
+            f"resolvent bisection exhausted {budget} iterations at "
+            f"s={float(flat[active[0]])!r}, level {lam}: bracket [{lo[0]:.17g}, {hi[0]:.17g}]"
+        )
+    residual = graph_selection_residual(spec, out, (flat - out) / lam)
+    bad = residual > 1e-10 * np.maximum(1.0, np.abs(flat) / lam)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericalError(
+            f"resolvent bisection left selection residual {residual[i]:.3e} "
+            f"at s={float(flat[i])!r}, level {lam}"
+        )
+    return out.reshape(s.shape)
+
+
+def _pointwise(fn: RegularizedMap, reg: YosidaRegularization, s):
+    # scalars map to floats, arrays to arrays of the same shape
+    out = fn(reg.lam, np.atleast_1d(np.asarray(s, dtype=float)))
+    return float(out[0]) if np.isscalar(s) else out
 
 
 def resolvent(reg: YosidaRegularization, s) -> np.ndarray | float:
-    """Resolvent ``J_lam(s)``: the unique solution of ``J + lam*beta(J) ∋ s``.
-
-    Closed forms for the quartic, obstacle and nonunique-multiplier graphs;
-    safeguarded Newton for the logarithmic graph; bracketing bisection for
-    custom graphs.  Accepts scalars or arrays.
-    """
-    scalar = np.isscalar(s)
-    arr = np.atleast_1d(np.asarray(s, dtype=float))
-    name = reg.spec.name
-    if name == "regular":
-        out = _resolvent_regular(reg.lam, arr)
-    elif name == "logarithmic":
-        out, _ = _resolvent_logarithmic(reg.lam, arr)
-    elif name == "obstacle":
-        out = _resolvent_obstacle(arr)
-    elif name == "example_best":
-        out = _resolvent_nonunique(reg.lam, arr)
-    else:
-        out = _resolvent_bisection(reg.spec, reg.lam, arr)
-    return float(out[0]) if scalar else out
+    """Resolvent ``J_lam(s)``: the unique solution of ``J + lam*beta(J) ∋ s``."""
+    return _pointwise(reg.spec.resolvent, reg, s)
 
 
 def yosida(reg: YosidaRegularization, s) -> np.ndarray | float:
@@ -431,13 +417,7 @@ def yosida(reg: YosidaRegularization, s) -> np.ndarray | float:
     This is a selection of the graph at the resolvent point:
     ``beta_lam(s)`` lies in ``beta(J_lam(s))``.
     """
-    scalar = np.isscalar(s)
-    arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if reg.spec.name == "logarithmic":
-        _, out = _resolvent_logarithmic(reg.lam, arr)
-    else:
-        out = (arr - np.asarray(resolvent(reg, arr))) / reg.lam
-    return float(out[0]) if scalar else out
+    return _pointwise(reg.spec.yosida, reg, s)
 
 
 def yosida_primal(reg: YosidaRegularization, s) -> np.ndarray | float:
@@ -448,7 +428,7 @@ def yosida_primal(reg: YosidaRegularization, s) -> np.ndarray | float:
     """
     scalar = np.isscalar(s)
     arr = np.atleast_1d(np.asarray(s, dtype=float))
-    j = np.asarray(resolvent(reg, arr))
+    j = reg.spec.resolvent(reg.lam, arr)
     if reg.spec.beta_domain.bounded:
         # the resolvent may round onto the boundary of an open domain;
         # beta_hat is evaluated in the closure where it is finite
@@ -460,37 +440,25 @@ def yosida_primal(reg: YosidaRegularization, s) -> np.ndarray | float:
 def yosida_derivative(reg: YosidaRegularization, s) -> np.ndarray | float:
     """Pointwise derivative of the Yosida approximation, in [0, 1/lam].
 
-    Closed forms for the built-in graphs; centered differences with step
-    1e-6 otherwise.  At kinks of piecewise-defined graphs the one-sided
-    value on the flat side is used.
+    At kinks of the piecewise-defined canonical graphs one of the one-sided
+    values is used; custom graphs use centered differences.
     """
-    scalar = np.isscalar(s)
-    arr = np.atleast_1d(np.asarray(s, dtype=float))
-    lam = reg.lam
-    name = reg.spec.name
-    if name == "regular":
-        j = _resolvent_regular(lam, arr)
-        out = 3.0 * j * j / (1.0 + 3.0 * lam * j * j)
-    elif name == "logarithmic":
-        j, _ = _resolvent_logarithmic(lam, arr)
-        out = 2.0 / ((1.0 - j * j) + 2.0 * lam)
-    elif name == "obstacle":
-        out = np.where(np.abs(arr) > 1.0, 1.0 / lam, 0.0)
-    elif name == "example_best":
-        out = np.where(np.abs(arr) <= lam, 1.0 / lam, 2.0 / (1.0 + 2.0 * lam))
-    else:
-        out = (yosida(reg, arr + _FD_STEP) - yosida(reg, arr - _FD_STEP)) / (2.0 * _FD_STEP)
-    return float(out[0]) if scalar else out
+    return _pointwise(reg.spec.yosida_slope, reg, s)
 
 
-def graph_selection_residual(spec: PotentialSpec, y: float, xi: float) -> float:
-    """Distance from ``xi`` to the set ``beta(y)``; zero iff a valid selection."""
-    lo, hi = spec.beta_interval(float(y))
-    if xi < lo:
-        return float(lo - xi)
-    if xi > hi:
-        return float(xi - hi)
-    return 0.0
+def graph_selection_residual(spec: PotentialSpec, y, xi):
+    """Elementwise distance from ``xi`` to the set ``beta(y)``; zero iff a valid selection.
+
+    Raises :class:`DomainError` when a point ``y`` lies outside the graph's domain.
+    """
+    y = np.asarray(y, dtype=float)
+    outside = ~spec.beta_domain.contains(y)
+    if np.any(outside):
+        raise DomainError(
+            f"{float(y[outside][0])!r} is outside the effective domain of the graph")
+    lo, hi = spec.beta(y)
+    out = np.maximum(np.maximum(lo - xi, xi - hi), 0.0)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)

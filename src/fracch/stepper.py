@@ -41,6 +41,11 @@ from .errors import (
 )
 
 
+#: A Newton residual within this many machine epsilons of its largest
+#: summand is round-off; no step size or regularization level reduces it.
+_ROUNDOFF_FACTOR = 16.0
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Everything the scheme needs besides the data: operators, potential, steps."""
@@ -340,6 +345,22 @@ class _Workspace:
         return float(np.sqrt(np.sum(self.w * v * v)))
 
 
+def _stall_message(ws: _Workspace, res: float, y: np.ndarray, terms) -> str:
+    """Why the line search failed at the state ``y``, whose residual summands are ``terms``."""
+    tol = ws.config.newton_tol
+    # the products B2_ij y_j are summands too: once the high modes are damped
+    # they exceed B2 y by orders of magnitude
+    sizes = [ws.h_norm(t) for t in terms] + [ws.h_norm(np.abs(ws.b2) @ np.abs(y))]
+    floor = _ROUNDOFF_FACTOR * np.finfo(float).eps * max(sizes)
+    if res <= floor:
+        return (f"Newton step stalled at residual {res:.3e} above newton_tol {tol:.1e}: "
+                f"round-off, within {floor:.1e} ({_ROUNDOFF_FACTOR:g} eps times the largest "
+                "summand of the residual); use a larger newton_tol")
+    return (f"Newton step could not reduce the residual {res:.3e} below newton_tol "
+            f"{tol:.1e} after 30 halvings; try a smaller step size or a larger "
+            "regularization level")
+
+
 def _newton_solve(ws: _Workspace, y_prev: np.ndarray, mu_prev: np.ndarray,
                   u_next: np.ndarray, y_start: np.ndarray):
     cfg = ws.config
@@ -349,44 +370,34 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, mu_prev: np.ndarray,
 
     def residual(yc):
         mu = ws.sinv @ (mu_prev - (yc - y_prev) / h)
-        g = (
-            tau * (yc - y_prev) / h
-            + shift * (yc - y_prev)
-            + ws.b2 @ yc
-            + pot.yosida(reg, yc)
-            + cfg.spec.pi(yc)
-            - u_next
-            - mu
-        )
-        return g, mu
+        terms = (tau * (yc - y_prev) / h, shift * (yc - y_prev), ws.b2 @ yc,
+                 pot.yosida(reg, yc), cfg.spec.pi(yc), u_next, mu)
+        g = terms[0] + terms[1] + terms[2] + terms[3] + terms[4] - u_next - mu
+        return g, mu, terms
 
     y = y_start.copy()
-    g, mu = residual(y)
+    g, mu, terms = residual(y)
     res = ws.h_norm(g)
     history = [res]
     dampings = 0
     for iteration in range(cfg.newton_max):
         if res <= cfg.newton_tol:
             return y, mu, iteration, res, dampings
-        diag = pot.yosida_derivative(reg, y) + cfg.spec.pi_derivative(y)
+        diag = pot.yosida_derivative(reg, y) + cfg.spec.pi_prime(y)
         jac = (tau / h + shift) * ws.eye + ws.b2 + np.diag(diag) + ws.sinv / h
         delta = np.linalg.solve(jac, -g)
         alpha = 1.0
         for _ in range(30):
             y_new = y + alpha * delta
-            g_new, mu_new = residual(y_new)
+            g_new, mu_new, terms_new = residual(y_new)
             res_new = ws.h_norm(g_new)
             if res_new < res:
                 break
             alpha *= 0.5
             dampings += 1
         else:
-            raise StepError(
-                "Newton step could not reduce the residual after 30 halvings; "
-                "try a smaller step size or a larger regularization level",
-                residual_history=history,
-            )
-        y, g, mu, res = y_new, g_new, mu_new, res_new
+            raise StepError(_stall_message(ws, res, y, terms), residual_history=history)
+        y, g, mu, terms, res = y_new, g_new, mu_new, terms_new, res_new
         history.append(res)
     if res <= cfg.newton_tol:
         return y, mu, cfg.newton_max, res, dampings

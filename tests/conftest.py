@@ -14,6 +14,19 @@ from fracch import spectral as sp
 from fracch import stepper as st
 
 
+def zero_potential():
+    """Trivial split with no graph part and no perturbation.
+
+    Does not satisfy the quadratic coercivity hypothesis; it exists so that
+    linear closed-form solutions of the scheme can be checked, and it takes
+    the generic bisection path of custom graphs.
+    """
+    zeros = lambda s: np.zeros_like(np.asarray(s, dtype=float))
+    return pot.custom_potential(beta_hat=zeros, beta=lambda y: (zeros(y), zeros(y)),
+                                pi_hat=zeros, pi=zeros, pi_prime=zeros,
+                                lipschitz_pi=0.0, smooth_graph=True)
+
+
 def cosine_field(grid, coeffs):
     values = np.zeros(grid.size)
     for k, c in enumerate(coeffs):

@@ -274,6 +274,21 @@ class TestCliErrors:
         assert len(err) == 1 and '"exit_code": 2' in err[0] and "many" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("replace,argv,token", [
+        (("y0 = cosine 0.1 0.4 0.2", "y0 = constant abc"), None, "abc"),
+        (("y0 = cosine 0.1 0.4 0.2", "y0 = cosine 0.1 x"), None, "'x'"),
+        (("source = decay 0.5", "source = decay fast"), None, "fast"),
+        (None, ["example-best", "--mu", ""], "profile"),
+        (None, ["example-best", "--mu", "sin abc"], "abc"),
+    ])
+    def test_malformed_number_is_a_configuration_error(self, tmp_path, capsys,
+                                                       replace, argv, token):
+        path, out = write_config(tmp_path, doc=MINIMAL.replace(*replace) if replace else None)
+        assert cli.main(argv or ["simulate", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and '"exit_code": 2' in err[0] and token in err[0]
+        assert not out.exists()
+
 
 class TestCliAnalysis:
     def test_example_best_exit_zero(self, capsys):

@@ -8,17 +8,33 @@ from fracch import potentials as pot
 from fracch import spectral as sp
 from fracch import stepper as st
 
+from conftest import zero_potential
+
 
 def zero_run(steps=5):
     # trivial split: at the zero state every ledger term vanishes identically
     basis = sp.build_interval_basis("neumann", 8, 2.0, 17)
     op = sp.FractionalOperator(basis, 0.5)
-    config = st.SchemeConfig(op_A=op, op_B=op, spec=pot.zero_potential(),
+    config = st.SchemeConfig(op_A=op, op_B=op, spec=zero_potential(),
                              yosida_lambda=1e-2, tau=0.5, h=0.05, steps=steps)
     grid = config.grid
     data = st.ProblemData(y0=sp.constant_field(0.0, grid),
                           source=st.zero_source(grid))
     return st.run(config, data), data, config
+
+
+def convexity_gap(config, prev_y, next_y):
+    """Nodal minimum of F'(y+)(y+ - y) - (F(y+) - F(y)), nonnegative by convexity."""
+    reg = config.regularization
+    shift = config.spec.stability_shift
+    a, b = prev_y.values, next_y.values
+
+    def f(v):
+        return 0.5 * shift * v * v + pot.yosida_primal(reg, v) + config.spec.pi_hat(v)
+
+    fprime = shift * b + pot.yosida(reg, b) + config.spec.pi(b)
+    gap = fprime * (b - a) - (f(b) - f(a))
+    return float(gap.min())
 
 
 def summed_source_pairing(traj, data, k):
@@ -53,7 +69,7 @@ class TestPerStepInequality:
         # every ledger term can be checked by hand against the 2x2 system
         basis = sp.build_interval_basis("neumann", 8, 2.0, 17)
         op = sp.FractionalOperator(basis, 0.5)
-        config = st.SchemeConfig(op_A=op, op_B=op, spec=pot.zero_potential(),
+        config = st.SchemeConfig(op_A=op, op_B=op, spec=zero_potential(),
                                  yosida_lambda=1e-2, tau=0.0, h=0.25, steps=1)
         grid = config.grid
         c = 0.7
@@ -85,7 +101,7 @@ class TestPerStepInequality:
     def test_convexity_gap_pointwise(self, small_obstacle_run):
         traj = small_obstacle_run
         for k in range(1, traj.steps + 1):
-            gap = est.convexity_gap(traj.config, traj.ys[k - 1], traj.ys[k])
+            gap = convexity_gap(traj.config, traj.ys[k - 1], traj.ys[k])
             assert gap >= -1e-10
 
     def test_violation_raises_on_corrupted_state(self, small_obstacle_run):
@@ -197,7 +213,7 @@ class TestDualNorm:
         # path reconstructs the rate from mu alone
         basis = sp.build_interval_basis("dirichlet", 8, 2.0, 17)
         op = sp.FractionalOperator(basis, 0.5)
-        config = st.SchemeConfig(op_A=op, op_B=op, spec=pot.zero_potential(),
+        config = st.SchemeConfig(op_A=op, op_B=op, spec=zero_potential(),
                                  yosida_lambda=1e-2, tau=0.0, h=0.1, steps=2)
         grid = config.grid
         j = 2  # third mode

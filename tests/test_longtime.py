@@ -9,7 +9,7 @@ from fracch import spectral as sp
 from fracch import stepper as st
 from fracch.errors import BranchError, DomainError, InsufficientDataError
 
-from conftest import fresh_longtime_report
+from conftest import fresh_longtime_report, zero_potential
 
 
 def synthetic_trajectory(config, ys, mus):
@@ -31,7 +31,7 @@ def neumann_config(spec, steps=4, h=0.1):
 
 class TestMuTailStats:
     def test_zero_run(self):
-        config = neumann_config(pot.zero_potential())
+        config = neumann_config(zero_potential())
         zero = sp.constant_field(0.0, config.grid)
         traj = synthetic_trajectory(config, [zero] * 5, [zero] * 5)
         stats = lt.mu_tail_stats(traj, 0.5)
@@ -54,7 +54,7 @@ class TestMuTailStats:
 
 class TestExtractMuInfinity:
     def test_spatially_constant_potential(self):
-        config = neumann_config(pot.zero_potential())
+        config = neumann_config(zero_potential())
         grid = config.grid
         zero = sp.constant_field(0.0, grid)
         g = [0.3, 0.2, 0.15, 0.12, 0.1]
@@ -65,7 +65,7 @@ class TestExtractMuInfinity:
         assert estimate.flatness <= 1e-12
 
     def test_zero_run(self):
-        config = neumann_config(pot.zero_potential())
+        config = neumann_config(zero_potential())
         zero = sp.constant_field(0.0, config.grid)
         traj = synthetic_trajectory(config, [zero] * 3, [zero] * 3)
         estimate = lt.extract_mu_infinity(traj, 0.5)
@@ -83,7 +83,7 @@ class TestExtractMuInfinity:
 
 class TestStationarityResidual:
     def test_trivial_zero_state(self):
-        config = neumann_config(pot.zero_potential())
+        config = neumann_config(zero_potential())
         grid = config.grid
         zero = sp.constant_field(0.0, grid)
         assert lt.stationarity_residual(zero, 0.0, zero, config.spec, config.op_B) == 0.0
@@ -253,7 +253,7 @@ class TestNonuniquenessConstruction:
 
 class TestRangeCertificate:
     def test_zero_run_contained(self):
-        config = neumann_config(pot.zero_potential())
+        config = neumann_config(zero_potential())
         zero = sp.constant_field(0.0, config.grid)
         traj = synthetic_trajectory(config, [zero] * 3, [zero] * 3)
         cert = lt.range_certificate(traj, config.spec, (-1.0, 1.0))

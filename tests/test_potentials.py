@@ -1,5 +1,6 @@
 """Potential splits, resolvents, regularized values and their brute-force oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,16 @@ ALL_SPECS = {
 # the logarithmic graph saturates to its open boundary in double precision
 # for arguments far outside (-1, 1); sample where selections are representable
 SAMPLE_SPAN = {"regular": 3.0, "logarithmic": 0.9, "obstacle": 3.0, "example_best": 3.0}
+
+
+def zeros(s):
+    return np.zeros_like(np.asarray(s, dtype=float))
+
+
+# beta(r) = 2r with no perturbation; its regularized value is s^2/(1+2*lam)
+QUADRATIC = dict(beta_hat=lambda s: np.asarray(s, dtype=float) ** 2,
+                 beta=lambda y: (2.0 * y, 2.0 * y), pi_hat=zeros, pi=zeros,
+                 pi_prime=zeros, lipschitz_pi=0.0, smooth_graph=True)
 
 
 def grid_minimizer(spec, lam, s, points=10**6):
@@ -98,18 +109,7 @@ class TestResolvent:
 
     def test_custom_graph_bisection(self):
         # beta(r) = 2r built as a custom spec exercises the generic path
-        spec = pot.PotentialSpec(
-            name="custom",
-            beta_hat=lambda s: np.asarray(s, dtype=float) ** 2,
-            beta=lambda y: (2.0 * y, 2.0 * y),
-            pi_hat=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            pi=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            lipschitz_pi=0.0,
-            beta_domain=pot.DomainInterval(),
-            beta_hat_domain=pot.DomainInterval(),
-            smooth_graph=True,
-        )
-        reg = pot.YosidaRegularization(spec, 0.25)
+        reg = pot.YosidaRegularization(pot.custom_potential(**QUADRATIC), 0.25)
         for s in (-2.0, -0.3, 0.0, 1.7):
             assert pot.resolvent(reg, s) == pytest.approx(s / 1.5, abs=1e-12)
 
@@ -150,17 +150,7 @@ class TestYosidaPrimal:
 
 class TestCoercivity:
     def test_quadratic_convex_part_closed_form(self):
-        spec = pot.PotentialSpec(
-            name="custom",
-            beta_hat=lambda s: np.asarray(s, dtype=float) ** 2,
-            beta=lambda y: (2.0 * y, 2.0 * y),
-            pi_hat=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            pi=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            lipschitz_pi=0.0,
-            beta_domain=pot.DomainInterval(),
-            beta_hat_domain=pot.DomainInterval(),
-            smooth_graph=True,
-        )
+        spec = pot.custom_potential(**QUADRATIC)
         # regularized value is s^2/(1+2*lam); at levels up to 1 the slope 1/3 holds with no offset
         cert = pot.coercivity_check(spec, [1.0, 0.5, 0.1], (-5.0, 5.0), 2001)
         assert cert.alpha == pytest.approx(1.0 / 3.0)
@@ -175,30 +165,18 @@ class TestCoercivity:
     def test_constant_shift_absorbed_in_offset(self):
         base = pot.coercivity_check(ALL_SPECS["regular"], [0.1], (-5.0, 5.0), 2001)
         spec = ALL_SPECS["regular"]
-        shifted = pot.PotentialSpec(
-            name="custom",
-            beta_hat=spec.beta_hat, beta=spec.beta,
-            pi_hat=lambda s: spec.pi_hat(s) - 0.25,
-            pi=spec.pi, pi_prime=spec.pi_prime,
-            lipschitz_pi=spec.lipschitz_pi,
-            beta_domain=spec.beta_domain, beta_hat_domain=spec.beta_hat_domain,
-            smooth_graph=True,
-        )
+        shifted = dataclasses.replace(spec, pi_hat=lambda s: spec.pi_hat(s) - 0.25)
         cert = pot.coercivity_check(shifted, [0.1], (-5.0, 5.0), 2001)
         assert cert.alpha == base.alpha
         assert cert.C == pytest.approx(base.C + 0.25, abs=1e-9)
 
     def test_noncoercive_spec_rejected(self):
-        spec = pot.PotentialSpec(
-            name="custom",
-            beta_hat=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            beta=lambda y: (0.0, 0.0),
+        spec = pot.custom_potential(
+            beta_hat=zeros, beta=lambda y: (zeros(y), zeros(y)),
             pi_hat=lambda s: -np.asarray(s, dtype=float) ** 2,
             pi=lambda s: -2.0 * np.asarray(s, dtype=float),
-            lipschitz_pi=2.0,
-            beta_domain=pot.DomainInterval(),
-            beta_hat_domain=pot.DomainInterval(),
-            smooth_graph=True,
+            pi_prime=lambda s: np.full_like(np.asarray(s, dtype=float), -2.0),
+            lipschitz_pi=2.0, smooth_graph=True,
         )
         with pytest.raises(CoercivityError):
             pot.coercivity_check(spec, [0.1], (-5.0, 5.0), 2001)
@@ -296,40 +274,53 @@ class TestValidatePotential:
             pot.validate_potential(spec)
 
     def test_nonmonotone_custom_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError):
-            pot.PotentialSpec(
-                name="custom",
-                beta_hat=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                beta=lambda y: (-y, -y),  # decreasing: not monotone
-                pi_hat=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                pi=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                lipschitz_pi=0.0,
-                beta_domain=pot.DomainInterval(),
-                beta_hat_domain=pot.DomainInterval(),
-            )
+        with pytest.raises(ConfigurationError, match="not monotone"):
+            pot.custom_potential(**{**QUADRATIC, "beta": lambda y: (-y, -y)})
 
     def test_wrong_lipschitz_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError):
-            pot.PotentialSpec(
-                name="custom",
-                beta_hat=lambda s: np.asarray(s, dtype=float) ** 2,
-                beta=lambda y: (2.0 * y, 2.0 * y),
-                pi_hat=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                pi=lambda s: -3.0 * np.asarray(s, dtype=float),
-                lipschitz_pi=1.0,  # actual constant is 3
-                beta_domain=pot.DomainInterval(),
-                beta_hat_domain=pot.DomainInterval(),
-            )
+        # actual constant is 3
+        with pytest.raises(ConfigurationError, match="Lipschitz"):
+            pot.custom_potential(**{**QUADRATIC, "pi": lambda s: -3.0 * np.asarray(s, dtype=float),
+                                    "lipschitz_pi": 1.0})
 
     def test_nonzero_at_origin_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError):
-            pot.PotentialSpec(
-                name="custom",
-                beta_hat=lambda s: np.asarray(s, dtype=float) ** 2 + 1.0,
-                beta=lambda y: (2.0 * y, 2.0 * y),
-                pi_hat=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                pi=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                lipschitz_pi=0.0,
-                beta_domain=pot.DomainInterval(),
-                beta_hat_domain=pot.DomainInterval(),
-            )
+        with pytest.raises(ConfigurationError, match=r"beta_hat\(0\)"):
+            pot.custom_potential(**{**QUADRATIC,
+                                    "beta_hat": lambda s: np.asarray(s, dtype=float) ** 2 + 1.0})
+
+
+class TestCustomPotential:
+    LEVELS = (1.0, 0.1, 0.01)
+    # where the canonical Yosida maps have a kink, as a function of the level
+    KINKS = {"obstacle": lambda lam: 1.0, "example_best": lambda lam: lam}
+
+    @pytest.mark.parametrize("name", list(ALL_SPECS))
+    def test_generic_maps_match_closed_forms(self, name):
+        spec = ALL_SPECS[name]
+        generic = pot.custom_potential(
+            beta_hat=spec.beta_hat, beta=spec.beta, pi_hat=spec.pi_hat, pi=spec.pi,
+            pi_prime=spec.pi_prime, lipschitz_pi=spec.lipschitz_pi,
+            beta_domain=spec.beta_domain, beta_hat_domain=spec.beta_hat_domain,
+            smooth_graph=spec.smooth_graph)
+        span = SAMPLE_SPAN[name]
+        s = np.random.default_rng(113).uniform(-span, span, size=2000)
+        s = np.concatenate([s, [0.0, 0.5 * span, -span, span]])
+        for lam in self.LEVELS:
+            tol = 1e-10 * np.maximum(1.0, np.abs(s) / lam)
+            assert np.all(np.abs(generic.resolvent(lam, s) - spec.resolvent(lam, s)) <= tol)
+            assert np.all(np.abs(generic.yosida(lam, s) - spec.yosida(lam, s)) <= tol)
+            # centered differences with step 1e-6, away from the kinks
+            kink = self.KINKS.get(name, lambda lam: np.inf)(lam)
+            away = np.abs(np.abs(s) - kink) > 1e-5
+            slope_gap = np.abs(generic.yosida_slope(lam, s) - spec.yosida_slope(lam, s))
+            assert np.all(slope_gap[away] <= 1e-7 / lam)
+
+    @pytest.mark.parametrize("name", list(ALL_SPECS))
+    def test_array_graph_matches_elementwise(self, name):
+        spec = ALL_SPECS[name]
+        y = np.concatenate([np.linspace(-1.0, 1.0, 41), [-0.0, 1e-300, -1e-300]])
+        y = y[spec.beta_domain.contains(y)]
+        lo, hi = spec.beta(y)
+        for k, v in enumerate(y):
+            assert (lo[k], hi[k]) == spec.beta(v)
+            assert (lo[k], hi[k]) == spec.beta(float(v))

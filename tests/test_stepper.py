@@ -14,7 +14,7 @@ from fracch.errors import (
     SourceTailHypothesisError,
 )
 
-from conftest import cosine_field
+from conftest import cosine_field, zero_potential
 
 
 def neumann_config(spec, n=8, points=17, length=2.0, r=0.5, sigma=0.5,
@@ -120,7 +120,7 @@ class TestSolveStep:
     def test_constant_mode_closed_form(self):
         # no potential, tau = 0: the constant mode solves
         # (y1 - c)(1 + 1/h) = 0, so the state stays put and mu vanishes
-        config = neumann_config(pot.zero_potential(), tau=0.0, h=0.25)
+        config = neumann_config(zero_potential(), tau=0.0, h=0.25)
         c = 0.7
         y0 = sp.constant_field(c, config.grid)
         zero = sp.constant_field(0.0, config.grid)
@@ -163,7 +163,7 @@ class TestSolveStep:
             j11 = np.eye(m) / h
             j12 = np.eye(m) + a2
             j21 = (tau / h + shift) * np.eye(m) + b2 + np.diag(
-                pot.yosida_derivative(reg, yk) + spec.pi_derivative(yk))
+                pot.yosida_derivative(reg, yk) + spec.pi_prime(yk))
             j22 = -np.eye(m)
             jac = np.block([[j11, j12], [j21, j22]])
             rhs = -np.concatenate([f1, f2])
@@ -226,6 +226,27 @@ class TestRun:
             st.run(config, data)
         assert excinfo.value.step_index is not None
         assert excinfo.value.residual_history
+
+    def test_roundoff_stall_names_newton_tol(self):
+        # the largest eigenvalue of B^{2s} is about 1.6e9 here, so evaluating
+        # the residual leaves round-off above the default newton_tol of 1e-10
+        config = neumann_config(pot.make_potential("regular"), n=33, points=33, length=0.5,
+                                r=1.0, sigma=1.0, tau=0.0, lam=1 / 16, h=1 / 32, steps=1)
+        grid = config.grid
+        rng = np.random.default_rng(4)
+        data = st.ProblemData(
+            y0=sp.Field(rng.uniform(-0.5, 0.5, grid.size), grid),
+            source=st.DecaySource(sp.constant_field(0.0, grid),
+                                  sp.Field(rng.uniform(-0.5, 0.5, grid.size), grid), 1.0))
+        with pytest.raises(st.StepError) as excinfo:
+            st.run(config, data)
+        residual = excinfo.value.residual_history[-1]
+        assert residual > config.newton_tol
+        assert str(excinfo.value).startswith(
+            f"Newton step stalled at residual {residual:.3e} above newton_tol 1.0e-10: "
+            "round-off")
+        assert str(excinfo.value).endswith("use a larger newton_tol")
+        assert excinfo.value.exit_code == 3
 
     def test_refinement_reduces_state_difference(self):
         from conftest import smooth_benchmark
