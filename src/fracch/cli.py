@@ -26,7 +26,7 @@ from . import potentials as pot
 from . import runio
 from . import spectral as sp
 from . import stepper as st
-from .errors import ConfigurationError, FracchError
+from .errors import ConfigurationError, FracchError, StepError
 
 
 def _simulate_into(config_path: str, out_dir: str | None):
@@ -38,6 +38,7 @@ def _simulate_into(config_path: str, out_dir: str | None):
         )
     scheme, data = cfgmod.build_problem(run_cfg)
     snapshot_steps = cfgmod.snapshot_steps(run_cfg.snapshots, run_cfg.steps)
+    cfgmod.input_files(run_cfg)  # an input outside the config's directory fails here
     traj = st.run(scheme, data)
     with open(config_path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -212,6 +213,8 @@ def main(argv=None) -> int:
     except FracchError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc),
                    "exit_code": exc.exit_code}
+        if isinstance(exc, StepError):
+            payload.update(step_index=exc.step_index, residual_history=exc.residual_history)
         sys.stderr.write(runio._json_value(payload) + "\n")
         return exc.exit_code
 

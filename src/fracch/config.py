@@ -238,6 +238,24 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     return cfg
 
 
+def input_files(cfg: RunConfig) -> list:
+    """Relative paths of the files the document reads; a run directory keeps a
+    copy of each, so a path leaving the document's directory is an error."""
+    descriptors = [cfg.y0_descriptor, cfg.u_inf_descriptor, cfg.source_descriptor]
+    if cfg.source_descriptor.split()[:1] == ["decay"]:
+        descriptors.append(cfg.u_bump_descriptor)
+    named = [tokens[1] for tokens in map(str.split, descriptors)
+             if len(tokens) == 2 and tokens[0] in ("file", "tabulated")]
+    named += [s.matrix_file for s in (cfg.operator_a, cfg.operator_b) if s.matrix_file]
+    paths = [path for path in named if not os.path.isabs(path)]
+    for path in paths:
+        if os.path.normpath(path).split(os.sep)[0] == os.pardir:
+            raise ConfigurationError(f"input file {path!r} lies outside the config's "
+                                     "directory and cannot be kept in the run directory; "
+                                     "use an absolute path")
+    return paths
+
+
 def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

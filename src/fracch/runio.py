@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -148,6 +149,11 @@ def write_run(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
     write_json(os.path.join(directory, "meta.json"), meta)
     with open(os.path.join(directory, "config.ini"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(config_text)
+    for path in cfgmod.input_files(run_cfg):
+        source, target = os.path.join(run_cfg.base_dir, path), os.path.join(directory, path)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        if not (os.path.exists(target) and os.path.samefile(source, target)):
+            shutil.copyfile(source, target)
     with open(os.path.join(directory, "plot.gp"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(PLOT_SCRIPT)
     return meta
@@ -183,39 +189,40 @@ def _read_table(path, sep):
 
 
 def load_run(directory) -> StoredRun:
-    """Reload a run directory written by :func:`write_run`."""
-    cfg_path = os.path.join(directory, "config.ini")
-    if not os.path.exists(cfg_path):
-        raise ConfigurationError(f"{directory} does not contain a run (no config.ini)")
-    run_cfg = cfgmod.load_config(cfg_path)
+    """Reload a run directory written by :func:`write_run`.
+
+    Tables whose row count or snapshot steps disagree with ``meta.json``
+    (a truncated or partly written directory) raise ``ConfigurationError``.
+    """
+    missing = [name for name in ("config.ini", "meta.json", "trajectory.csv",
+                                 "snapshots_y.csv", "snapshots_mu.csv")
+               if not os.path.exists(os.path.join(directory, name))]
+    if missing:
+        raise ConfigurationError(f"{directory} does not contain a run (no {', '.join(missing)})")
+    run_cfg = cfgmod.load_config(os.path.join(directory, "config.ini"))
     scheme, data = cfgmod.build_problem(run_cfg)
+    with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
     header, values = _read_table(os.path.join(directory, "trajectory.csv"), ",")
     if tuple(header) != TRAJECTORY_COLUMNS:
         raise ConfigurationError("trajectory table has unexpected columns")
+    if len(values) != meta["steps"] + 1:
+        raise ConfigurationError(
+            f"trajectory.csv has {len(values)} rows, expected {meta['steps'] + 1}")
     columns = dict(zip(TRAJECTORY_COLUMNS, values.T))
 
     def read_snapshots(name):
         _, rows = _read_table(os.path.join(directory, name), ",")
         if rows.shape[1] != scheme.grid.size + 1:
             raise ConfigurationError(f"{name} rows do not match the grid size")
-        return np.rint(rows[:, 0] / scheme.h).astype(int).tolist(), rows[:, 1:]
+        if np.rint(rows[:, 0] / scheme.h).astype(int).tolist() != meta["snapshot_steps"]:
+            raise ConfigurationError(f"{name} does not hold the snapshot steps of meta.json")
+        return rows[:, 1:]
 
-    steps_y, y_snaps = read_snapshots("snapshots_y.csv")
-    steps_mu, mu_snaps = read_snapshots("snapshots_mu.csv")
-    if steps_y != steps_mu:
-        raise ConfigurationError("snapshot tables disagree on stored steps")
-    with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    return StoredRun(
-        run_config=run_cfg,
-        scheme=scheme,
-        data=data,
-        columns=columns,
-        snapshot_steps=steps_y,
-        y_snapshots=y_snaps,
-        mu_snapshots=mu_snaps,
-        meta=meta,
-    )
+    return StoredRun(run_config=run_cfg, scheme=scheme, data=data, columns=columns,
+                     snapshot_steps=meta["snapshot_steps"],
+                     y_snapshots=read_snapshots("snapshots_y.csv"),
+                     mu_snapshots=read_snapshots("snapshots_mu.csv"), meta=meta)
 
 
 def stored_longtime_report(stored: StoredRun, window_fraction: float = 0.5,

@@ -331,26 +331,32 @@ def apply_power(op: FractionalOperator, f: Field, multiplier: float = 1.0) -> Fi
     The result lies in the truncated span; out-of-span components are
     projected away.
     """
-    c = op.basis.analyze(f)
-    return op.basis.synthesize(op.power_weights(multiplier) * c)
+    if not f.grid.same_as(op.basis.grid):
+        raise DimensionError("field is not on the basis grid")
+    return Field(power_rows(op, f.values, multiplier), f.grid)
 
 
-def solve_shifted(op: FractionalOperator, f: Field, shift: float = 1.0,
-                  multiplier: float = 2.0) -> Field:
-    """Solve ``(shift*I + A^(r*multiplier)) u = f`` for ``u``.
+def power_rows(op: FractionalOperator, rows: np.ndarray, multiplier: float = 1.0) -> np.ndarray:
+    """:func:`apply_power` on each row of a (..., m) array of nodal values."""
+    c = rows @ op.basis.analysis_matrix.T
+    return (op.power_weights(multiplier) * c) @ op.basis.modes.T
+
+
+def solve_shifted(op: FractionalOperator, rows: np.ndarray, shift: float = 1.0,
+                  multiplier: float = 2.0) -> np.ndarray:
+    """Solve ``(shift*I + A^(r*multiplier)) u = f`` for each row ``f`` of a (..., m) array.
 
     The operator acts as zero outside the truncated span, so the inverse is
     the identity scaled by ``1/shift`` there and diagonal on the span.  The
-    returned field satisfies the shifted equation nodally to round-off.
+    returned rows satisfy the shifted equation nodally to round-off.
     """
     if shift <= 0:
         raise ConfigurationError("shift must be positive")
-    c = op.basis.analyze(f)
+    c = rows @ op.basis.analysis_matrix.T
     weights = op.power_weights(multiplier)
     # identity/shift off the span, diagonal 1/(shift + lambda^p) on it
     reduction = c * weights / (shift * (shift + weights))
-    u = f.values / shift - op.basis.modes @ reduction
-    return Field(u, f.grid)
+    return rows / shift - reduction @ op.basis.modes.T
 
 
 def fractional_norm(op: FractionalOperator, f: Field) -> float:

@@ -7,14 +7,20 @@ One step advances the pair (y, mu) by solving
 
 where ``A2r`` and ``B2s`` are the doubled fractional powers of the two
 operators, ``beta_lam`` is the Yosida approximation of the graph at level
-``lam``, and ``L`` is the Lipschitz constant of ``pi`` plus one.  The new
-potential value is eliminated through the diagonal spectral inverse
-``mu+ = (I + A2r)^(-1) (mu - (y+ - y)/h)``, leaving a strongly monotone
-nodal equation in ``y+`` that a damped Newton iteration solves to a
-prescribed residual.  Trajectories start from ``y0`` with ``mu0 = 0``;
-that initialization is part of the scheme, not a configurable choice, and
-it is what makes the discrete mass identity exact.  A trajectory stores
-the states as two read-only (N+1, m) arrays, one row per step, which the
+``lam``, and ``L`` is the Lipschitz constant of ``pi`` plus one.  With the
+increment ``d = y+ - y`` and the diagonal spectral inverse
+``S = (I + A2r)^(-1)``, the potential value is ``mu+ = S (mu - d/h)`` and
+the increment solves the strongly monotone nodal equation
+
+    K d + beta_lam(y + d) + pi(y + d) = u+ + S mu - B2s y,
+    K = (tau/h + L) I + B2s + S/h.
+
+``K`` is assembled once per run; damped Newton solves for ``d`` with one
+product with ``K`` per residual and ``K`` plus the slope diagonal as
+Jacobian.  Trajectories start from ``y0`` with ``mu0 = 0``; that
+initialization is part of the scheme, not a configurable choice, and it
+is what makes the discrete mass identity exact.  A trajectory stores the
+states as two read-only (N+1, m) arrays, one row per step, which the
 stepper fills in place.
 """
 
@@ -80,9 +86,6 @@ class SchemeConfig:
     def regularization(self) -> pot.YosidaRegularization:
         return pot.YosidaRegularization(self.spec, self.yosida_lambda)
 
-    @property
-    def final_time(self) -> float:
-        return self.steps * self.h
 
 
 @dataclass(frozen=True)
@@ -227,6 +230,8 @@ def validate(config: SchemeConfig, data: ProblemData) -> ValidationReport:
     y0 = data.y0
     if not y0.grid.same_as(config.grid):
         raise DimensionError("initial state is not on the scheme grid")
+    if not data.source.u_inf.grid.same_as(config.grid):
+        raise DimensionError("source is not on the scheme grid")
     energy = config.spec.beta_hat(y0.values)
     if not np.all(np.isfinite(energy)):
         raise InitialDataHypothesisError(
@@ -324,20 +329,18 @@ class DiscreteTrajectory:
 
 
 class _Workspace:
-    """Dense matrices reused across the steps of one run."""
+    """The step operator K of one run, assembled once."""
 
     def __init__(self, config: SchemeConfig):
-        grid = config.grid
-        m = grid.size
-        ba, bb = config.op_A.basis, config.op_B.basis
-        wa2 = config.op_A.power_weights(2.0)
-        wb2 = config.op_B.power_weights(2.0)
-        self.b2 = bb.modes @ (wb2[:, None] * bb.analysis_matrix)
-        # (I + A^{2r})^{-1} acts as the identity off the span
-        self.sinv = np.eye(m) - ba.modes @ ((wa2 / (1.0 + wa2))[:, None] * ba.analysis_matrix)
-        self.a2 = ba.modes @ (wa2[:, None] * ba.analysis_matrix)
-        self.eye = np.eye(m)
-        self.w = grid.w
+        # K = (tau/h + L) I + B2s + (I + A2r)^(-1)/h applied to the unit
+        # vectors: row i of the result is column i of K
+        eye = np.eye(config.grid.size)
+        columns = (sp.power_rows(config.op_B, eye, 2.0)
+                   + sp.solve_shifted(config.op_A, eye) / config.h)
+        self.k = np.ascontiguousarray(columns.T)
+        self.diagonal = np.diag_indices_from(self.k)
+        self.k[self.diagonal] += config.tau / config.h + config.spec.stability_shift
+        self.w = config.grid.w
         self.config = config
         self.reg = config.regularization
 
@@ -345,12 +348,16 @@ class _Workspace:
         return float(np.sqrt(np.sum(self.w * v * v)))
 
 
-def _stall_message(ws: _Workspace, res: float, y: np.ndarray, terms) -> str:
-    """Why the line search failed at the state ``y``, whose residual summands are ``terms``."""
-    tol = ws.config.newton_tol
+def _stall_message(ws: _Workspace, res: float, y: np.ndarray, d: np.ndarray,
+                   r: np.ndarray) -> str:
+    """Why the line search failed at the state ``y = y_prev + d`` with right-hand side ``r``."""
+    cfg = ws.config
+    tol = cfg.newton_tol
+    terms = (ws.k @ d, pot.yosida(ws.reg, y), cfg.spec.pi(y), r)
     # the products B2_ij y_j are summands too: once the high modes are damped
     # they exceed B2 y by orders of magnitude
-    sizes = [ws.h_norm(t) for t in terms] + [ws.h_norm(np.abs(ws.b2) @ np.abs(y))]
+    b2_rows = sp.power_rows(cfg.op_B, np.eye(y.size), 2.0)  # row j is column j of B2
+    sizes = [ws.h_norm(t) for t in terms] + [ws.h_norm(np.abs(y) @ np.abs(b2_rows))]
     floor = _ROUNDOFF_FACTOR * np.finfo(float).eps * max(sizes)
     if res <= floor:
         return (f"Newton step stalled at residual {res:.3e} above newton_tol {tol:.1e}: "
@@ -361,46 +368,41 @@ def _stall_message(ws: _Workspace, res: float, y: np.ndarray, terms) -> str:
             "regularization level")
 
 
-def _newton_solve(ws: _Workspace, y_prev: np.ndarray, mu_prev: np.ndarray,
-                  u_next: np.ndarray, y_start: np.ndarray):
+def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarray):
+    """Damped Newton for ``K d + beta_lam(y_prev + d) + pi(y_prev + d) = r``, from ``d``."""
     cfg = ws.config
-    h, tau = cfg.h, cfg.tau
-    shift = cfg.spec.stability_shift
     reg = ws.reg
 
-    def residual(yc):
-        mu = ws.sinv @ (mu_prev - (yc - y_prev) / h)
-        terms = (tau * (yc - y_prev) / h, shift * (yc - y_prev), ws.b2 @ yc,
-                 pot.yosida(reg, yc), cfg.spec.pi(yc), u_next, mu)
-        g = terms[0] + terms[1] + terms[2] + terms[3] + terms[4] - u_next - mu
-        return g, mu, terms
+    def residual(dc):
+        yc = y_prev + dc
+        return ws.k @ dc + pot.yosida(reg, yc) + cfg.spec.pi(yc) - r
 
-    y = y_start.copy()
-    g, mu, terms = residual(y)
+    g = residual(d)
     res = ws.h_norm(g)
     history = [res]
     dampings = 0
     for iteration in range(cfg.newton_max):
         if res <= cfg.newton_tol:
-            return y, mu, iteration, res, dampings
-        diag = pot.yosida_derivative(reg, y) + cfg.spec.pi_prime(y)
-        jac = (tau / h + shift) * ws.eye + ws.b2 + np.diag(diag) + ws.sinv / h
+            return d, iteration, res, dampings
+        y = y_prev + d
+        jac = ws.k.copy()
+        jac[ws.diagonal] += pot.yosida_derivative(reg, y) + cfg.spec.pi_prime(y)
         delta = np.linalg.solve(jac, -g)
         alpha = 1.0
         for _ in range(30):
-            y_new = y + alpha * delta
-            g_new, mu_new, terms_new = residual(y_new)
+            d_new = d + alpha * delta
+            g_new = residual(d_new)
             res_new = ws.h_norm(g_new)
             if res_new < res:
                 break
             alpha *= 0.5
             dampings += 1
         else:
-            raise StepError(_stall_message(ws, res, y, terms), residual_history=history)
-        y, g, mu, terms, res = y_new, g_new, mu_new, terms_new, res_new
+            raise StepError(_stall_message(ws, res, y, d, r), residual_history=history)
+        d, g, res = d_new, g_new, res_new
         history.append(res)
     if res <= cfg.newton_tol:
-        return y, mu, cfg.newton_max, res, dampings
+        return d, cfg.newton_max, res, dampings
     raise StepError(
         f"Newton did not reach tolerance {cfg.newton_tol:.1e} in {cfg.newton_max} "
         "iterations; try a smaller step size or a larger regularization level",
@@ -408,9 +410,20 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, mu_prev: np.ndarray,
     )
 
 
+def _advance(ws: _Workspace, y: np.ndarray, mu: np.ndarray, u_next: np.ndarray,
+             d_start: np.ndarray):
+    """One step from the rows ``(y, mu)``, Newton started at ``y + d_start``."""
+    cfg = ws.config
+    r = u_next + sp.solve_shifted(cfg.op_A, mu) - sp.power_rows(cfg.op_B, y, 2.0)
+    d, iters, res, dampings = _newton_solve(ws, y, r, d_start)
+    mu_next = sp.solve_shifted(cfg.op_A, mu - d / cfg.h)
+    phase_res = ws.h_norm(d / cfg.h + mu_next + sp.power_rows(cfg.op_A, mu_next, 2.0) - mu)
+    return y + d, mu_next, StepStats(iterations=iters, residual_phase=phase_res,
+                                     residual_potential=res, dampings=dampings)
+
+
 def solve_step(prev_y: sp.Field, prev_mu: sp.Field, u_next: sp.Field,
-               config: SchemeConfig, workspace: Optional[_Workspace] = None,
-               start: Optional[sp.Field] = None):
+               config: SchemeConfig, start: Optional[sp.Field] = None):
     """Advance one step; returns ``(next_y, next_mu, stats)``.
 
     The potential value is eliminated exactly through the shifted spectral
@@ -418,19 +431,12 @@ def solve_step(prev_y: sp.Field, prev_mu: sp.Field, u_next: sp.Field,
     Newton residual reported in the stats is the one of the remaining
     nodal equation in the new state.
     """
-    ws = workspace or _Workspace(config)
     for f in (prev_y, prev_mu, u_next):
         if not f.grid.same_as(config.grid):
             raise DimensionError("step fields are not on the scheme grid")
-    y_start = (start or prev_y).values
-    y, mu, iters, res, dampings = _newton_solve(
-        ws, prev_y.values, prev_mu.values, u_next.values, y_start
-    )
-    phase_res = ws.h_norm((y - prev_y.values) / config.h + mu + ws.a2 @ mu - prev_mu.values)
-    stats = StepStats(
-        iterations=iters, residual_phase=phase_res,
-        residual_potential=res, dampings=dampings,
-    )
+    d_start = (start or prev_y).values - prev_y.values
+    y, mu, stats = _advance(_Workspace(config), prev_y.values, prev_mu.values,
+                            u_next.values, d_start)
     return sp.Field(y, config.grid), sp.Field(mu, config.grid), stats
 
 
@@ -441,50 +447,15 @@ def run(config: SchemeConfig, data: ProblemData) -> DiscreteTrajectory:
     y = np.empty((config.steps + 1, config.grid.size))
     mu = np.zeros_like(y)
     y[0] = data.y0.values
-    y_n, mu_n = data.y0, sp.constant_field(0.0, config.grid)
+    zero = np.zeros(config.grid.size)
     stats: List[StepStats] = []
     for n in range(config.steps):
-        u_next = data.source.at((n + 1) * config.h)
+        (u_next,) = data.source.values(np.array([(n + 1) * config.h]))
         try:
-            y_n, mu_n, st = solve_step(y_n, mu_n, u_next, config, workspace=ws)
+            y[n + 1], mu[n + 1], st = _advance(ws, y[n], mu[n], u_next, zero)
         except StepError as exc:
             exc.step_index = n
             raise
-        y[n + 1], mu[n + 1] = y_n.values, mu_n.values
         stats.append(st)
     return DiscreteTrajectory(y=y, mu=mu, h=config.h, solver_stats=stats,
                               config=config, data=data)
-
-
-_INTERPOLANT_KINDS = ("piecewise_constant_right", "piecewise_constant_left",
-                      "piecewise_linear")
-
-
-def interpolate(traj: DiscreteTrajectory, kind: str, t: float,
-                which: str = "y") -> sp.Field:
-    """Evaluate an interpolant of the trajectory at time ``t``.
-
-    ``piecewise_constant_right`` returns the right node value on each step
-    interval (and the initial state at t = 0), ``piecewise_constant_left``
-    the left node value, and ``piecewise_linear`` the nodal interpolation.
-    """
-    if kind not in _INTERPOLANT_KINDS:
-        raise ConfigurationError(f"unknown interpolant kind: {kind!r}")
-    if which not in ("y", "mu"):
-        raise ConfigurationError("which must be 'y' or 'mu'")
-    values = traj.ys if which == "y" else traj.mus
-    h, n_steps = traj.h, traj.steps
-    end = n_steps * h
-    if t < -1e-12 * h or t > end + 1e-12 * h:
-        raise ConfigurationError(f"time {t} outside [0, {end}]")
-    t = min(max(t, 0.0), end)
-    if t == 0.0:
-        return values[0]
-    n = int(np.ceil(t / h - 1e-12))
-    n = min(max(n, 1), n_steps)
-    if kind == "piecewise_constant_right":
-        return values[n]
-    if kind == "piecewise_constant_left":
-        return values[n - 1]
-    weight = (t - (n - 1) * h) / h
-    return (1.0 - weight) * values[n - 1] + weight * values[n]

@@ -1,5 +1,6 @@
 """Configuration documents, run directories, reload fidelity and the CLI."""
 
+import json
 import os
 import subprocess
 import sys
@@ -228,6 +229,44 @@ class TestRunDirectory:
         fresh = (runio._json_value(payload) + "\n").encode()
         assert fresh == (out / "report.json").read_bytes()
 
+    def test_relative_inputs_travel_with_the_run(self, tmp_path):
+        grid = sp.interval_grid(4.0, 25)
+        (tmp_path / "data").mkdir()
+        np.savetxt(tmp_path / "data" / "y0.txt", 0.1 + 0.4 * np.cos(np.pi * grid.x / 4.0))
+        bump = np.cos(np.pi * grid.x / 4.0)
+        np.savetxt(tmp_path / "tab.txt", np.column_stack([[0.0, 0.3], [0.05 * bump, 0.0 * bump]]))
+        doc = MINIMAL.replace("y0 = cosine 0.1 0.4 0.2", "y0 = file data/y0.txt") \
+                     .replace("source = decay 0.5", "source = tabulated tab.txt")
+        path, out = write_config(tmp_path, doc=doc)
+        fresh = tmp_path / "fresh"
+        assert cli.main(["longtime-report", "--config", str(path), "--out", str(fresh)]) == 0
+        assert cli.main(["simulate", str(path)]) == 0
+        for name in ("data/y0.txt", "tab.txt"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert cli.main(["longtime-report", str(out)]) == 0
+        assert (out / "report.json").read_bytes() == (fresh / "report.json").read_bytes()
+
+    def test_input_outside_config_directory_fails_before_running(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        grid = sp.interval_grid(4.0, 25)
+        np.savetxt(tmp_path / "y0.txt", 0.1 + 0.4 * np.cos(np.pi * grid.x / 4.0))
+        (tmp_path / "cfg").mkdir()
+        doc = MINIMAL.replace("y0 = cosine 0.1 0.4 0.2", "y0 = file ../y0.txt")
+        path, out = write_config(tmp_path / "cfg", doc=doc)
+
+        def no_steps(*args):
+            raise AssertionError("stepped")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(st, "run", no_steps)
+            assert cli.main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and '"exit_code": 2' in err[0] and "absolute path" in err[0]
+        assert not out.exists()
+        path.write_text(path.read_text().replace("../y0.txt", str(tmp_path / "y0.txt")))
+        assert cli.main(["simulate", str(path)]) == 0
+        assert cli.main(["longtime-report", str(out)]) == 0
+
     def test_zero_data_config_writes_zero_tables(self, tmp_path):
         doc = MINIMAL.replace("y0 = cosine 0.1 0.4 0.2", "y0 = constant 0") \
                      .replace("source = decay 0.5", "source = zero")
@@ -272,6 +311,39 @@ class TestCliErrors:
         assert cli.main(["simulate", str(path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and '"exit_code": 2' in err[0] and "many" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, keep", [
+        ("trajectory.csv", -1), ("snapshots_y.csv", -1), ("snapshots_mu.csv", -1),
+        ("meta.json", 0),
+    ])
+    def test_truncated_run_directory(self, tmp_path, capsys, name, keep):
+        path, out = write_config(tmp_path)
+        assert cli.main(["simulate", str(path)]) == 0
+        lines = (out / name).read_text().splitlines(keepends=True)
+        if keep:
+            (out / name).write_text("".join(lines[:keep]))
+        else:
+            (out / name).unlink()
+        capsys.readouterr()
+        assert cli.main(["longtime-report", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and '"exit_code": 2' in err[0] and name in err[0]
+        assert not (out / "report.json").exists()
+
+    def test_step_error_reports_step_and_residuals(self, tmp_path, capsys):
+        # the quartic well is nonlinear, so its first step needs a second iteration
+        doc = MINIMAL.replace("name = obstacle\nc2 = 1.0", "name = regular") \
+                     .replace("steps = 120", "steps = 120\nnewton_max = 1")
+        path, out = write_config(tmp_path, doc=doc)
+        assert cli.main(["simulate", str(path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "StepError" and payload["exit_code"] == 3
+        assert payload["step_index"] == 0
+        assert len(payload["residual_history"]) == 2
+        assert payload["residual_history"][-1] > cfgmod.DEFAULT_NEWTON_TOL
         assert not out.exists()
 
     @pytest.mark.parametrize("replace,argv,token", [

@@ -26,6 +26,59 @@ def neumann_config(spec, n=8, points=17, length=2.0, r=0.5, sigma=0.5,
                            tau=tau, h=h, steps=steps, **kw)
 
 
+# example_best is left out: at its jump the undamped coupled Newton of the
+# oracle cycles on the Dirichlet basis with tau = 0, while the stepper converges
+ORACLE_POTENTIALS = (("regular", {}), ("logarithmic", {"c1": 1.5}), ("obstacle", {"c2": 1.0}))
+
+
+def assert_matches_coupled_dense_oracle(spec, kind, tau):
+    """Independent oracle: Newton on the full coupled system in (y, mu),
+    no elimination, block Jacobian, solved to 1e-12."""
+    basis = sp.build_interval_basis(kind, 8, 2.0, 17)
+    config = st.SchemeConfig(op_A=sp.FractionalOperator(basis, 0.5),
+                             op_B=sp.FractionalOperator(basis, 0.5), spec=spec,
+                             yosida_lambda=1e-2, tau=tau, h=0.05, steps=10)
+    grid = config.grid
+    rng = np.random.default_rng(42)
+    y0 = sp.Field(rng.normal(size=grid.size) * 0.3, grid)
+    mu0 = sp.Field(rng.normal(size=grid.size) * 0.1, grid)
+    u1 = sp.Field(rng.normal(size=grid.size) * 0.1, grid)
+
+    y, mu, _ = st.solve_step(y0, mu0, u1, config)
+
+    # oracle: assemble operator matrices from scratch and iterate on (y, mu)
+    m = grid.size
+    analysis = basis.modes.T * grid.w[None, :]
+    a2 = basis.modes @ np.diag(basis.lambdas ** (2 * 0.5)) @ analysis
+    b2 = basis.modes @ np.diag(basis.lambdas ** (2 * 0.5)) @ analysis
+    reg = config.regularization
+    shift = spec.stability_shift
+    h = config.h
+    yk = y0.values.copy()
+    muk = mu0.values.copy()
+    for _ in range(60):
+        f1 = (yk - y0.values) / h + muk + a2 @ muk - mu0.values
+        f2 = tau * (yk - y0.values) / h + shift * (yk - y0.values) \
+            + b2 @ yk + pot.yosida(reg, yk) + spec.pi(yk) \
+            - u1.values - muk
+        residual = np.sqrt(np.sum(grid.w * (f1 * f1 + f2 * f2)))
+        if residual < 1e-12:
+            break
+        j11 = np.eye(m) / h
+        j12 = np.eye(m) + a2
+        j21 = (tau / h + shift) * np.eye(m) + b2 + np.diag(
+            pot.yosida_derivative(reg, yk) + spec.pi_prime(yk))
+        j22 = -np.eye(m)
+        jac = np.block([[j11, j12], [j21, j22]])
+        rhs = -np.concatenate([f1, f2])
+        delta = np.linalg.solve(jac, rhs)
+        yk += delta[:m]
+        muk += delta[m:]
+    assert residual < 1e-12
+    assert sp.norm(y - sp.Field(yk, grid)) <= 1e-8
+    assert sp.norm(mu - sp.Field(muk, grid)) <= 1e-8
+
+
 class TestSchemeConfig:
     def test_tau_outside_unit_interval(self):
         with pytest.raises(ConfigurationError):
@@ -129,49 +182,18 @@ class TestSolveStep:
         assert sp.norm(mu1) <= 1e-12
 
     def test_against_coupled_dense_oracle(self):
-        """Independent oracle: Newton on the full coupled system in (y, mu),
-        no elimination, block Jacobian, solved to 1e-12."""
-        spec = pot.make_potential("regular")
-        config = neumann_config(spec, n=8, points=17, tau=0.3, lam=1e-2, h=0.05)
-        basis = config.op_A.basis
-        grid = config.grid
-        rng = np.random.default_rng(42)
-        y0 = sp.Field(rng.normal(size=grid.size) * 0.3, grid)
-        mu0 = sp.Field(rng.normal(size=grid.size) * 0.1, grid)
-        u1 = sp.Field(rng.normal(size=grid.size) * 0.1, grid)
+        assert_matches_coupled_dense_oracle(pot.make_potential("regular"), "neumann", 0.3)
 
-        y, mu, _ = st.solve_step(y0, mu0, u1, config)
-
-        # oracle: assemble operator matrices from scratch and iterate on (y, mu)
-        m = grid.size
-        analysis = basis.modes.T * grid.w[None, :]
-        a2 = basis.modes @ np.diag(basis.lambdas ** (2 * 0.5)) @ analysis
-        b2 = basis.modes @ np.diag(basis.lambdas ** (2 * 0.5)) @ analysis
-        reg = config.regularization
-        shift = spec.stability_shift
-        h, tau = config.h, config.tau
-        yk = y0.values.copy()
-        muk = mu0.values.copy()
-        for _ in range(60):
-            f1 = (yk - y0.values) / h + muk + a2 @ muk - mu0.values
-            f2 = tau * (yk - y0.values) / h + shift * (yk - y0.values) \
-                + b2 @ yk + pot.yosida(reg, yk) + spec.pi(yk) \
-                - u1.values - muk
-            residual = np.sqrt(np.sum(grid.w * (f1 * f1 + f2 * f2)))
-            if residual < 1e-12:
-                break
-            j11 = np.eye(m) / h
-            j12 = np.eye(m) + a2
-            j21 = (tau / h + shift) * np.eye(m) + b2 + np.diag(
-                pot.yosida_derivative(reg, yk) + spec.pi_prime(yk))
-            j22 = -np.eye(m)
-            jac = np.block([[j11, j12], [j21, j22]])
-            rhs = -np.concatenate([f1, f2])
-            delta = np.linalg.solve(jac, rhs)
-            yk += delta[:m]
-            muk += delta[m:]
-        assert sp.norm(y - sp.Field(yk, grid)) <= 1e-8
-        assert sp.norm(mu - sp.Field(muk, grid)) <= 1e-8
+    @pytest.mark.parametrize("spec_args, kind, tau", [
+        (spec_args, kind, tau)
+        for spec_args in ORACLE_POTENTIALS
+        for kind in ("neumann", "dirichlet")
+        for tau in (0.0, 0.3)
+        if (spec_args[0], kind, tau) != ("regular", "neumann", 0.3)
+    ], ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
+    def test_against_coupled_dense_oracle_across_graphs(self, spec_args, kind, tau):
+        name, params = spec_args
+        assert_matches_coupled_dense_oracle(pot.make_potential(name, **params), kind, tau)
 
     def test_uniqueness_proxy_two_starts(self):
         spec = pot.make_potential("obstacle", c2=1.0)
@@ -256,46 +278,6 @@ class TestRun:
         d1 = sp.norm(states[0] - states[1])
         d2 = sp.norm(states[1] - states[2])
         assert d2 < d1 / 1.3
-
-
-@pytest.fixture()
-def traj(small_obstacle_run):
-    return small_obstacle_run
-
-
-class TestInterpolate:
-    def test_node_value_linear(self, traj):
-        t = 7 * traj.h
-        out = st.interpolate(traj, "piecewise_linear", t)
-        assert sp.norm(out - traj.ys[7]) <= 1e-12
-
-    def test_midpoint_average(self, traj):
-        t = 6.5 * traj.h
-        out = st.interpolate(traj, "piecewise_linear", t)
-        expected = 0.5 * (traj.ys[6] + traj.ys[7])
-        assert sp.norm(out - expected) <= 1e-12
-
-    def test_constant_kinds_differ_by_increment(self, traj):
-        t = 6.25 * traj.h  # interior of the 7th interval
-        right = st.interpolate(traj, "piecewise_constant_right", t)
-        left = st.interpolate(traj, "piecewise_constant_left", t)
-        assert sp.norm((right - left) - (traj.ys[7] - traj.ys[6])) <= 1e-14
-
-    def test_time_zero_conventions(self, traj):
-        for kind in ("piecewise_constant_right", "piecewise_constant_left",
-                     "piecewise_linear"):
-            out = st.interpolate(traj, kind, 0.0)
-            assert sp.norm(out - traj.ys[0]) == 0.0
-
-    def test_out_of_range(self, traj):
-        with pytest.raises(ConfigurationError):
-            st.interpolate(traj, "piecewise_linear", -1.0)
-        with pytest.raises(ConfigurationError):
-            st.interpolate(traj, "piecewise_linear", traj.final_time + 1.0)
-
-    def test_potential_interpolant(self, traj):
-        out = st.interpolate(traj, "piecewise_constant_right", 3.5 * traj.h, which="mu")
-        assert sp.norm(out - traj.mus[4]) == 0.0
 
 
 class TestSources:
