@@ -46,6 +46,9 @@ LEDGER_TERMS = (
 
 SLACK_FLOOR = 1e-12
 
+#: Nodal values per block of :func:`_split_energies`.
+_SPLIT_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class EnergyLedgerEntry:
@@ -102,9 +105,21 @@ class EnergyLedger(Sequence):
         )
 
 
-def _split_integrand(config: SchemeConfig, y: np.ndarray) -> np.ndarray:
-    """Nodal values of ``beta_hat_lam + pi_hat`` at the states ``y``."""
-    return pot.yosida_primal(config.regularization, y) + config.spec.pi_hat(y)
+def _split_energies(config: SchemeConfig, y: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """Integral of ``beta_hat_lam + pi_hat``, or of its absolute value, at each state row.
+
+    The rows are evaluated in blocks of about ``_SPLIT_BLOCK`` nodal values:
+    the logarithmic resolvent holds about nine temporaries the size of its
+    batch, which over a whole trajectory would set the run's peak memory.
+    """
+    w = config.grid.w
+    out = np.empty(len(y))
+    rows = max(1, _SPLIT_BLOCK // y.shape[1])
+    for start in range(0, len(y), rows):
+        block = y[start:start + rows]
+        values = pot.yosida_primal(config.regularization, block) + config.spec.pi_hat(block)
+        out[start:start + rows] = np.sum(w * (np.abs(values) if absolute else values), axis=1)
+    return out
 
 
 def _step_norms(config: SchemeConfig, y: np.ndarray, mu: np.ndarray) -> dict:
@@ -133,7 +148,7 @@ def _ledger_increments(config: SchemeConfig, y: np.ndarray, mu: np.ndarray):
     sq = _step_norms(config, y, mu)
     mu_sq = sp.row_norms(mu, config.grid) ** 2
     b_sq = sp.row_power_norms(config.op_B, y) ** 2
-    energy = np.sum(config.grid.w * _split_integrand(config, y), axis=1)
+    energy = _split_energies(config, y)
     increments = np.column_stack([
         0.5 * h * np.diff(mu_sq),
         0.5 * h * sq["dmu"],
@@ -237,7 +252,7 @@ def uniform_report(traj: DiscreteTrajectory, data: ProblemData,
     grid = config.grid
     sq = _step_norms(config, traj.y, traj.mu)
     graph = np.hypot(sp.row_norms(traj.y, grid), sp.row_power_norms(config.op_B, traj.y))
-    split = np.sum(grid.w * np.abs(_split_integrand(config, traj.y)), axis=1)
+    split = _split_energies(config, traj.y, absolute=True)
     return UniformReport(
         mu_jump_l2=float(np.sqrt(np.sum(h * sq["dmu"]))),
         ar_mu_l2=float(np.sqrt(np.sum(h * sq["ar_mu"]))),

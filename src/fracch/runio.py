@@ -188,6 +188,31 @@ def _read_table(path, sep):
     return header, rows
 
 
+def _read_meta(path) -> dict:
+    """``meta.json`` with the entries a reload relies on checked."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path} is malformed: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ConfigurationError(f"{path} does not hold a JSON object")
+
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    def is_number(v):
+        return is_int(v) or isinstance(v, float)
+
+    checks = {"steps": lambda v: is_int(v) and v >= 0,
+              "snapshot_steps": lambda v: isinstance(v, list) and all(map(is_int, v)),
+              "y_min": is_number, "y_max": is_number}
+    bad = [key for key, ok in checks.items() if key not in meta or not ok(meta[key])]
+    if bad:
+        raise ConfigurationError(f"{path} lacks a valid {', '.join(bad)}")
+    return meta
+
+
 def load_run(directory) -> StoredRun:
     """Reload a run directory written by :func:`write_run`.
 
@@ -201,8 +226,7 @@ def load_run(directory) -> StoredRun:
         raise ConfigurationError(f"{directory} does not contain a run (no {', '.join(missing)})")
     run_cfg = cfgmod.load_config(os.path.join(directory, "config.ini"))
     scheme, data = cfgmod.build_problem(run_cfg)
-    with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = _read_meta(os.path.join(directory, "meta.json"))
     header, values = _read_table(os.path.join(directory, "trajectory.csv"), ",")
     if tuple(header) != TRAJECTORY_COLUMNS:
         raise ConfigurationError("trajectory table has unexpected columns")

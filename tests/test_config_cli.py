@@ -331,6 +331,30 @@ class TestCliErrors:
         assert len(err) == 1 and '"exit_code": 2' in err[0] and name in err[0]
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("edit", [
+        "truncate", "list", "steps", "snapshot_steps", "y_min", "y_max", "steps=ten",
+    ])
+    def test_malformed_meta_json(self, tmp_path, capsys, edit):
+        path, out = write_config(tmp_path)
+        assert cli.main(["simulate", str(path)]) == 0
+        meta_path = out / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        if edit == "truncate":
+            text = meta_path.read_text()[:40]
+        elif edit == "list":
+            text = json.dumps(list(meta))
+        elif edit == "steps=ten":
+            text = json.dumps({**meta, "steps": "ten"})
+        else:
+            del meta[edit]
+            text = json.dumps(meta)
+        meta_path.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["longtime-report", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and '"exit_code": 2' in err[0] and "meta.json" in err[0]
+        assert not (out / "report.json").exists()
+
     def test_step_error_reports_step_and_residuals(self, tmp_path, capsys):
         # the quartic well is nonlinear, so its first step needs a second iteration
         doc = MINIMAL.replace("name = obstacle\nc2 = 1.0", "name = regular") \

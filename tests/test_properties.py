@@ -62,7 +62,8 @@ def oracle_ledger(traj):
 
     # the logarithmic resolvent iterates until a whole batch has converged,
     # so its last bits depend on the batch: evaluate it on the same batch as
-    # the ledger, which leaves only the ledger's own arithmetic to compare
+    # the ledger (these trajectories fit in one of its blocks), which leaves
+    # only the ledger's own arithmetic to compare
     integrand = pot.yosida_primal(reg, traj.y) + config.spec.pi_hat(traj.y)
 
     def split(k):
@@ -120,3 +121,28 @@ def test_ledger_mass_and_slack_on_random_problems(problem):
         # the mass identity is exact when the first operator annihilates constants
         mass = sp.row_means(traj.y, config.grid) + traj.h * sp.row_means(traj.mu, config.grid)
         assert np.abs(mass - mass[0]).max() <= 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=hs.sampled_from(("neumann", "dirichlet")), points=hs.integers(5, 33),
+       exponent=hs.floats(0.1, 1.0), levels=hs.lists(hs.floats(0.0, 1e3), min_size=2,
+                                                      max_size=3, unique=True),
+       data=hs.data())
+def test_newton_direction_matches_dense_solve(kind, points, exponent, levels, data):
+    # piecewise-constant slopes above -Lip(pi), like the obstacle's pi' + {0, 1/lam}
+    modes = points - 2 if kind == "dirichlet" else points
+    basis = sp.build_interval_basis(kind, modes, 2.0, points)
+    config = st.SchemeConfig(
+        op_A=sp.FractionalOperator(basis, exponent), op_B=sp.FractionalOperator(basis, exponent),
+        spec=pot.make_potential("obstacle", c2=1.0), yosida_lambda=1e-2, tau=0.5, h=0.02,
+        steps=1)
+    ws = st._Workspace(config)
+    k = ws.k.copy()
+    index = data.draw(hs.lists(hs.integers(0, len(levels) - 1), min_size=points,
+                               max_size=points))
+    slope = np.asarray(levels)[index] - 2.0
+    g = np.random.default_rng(points).normal(size=points)
+    expected = np.linalg.solve(k + np.diag(slope), -g)
+    delta = ws.direction(slope, g)
+    assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
+    assert np.array_equal(ws.k, k)

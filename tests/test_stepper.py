@@ -206,6 +206,74 @@ class TestSolveStep:
         assert sp.norm(y_a - y_b) <= 10 * config.newton_tol
 
 
+def direction_workspace(kind):
+    """Step operator of an obstacle run on an interval basis or a matrix operator."""
+    if kind == "matrix":
+        a = np.random.default_rng(3).normal(size=(12, 12))
+        basis = sp.build_matrix_basis(0.5 * (a @ a.T + a.T @ a))
+    else:
+        basis = sp.build_interval_basis(kind, 8, 2.0, 17)
+    return st._Workspace(st.SchemeConfig(
+        op_A=sp.FractionalOperator(basis, 0.5), op_B=sp.FractionalOperator(basis, 0.7),
+        spec=pot.make_potential("obstacle", c2=1.0), yosida_lambda=1e-2, tau=0.3,
+        h=0.05, steps=1))
+
+
+def assert_dense_direction(ws, slope, g):
+    expected = np.linalg.solve(ws.k + np.diag(slope), -g)
+    delta = ws.direction(slope, g)
+    assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+class TestNewtonDirection:
+    """``_Workspace.direction`` against the dense solve of ``K + diag(slope)``."""
+
+    @pytest.mark.parametrize("kind", ["neumann", "dirichlet", "matrix"])
+    def test_matches_dense_solve(self, kind):
+        ws = direction_workspace(kind)
+        k = ws.k.copy()
+        m = k.shape[0]
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=m)
+        floor = np.full(m, -2.0)   # obstacle slope pi' away from the contact
+        few = floor.copy()
+        few[rng.choice(m, 3, replace=False)] += 1.0 / 1e-2
+        assert_dense_direction(ws, floor, g)   # no node off the floor
+        assert_dense_direction(ws, few, g)
+        assert ws.floor == -2.0
+        inverse = ws.inverse
+        assert_dense_direction(ws, few[::-1].copy(), g)
+        assert ws.inverse is inverse   # same floor: G is reused
+        assert np.array_equal(ws.k, k)
+        # a new floor rebuilds G and leaves K bit for bit as it was
+        assert_dense_direction(ws, few + 0.5, g)
+        assert ws.floor == -1.5 and ws.inverse is not inverse
+        assert np.array_equal(ws.k, k)
+
+    @pytest.mark.parametrize("kind", ["neumann", "matrix"])
+    def test_more_than_half_off_takes_dense_branch(self, kind):
+        ws = direction_workspace(kind)
+        m = ws.k.shape[0]
+        rng = np.random.default_rng(6)
+        slope = np.full(m, -2.0)
+        slope[: m // 2 + 1] += 1.0 / 1e-2
+        assert_dense_direction(ws, rng.permutation(slope), rng.normal(size=m))
+        assert_dense_direction(ws, rng.uniform(-2.0, 5.0, m), rng.normal(size=m))
+        assert ws.inverse is None
+
+    def test_one_linear_solve_per_direction(self, monkeypatch):
+        ws = direction_workspace("neumann")
+        m = ws.k.shape[0]
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
+        few = np.full(m, -2.0)
+        few[[2, 7]] = 98.0
+        for slope in (np.full(m, -2.0), few, np.linspace(0.0, 1.0, m)):
+            ws.direction(slope, np.ones(m))
+        assert calls == [(0, 0), (2, 2), (m, m)]
+
+
 class TestRun:
     def test_no_steps(self):
         config = neumann_config(pot.make_potential("regular"), steps=0)
