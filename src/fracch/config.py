@@ -11,6 +11,7 @@ field-level problem at once.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -88,13 +89,23 @@ def _get(parser, section, key, collector, default=None, required=True):
     return default
 
 
+def _finite(token: str) -> float:
+    """``float(token)``; ``ValueError`` when it does not parse or is not finite."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is not finite")
+    return value
+
+
 def _typed(raw, kind, where, collector):
+    """``raw`` as an int or, for ``kind=float``, a finite float; errors go to ``collector``."""
     if raw is None:
         return None
     try:
-        return kind(raw)
-    except (TypeError, ValueError):
-        collector.add(where, f"cannot parse {raw!r}")
+        return _finite(raw) if kind is float else kind(raw)
+    except ValueError:
+        expected = "a finite number" if kind is float else "an integer"
+        collector.add(where, f"cannot parse {raw!r} as {expected}")
         return None
 
 
@@ -185,6 +196,12 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         collector.add("[scheme] h", "must be positive")
     if steps is not None and steps < 0:
         collector.add("[scheme] steps", "must be nonnegative")
+    if h is not None and steps is not None and not math.isfinite(h * steps):
+        collector.add("[scheme] h", "the horizon h * steps overflows")
+    if newton_tol is not None and newton_tol <= 0:
+        collector.add("[scheme] newton_tol", "must be positive")
+    if newton_max is not None and newton_max < 1:
+        collector.add("[scheme] newton_max", "must be at least 1")
 
     unknown = set(parser.options("data")) - _DATA_KEYS
     for key in sorted(unknown):
@@ -273,11 +290,11 @@ def _build_operator(section: OperatorSection, base_dir: str) -> sp.FractionalOpe
 
 
 def parse_number(token: str, where: str) -> float:
-    """``float(token)``, or a :class:`ConfigurationError` naming ``where``."""
+    """A finite ``float(token)``, or a :class:`ConfigurationError` naming ``where``."""
     try:
-        return float(token)
+        return _finite(token)
     except ValueError:
-        raise ConfigurationError(f"{where}: cannot parse {token!r} as a number") from None
+        raise ConfigurationError(f"{where}: cannot parse {token!r} as a finite number") from None
 
 
 def _build_field(descriptor: str, grid: sp.Grid, base_dir: str) -> sp.Field:
@@ -317,7 +334,7 @@ def _build_source(cfg: RunConfig, grid: sp.Grid):
     kind = tokens[0] if tokens else ""
     u_inf = _build_field(cfg.u_inf_descriptor, grid, cfg.base_dir)
     if kind == "zero":
-        return st.DecaySource(sp.constant_field(0.0, grid))
+        return st.zero_source(grid)
     if kind == "constant":
         return st.DecaySource(u_inf)
     if kind == "decay":

@@ -49,14 +49,6 @@ class CoercivityError(NumericalError):
         self.report = report or {}
 
 
-class EstimateViolationError(NumericalError):
-    """The per-step energy inequality failed beyond the slack tolerance.
-
-    The inequality is exact algebra for exact discrete solutions, so a
-    violation signals a solver bug rather than a modeling issue.
-    """
-
-
 class HypothesisError(FracchError):
     """A structural or data hypothesis required by the scheme is violated."""
 

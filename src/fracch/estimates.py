@@ -15,22 +15,23 @@ solver residual or round-off.  A separate data functional,
 the classical step from the summed inequality to a horizon-uniform bound
 introduces generic constants, so it is monitored, not asserted.
 
-Every pass works on all rows of the trajectory's state arrays at once;
-running totals are cumulative sums.
+Every pass takes the trajectory alone, reading its scheme configuration
+and data from it, and works on all rows of its state arrays at once;
+running totals are cumulative sums.  The ledger is five arrays with one
+entry per step and no per-step view: one step's contribution is the
+difference of consecutive entries, or a row of :func:`_ledger_increments`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import potentials as pot
 from . import spectral as sp
-from .errors import EstimateViolationError
-from .stepper import DiscreteTrajectory, ProblemData, SchemeConfig
+from .stepper import DiscreteTrajectory, SchemeConfig
 
 #: Order of the named left-hand-side terms of the summed inequality.
 LEDGER_TERMS = (
@@ -50,36 +51,16 @@ SLACK_FLOOR = 1e-12
 _SPLIT_BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class EnergyLedgerEntry:
-    """All terms of the summed inequality at one step.
-
-    ``lhs_terms`` maps the eight named quantities; the increment sums are
-    nondecreasing in the step index, while the three state terms
-    (``mu_l2_accum``, ``B_sigma_norm``, ``beta_pi_integral``) track the
-    current state.  ``slack = rhs_bound - sum(lhs)`` and can only dip
-    below zero by solver residual and round-off.
-    """
-
-    step: int
-    lhs_terms: dict
-    rhs_bound: float
-    slack: float
-    data_bound: float
-
-    @property
-    def scale(self) -> float:
-        terms = [abs(v) for v in self.lhs_terms.values()] + [abs(self.rhs_bound)]
-        return max(max(terms), SLACK_FLOOR)
-
-
 @dataclass(frozen=True, eq=False)
-class EnergyLedger(Sequence):
+class EnergyLedger:
     """The summed inequality at every step, one array entry per step.
 
     ``terms`` holds the eight left-hand quantities as columns in
-    :data:`LEDGER_TERMS` order.  Indexing with an integer gives the
-    :class:`EnergyLedgerEntry` of one step, slicing a shorter ledger.
+    :data:`LEDGER_TERMS` order; the increment sums are nondecreasing in the
+    step, while the three state terms (``mu_l2_accum``, ``B_sigma_norm``,
+    ``beta_pi_integral``) track the current state.  ``slack = rhs_bound -
+    sum(terms)`` and can only dip below zero by solver residual and
+    round-off.
     """
 
     step: np.ndarray
@@ -87,22 +68,6 @@ class EnergyLedger(Sequence):
     rhs_bound: np.ndarray
     slack: np.ndarray
     data_bound: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.step)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return EnergyLedger(self.step[k], self.terms[k], self.rhs_bound[k],
-                                self.slack[k], self.data_bound[k])
-        k = range(len(self))[k]
-        return EnergyLedgerEntry(
-            step=int(self.step[k]),
-            lhs_terms=dict(zip(LEDGER_TERMS, self.terms[k].tolist())),
-            rhs_bound=float(self.rhs_bound[k]),
-            slack=float(self.slack[k]),
-            data_bound=float(self.data_bound[k]),
-        )
 
 
 def _split_energies(config: SchemeConfig, y: np.ndarray, absolute: bool = False) -> np.ndarray:
@@ -162,45 +127,7 @@ def _ledger_increments(config: SchemeConfig, y: np.ndarray, mu: np.ndarray):
     return increments, float(energy[0]), 0.5 * float(b_sq[0])
 
 
-@dataclass(frozen=True)
-class LedgerIncrement:
-    """One step's contribution to every ledger term."""
-
-    increments: dict
-    rhs_increment: float
-    slack: float
-
-
-def per_step_inequality(prev, next_state, u_next: sp.Field,
-                        config: SchemeConfig,
-                        tol_rel: float | None = None) -> LedgerIncrement:
-    """Evaluate one step of the pre-summation inequality.
-
-    ``prev`` and ``next_state`` are consecutive ``(y, mu)`` pairs of an
-    accepted trajectory.  The slack is the convexity gap of the split
-    energy pairing, polluted only by the solver residual.  When
-    ``tol_rel`` is given, a slack below ``-tol_rel`` times the largest
-    term raises :class:`EstimateViolationError`: the inequality is exact
-    algebra for exact discrete solutions, so that signals a solver bug.
-    """
-    y = np.array([prev[0].values, next_state[0].values])
-    mu = np.array([prev[1].values, next_state[1].values])
-    terms, _, _ = _ledger_increments(config, y, mu)
-    increments = dict(zip(LEDGER_TERMS, terms[0].tolist()))
-    rhs = sp.inner(u_next, next_state[0] - prev[0])
-    slack = rhs - sum(increments.values())
-    if tol_rel is not None:
-        scale = max(max(abs(v) for v in increments.values()), abs(rhs), SLACK_FLOOR)
-        if slack < -tol_rel * scale:
-            raise EstimateViolationError(
-                f"per-step inequality violated: slack {slack:.3e} below "
-                f"-{tol_rel:.1e} x scale {scale:.3e}"
-            )
-    return LedgerIncrement(increments=increments, rhs_increment=rhs, slack=slack)
-
-
-def gronwall_ledger(traj: DiscreteTrajectory, data: ProblemData,
-                    config: SchemeConfig) -> EnergyLedger:
+def gronwall_ledger(traj: DiscreteTrajectory) -> EnergyLedger:
     """Accumulate the per-step inequality into one entry per step.
 
     Entry k restates the summed inequality: the eight left-hand terms
@@ -209,16 +136,17 @@ def gronwall_ledger(traj: DiscreteTrajectory, data: ProblemData,
     ``data_bound`` carries ``|u(0)| + integral |du/dt|`` up to the entry's
     horizon for uniformity monitoring.
     """
+    config, source = traj.config, traj.data.source
     steps = np.arange(1, traj.steps + 1)
     times = traj.h * steps
     terms, e0_split, e0_b = _ledger_increments(config, traj.y, traj.mu)
-    pairing = sp.row_inner(data.source.values(times), np.diff(traj.y, axis=0), config.grid)
+    pairing = sp.row_inner(source.values(times), np.diff(traj.y, axis=0), config.grid)
     lhs = np.cumsum(terms, axis=0)
     # shift the telescoped initial energies onto the right side
     lhs[:, LEDGER_TERMS.index("B_sigma_norm")] += e0_b
     lhs[:, LEDGER_TERMS.index("beta_pi_integral")] += e0_split
     rhs = e0_split + e0_b + np.cumsum(pairing)
-    data_bound = sp.norm(data.source.at(0.0)) + data.source.derivative_l1(times)
+    data_bound = sp.norm(source.at(0.0)) + source.derivative_l1(times)
     return EnergyLedger(
         step=steps,
         terms=lhs,
@@ -245,9 +173,9 @@ class UniformReport:
         return dataclasses.asdict(self)
 
 
-def uniform_report(traj: DiscreteTrajectory, data: ProblemData,
-                   config: SchemeConfig) -> UniformReport:
+def uniform_report(traj: DiscreteTrajectory) -> UniformReport:
     """Evaluate the uniform-in-horizon quantities of the trajectory."""
+    config, source = traj.config, traj.data.source
     h, tau = traj.h, config.tau
     grid = config.grid
     sq = _step_norms(config, traj.y, traj.mu)
@@ -260,9 +188,8 @@ def uniform_report(traj: DiscreteTrajectory, data: ProblemData,
         b_jump_scaled=float(np.sqrt(np.sum(sq["b_dy"]))),
         rate_l2_scaled=float(np.sqrt(tau * np.sum(sq["dy"] / h))),
         sup_split_energy=float(split.max()),
-        dual_rate_l2=dual_norm_rate(traj, config),
-        data_bound=float(sp.norm(data.source.at(0.0))
-                         + data.source.derivative_l1(traj.final_time)),
+        dual_rate_l2=dual_norm_report(traj).value,
+        data_bound=float(sp.norm(source.at(0.0)) + source.derivative_l1(traj.final_time)),
     )
 
 
@@ -276,7 +203,7 @@ class DualNormReport:
     c0: float
 
 
-def dual_norm_report(traj: DiscreteTrajectory, config: SchemeConfig) -> DualNormReport:
+def dual_norm_report(traj: DiscreteTrajectory) -> DualNormReport:
     """Rate of change measured in the dual of the first operator's domain space.
 
     Two independent evaluations must agree: coefficients of the state
@@ -285,8 +212,8 @@ def dual_norm_report(traj: DiscreteTrajectory, config: SchemeConfig) -> DualNorm
     is also bounded by the potential jump and power norms with the
     explicit embedding constant ``c0`` of H into the dual space.
     """
-    op = config.op_A
-    h = traj.h
+    config = traj.config
+    op, h = config.op_A, traj.h
     analysis = op.basis.analysis_matrix
     sq = _step_norms(config, traj.y, traj.mu)
     rate = (np.diff(traj.y, axis=0) * (1.0 / h)) @ analysis.T
@@ -306,7 +233,3 @@ def dual_norm_report(traj: DiscreteTrajectory, config: SchemeConfig) -> DualNorm
         c0=c0,
     )
 
-
-def dual_norm_rate(traj: DiscreteTrajectory, config: SchemeConfig) -> float:
-    """The dual-space rate norm; see :func:`dual_norm_report`."""
-    return dual_norm_report(traj, config).value

@@ -20,7 +20,11 @@ the reconstructed graph selection from the graph.
 ``report.json``.  It reads only what a run directory stores: the snapshot
 rows, the per-step scalar columns of ``trajectory.csv`` and the range of
 the state.  A reloaded run and the in-memory trajectory it came from feed
-it bit-identical inputs, so they give the same report byte for byte.
+it bit-identical inputs, so they give the same report byte for byte.  It
+is the only late-time analysis: the constant part of the potential, the
+range certificate and the unique-multiplier verdict exist only as fields
+of its payload, and :func:`trajectory_columns` gives the per-step series
+it reads.
 """
 
 from __future__ import annotations
@@ -64,72 +68,6 @@ def _window_start(steps: int, window_fraction: float) -> int:
         raise ConfigurationError(
             f"window fraction must lie in (0, 1), got {window_fraction!r}")
     return int(math.ceil(steps * (1.0 - window_fraction)))
-
-
-@dataclass(frozen=True)
-class MuTailStats:
-    """Potential statistics over the trailing window of a run."""
-
-    window: tuple
-    sup_norm_mu: float
-    integral_ar_mu_sq: float
-    mean_mu_times: np.ndarray
-    mean_mu_series: np.ndarray
-
-
-def mu_tail_stats(traj: DiscreteTrajectory, window_fraction: float = 0.5) -> MuTailStats:
-    """Sup norm, power-norm integral and mean series of mu over the tail window."""
-    start = _window_start(traj.steps, window_fraction)
-    columns = trajectory_columns(traj)
-    times = columns["t"][start:]
-    ar_mu = columns["norm_Ar_mu"][max(start, 1):]
-    return MuTailStats(
-        window=(float(times[0]), float(times[-1])),
-        sup_norm_mu=float(columns["norm_mu"][start:].max()),
-        integral_ar_mu_sq=float(np.sum(traj.h * ar_mu ** 2)),
-        mean_mu_times=times,
-        mean_mu_series=columns["mean_mu"][start:],
-    )
-
-
-@dataclass(frozen=True)
-class MuInfinityEstimate:
-    """Space-independent part of the potential on the tail window.
-
-    ``flatness`` is the largest deviation of mu from its spatial mean over
-    the window; a small value witnesses that the potential has become
-    spatially constant, which is what the zero-eigenvalue branch predicts.
-    """
-
-    times: np.ndarray
-    series: np.ndarray
-    flatness: float
-
-    @property
-    def tail_average(self) -> float:
-        return float(self.series.mean())
-
-    @property
-    def spread(self) -> float:
-        return float(self.series.max() - self.series.min())
-
-
-def extract_mu_infinity(traj: DiscreteTrajectory,
-                        window_fraction: float = 0.5) -> MuInfinityEstimate:
-    """Estimate the constant part of mu over the tail window (zero-eigenvalue branch)."""
-    if traj.config.op_A.lambda1 > 0.0:
-        raise BranchError(
-            "first eigenvalue is positive: the potential vanishes at infinity, "
-            "use mu_tail_stats instead"
-        )
-    start = _window_start(traj.steps, window_fraction)
-    columns = trajectory_columns(traj)
-    means = columns["mean_mu"][start:]
-    # measured on the fields: the columns resolve the flatness only to about
-    # sqrt(machine epsilon) times |mu|, see longtime_report
-    flatness = sp.row_norms(traj.mu[start:] - means[:, None], traj.config.grid).max()
-    return MuInfinityEstimate(times=columns["t"][start:], series=means,
-                              flatness=float(flatness))
 
 
 def stationarity_residual(y: sp.Field, mu_inf: float, u_inf: sp.Field,
@@ -196,8 +134,7 @@ def variational_inequality_check(y: sp.Field, mu_inf: float, u_inf: sp.Field,
 
 
 def residual_scale(y: sp.Field, mu_inf: float, u_inf: sp.Field,
-                   spec: pot.PotentialSpec, op_B: sp.FractionalOperator,
-                   overshoot_tol: float = 0.0) -> float:
+                   spec: pot.PotentialSpec, op_B: sp.FractionalOperator) -> float:
     """Largest norm among the terms entering the stationary equation."""
     dom = spec.beta_domain
     clamped = np.clip(y.values, dom.lo, dom.hi)
@@ -276,25 +213,12 @@ class RangeCertificate:
     yosida_lambda: float
 
 
-def range_certificate(traj: DiscreteTrajectory, spec: pot.PotentialSpec,
-                      interval: Optional[tuple] = None) -> RangeCertificate:
-    """Min/max of the state over all steps and nodes, with containment flag.
-
-    Without an explicit interval, a bounded graph domain supplies its
-    closure; an unbounded one certifies the observed range against itself.
-    Overshoot beyond the interval is attributable to the regularization
-    level recorded in the certificate.
-    """
-    return _certify_range(float(traj.y.min()), float(traj.y.max()), spec,
-                          traj.config.yosida_lambda, interval)
-
-
 def _certify_range(y_min: float, y_max: float, spec: pot.PotentialSpec,
-                   yosida_lambda: float, interval: Optional[tuple] = None) -> RangeCertificate:
-    if interval is None:
-        dom = spec.beta_domain
-        interval = (dom.lo, dom.hi) if dom.bounded else (y_min, y_max)
-    a, b = float(interval[0]), float(interval[1])
+                   yosida_lambda: float) -> RangeCertificate:
+    """Certify the state's range against the closure of a bounded graph domain;
+    an unbounded domain certifies the observed range against itself."""
+    dom = spec.beta_domain
+    a, b = map(float, (dom.lo, dom.hi) if dom.bounded else (y_min, y_max))
     overshoot = max(0.0, a - y_min, y_max - b)
     return RangeCertificate(
         y_min=y_min,
@@ -306,18 +230,14 @@ def _certify_range(y_min: float, y_max: float, spec: pot.PotentialSpec,
     )
 
 
-def goodmui_certified(traj: DiscreteTrajectory, cert: RangeCertificate) -> bool:
-    """Whether the unique-constant-multiplier hypotheses hold for this run.
+def _unique_constant_certified(spec: pot.PotentialSpec, cert: RangeCertificate) -> bool:
+    """Whether the unique-constant-multiplier hypotheses hold for a run.
 
-    Requires a single-valued smooth graph on an open interval and the
+    They require a single-valued smooth graph on an open interval and the
     state's range strictly inside that interval.  Density of the bounded
     functions in the operator domain is automatic for the interval bases
     and recorded as an assumption for matrix-backed ones.
     """
-    return _unique_constant_certified(traj.config.spec, cert)
-
-
-def _unique_constant_certified(spec: pot.PotentialSpec, cert: RangeCertificate) -> bool:
     if not spec.smooth_graph:
         return False
     dom = spec.beta_domain
@@ -335,9 +255,12 @@ def longtime_report(config: SchemeConfig, data: ProblemData, snapshots: np.ndarr
     Gaps are plain-norm distances between snapshots, one row at a time.
     The stationarity residual of the last snapshot uses a zero constant on
     the positive branch and, on the zero branch, the tail average of the
-    potential's mean over the trailing ``window_fraction``; its flatness
-    follows from ``|mu - mean|^2 = |mu|^2 - mean^2 * length``.  Without an
-    ``overshoot_tol``, the last snapshot's own overshoot is tolerated.
+    potential's mean over the trailing ``window_fraction``.  Its flatness
+    follows from ``|mu - mean|^2 = |mu|^2 - mean^2 * length``, which
+    cancels: it resolves the flatness only to about ``sqrt(eps) * |mu|``
+    (eps the machine epsilon), so a spatially constant potential reads
+    about 1e-9 where the fields give 1e-17.  Without an ``overshoot_tol``,
+    the last snapshot's own overshoot is tolerated.
     """
     start = _window_start(len(columns["t"]) - 1, window_fraction)
     if len(snapshot_steps) < 2:
@@ -382,7 +305,7 @@ def longtime_report(config: SchemeConfig, data: ProblemData, snapshots: np.ndarr
         "b_sigma_bound": float(sp.row_power_norms(op_b, snapshots).max()),
         "stationarity_residual": stationarity_residual(
             candidate, mu_value, u_inf, spec, op_b, overshoot_tol),
-        "residual_scale": residual_scale(candidate, mu_value, u_inf, spec, op_b, overshoot_tol),
+        "residual_scale": residual_scale(candidate, mu_value, u_inf, spec, op_b),
         "variational_inequality_violation": variational_inequality_check(
             candidate, mu_value, u_inf, spec, op_b),
         "mu_infinity_value": mu_value,

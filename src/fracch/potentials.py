@@ -390,7 +390,10 @@ def _resolvent_bisection(spec, lam, s, budget=200):
             f"s={float(flat[active[0]])!r}, level {lam}: bracket [{lo[0]:.17g}, {hi[0]:.17g}]"
         )
     residual = graph_selection_residual(spec, out, (flat - out) / lam)
-    bad = residual > 1e-10 * np.maximum(1.0, np.abs(flat) / lam)
+    # a narrow bracket's midpoint is within width_tol/2 of J, which moves the
+    # quotient (s - J)/lam by up to width_tol/(2 lam): at small levels more
+    # than the relative allowance when |s| is below about lam
+    bad = residual > 1e-10 * np.maximum(1.0, np.abs(flat) / lam) + width_tol / lam
     if np.any(bad):
         i = int(np.argmax(bad))
         raise NumericalError(

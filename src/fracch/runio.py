@@ -108,7 +108,7 @@ def write_run(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
     config = traj.config
     rows = trajectory_rows(traj)
     _write_table(os.path.join(directory, "trajectory.csv"), TRAJECTORY_COLUMNS, rows, ",")
-    ledger = est.gronwall_ledger(traj, traj.data, config)
+    ledger = est.gronwall_ledger(traj)
     _write_table(os.path.join(directory, "ledger.tsv"),
                  ("step",) + est.LEDGER_TERMS + ("rhs_bound", "slack", "data_bound"),
                  np.column_stack([ledger.step, ledger.terms, ledger.rhs_bound,
@@ -118,16 +118,17 @@ def write_run(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
     for name, states in (("snapshots_y.csv", traj.y), ("snapshots_mu.csv", traj.mu)):
         _write_table(os.path.join(directory, name), snap_header,
                      np.column_stack([snap_times, states[snapshot_steps]]), ",")
-    report = est.uniform_report(traj, traj.data, config)
+    report = est.uniform_report(traj)
     plateau = {}
-    if len(ledger) >= 2:
-        final, halfway = ledger.terms[-1], ledger.terms[len(ledger) // 2 - 1]
+    steps = len(ledger.step)
+    if steps >= 2:
+        final, halfway = ledger.terms[-1], ledger.terms[steps // 2 - 1]
         ratios = np.abs(final - halfway) / np.maximum(np.abs(final), est.SLACK_FLOOR)
         plateau = dict(zip(est.LEDGER_TERMS, ratios.tolist()))
     est_payload = {
         "uniform": report.as_dict(),
-        "dual_norm": est.dual_norm_report(traj, config).__dict__,
-        "min_slack": float(ledger.slack.min()) if len(ledger) else 0.0,
+        "dual_norm": est.dual_norm_report(traj).__dict__,
+        "min_slack": float(ledger.slack.min()) if steps else 0.0,
         "halfway_plateau_ratios": plateau,
     }
     write_json(os.path.join(directory, "estimates.json"), est_payload)

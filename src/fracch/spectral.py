@@ -133,8 +133,8 @@ def inner(u: Field, v: Field) -> float:
 
 
 def norm(u: Field) -> float:
-    """Quadrature L2 norm."""
-    return float(np.sqrt(np.sum(u.grid.w * u.values * u.values)))
+    """Quadrature L2 norm: the norm of :func:`inner`."""
+    return float(np.sqrt(inner(u, u)))
 
 
 def mean(u: Field) -> float:
@@ -342,49 +342,27 @@ def power_rows(op: FractionalOperator, rows: np.ndarray, multiplier: float = 1.0
     return (op.power_weights(multiplier) * c) @ op.basis.modes.T
 
 
-def solve_shifted(op: FractionalOperator, rows: np.ndarray, shift: float = 1.0,
-                  multiplier: float = 2.0) -> np.ndarray:
-    """Solve ``(shift*I + A^(r*multiplier)) u = f`` for each row ``f`` of a (..., m) array.
+def solve_shifted(op: FractionalOperator, rows: np.ndarray) -> np.ndarray:
+    """Solve ``(I + A^(2r)) u = f`` for each row ``f`` of a (..., m) array.
 
     The operator acts as zero outside the truncated span, so the inverse is
-    the identity scaled by ``1/shift`` there and diagonal on the span.  The
-    returned rows satisfy the shifted equation nodally to round-off.
+    the identity there and diagonal on the span.  The returned rows satisfy
+    the shifted equation nodally to round-off.
     """
-    if shift <= 0:
-        raise ConfigurationError("shift must be positive")
     c = rows @ op.basis.analysis_matrix.T
-    weights = op.power_weights(multiplier)
-    # identity/shift off the span, diagonal 1/(shift + lambda^p) on it
-    reduction = c * weights / (shift * (shift + weights))
-    return rows / shift - reduction @ op.basis.modes.T
-
-
-def fractional_norm(op: FractionalOperator, f: Field) -> float:
-    """Equivalent Hilbert norm of the operator's fractional domain space.
-
-    With a positive first eigenvalue this is the plain power norm
-    ``(sum |lambda_j^r c_j|^2)^(1/2)``; with a zero first eigenvalue the
-    first coefficient enters unweighted: ``(|c_1|^2 + sum_{j>=2}
-    |lambda_j^r c_j|^2)^(1/2)``.
-    """
-    c = op.basis.analyze(f)
-    weighted = op.power_weights() * c
-    if op.lambda1 > 0.0:
-        return float(np.sqrt(np.sum(weighted**2)))
-    return float(np.sqrt(c[0] ** 2 + np.sum(weighted[1:] ** 2)))
-
-
-def fractional_dual_norm(op: FractionalOperator, f: Field) -> float:
-    """Dual of :func:`fractional_norm`: coefficients weighted by ``lambda_j**(-r)``.
-
-    With a zero first eigenvalue the first coefficient again enters
-    unweighted.  Components outside the span do not contribute.
-    """
-    return float(dual_norms(op, op.basis.analyze(f)))
+    weights = op.power_weights(2.0)
+    # identity off the span, diagonal 1/(1 + lambda^2r) on it
+    return rows - (c * weights / (1.0 + weights)) @ op.basis.modes.T
 
 
 def dual_norms(op: FractionalOperator, coefficients: np.ndarray) -> np.ndarray:
-    """:func:`fractional_dual_norm` from expansion coefficients along the last axis."""
+    """Norm in the dual of the operator's fractional domain space, from
+    expansion coefficients along the last axis.
+
+    The coefficients are weighted by ``lambda_j**(-r)``; with a zero first
+    eigenvalue the first coefficient enters unweighted.  Components outside
+    the span do not contribute.
+    """
     weights = op.power_weights(-1.0)
     if op.lambda1 == 0.0:
         weights[0] = 1.0

@@ -25,7 +25,9 @@ on those nodes: ``G`` is inverted once per run and again only when ``c``
 changes, and each iteration solves a system the size of that node set.
 Otherwise (the smooth wells, whose slope differs from node to node) the
 Jacobian is factored by dense LU.  Either way each iteration makes exactly
-one ``numpy.linalg.solve`` call.
+one ``numpy.linalg.solve`` call.  Newton stops once the residual is at most
+``newton_tol``.  A residual it can reduce no further is accepted at its
+round-off floor, which for large operator powers lies above ``newton_tol``.
 
 Trajectories start from ``y0`` with ``mu0 = 0``; that
 initialization is part of the scheme, not a configurable choice, and it
@@ -37,6 +39,7 @@ stepper fills in place.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import List, Optional
@@ -57,9 +60,10 @@ from .errors import (
 )
 
 
-#: A Newton residual within this many machine epsilons of its largest
-#: summand is round-off; no step size or regularization level reduces it.
-_ROUNDOFF_FACTOR = 16.0
+#: A Newton residual within this many times its largest summand (16
+#: machine epsilons) is round-off; no step size or regularization level
+#: reduces it.
+_ROUNDOFF = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,10 @@ class SchemeConfig:
             raise ConfigurationError("step count must be nonnegative")
         if not self.yosida_lambda > 0:
             raise ConfigurationError("regularization level must be positive")
+        if not self.newton_tol > 0:
+            raise ConfigurationError("newton_tol must be positive")
+        if self.newton_max < 1:
+            raise ConfigurationError("newton_max must be at least 1")
         if not self.op_A.basis.grid.same_as(self.op_B.basis.grid):
             raise ConfigurationError("the two operators must share one quadrature grid")
 
@@ -297,7 +305,6 @@ class DiscreteTrajectory:
 
     y: np.ndarray
     mu: np.ndarray
-    h: float
     solver_stats: List[StepStats]
     config: SchemeConfig
     data: ProblemData
@@ -318,6 +325,10 @@ class DiscreteTrajectory:
     @property
     def mus(self) -> FieldRows:
         return FieldRows(self.mu, self.config.grid)
+
+    @property
+    def h(self) -> float:
+        return self.config.h
 
     @property
     def steps(self) -> int:
@@ -353,7 +364,7 @@ class _Workspace:
     carries the shift ``L = Lip(pi) + 1`` and ``c >= -Lip(pi)``.  The
     capacitance matrix ``I + E G[off, off]`` is ``E (E^(-1) + G[off, off])``
     without the division, so a slope gap that rounds to a subnormal cannot
-    overflow.  More nodes off the floor take the dense LU of
+    overflow.  More nodes above ``c`` take the dense LU of
     ``K + diag(slope)``.  Both branches make one ``numpy.linalg.solve``
     call, the capacitance solve running even for an empty ``off``, so that
     a count of linear solves (the benchmark's trace) equals the Newton
@@ -370,10 +381,11 @@ class _Workspace:
         self.diagonal = np.diag_indices_from(self.k)
         self.k[self.diagonal] += config.tau / config.h + config.spec.stability_shift
         self.w = config.grid.w
+        self.k_rows = self.h_norm(np.abs(self.k).sum(axis=1))
         self.config = config
         self.reg = config.regularization
-        self.inverse = None   # G = (K + c I)^(-1) for the cached floor c
-        self.floor = np.nan
+        self.inverse = None   # G = (K + c I)^(-1) for the cached shift c
+        self.shift = np.nan
 
     def direction(self, slope: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Newton direction: the solution of ``(K + diag(slope)) delta = -g``."""
@@ -383,7 +395,7 @@ class _Workspace:
             jac = self.k.copy()
             jac[self.diagonal] += slope
             return np.linalg.solve(jac, -g)
-        if c != self.floor:
+        if c != self.shift:
             self.inverse = None
             # shift K in place and restore its diagonal exactly: a copy of K
             # would hold one more m x m array at the run's peak
@@ -393,7 +405,7 @@ class _Workspace:
                 self.inverse = np.linalg.inv(self.k)
             finally:
                 self.k[self.diagonal] = diagonal
-            self.floor = c
+            self.shift = c
         x = self.inverse @ -g
         excess = slope[off] - c
         capacitance = excess[:, None] * self.inverse[np.ix_(off, off)]
@@ -403,35 +415,37 @@ class _Workspace:
     def h_norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(np.sum(self.w * v * v)))
 
+    def roundoff_floor(self, d: np.ndarray, *summands: np.ndarray) -> float:
+        """Round-off floor of the residual ``K d + sum(summands)``.
 
-def _stall_message(ws: _Workspace, res: float, y: np.ndarray, d: np.ndarray,
-                   r: np.ndarray) -> str:
-    """Why the line search failed at the state ``y = y_prev + d`` with right-hand side ``r``."""
-    cfg = ws.config
-    tol = cfg.newton_tol
-    terms = (ws.k @ d, pot.yosida(ws.reg, y), cfg.spec.pi(y), r)
-    # the products B2_ij y_j are summands too: once the high modes are damped
-    # they exceed B2 y by orders of magnitude
-    b2_rows = sp.power_rows(cfg.op_B, np.eye(y.size), 2.0)  # row j is column j of B2
-    sizes = [ws.h_norm(t) for t in terms] + [ws.h_norm(np.abs(y) @ np.abs(b2_rows))]
-    floor = _ROUNDOFF_FACTOR * np.finfo(float).eps * max(sizes)
-    if res <= floor:
-        return (f"Newton step stalled at residual {res:.3e} above newton_tol {tol:.1e}: "
-                f"round-off, within {floor:.1e} ({_ROUNDOFF_FACTOR:g} eps times the largest "
-                "summand of the residual); use a larger newton_tol")
-    return (f"Newton step could not reduce the residual {res:.3e} below newton_tol "
-            f"{tol:.1e} after 30 halvings; try a smaller step size or a larger "
-            "regularization level")
+        That is :data:`_ROUNDOFF` times the quadrature norm of its largest
+        summand.  The products ``K_ij d_j`` are summands too; once the high
+        modes are damped they exceed ``K d`` by orders of magnitude, so
+        ``K d`` is sized by the absolute row sums of ``K`` times the largest
+        ``|d_j|``.
+        """
+        largest = max(self.k_rows * float(np.abs(d).max()),
+                      math.sqrt(max(self.w @ (t * t) for t in summands)))
+        return _ROUNDOFF * largest
 
 
 def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarray):
-    """Damped Newton for ``K d + beta_lam(y_prev + d) + pi(y_prev + d) = r``, from ``d``."""
+    """Damped Newton for ``K d + beta_lam(y_prev + d) + pi(y_prev + d) = r``, from ``d``.
+
+    When the line search fails or ``newton_max`` is reached above
+    ``newton_tol``, the residual is accepted if it is finite and at its
+    round-off floor (see :meth:`_Workspace.roundoff_floor`).
+    """
     cfg = ws.config
     reg = ws.reg
 
     def residual(dc):
         yc = y_prev + dc
         return ws.k @ dc + pot.yosida(reg, yc) + cfg.spec.pi(yc) - r
+
+    def floor_at(dc):
+        yc = y_prev + dc
+        return ws.roundoff_floor(dc, pot.yosida(reg, yc), cfg.spec.pi(yc), r)
 
     g = residual(d)
     res = ws.h_norm(g)
@@ -452,10 +466,18 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
             alpha *= 0.5
             dampings += 1
         else:
-            raise StepError(_stall_message(ws, res, y, d, r), residual_history=history)
+            floor = floor_at(d)
+            if res <= floor < math.inf:
+                return d, iteration, res, dampings
+            raise StepError(
+                f"Newton step could not reduce the residual {res:.3e} below newton_tol "
+                f"{cfg.newton_tol:.1e} or its round-off floor {floor:.1e} after 30 halvings; "
+                "try a smaller step size or a larger regularization level",
+                residual_history=history,
+            )
         d, g, res = d_new, g_new, res_new
         history.append(res)
-    if res <= cfg.newton_tol:
+    if res <= cfg.newton_tol or res <= floor_at(d) < math.inf:
         return d, cfg.newton_max, res, dampings
     raise StepError(
         f"Newton did not reach tolerance {cfg.newton_tol:.1e} in {cfg.newton_max} "
@@ -511,5 +533,4 @@ def run(config: SchemeConfig, data: ProblemData) -> DiscreteTrajectory:
             exc.step_index = n
             raise
         stats.append(st)
-    return DiscreteTrajectory(y=y, mu=mu, h=config.h, solver_stats=stats,
-                              config=config, data=data)
+    return DiscreteTrajectory(y=y, mu=mu, solver_stats=stats, config=config, data=data)

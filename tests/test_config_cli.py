@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,6 @@ import pytest
 
 from fracch import cli
 from fracch import config as cfgmod
-from fracch import longtime as lt
 from fracch import runio
 from fracch import spectral as sp
 from fracch import stepper as st
@@ -302,8 +302,6 @@ class TestCliErrors:
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and '"exit_code": 2' in err[0] and "window" in err[0]
         assert not (out / "report.json").exists()
-        with pytest.raises(ConfigurationError):
-            lt.mu_tail_stats(st.run(*cfgmod.build_problem(cfgmod.load_config(str(path)))), 1.0)
 
     def test_bad_snapshot_schedule_fails_before_running(self, tmp_path, capsys):
         path, out = write_config(tmp_path, doc=MINIMAL.replace("snapshots = log 9",
@@ -374,6 +372,9 @@ class TestCliErrors:
         (("y0 = cosine 0.1 0.4 0.2", "y0 = constant abc"), None, "abc"),
         (("y0 = cosine 0.1 0.4 0.2", "y0 = cosine 0.1 x"), None, "'x'"),
         (("source = decay 0.5", "source = decay fast"), None, "fast"),
+        (("u_bump = cosine 0 0.05", "u_bump = cosine nan"), None, "finite"),
+        (("source = decay 0.5", "source = decay nan"), None, "finite"),
+        (("length = 4.0", "length = nan"), None, "] length: cannot parse 'nan' as a finite"),
         (None, ["example-best", "--mu", ""], "profile"),
         (None, ["example-best", "--mu", "sin abc"], "abc"),
     ])
@@ -383,6 +384,24 @@ class TestCliErrors:
         assert cli.main(argv or ["simulate", str(path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and '"exit_code": 2' in err[0] and token in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("yosida_lambda", "inf"), ("h", "1e308"), ("newton_tol", "-1"), ("newton_tol", "nan"),
+        ("newton_max", "0"), ("exponent", "inf"),
+    ])
+    def test_non_finite_or_out_of_range_setting_exits_2(self, tmp_path, capsys, key, value):
+        # each of these used to run, or to fail only once stepping began
+        line = re.search(rf"^{key} = .*$", MINIMAL, re.M)
+        doc = (MINIMAL.replace(line.group(0), f"{key} = {value}", 1) if line
+               else MINIMAL.replace("[scheme]\n", f"[scheme]\n{key} = {value}\n"))
+        path, out = write_config(tmp_path, doc=doc)
+        assert cli.main(["simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["exit_code"] == 2 and f"] {key}:" in payload["message"]
         assert not out.exists()
 
 

@@ -1,15 +1,17 @@
 """Property tests over random small problems.
 
-Each example draws an interval basis (zero-flux or zero-boundary), one of
-the four canonical potentials, the scheme parameters, a smooth initial
-state and a decaying source, runs the scheme, and checks the energy
-ledger against a plain Field-by-Field evaluation, the exact mass identity
-and the ledger slack.  The examples are derandomized so that the suite
-gives the same verdict on every run.
+Each scheme example draws an interval basis (zero-flux or zero-boundary),
+one of the four canonical potentials, the scheme parameters, a smooth
+initial state and a decaying source, runs the scheme, and checks the
+energy ledger against a plain Field-by-Field evaluation, the exact mass
+identity and the ledger slack.  The regularization examples draw a graph,
+two points and a level, and check the resolvent and Yosida identities.
+The examples are derandomized so that the suite gives the same verdict on
+every run.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hs
 
 from fracch import estimates as est
@@ -17,9 +19,10 @@ from fracch import potentials as pot
 from fracch import spectral as sp
 from fracch import stepper as st
 
-from conftest import cosine_field
+from conftest import cosine_field, zero_potential
 
 POTENTIALS = ("regular", "logarithmic", "obstacle", "example_best")
+EPS = np.finfo(float).eps
 
 
 @hs.composite
@@ -107,16 +110,18 @@ def oracle_ledger(traj):
 def test_ledger_mass_and_slack_on_random_problems(problem):
     config, data = problem
     traj = st.run(config, data)
-    ledger = est.gronwall_ledger(traj, data, config)
-    assert len(ledger) == traj.steps
-    for entry, (lhs, rhs, slack, data_bound) in zip(ledger, oracle_ledger(traj)):
-        tol = 1e-12 * entry.scale
-        for name in est.LEDGER_TERMS:
-            assert abs(entry.lhs_terms[name] - lhs[name]) <= tol, name
-        assert abs(entry.rhs_bound - rhs) <= tol
-        assert abs(entry.slack - slack) <= tol
-        assert abs(entry.data_bound - data_bound) <= 1e-12 * max(data_bound, 1.0)
-        assert entry.slack >= -1e-8 * entry.scale
+    ledger = est.gronwall_ledger(traj)
+    assert len(ledger.step) == traj.steps
+    scale = np.maximum(np.maximum(np.abs(ledger.terms).max(axis=1), np.abs(ledger.rhs_bound)),
+                       est.SLACK_FLOOR)
+    for k, (lhs, rhs, slack, data_bound) in enumerate(oracle_ledger(traj)):
+        tol = 1e-12 * scale[k]
+        for name, value in zip(est.LEDGER_TERMS, ledger.terms[k]):
+            assert abs(value - lhs[name]) <= tol, name
+        assert abs(ledger.rhs_bound[k] - rhs) <= tol
+        assert abs(ledger.slack[k] - slack) <= tol
+        assert abs(ledger.data_bound[k] - data_bound) <= 1e-12 * max(data_bound, 1.0)
+        assert ledger.slack[k] >= -1e-8 * scale[k]
     if config.op_A.lambda1 == 0.0:
         # the mass identity is exact when the first operator annihilates constants
         mass = sp.row_means(traj.y, config.grid) + traj.h * sp.row_means(traj.mu, config.grid)
@@ -146,3 +151,46 @@ def test_newton_direction_matches_dense_solve(kind, points, exponent, levels, da
     delta = ws.direction(slope, g)
     assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
     assert np.array_equal(ws.k, k)
+
+
+GRAPHS = {name: pot.make_potential(name, **params) for name, params in (
+    ("regular", {}), ("logarithmic", {"c1": 2.0}), ("obstacle", {"c2": 1.0}),
+    ("example_best", {}))}
+GRAPHS["zero"] = zero_potential()
+# how far a computed resolvent may sit from the exact J_lam(s) for |s| <= 3: the
+# closed forms and the bisection within a few ulps of 3, the logarithmic Newton
+# within its stopping rule |tanh(theta) + 2 lam theta - s| < 1e-12
+RESOLVENT_ERROR = {**dict.fromkeys(GRAPHS, 16 * EPS * 3.0), "logarithmic": 1e-12}
+# the slope of each graph inside its domain: how far an error in J moves beta(J)
+GRAPH_SLOPE = {
+    "regular": lambda j: 3.0 * j * j,
+    "logarithmic": lambda j: 2.0 / (1.0 - j * j),
+    "obstacle": lambda j: 0.0,
+    "example_best": lambda j: 2.0,
+    "zero": lambda j: 0.0,
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(name=hs.sampled_from(sorted(GRAPHS)), s=hs.floats(-3.0, 3.0), t=hs.floats(-3.0, 3.0),
+       log_lam=hs.floats(-6.0, -1.0))
+# a small level with |s| below it: the bisection's narrow-bracket midpoint
+# must pass the bisection's own selection check
+@example(name="zero", s=0.0, t=2.220446049250313e-16, log_lam=-6.0)
+def test_regularization_identities(name, s, t, log_lam):
+    spec, lam, err = GRAPHS[name], 10.0 ** log_lam, RESOLVENT_ERROR[name]
+    reg = pot.YosidaRegularization(spec, lam)
+    points = np.array([s, t])
+    j, beta = pot.resolvent(reg, points), pot.yosida(reg, points)
+    # an error err in J moves the difference quotient (s - J)/lam by err/lam
+    beta_err = err / lam + 4 * EPS * np.abs(beta).max()
+    assert np.all(np.abs(j + lam * beta - points) <= err + 8 * EPS * 3.0)
+    # beta_lam(s) is a selection of the graph at J wherever J is representable
+    inside = spec.beta_domain.contains(j)
+    for ji, bi in zip(j[inside], beta[inside]):
+        tol = err * (1.0 / lam + GRAPH_SLOPE[name](ji)) + 8 * EPS * abs(bi)
+        assert pot.graph_selection_residual(spec, ji, bi) <= tol
+    # J is nonexpansive, beta_lam monotone and 1/lam-Lipschitz
+    assert abs(j[1] - j[0]) <= abs(t - s) + 2 * err
+    assert (beta[1] - beta[0]) * np.sign(t - s) >= -2 * beta_err
+    assert abs(beta[1] - beta[0]) <= abs(t - s) / lam + 2 * beta_err

@@ -185,27 +185,6 @@ class TestSolveShifted:
 
 
 class TestNorms:
-    def test_dirichlet_single_mode(self):
-        b = sp.build_interval_basis("dirichlet", 3, 1.0, 33)
-        op = sp.FractionalOperator(b, 0.75)
-        e1 = b.synthesize(np.eye(3)[0])
-        assert abs(sp.fractional_norm(op, e1) - b.lambdas[0] ** 0.75) <= 1e-12
-
-    def test_neumann_constant_on_unit_interval(self):
-        b = sp.build_interval_basis("neumann", 4, 1.0, 33)
-        op = sp.FractionalOperator(b, 1.0)
-        assert abs(sp.fractional_norm(op, sp.constant_field(-2.5, b.grid)) - 2.5) <= 1e-12
-
-    def test_norm_formula_matches_direct_sum(self, neumann16):
-        rng = np.random.default_rng(17)
-        op = sp.FractionalOperator(neumann16, 0.5)
-        for _ in range(10):
-            v = random_field(neumann16, rng)
-            c = neumann16.analyze(v)
-            lam = neumann16.lambdas
-            direct = np.sqrt(c[0] ** 2 + np.sum((lam[1:] ** 0.5 * c[1:]) ** 2))
-            assert abs(sp.fractional_norm(op, v) - direct) <= 1e-12 * max(direct, 1.0)
-
     def test_dual_norm_formula(self, neumann16):
         rng = np.random.default_rng(19)
         op = sp.FractionalOperator(neumann16, 0.5)
@@ -213,7 +192,7 @@ class TestNorms:
         c = neumann16.analyze(v)
         lam = neumann16.lambdas
         direct = np.sqrt(c[0] ** 2 + np.sum((lam[1:] ** -0.5 * c[1:]) ** 2))
-        assert abs(sp.fractional_dual_norm(op, v) - direct) <= 1e-12 * max(direct, 1.0)
+        assert abs(sp.dual_norms(op, c) - direct) <= 1e-12 * max(direct, 1.0)
 
 
 class TestMean:

@@ -1,8 +1,11 @@
 """Time stepping: validation, single steps against a dense oracle, trajectories."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fracch import estimates as est
 from fracch import potentials as pot
 from fracch import spectral as sp
 from fracch import stepper as st
@@ -98,6 +101,13 @@ class TestSchemeConfig:
     def test_nonpositive_level(self):
         with pytest.raises(ConfigurationError):
             neumann_config(pot.make_potential("regular"), lam=0.0)
+
+    @pytest.mark.parametrize("setting", [{"newton_tol": 0.0}, {"newton_tol": float("nan")},
+                                         {"newton_max": 0}])
+    def test_newton_settings(self, setting):
+        # a NaN tolerance would otherwise accept the starting guess unsolved
+        with pytest.raises(ConfigurationError, match="newton"):
+            neumann_config(pot.make_potential("regular"), **setting)
 
 
 class TestValidate:
@@ -195,6 +205,18 @@ class TestSolveStep:
         name, params = spec_args
         assert_matches_coupled_dense_oracle(pot.make_potential(name, **params), kind, tau)
 
+    @pytest.mark.parametrize("spec_args", [("regular", {}), ("obstacle", {"c2": 1.0})],
+                             ids=lambda v: v[0])
+    def test_nan_start_raises(self, spec_args):
+        # a NaN residual is never below newton_tol or its round-off floor
+        config = neumann_config(pot.make_potential(spec_args[0], **spec_args[1]))
+        grid = config.grid
+        zero = sp.constant_field(0.0, grid)
+        start = sp.constant_field(np.nan, grid)
+        with pytest.raises(st.StepError) as excinfo:
+            st.solve_step(cosine_field(grid, [0.1, 0.3]), zero, zero, config, start=start)
+        assert excinfo.value.exit_code == 3
+
     def test_uniqueness_proxy_two_starts(self):
         spec = pot.make_potential("obstacle", c2=1.0)
         config = neumann_config(spec, lam=1e-3, h=0.01)
@@ -240,14 +262,14 @@ class TestNewtonDirection:
         few[rng.choice(m, 3, replace=False)] += 1.0 / 1e-2
         assert_dense_direction(ws, floor, g)   # no node off the floor
         assert_dense_direction(ws, few, g)
-        assert ws.floor == -2.0
+        assert ws.shift == -2.0
         inverse = ws.inverse
         assert_dense_direction(ws, few[::-1].copy(), g)
-        assert ws.inverse is inverse   # same floor: G is reused
+        assert ws.inverse is inverse   # same shift: G is reused
         assert np.array_equal(ws.k, k)
-        # a new floor rebuilds G and leaves K bit for bit as it was
+        # a new shift rebuilds G and leaves K bit for bit as it was
         assert_dense_direction(ws, few + 0.5, g)
-        assert ws.floor == -1.5 and ws.inverse is not inverse
+        assert ws.shift == -1.5 and ws.inverse is not inverse
         assert np.array_equal(ws.k, k)
 
     @pytest.mark.parametrize("kind", ["neumann", "matrix"])
@@ -317,25 +339,44 @@ class TestRun:
         assert excinfo.value.step_index is not None
         assert excinfo.value.residual_history
 
-    def test_roundoff_stall_names_newton_tol(self):
+    @pytest.mark.parametrize("y0", ["cosine", "random"])
+    def test_step_accepted_at_roundoff_floor(self, y0):
         # the largest eigenvalue of B^{2s} is about 1.6e9 here, so evaluating
-        # the residual leaves round-off above the default newton_tol of 1e-10
+        # the residual leaves round-off above the default newton_tol of 1e-10;
+        # Newton accepts the step there instead of stalling
         config = neumann_config(pot.make_potential("regular"), n=33, points=33, length=0.5,
                                 r=1.0, sigma=1.0, tau=0.0, lam=1 / 16, h=1 / 32, steps=1)
         grid = config.grid
         rng = np.random.default_rng(4)
-        data = st.ProblemData(
-            y0=sp.Field(rng.uniform(-0.5, 0.5, grid.size), grid),
-            source=st.DecaySource(sp.constant_field(0.0, grid),
-                                  sp.Field(rng.uniform(-0.5, 0.5, grid.size), grid), 1.0))
+        if y0 == "cosine":
+            data = st.ProblemData(y0=cosine_field(grid, [0.1, 0.4, 0.2]),
+                                  source=st.zero_source(grid))
+        else:
+            data = st.ProblemData(
+                y0=sp.Field(rng.uniform(-0.5, 0.5, grid.size), grid),
+                source=st.DecaySource(sp.constant_field(0.0, grid),
+                                      sp.Field(rng.uniform(-0.5, 0.5, grid.size), grid), 1.0))
+        traj = st.run(config, data)
+        assert traj.solver_stats[0].residual_potential > config.newton_tol
+        mass = sp.row_means(traj.y, grid) + traj.h * sp.row_means(traj.mu, grid)
+        assert abs(mass[1] - mass[0]) <= 1e-10
+        ledger = est.gronwall_ledger(traj)
+        scale = max(np.abs(ledger.terms[0]).max(), abs(ledger.rhs_bound[0]), est.SLACK_FLOOR)
+        assert ledger.slack[0] >= -1e-8 * scale
+
+    def test_failed_line_search_names_both_tolerances(self):
+        # a slope of the wrong sign makes the Newton direction an ascent direction
+        spec = dataclasses.replace(pot.make_potential("regular"),
+                                   yosida_slope=lambda lam, s: np.full_like(s, -100.0))
+        config = neumann_config(spec, steps=1)
+        data = st.ProblemData(y0=cosine_field(config.grid, [0.1, 0.4, 0.2]),
+                              source=st.zero_source(config.grid))
         with pytest.raises(st.StepError) as excinfo:
             st.run(config, data)
         residual = excinfo.value.residual_history[-1]
-        assert residual > config.newton_tol
-        assert str(excinfo.value).startswith(
-            f"Newton step stalled at residual {residual:.3e} above newton_tol 1.0e-10: "
-            "round-off")
-        assert str(excinfo.value).endswith("use a larger newton_tol")
+        message = str(excinfo.value)
+        assert message.startswith(f"Newton step could not reduce the residual {residual:.3e} "
+                                  "below newton_tol 1.0e-10 or its round-off floor ")
         assert excinfo.value.exit_code == 3
 
     def test_refinement_reduces_state_difference(self):
