@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -202,6 +203,12 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         collector.add("[scheme] newton_tol", "must be positive")
     if newton_max is not None and newton_max < 1:
         collector.add("[scheme] newton_max", "must be at least 1")
+    # a matrix operator's grid is known once build_problem reads its file
+    points = [op.grid_points for op in (op_a, op_b) if op is not None and op.kind != "matrix"]
+    if steps is not None and steps >= 0 and points:
+        too_large = _states_too_large(steps, max(points))
+        if too_large:
+            collector.add("[scheme] steps", too_large)
 
     unknown = set(parser.options("data")) - _DATA_KEYS
     for key in sorted(unknown):
@@ -273,6 +280,23 @@ def input_files(cfg: RunConfig) -> list:
     return paths
 
 
+def _states_too_large(steps: int, grid_size: int) -> Optional[str]:
+    """Why a run's states cannot fit into physical memory, or None when they can.
+
+    A run holds its states in two (steps + 1, grid_size) float arrays.
+    Where ``os.sysconf`` cannot tell the memory size, nothing is rejected.
+    """
+    try:
+        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+    need = 2 * (steps + 1) * grid_size * 8
+    if need <= total:
+        return None
+    return (f"{steps} steps on {grid_size} grid points need {need:.3g} bytes of states, "
+            f"more than the {total:.3g} bytes of physical memory")
+
+
 def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -297,6 +321,26 @@ def parse_number(token: str, where: str) -> float:
         raise ConfigurationError(f"{where}: cannot parse {token!r} as a finite number") from None
 
 
+def _read_numbers(path: str, what: str, ndmin: int) -> np.ndarray:
+    """The finite floats of a whitespace-separated text file, as ``np.loadtxt`` reads them.
+
+    A file that is missing, unreadable, empty, not numeric or not finite is
+    a :class:`ConfigurationError` naming ``what`` and the path; numpy's
+    warnings about it are raised rather than printed.
+    """
+    if not os.path.exists(path):
+        raise ConfigurationError(f"{what} not found: {path}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(path, dtype=float, ndmin=ndmin)
+    except (OSError, ValueError, Warning) as exc:
+        raise ConfigurationError(f"{what} {path} is not a table of numbers: {exc}") from None
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(f"{what} {path} holds a non-finite value")
+    return values
+
+
 def _build_field(descriptor: str, grid: sp.Grid, base_dir: str) -> sp.Field:
     tokens = descriptor.split()
     if not tokens:
@@ -318,9 +362,7 @@ def _build_field(descriptor: str, grid: sp.Grid, base_dir: str) -> sp.Field:
         if len(args) != 1:
             raise ConfigurationError("file descriptor takes one path")
         path = os.path.join(base_dir, args[0])
-        if not os.path.exists(path):
-            raise ConfigurationError(f"field file not found: {path}")
-        values = np.loadtxt(path, dtype=float).ravel()
+        values = _read_numbers(path, "field file", ndmin=1).ravel()
         if values.size != grid.size:
             raise ConfigurationError(
                 f"field file {path} has {values.size} values, grid has {grid.size}"
@@ -349,9 +391,7 @@ def _build_source(cfg: RunConfig, grid: sp.Grid):
         if len(tokens) != 2:
             raise ConfigurationError("tabulated descriptor takes one path")
         path = os.path.join(cfg.base_dir, tokens[1])
-        if not os.path.exists(path):
-            raise ConfigurationError(f"tabulated source file not found: {path}")
-        table = np.loadtxt(path, dtype=float, ndmin=2)
+        table = _read_numbers(path, "tabulated source file", ndmin=2)
         if table.shape[1] != grid.size + 1:
             raise ConfigurationError(
                 "tabulated source rows must be a time followed by nodal values"
@@ -365,6 +405,10 @@ def build_problem(cfg: RunConfig):
     """Materialize (SchemeConfig, ProblemData) from a parsed document."""
     op_a = _build_operator(cfg.operator_a, cfg.base_dir)
     op_b = _build_operator(cfg.operator_b, cfg.base_dir)
+    # parse_config has checked interval grids; a matrix grid is known only now
+    too_large = _states_too_large(cfg.steps, op_a.basis.grid.size)
+    if too_large:
+        raise ConfigurationError(f"[scheme] steps: {too_large}")
     spec = pot.make_potential(cfg.potential_name, **cfg.potential_params)
     scheme = st.SchemeConfig(
         op_A=op_a, op_B=op_b, spec=spec,
@@ -397,13 +441,12 @@ def snapshot_steps(descriptor: str, steps: int) -> list:
     if kind == "every":
         if count < 1:
             raise ConfigurationError("snapshot cadence must be at least 1")
-        chosen = set(range(0, steps + 1, count))
-    elif kind == "log":
+        chosen = list(range(0, steps + 1, count))
+        return chosen if chosen[-1] == steps else chosen + [steps]
+    if kind == "log":
         if count < 2:
             raise ConfigurationError("log schedule needs at least 2 snapshots")
         marks = np.round(np.geomspace(1, max(steps, 1), count - 1))
-        chosen = {0} | {int(v) for v in marks}
-    else:
-        raise ConfigurationError(f"unknown snapshot schedule kind {kind!r}")
-    chosen |= {0, steps}
-    return sorted(v for v in chosen if 0 <= v <= steps)
+        chosen = {0, steps} | {int(v) for v in marks}
+        return sorted(v for v in chosen if 0 <= v <= steps)
+    raise ConfigurationError(f"unknown snapshot schedule kind {kind!r}")

@@ -15,11 +15,14 @@ regularized convex part evaluates in primal form as
 
 which coincides with the infimal convolution of ``beta_hat`` with the
 scaled quadratic.  Each :class:`PotentialSpec` carries its own vectorized
-resolvent, Yosida map and Yosida slope.  :func:`make_potential` builds the
-four canonical splits with closed forms (the logarithmic graph is inverted
-by a safeguarded Newton iteration).  Any other graph enters through
-:func:`custom_potential`, which validates the split and supplies bracketing
-bisection, the difference quotient and centered differences.
+resolvent, Yosida map and Yosida slope.  The slope takes the Yosida value
+at the same points as well, so a caller holding ``beta_lam(s)`` gets the
+slope without a second resolvent solve: the quartic and logarithmic wells
+read ``J_lam(s)`` off that value in closed form.  :func:`make_potential`
+builds the four canonical splits with closed forms (the logarithmic graph
+is inverted by a safeguarded Newton iteration).  Any other graph enters
+through :func:`custom_potential`, which validates the split and supplies
+bracketing bisection, the difference quotient and centered differences.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ _FD_STEP = 1e-6  # centered-difference step for slopes without closed form
 
 #: A regularized map of a spec: (level, array of points) -> array of values.
 RegularizedMap = Callable[[float, np.ndarray], np.ndarray]
+#: The Yosida slope of a spec: (level, points, Yosida values there) -> slopes.
+SlopeMap = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -82,10 +87,13 @@ class PotentialSpec:
     functions; ``pi`` has Lipschitz constant ``lipschitz_pi``.  ``beta``
     maps an array of points of its domain to the arrays ``(lo, hi)`` of the
     ends of the (possibly degenerate, possibly unbounded) graph intervals
-    there.  ``resolvent``, ``yosida`` and ``yosida_slope`` map a level and
-    an array of points to ``J_lam``, ``beta_lam`` and the derivative of
-    ``beta_lam`` at those points.  Build specs with :func:`make_potential`
-    or :func:`custom_potential`.
+    there.  ``resolvent`` and ``yosida`` map a level and an array of points
+    to ``J_lam`` and ``beta_lam`` at those points.  ``yosida_slope`` maps a
+    level, the points and ``beta_lam`` at them to the derivative of
+    ``beta_lam`` there; a slope with a closed form in ``J_lam`` reads the
+    resolvent off the Yosida value instead of solving for it again, and the
+    others ignore the value.  Build specs with :func:`make_potential` or
+    :func:`custom_potential`.
     """
 
     beta_hat: Callable[[np.ndarray], np.ndarray]
@@ -96,7 +104,7 @@ class PotentialSpec:
     lipschitz_pi: float
     resolvent: RegularizedMap
     yosida: RegularizedMap
-    yosida_slope: RegularizedMap
+    yosida_slope: SlopeMap
     beta_domain: DomainInterval = DomainInterval()
     beta_hat_domain: DomainInterval = DomainInterval()
     #: set when the graph is a single-valued C^1 function on an open interval
@@ -122,8 +130,8 @@ def _regular_spec() -> PotentialSpec:
         arg = (s / lam) / (2.0 * (p / 3.0) ** 1.5)
         return 2.0 * np.sqrt(p / 3.0) * np.sinh(np.arcsinh(arg) / 3.0)
 
-    def yosida_slope(lam, s):
-        j = resolvent(lam, s)
+    def yosida_slope(lam, s, value):
+        j = np.cbrt(value)  # beta_lam(s) = beta(J) = J^3
         return 3.0 * j * j / (1.0 + 3.0 * lam * j * j)
 
     return PotentialSpec(
@@ -157,7 +165,9 @@ def _logarithmic_newton(lam, s, tol=1e-12, budget=100):
         lo = np.where(f <= 0, theta, lo)
         step = f / ((1.0 - t * t) + 2.0 * lam)
         candidate = theta - step
-        outside = (candidate <= lo) | (candidate >= hi)
+        # a node whose Newton step rounds away (f == 0 among them) keeps its
+        # theta, although theta is now an end of its bracket
+        outside = (candidate != theta) & ((candidate <= lo) | (candidate >= hi))
         theta = np.where(outside, 0.5 * (lo + hi), candidate)
     else:
         worst = float(np.max(np.abs(np.tanh(theta) + 2.0 * lam * theta - s)))
@@ -180,8 +190,9 @@ def _logarithmic_spec(c1: float) -> PotentialSpec:
         v = np.log((1.0 + y) / (1.0 - y))
         return v, v
 
-    def yosida_slope(lam, s):
-        j, _ = _logarithmic_newton(lam, s)
+    def yosida_slope(lam, s, value):
+        # value = 2*theta exactly, so tanh(value/2) is the resolvent bit for bit
+        j = np.tanh(0.5 * value)
         return 2.0 / ((1.0 - j * j) + 2.0 * lam)
 
     return PotentialSpec(
@@ -223,7 +234,7 @@ def _obstacle_spec(c2: float) -> PotentialSpec:
         beta_hat_domain=DomainInterval(-1.0, 1.0, True, True),
         resolvent=resolvent,
         yosida=_quotient(resolvent),
-        yosida_slope=lambda lam, s: np.where(np.abs(s) > 1.0, 1.0 / lam, 0.0),
+        yosida_slope=lambda lam, s, value: np.where(np.abs(s) > 1.0, 1.0 / lam, 0.0),
     )
 
 
@@ -247,8 +258,8 @@ def _nonunique_mu_spec() -> PotentialSpec:
         lipschitz_pi=0.0,
         resolvent=resolvent,
         yosida=_quotient(resolvent),
-        yosida_slope=lambda lam, s: np.where(np.abs(s) <= lam, 1.0 / lam,
-                                             2.0 / (1.0 + 2.0 * lam)),
+        yosida_slope=lambda lam, s, value: np.where(np.abs(s) <= lam, 1.0 / lam,
+                                                    2.0 / (1.0 + 2.0 * lam)),
     )
 
 
@@ -295,7 +306,7 @@ def custom_potential(**fields) -> PotentialSpec:
 
     yosida = _quotient(resolvent)
 
-    def yosida_slope(lam, s):
+    def yosida_slope(lam, s, value):
         return (yosida(lam, s + _FD_STEP) - yosida(lam, s - _FD_STEP)) / (2.0 * _FD_STEP)
 
     spec = PotentialSpec(resolvent=resolvent, yosida=yosida, yosida_slope=yosida_slope,
@@ -403,9 +414,9 @@ def _resolvent_bisection(spec, lam, s, budget=200):
     return out.reshape(s.shape)
 
 
-def _pointwise(fn: RegularizedMap, reg: YosidaRegularization, s):
+def _pointwise(fn, reg: YosidaRegularization, s, *values):
     # scalars map to floats, arrays to arrays of the same shape
-    out = fn(reg.lam, np.atleast_1d(np.asarray(s, dtype=float)))
+    out = fn(reg.lam, *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (s, *values)))
     return float(out[0]) if np.isscalar(s) else out
 
 
@@ -440,13 +451,15 @@ def yosida_primal(reg: YosidaRegularization, s) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def yosida_derivative(reg: YosidaRegularization, s) -> np.ndarray | float:
+def yosida_derivative(reg: YosidaRegularization, s, value) -> np.ndarray | float:
     """Pointwise derivative of the Yosida approximation, in [0, 1/lam].
 
-    At kinks of the piecewise-defined canonical graphs one of the one-sided
-    values is used; custom graphs use centered differences.
+    ``value`` is ``beta_lam(s)`` as :func:`yosida` returns it; the smooth
+    canonical wells take their slope from it without solving the resolvent
+    again.  At kinks of the piecewise-defined canonical graphs one of the
+    one-sided values is used; custom graphs use centered differences.
     """
-    return _pointwise(reg.spec.yosida_slope, reg, s)
+    return _pointwise(reg.spec.yosida_slope, reg, s, value)
 
 
 def graph_selection_residual(spec: PotentialSpec, y, xi):

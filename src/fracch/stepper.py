@@ -432,22 +432,27 @@ class _Workspace:
 def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarray):
     """Damped Newton for ``K d + beta_lam(y_prev + d) + pi(y_prev + d) = r``, from ``d``.
 
-    When the line search fails or ``newton_max`` is reached above
-    ``newton_tol``, the residual is accepted if it is finite and at its
-    round-off floor (see :meth:`_Workspace.roundoff_floor`).
+    Each residual evaluation solves the resolvent once, through
+    :func:`potentials.yosida`.  The Jacobian slope and the round-off floor
+    of an accepted iterate reuse the Yosida value of its residual, so no
+    iterate solves the resolvent twice.  When the line search fails or
+    ``newton_max`` is reached above ``newton_tol``, the residual is accepted
+    if it is finite and at its round-off floor (see
+    :meth:`_Workspace.roundoff_floor`).
     """
     cfg = ws.config
     reg = ws.reg
 
     def residual(dc):
+        # the residual at y_prev + dc and the Yosida value in it
         yc = y_prev + dc
-        return ws.k @ dc + pot.yosida(reg, yc) + cfg.spec.pi(yc) - r
+        beta = pot.yosida(reg, yc)
+        return ws.k @ dc + beta + cfg.spec.pi(yc) - r, beta
 
-    def floor_at(dc):
-        yc = y_prev + dc
-        return ws.roundoff_floor(dc, pot.yosida(reg, yc), cfg.spec.pi(yc), r)
+    def floor_at(dc, beta):
+        return ws.roundoff_floor(dc, beta, cfg.spec.pi(y_prev + dc), r)
 
-    g = residual(d)
+    g, beta = residual(d)
     res = ws.h_norm(g)
     history = [res]
     dampings = 0
@@ -455,18 +460,18 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
         if res <= cfg.newton_tol:
             return d, iteration, res, dampings
         y = y_prev + d
-        delta = ws.direction(pot.yosida_derivative(reg, y) + cfg.spec.pi_prime(y), g)
+        delta = ws.direction(pot.yosida_derivative(reg, y, beta) + cfg.spec.pi_prime(y), g)
         alpha = 1.0
         for _ in range(30):
             d_new = d + alpha * delta
-            g_new = residual(d_new)
+            g_new, beta_new = residual(d_new)
             res_new = ws.h_norm(g_new)
             if res_new < res:
                 break
             alpha *= 0.5
             dampings += 1
         else:
-            floor = floor_at(d)
+            floor = floor_at(d, beta)
             if res <= floor < math.inf:
                 return d, iteration, res, dampings
             raise StepError(
@@ -475,9 +480,9 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
                 "try a smaller step size or a larger regularization level",
                 residual_history=history,
             )
-        d, g, res = d_new, g_new, res_new
+        d, g, beta, res = d_new, g_new, beta_new, res_new
         history.append(res)
-    if res <= cfg.newton_tol or res <= floor_at(d) < math.inf:
+    if res <= cfg.newton_tol or res <= floor_at(d, beta) < math.inf:
         return d, cfg.newton_max, res, dampings
     raise StepError(
         f"Newton did not reach tolerance {cfg.newton_tol:.1e} in {cfg.newton_max} "

@@ -120,9 +120,9 @@ class TestParseConfig:
             cfgmod._build_field("sine 1 2", grid, ".")
 
     def test_snapshot_schedules(self):
-        every = cfgmod.snapshot_steps("every 10", 35)
-        assert every[0] == 0 and every[-1] == 35
-        assert 10 in every and 30 in every
+        assert cfgmod.snapshot_steps("every 10", 35) == [0, 10, 20, 30, 35]
+        assert cfgmod.snapshot_steps("every 10", 30) == [0, 10, 20, 30]
+        assert cfgmod.snapshot_steps("every 3", 0) == [0]
         log = cfgmod.snapshot_steps("log 5", 1000)
         assert log[0] == 0 and log[-1] == 1000
         assert len(log) <= 7
@@ -130,6 +130,18 @@ class TestParseConfig:
             cfgmod.snapshot_steps("weekly 2", 10)
         with pytest.raises(ConfigurationError, match="not an integer"):
             cfgmod.snapshot_steps("log many", 10)
+
+    def test_matrix_grid_beyond_memory_fails_before_running(self, tmp_path):
+        # a matrix operator's grid size is known only once its file is read
+        (tmp_path / "op.txt").write_text("3\n0 0 0\n0 1 0\n0 0 2\n")
+        section = "kind = neumann\nmodes = 12\nlength = 4.0\ngrid_points = 25\nexponent = 0.5\n"
+        doc = MINIMAL.replace(section, "kind = matrix\nmatrix_file = op.txt\nexponent = 0.5\n")
+        doc = doc.replace("steps = 120", f"steps = {10**19}").replace("y0 = cosine 0.1 0.4 0.2",
+                                                                      "y0 = constant 0.1")
+        cfg = cfgmod.parse_config(doc.replace("u_bump = cosine 0 0.05", "u_bump = constant 0"),
+                                  base_dir=str(tmp_path))
+        with pytest.raises(ConfigurationError, match="physical memory"):
+            cfgmod.build_problem(cfg)
 
 
 class TestSerialization:
@@ -384,6 +396,53 @@ class TestCliErrors:
         assert cli.main(argv or ["simulate", str(path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and '"exit_code": 2' in err[0] and token in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("descriptor", ["y0 = file input.txt",
+                                            "source = tabulated input.txt"])
+    @pytest.mark.parametrize("text, token", [("", "input.txt"), ("abc def\n", "input.txt"),
+                                             ("0.1 nan\n", "non-finite")])
+    def test_unreadable_input_file_exits_2(self, tmp_path, capsys, descriptor, text, token):
+        # an empty file once printed numpy's warning before the JSON line, and
+        # a non-numeric one ended in a ValueError traceback with exit 1
+        (tmp_path / "input.txt").write_text(text)
+        key = descriptor.split()[0]
+        doc = re.sub(rf"^{key} = .*$", descriptor, MINIMAL, count=1, flags=re.M)
+        path, out = write_config(tmp_path, doc=doc)
+        assert cli.main(["simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["exit_code"] == 2 and token in payload["message"]
+        assert not out.exists()
+
+    def test_empty_input_file_prints_one_line(self, tmp_path):
+        # numpy's warning goes to stderr through the warnings machinery,
+        # which the test runner turns into errors; a child process shows it
+        (tmp_path / "input.txt").write_text("")
+        path, out = write_config(tmp_path, doc=MINIMAL.replace("y0 = cosine 0.1 0.4 0.2",
+                                                               "y0 = file input.txt"))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "fracch.cli", "simulate", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["exit_code"] == 2
+
+    def test_step_count_beyond_memory_exits_2(self, tmp_path, capsys):
+        # rejected at parse time: only the rejection is run, never the steps
+        doc = MINIMAL.replace("steps = 120", "steps = 99999999999999999999") \
+                     .replace("snapshots = log 9", "snapshots = every 1")
+        path, out = write_config(tmp_path, doc=doc)
+        assert cli.main(["simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["exit_code"] == 2 and "] steps:" in payload["message"]
+        assert "physical memory" in payload["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [

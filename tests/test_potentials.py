@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from fracch import potentials as pot
 from fracch.errors import CoercivityError, ConfigurationError, DomainError
@@ -112,6 +114,45 @@ class TestResolvent:
         reg = pot.YosidaRegularization(pot.custom_potential(**QUADRATIC), 0.25)
         for s in (-2.0, -0.3, 0.0, 1.7):
             assert pot.resolvent(reg, s) == pytest.approx(s / 1.5, abs=1e-12)
+
+
+def logarithmic_defect(lam, s, value):
+    """``|tanh(theta) + 2 lam theta - s|`` at ``theta = value/2``, the resolvent's equation."""
+    theta = 0.5 * value
+    return np.abs(np.tanh(theta) + 2.0 * lam * theta - s)
+
+
+class TestLogarithmicResolvent:
+    @pytest.mark.parametrize("lam", [1e-1, 1e-4, 1e-6])
+    def test_exact_zero_beside_other_nodes(self, lam):
+        # s = 0 has residual exactly 0 at its first iterate; bisecting it back
+        # from (s + 1)/(2 lam) once held up the whole batch
+        s = np.array([0.0, 0.3, -0.55, 0.999, -0.999, -1.2, 0.02])
+        _, value = pot._logarithmic_newton(lam, s, budget=20)
+        assert value[0] == 0.0
+        assert np.all(logarithmic_defect(lam, s, value) <= 1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(exponent=hs.floats(-6.0, -1.0),
+           s=hs.lists(hs.one_of(hs.floats(-3.0, 3.0),
+                                hs.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -5e-324, 1e-13])),
+                      min_size=1, max_size=64))
+    def test_random_batches_converge_quickly(self, exponent, s):
+        # at most 14 Newton updates: the budget counts residual evaluations,
+        # and the last one only confirms convergence (s = 1 at lam = 1e-6
+        # takes all of them, its theta climbing by about 1/2 per update)
+        lam = 10.0 ** exponent
+        s = np.array(s)
+        _, value = pot._logarithmic_newton(lam, s, budget=15)
+        assert np.all(logarithmic_defect(lam, s, value) <= 1e-12)
+
+    @pytest.mark.parametrize("lam", [1e-1, 1e-4, 1e-8])
+    def test_slope_from_value_is_slope_from_resolvent(self, lam):
+        s = np.random.default_rng(7).uniform(-1.5, 1.5, 10000)
+        s = np.concatenate([s, [0.0, 1.0, -1.0, 1e-300, 0.999999]])
+        j, value = pot._logarithmic_newton(lam, s)
+        slope = ALL_SPECS["logarithmic"].yosida_slope(lam, s, value)
+        np.testing.assert_array_equal(slope, 2.0 / ((1.0 - j * j) + 2.0 * lam))
 
 
 class TestYosida:
@@ -312,7 +353,8 @@ class TestCustomPotential:
             # centered differences with step 1e-6, away from the kinks
             kink = self.KINKS.get(name, lambda lam: np.inf)(lam)
             away = np.abs(np.abs(s) - kink) > 1e-5
-            slope_gap = np.abs(generic.yosida_slope(lam, s) - spec.yosida_slope(lam, s))
+            slope_gap = np.abs(generic.yosida_slope(lam, s, generic.yosida(lam, s))
+                               - spec.yosida_slope(lam, s, spec.yosida(lam, s)))
             assert np.all(slope_gap[away] <= 1e-7 / lam)
 
     @pytest.mark.parametrize("name", list(ALL_SPECS))

@@ -70,7 +70,7 @@ def assert_matches_coupled_dense_oracle(spec, kind, tau):
         j11 = np.eye(m) / h
         j12 = np.eye(m) + a2
         j21 = (tau / h + shift) * np.eye(m) + b2 + np.diag(
-            pot.yosida_derivative(reg, yk) + spec.pi_prime(yk))
+            pot.yosida_derivative(reg, yk, pot.yosida(reg, yk)) + spec.pi_prime(yk))
         j22 = -np.eye(m)
         jac = np.block([[j11, j12], [j21, j22]])
         rhs = -np.concatenate([f1, f2])
@@ -367,7 +367,7 @@ class TestRun:
     def test_failed_line_search_names_both_tolerances(self):
         # a slope of the wrong sign makes the Newton direction an ascent direction
         spec = dataclasses.replace(pot.make_potential("regular"),
-                                   yosida_slope=lambda lam, s: np.full_like(s, -100.0))
+                                   yosida_slope=lambda lam, s, value: np.full_like(s, -100.0))
         config = neumann_config(spec, steps=1)
         data = st.ProblemData(y0=cosine_field(config.grid, [0.1, 0.4, 0.2]),
                               source=st.zero_source(config.grid))
