@@ -30,18 +30,17 @@ from .errors import ConfigurationError, FracchError, StepError
 
 
 def _simulate_into(config_path: str, out_dir: str | None):
-    run_cfg = cfgmod.load_config(config_path)
+    text, run_cfg = cfgmod.read_config(config_path)
     directory = out_dir or run_cfg.output_directory
     if directory is None:
         raise ConfigurationError(
             "no output directory: set [output] directory or pass --out"
         )
+    runio.check_run_target(directory)
     scheme, data = cfgmod.build_problem(run_cfg)
     snapshot_steps = cfgmod.snapshot_steps(run_cfg.snapshots, run_cfg.steps)
     cfgmod.input_files(run_cfg)  # an input outside the config's directory fails here
     traj = st.run(scheme, data)
-    with open(config_path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     meta = runio.write_run(directory, traj, run_cfg, text, snapshot_steps)
     return directory, traj, meta
 
@@ -87,10 +86,7 @@ def _cmd_longtime_report(args) -> int:
             raise ConfigurationError("pass a run directory or --config")
     stored = runio.load_run(directory)
     report = runio.stored_longtime_report(stored, window_fraction=args.window)
-    path = os.path.join(directory, "report.json")
-    runio.write_json(path, report)
-    with open(path, "r", encoding="utf-8") as fh:
-        sys.stdout.write(fh.read())
+    sys.stdout.write(runio.write_report(directory, report))
     return 0
 
 

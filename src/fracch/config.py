@@ -297,10 +297,14 @@ def _states_too_large(steps: int, grid_size: int) -> Optional[str]:
             f"more than the {total:.3g} bytes of physical memory")
 
 
+def read_config(path: str):
+    """The text of a run document and its :class:`RunConfig`, from one read."""
+    text = sp.read_text(path, "config file")
+    return text, parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
+
+
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    return read_config(path)[1]
 
 
 def _build_operator(section: OperatorSection, base_dir: str) -> sp.FractionalOperator:
@@ -328,13 +332,12 @@ def _read_numbers(path: str, what: str, ndmin: int) -> np.ndarray:
     a :class:`ConfigurationError` naming ``what`` and the path; numpy's
     warnings about it are raised rather than printed.
     """
-    if not os.path.exists(path):
-        raise ConfigurationError(f"{what} not found: {path}")
+    lines = sp.read_text(path, what).splitlines()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = np.loadtxt(path, dtype=float, ndmin=ndmin)
-    except (OSError, ValueError, Warning) as exc:
+            values = np.loadtxt(lines, dtype=float, ndmin=ndmin)
+    except (ValueError, Warning) as exc:
         raise ConfigurationError(f"{what} {path} is not a table of numbers: {exc}") from None
     if not np.all(np.isfinite(values)):
         raise ConfigurationError(f"{what} {path} holds a non-finite value")

@@ -1,10 +1,17 @@
 """Deterministic file output and reload of runs.
 
 Every number is serialized with 17 significant digits, which round-trips
-doubles exactly.  A run directory contains the verbatim configuration, a
+doubles exactly.  A finite float array is formatted a row at a time
+through one ``'%.17g'`` template per row; any other value, a non-finite
+array among them, goes element by element, with the same bytes either
+way.  A run directory contains the verbatim configuration, a
 per-step scalar table, the energy ledger, field snapshots at the
 configured schedule, a metadata file and a gnuplot script referencing the
-tables.  Nothing time- or host-dependent is ever written.  The long-time
+tables.  Nothing time- or host-dependent is ever written.  A run
+directory is written into a temporary sibling and swapped in as a whole
+once complete, so a failure midway leaves the previous directory intact
+and no file of an earlier run survives a rerun; ``report.json`` is
+replaced through a temporary file in the same way.  The long-time
 report of a stored run is :func:`longtime.longtime_report` fed with the
 reloaded tables, which are bit-identical to what the fresh run computed;
 analyzing a reloaded run therefore reproduces the fresh analysis byte for
@@ -16,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import tempfile
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -28,6 +36,8 @@ from . import stepper as st
 from .errors import ConfigurationError
 
 TRAJECTORY_COLUMNS = longtime.TRAJECTORY_COLUMNS
+RUN_SCHEMA = "fracch-run/1"
+TEMP_PREFIX = ".fracch-"
 
 
 def fmt(x) -> str:
@@ -54,6 +64,8 @@ def _json_value(obj) -> str:
             return '"inf"' if v > 0 else '"-inf"'
         return fmt(v)
     if isinstance(obj, np.ndarray):
+        if obj.ndim and obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return _float_rows(obj, "[" + ", ".join(["%.17g"] * obj.shape[-1]) + "]")
         # row by row: a whole-matrix tolist() would hold every element as a float object
         return _json_value(obj.tolist() if obj.ndim <= 1 else list(obj))
     if isinstance(obj, (list, tuple)):
@@ -64,10 +76,52 @@ def _json_value(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def write_json(path, obj) -> None:
+def _float_rows(array: np.ndarray, row_template: str) -> str:
+    """A finite float array as ``_json_value`` writes its list: one
+    ``'%.17g'`` template per row, which formats exactly like :func:`fmt`."""
+    if array.ndim == 1:
+        return row_template % tuple(array.tolist())
+    return "[" + ", ".join(_float_rows(sub, row_template) for sub in array) + "]"
+
+
+def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_value(obj))
-        fh.write("\n")
+        fh.write(text)
+
+
+def write_json(path, obj) -> None:
+    _write_text(path, _json_value(obj) + "\n")
+
+
+def _umask_mode(mode: int) -> int:
+    """``mode`` less the process umask: what ``open`` or ``os.makedirs`` would give."""
+    umask = os.umask(0o022)
+    os.umask(umask)
+    return mode & ~umask
+
+
+def write_report(directory, report: dict) -> str:
+    """Write ``report.json`` into a run directory; returns the text written.
+
+    The text goes to a temporary file in the directory, which is then renamed
+    over ``report.json``: a reader sees the old report or the new one, never
+    a part of either.
+    """
+    text = _json_value(report) + "\n"
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=TEMP_PREFIX)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.chmod(tmp, _umask_mode(0o666))
+        os.replace(tmp, os.path.join(directory, "report.json"))
+        tmp = None
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write report.json into {directory}: {exc}") from None
+    finally:
+        if tmp is not None:
+            os.remove(tmp)
+    return text
 
 
 def trajectory_rows(traj: st.DiscreteTrajectory) -> np.ndarray:
@@ -101,10 +155,88 @@ plot 'ledger.tsv' using 1:11 with lines title 'ledger slack'
 """
 
 
+def check_run_target(directory) -> None:
+    """Raise :class:`ConfigurationError` unless :func:`write_run` may replace ``directory``.
+
+    A run directory is replaced as a whole, so the target must not exist
+    yet, or be an empty directory, or hold a run: a ``meta.json`` whose
+    ``schema`` is :data:`RUN_SCHEMA`.  The working directory and the
+    directories above it are never replaced.
+    """
+    target = os.path.realpath(directory)
+    if os.path.commonpath([target, os.getcwd()]) == target:
+        raise ConfigurationError(f"output directory {directory} is or contains the "
+                                 "working directory, which a run cannot replace")
+    if not os.path.exists(target):
+        ancestor = os.path.dirname(target)
+        while not os.path.exists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            raise ConfigurationError(f"output directory {directory} lies under "
+                                     f"{ancestor}, which is not a directory")
+        return
+    if not os.path.isdir(target):
+        raise ConfigurationError(f"output directory {directory} exists and is not a directory")
+    try:
+        if not os.listdir(target):
+            return
+        with open(os.path.join(target, "meta.json"), "r", encoding="utf-8") as fh:
+            if json.load(fh).get("schema") == RUN_SCHEMA:
+                return
+    except (OSError, ValueError, AttributeError):
+        pass
+    raise ConfigurationError(f"output directory {directory} is neither empty nor a run "
+                             f"directory (a meta.json of schema {RUN_SCHEMA}); a run "
+                             "replaces its directory as a whole, so it is left alone")
+
+
+def _swap_in(staging: str, target: str) -> None:
+    """Put the directory ``staging`` at ``target``, deleting what was there."""
+    if not os.path.exists(target):
+        os.rename(staging, target)
+        return
+    # a directory cannot be renamed over a non-empty one: move the old run aside first
+    aside = tempfile.mkdtemp(dir=os.path.dirname(target), prefix=TEMP_PREFIX)
+    os.rename(target, os.path.join(aside, "old"))
+    try:
+        os.rename(staging, target)
+    except OSError:
+        os.rename(os.path.join(aside, "old"), target)
+        os.rmdir(aside)
+        raise
+    shutil.rmtree(aside)
+
+
 def write_run(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
               config_text: str, snapshot_steps: List[int]) -> dict:
-    """Write the full run directory; returns the metadata dictionary."""
-    os.makedirs(directory, exist_ok=True)
+    """Write the full run directory; returns the metadata dictionary.
+
+    The files go to a temporary sibling of ``directory``, which replaces
+    ``directory`` only once every file is written; a failure midway leaves
+    ``directory`` as it was.  See :func:`check_run_target` for what may be
+    replaced.
+    """
+    target = os.path.realpath(directory)
+    parent = os.path.dirname(target)
+    staging = None
+    try:
+        os.makedirs(parent, exist_ok=True)
+        staging = tempfile.mkdtemp(dir=parent, prefix=TEMP_PREFIX)
+        os.chmod(staging, _umask_mode(0o777))
+        meta = _write_files(staging, traj, run_cfg, config_text, snapshot_steps)
+        check_run_target(directory)
+        _swap_in(staging, target)
+        staging = None
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write run directory {directory}: {exc}") from None
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
+    return meta
+
+
+def _write_files(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
+                 config_text: str, snapshot_steps: List[int]) -> dict:
     config = traj.config
     rows = trajectory_rows(traj)
     _write_table(os.path.join(directory, "trajectory.csv"), TRAJECTORY_COLUMNS, rows, ",")
@@ -135,7 +267,7 @@ def write_run(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
     columns = dict(zip(TRAJECTORY_COLUMNS, rows.T))
     mean_y = columns["mean_y"]
     meta = {
-        "schema": "fracch-run/1",
+        "schema": RUN_SCHEMA,
         "seed": run_cfg.seed,
         "h": traj.h,
         "steps": traj.steps,
@@ -148,15 +280,12 @@ def write_run(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
         "newton_iterations_max": int(columns["newton_iters"].max()),
     }
     write_json(os.path.join(directory, "meta.json"), meta)
-    with open(os.path.join(directory, "config.ini"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(config_text)
+    _write_text(os.path.join(directory, "config.ini"), config_text)
     for path in cfgmod.input_files(run_cfg):
-        source, target = os.path.join(run_cfg.base_dir, path), os.path.join(directory, path)
+        target = os.path.join(directory, path)
         os.makedirs(os.path.dirname(target), exist_ok=True)
-        if not (os.path.exists(target) and os.path.samefile(source, target)):
-            shutil.copyfile(source, target)
-    with open(os.path.join(directory, "plot.gp"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PLOT_SCRIPT)
+        shutil.copyfile(os.path.join(run_cfg.base_dir, path), target)
+    _write_text(os.path.join(directory, "plot.gp"), PLOT_SCRIPT)
     return meta
 
 

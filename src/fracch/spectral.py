@@ -279,10 +279,24 @@ def build_matrix_basis(matrix: np.ndarray) -> EigenBasis:
     return EigenBasis(lambdas, modes, index_grid(m.shape[0]), "matrix")
 
 
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of an input file.
+
+    A path that is missing, a directory, unreadable or not UTF-8 is a
+    :class:`ConfigurationError` naming ``what`` and the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ConfigurationError(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from None
+
+
 def load_matrix_file(path) -> np.ndarray:
     """Read a dense operator matrix: first line n, then n rows of n reals."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
+    tokens = read_text(path, "matrix file").split()
     if not tokens:
         raise ConfigurationError(f"matrix file {path} is empty")
     try:

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -169,6 +170,26 @@ def write_config(tmp_path, name="run.ini", doc=None):
     return path, out
 
 
+def tree(directory):
+    """Every directory and file under ``directory``, with the bytes of each file."""
+    found = {}
+    for base, _, names in os.walk(directory):
+        found[os.path.relpath(base, directory)] = None
+        for name in names:
+            with open(os.path.join(base, name), "rb") as fh:
+                found[os.path.relpath(os.path.join(base, name), directory)] = fh.read()
+    return found
+
+
+def no_steps(*args):
+    raise AssertionError("stepped")
+
+
+MATRIX_OPERATOR = MINIMAL.replace(
+    "kind = neumann\nmodes = 12\nlength = 4.0\ngrid_points = 25\nexponent = 0.5\n\n[operator_b]",
+    "kind = matrix\nmatrix_file = bad\nexponent = 0.5\n\n[operator_b]", 1)
+
+
 class TestRunDirectory:
     def test_simulate_writes_everything(self, tmp_path):
         path, out = write_config(tmp_path)
@@ -265,10 +286,6 @@ class TestRunDirectory:
         (tmp_path / "cfg").mkdir()
         doc = MINIMAL.replace("y0 = cosine 0.1 0.4 0.2", "y0 = file ../y0.txt")
         path, out = write_config(tmp_path / "cfg", doc=doc)
-
-        def no_steps(*args):
-            raise AssertionError("stepped")
-
         with monkeypatch.context() as patch:
             patch.setattr(st, "run", no_steps)
             assert cli.main(["simulate", str(path)]) == 2
@@ -278,6 +295,77 @@ class TestRunDirectory:
         path.write_text(path.read_text().replace("../y0.txt", str(tmp_path / "y0.txt")))
         assert cli.main(["simulate", str(path)]) == 0
         assert cli.main(["longtime-report", str(out)]) == 0
+
+    def test_failed_write_leaves_previous_run_intact(self, tmp_path, monkeypatch):
+        path, out = write_config(tmp_path)
+        assert cli.main(["simulate", str(path)]) == 0
+        assert cli.main(["longtime-report", str(out)]) == 0
+        before = tree(tmp_path)
+        write_table, calls = runio._write_table, []
+
+        def write_two_tables(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("disk gone")
+            write_table(*args)
+
+        monkeypatch.setattr(runio, "_write_table", write_two_tables)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            cli.main(["simulate", str(path)])
+        # the old run, its report included, and no half-written sibling
+        assert tree(tmp_path) == before
+
+    def test_rerun_in_place_replaces_the_whole_directory(self, tmp_path, capsys):
+        grid = sp.interval_grid(4.0, 25)
+        (tmp_path / "data").mkdir()
+        np.savetxt(tmp_path / "data" / "y0.txt", 0.1 + 0.4 * np.cos(np.pi * grid.x / 4.0))
+        doc = MINIMAL.replace("y0 = cosine 0.1 0.4 0.2", "y0 = file data/y0.txt")
+        path, out = write_config(tmp_path, doc=doc)
+        out.mkdir()  # an empty directory may be replaced
+        assert cli.main(["simulate", str(path)]) == 0
+        run = tree(out)
+        assert cli.main(["longtime-report", str(out)]) == 0
+        # relative inputs are read from the stored run before it is replaced
+        assert cli.main(["simulate", str(out / "config.ini"), "--out", str(out)]) == 0
+        assert tree(out) == run  # report.json of the earlier run does not survive
+        assert sorted(os.listdir(tmp_path)) == ["data", "out", "run.ini"]
+        umask = os.umask(0o022)
+        os.umask(umask)
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o777 & ~umask
+        assert stat.S_IMODE(os.stat(out / "meta.json").st_mode) == 0o666 & ~umask
+        capsys.readouterr()
+        assert cli.main(["longtime-report", str(out)]) == 0
+        assert capsys.readouterr().out == (out / "report.json").read_text()
+        assert stat.S_IMODE(os.stat(out / "report.json").st_mode) == 0o666 & ~umask
+        assert set(tree(out)) == set(run) | {"report.json"}  # no temporary file left
+
+    @pytest.mark.parametrize("target, token", [
+        ("working directory", "working directory"),
+        ("config directory", "neither empty nor a run"),
+        ("directory of another schema", "neither empty nor a run"),
+        ("config file", "not a directory"),
+        ("path under a file", "not a directory"),
+    ])
+    def test_output_that_is_no_run_exits_2_before_running(self, tmp_path, capsys,
+                                                           monkeypatch, target, token):
+        path, _ = write_config(tmp_path)
+        (tmp_path / "here").mkdir()
+        (tmp_path / "other").mkdir()
+        (tmp_path / "other" / "meta.json").write_text('{"schema": "notes/1"}')
+        out = {"working directory": ".", "config directory": str(tmp_path),
+               "config file": str(path), "path under a file": str(path / "run"),
+               "directory of another schema": str(tmp_path / "other")}[target]
+        if target == "working directory":
+            monkeypatch.chdir(tmp_path / "here")  # empty, yet never replaced
+        before = tree(tmp_path)
+        monkeypatch.setattr(st, "run", no_steps)
+        assert cli.main(["simulate", str(path), "--out", out]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["exit_code"] == 2 and token in payload["message"]
+        assert tree(tmp_path) == before
 
     def test_zero_data_config_writes_zero_tables(self, tmp_path):
         doc = MINIMAL.replace("y0 = cosine 0.1 0.4 0.2", "y0 = constant 0") \
@@ -461,6 +549,29 @@ class TestCliErrors:
         assert captured.out == "" and len(err) == 1
         payload = json.loads(err[0])
         assert payload["exit_code"] == 2 and f"] {key}:" in payload["message"]
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("reader", ["config", "matrix_file"])
+    @pytest.mark.parametrize("case", ["missing", "directory", "not UTF-8"])
+    def test_unreadable_config_or_matrix_file_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                      reader, case):
+        bad = tmp_path / "bad"
+        if case == "directory":
+            bad.mkdir()
+        elif case == "not UTF-8":
+            bad.write_bytes(b"\xff\xfe\x00\x01")
+        if reader == "config":
+            path, out = bad, tmp_path / "out"
+        else:
+            path, out = write_config(tmp_path, doc=MATRIX_OPERATOR)
+        monkeypatch.setattr(st, "run", no_steps)
+        assert cli.main(["simulate", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["exit_code"] == 2 and str(bad) in payload["message"]
         assert not out.exists()
 
 

@@ -6,16 +6,19 @@ initial state and a decaying source, runs the scheme, and checks the
 energy ledger against a plain Field-by-Field evaluation, the exact mass
 identity and the ledger slack.  The regularization examples draw a graph,
 two points and a level, and check the resolvent and Yosida identities.
-The examples are derandomized so that the suite gives the same verdict on
+The serialization examples draw float arrays and check that the JSON of an
+array is the JSON of its nested list.  The examples are derandomized so that the suite gives the same verdict on
 every run.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hs
+from hypothesis.extra import numpy as hnp
 
 from fracch import estimates as est
 from fracch import potentials as pot
+from fracch import runio
 from fracch import spectral as sp
 from fracch import stepper as st
 
@@ -194,3 +197,28 @@ def test_regularization_identities(name, s, t, log_lam):
     assert abs(j[1] - j[0]) <= abs(t - s) + 2 * err
     assert (beta[1] - beta[0]) * np.sign(t - s) >= -2 * beta_err
     assert abs(beta[1] - beta[0]) <= abs(t - s) / lam + 2 * beta_err
+
+
+# signed zeros, subnormals, integral values and extreme exponents
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                  -1e-300, 1e22, float(2**53), 1.0, -3.0)
+
+
+def float_arrays(finite):
+    return hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                                   max_side=5),
+                      elements=hs.floats(allow_nan=not finite, allow_infinity=not finite)
+                      | hs.sampled_from(SPECIAL_FLOATS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(array=hs.booleans().flatmap(float_arrays))
+# empty shapes, and non-finite entries that must take the element-wise path
+@example(array=np.zeros((0,)))
+@example(array=np.zeros((0, 3)))
+@example(array=np.zeros((3, 0)))
+@example(array=np.array([[0.5, np.nan], [-np.inf, -0.0]]))
+@example(array=np.array([[[1.0, np.inf]], [[2.0, 3.0]]]))
+def test_float_array_json_matches_its_list(array):
+    # the nested-list path is the element-wise serializer, kept as the oracle
+    assert runio._json_value(array) == runio._json_value(array.tolist())
