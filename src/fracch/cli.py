@@ -6,8 +6,8 @@ Subcommands: ``simulate`` runs the scheme and writes a run directory;
 ``example-best`` verifies the nonunique-multiplier family; ``sweep``
 refines the step size and the regularization level dyadically and
 writes the convergence table.  Errors exit with 2 (configuration),
-3 (numerics) or 4 (hypothesis violation) and print a one-line JSON
-description to stderr.
+3 (numerics, a floating-point overflow or invalid operation among them) or
+4 (hypothesis violation) and print a one-line JSON description to stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import potentials as pot
 from . import runio
 from . import spectral as sp
 from . import stepper as st
-from .errors import ConfigurationError, FracchError, StepError
+from .errors import ConfigurationError, FracchError, NumericalError, StepError
 
 
 def _simulate_into(config_path: str, out_dir: str | None):
@@ -205,14 +205,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except FracchError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc),
-                   "exit_code": exc.exit_code}
-        if isinstance(exc, StepError):
-            payload.update(step_index=exc.step_index, residual_history=exc.residual_history)
-        sys.stderr.write(runio._json_value(payload) + "\n")
-        return exc.exit_code
+        # an overflow, a division by zero or an invalid operation means the
+        # input's scales left double precision: a numerical failure, never a
+        # warning printed beside a result
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.fn(args)
+    except (FloatingPointError, OverflowError) as fault:
+        exc = NumericalError(
+            f"floating-point failure ({fault}): the step size, regularization level, "
+            "interval lengths, exponents or data leave the range of double precision")
+    except FracchError as caught:
+        exc = caught
+    payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code}
+    if isinstance(exc, StepError):
+        payload.update(step_index=exc.step_index, residual_history=exc.residual_history)
+    sys.stderr.write(runio._json_value(payload) + "\n")
+    return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -317,6 +317,7 @@ class FractionalOperator:
 
     basis: EigenBasis
     exponent: float
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.exponent > 0:
@@ -327,14 +328,18 @@ class FractionalOperator:
         return float(self.basis.lambdas[0])
 
     def power_weights(self, multiplier: float = 1.0) -> np.ndarray:
-        """Eigenvalue weights ``lambda_j**(exponent*multiplier)``.
+        """Eigenvalue weights ``lambda_j**(exponent*multiplier)``, read-only.
 
-        Zero eigenvalues map to zero weight for any positive power.
+        Zero eigenvalues map to zero weight for any power.  The weights are
+        computed once per multiplier and shared by every later call.
         """
-        p = self.exponent * multiplier
-        lam = self.basis.lambdas
-        with np.errstate(divide="ignore"):
-            weights = np.where(lam > 0.0, lam**p, 0.0)
+        weights = self._weights.get(multiplier)
+        if weights is None:
+            lam = self.basis.lambdas
+            with np.errstate(divide="ignore"):
+                weights = np.where(lam > 0.0, lam**(self.exponent * multiplier), 0.0)
+            weights.flags.writeable = False
+            self._weights[multiplier] = weights
         return weights
 
 
@@ -379,6 +384,7 @@ def dual_norms(op: FractionalOperator, coefficients: np.ndarray) -> np.ndarray:
     """
     weights = op.power_weights(-1.0)
     if op.lambda1 == 0.0:
+        weights = weights.copy()
         weights[0] = 1.0
     return np.sqrt(np.sum((weights * coefficients) ** 2, axis=-1))
 

@@ -23,6 +23,9 @@ smallest slope ``c`` (the obstacle well, whose Yosida slope is 0 or
 1/lam), the direction is the Woodbury correction of ``G = (K + c I)^(-1)``
 on those nodes: ``G`` is inverted once per run and again only when ``c``
 changes, and each iteration solves a system the size of that node set.
+The obstacle slope changes only where the contact set does, so the
+columns of ``G`` on that set and the small system's matrix are kept from
+one iteration and one step to the next until the set or its slopes move.
 Otherwise (the smooth wells, whose slope differs from node to node) the
 Jacobian is factored by dense LU.  Either way each iteration makes exactly
 one ``numpy.linalg.solve`` call.  Newton stops once the residual is at most
@@ -364,11 +367,18 @@ class _Workspace:
     carries the shift ``L = Lip(pi) + 1`` and ``c >= -Lip(pi)``.  The
     capacitance matrix ``I + E G[off, off]`` is ``E (E^(-1) + G[off, off])``
     without the division, so a slope gap that rounds to a subnormal cannot
-    overflow.  More nodes above ``c`` take the dense LU of
-    ``K + diag(slope)``.  Both branches make one ``numpy.linalg.solve``
-    call, the capacitance solve running even for an empty ``off``, so that
-    a count of linear solves (the benchmark's trace) equals the Newton
-    iteration count.
+    overflow.  ``active`` keeps the factors of the last call, the columns
+    ``G[:, off]`` as one contiguous copy and the capacitance matrix, under
+    the key ``(off, slope[off] - c)`` for the cached shift.  A call whose
+    key equals it bit for bit reuses them; any other key rebuilds them from
+    ``G``, and a new shift drops them before ``G`` is inverted again, so a
+    failed inversion leaves no factors behind.  A hit feeds the same arrays
+    to the same products, so its direction is the rebuilt one bit for bit.
+    More nodes above ``c`` take the dense LU of ``K + diag(slope)``, which
+    leaves the factors in place.  Both branches make one
+    ``numpy.linalg.solve`` call, the capacitance solve running even for an
+    empty ``off`` and on every hit, so that a count of linear solves (the
+    benchmark's trace) equals the Newton iteration count.
     """
 
     def __init__(self, config: SchemeConfig):
@@ -386,6 +396,7 @@ class _Workspace:
         self.reg = config.regularization
         self.inverse = None   # G = (K + c I)^(-1) for the cached shift c
         self.shift = np.nan
+        self.active = None    # (off, excess, G[:, off], capacitance) of the last set
 
     def direction(self, slope: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Newton direction: the solution of ``(K + diag(slope)) delta = -g``."""
@@ -396,7 +407,9 @@ class _Workspace:
             jac[self.diagonal] += slope
             return np.linalg.solve(jac, -g)
         if c != self.shift:
-            self.inverse = None
+            # drop every factor of the old G before inverting, so that a
+            # failed inversion leaves nothing to hit
+            self.inverse, self.shift, self.active = None, np.nan, None
             # shift K in place and restore its diagonal exactly: a copy of K
             # would hold one more m x m array at the run's peak
             diagonal = self.k[self.diagonal]
@@ -406,11 +419,16 @@ class _Workspace:
             finally:
                 self.k[self.diagonal] = diagonal
             self.shift = c
-        x = self.inverse @ -g
         excess = slope[off] - c
-        capacitance = excess[:, None] * self.inverse[np.ix_(off, off)]
-        capacitance[np.diag_indices_from(capacitance)] += 1.0
-        return x - self.inverse[:, off] @ np.linalg.solve(capacitance, excess * x[off])
+        if (self.active is None or not np.array_equal(self.active[0], off)
+                or not np.array_equal(self.active[1], excess)):
+            columns = self.inverse[:, off]
+            capacitance = excess[:, None] * columns[off]
+            capacitance[np.diag_indices_from(capacitance)] += 1.0
+            self.active = (off, excess, columns, capacitance)
+        _, _, columns, capacitance = self.active
+        x = self.inverse @ -g
+        return x - columns @ np.linalg.solve(capacitance, excess * x[off])
 
     def h_norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(np.sum(self.w * v * v)))

@@ -7,15 +7,27 @@ energy ledger against a plain Field-by-Field evaluation, the exact mass
 identity and the ledger slack.  The regularization examples draw a graph,
 two points and a level, and check the resolvent and Yosida identities.
 The serialization examples draw float arrays and check that the JSON of an
-array is the JSON of its nested list.  The examples are derandomized so that the suite gives the same verdict on
+array is the JSON of its nested list.  The Newton-direction examples check
+the reduced branch against the dense solve, and a workspace that reuses its
+active-set factors against a fresh one, bit for bit.  The fuzzing examples
+mutate a small run document and hold ``cli.main`` to its input contract.
+The examples are derandomized so that the suite gives the same verdict on
 every run.
 """
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hs
 from hypothesis.extra import numpy as hnp
 
+from fracch import cli
 from fracch import estimates as est
 from fracch import potentials as pot
 from fracch import runio
@@ -131,6 +143,16 @@ def test_ledger_mass_and_slack_on_random_problems(problem):
         assert np.abs(mass - mass[0]).max() <= 1e-10
 
 
+def direction_config(kind, points, exponent):
+    """An obstacle scheme on an interval basis, for Newton directions alone."""
+    modes = points - 2 if kind == "dirichlet" else points
+    basis = sp.build_interval_basis(kind, modes, 2.0, points)
+    return st.SchemeConfig(
+        op_A=sp.FractionalOperator(basis, exponent), op_B=sp.FractionalOperator(basis, exponent),
+        spec=pot.make_potential("obstacle", c2=1.0), yosida_lambda=1e-2, tau=0.5, h=0.02,
+        steps=1)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(kind=hs.sampled_from(("neumann", "dirichlet")), points=hs.integers(5, 33),
        exponent=hs.floats(0.1, 1.0), levels=hs.lists(hs.floats(0.0, 1e3), min_size=2,
@@ -138,13 +160,7 @@ def test_ledger_mass_and_slack_on_random_problems(problem):
        data=hs.data())
 def test_newton_direction_matches_dense_solve(kind, points, exponent, levels, data):
     # piecewise-constant slopes above -Lip(pi), like the obstacle's pi' + {0, 1/lam}
-    modes = points - 2 if kind == "dirichlet" else points
-    basis = sp.build_interval_basis(kind, modes, 2.0, points)
-    config = st.SchemeConfig(
-        op_A=sp.FractionalOperator(basis, exponent), op_B=sp.FractionalOperator(basis, exponent),
-        spec=pot.make_potential("obstacle", c2=1.0), yosida_lambda=1e-2, tau=0.5, h=0.02,
-        steps=1)
-    ws = st._Workspace(config)
+    ws = st._Workspace(direction_config(kind, points, exponent))
     k = ws.k.copy()
     index = data.draw(hs.lists(hs.integers(0, len(levels) - 1), min_size=points,
                                max_size=points))
@@ -154,6 +170,29 @@ def test_newton_direction_matches_dense_solve(kind, points, exponent, levels, da
     delta = ws.direction(slope, g)
     assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
     assert np.array_equal(ws.k, k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=hs.sampled_from(("neumann", "dirichlet")), points=hs.integers(5, 17),
+       exponent=hs.floats(0.1, 1.0), data=hs.data())
+def test_cached_newton_direction_matches_a_fresh_workspace(kind, points, exponent, data):
+    # two-valued slopes like the obstacle's pi' + {0, 1/lam}, drawn from a few
+    # contact sets, floors and gaps, so that whole cache keys repeat in the
+    # sequence; with more than half of the nodes in contact a call takes the
+    # dense branch in between
+    config = direction_config(kind, points, exponent)
+    ws = st._Workspace(config)
+    contact = data.draw(hs.lists(hs.lists(hs.booleans(), min_size=points, max_size=points),
+                                 min_size=1, max_size=3))
+    calls = data.draw(hs.lists(hs.tuples(hs.integers(0, len(contact) - 1),
+                                         hs.sampled_from((-2.0, -1.5)),
+                                         hs.sampled_from((1e2, 1e3))),
+                               min_size=2, max_size=8))
+    rng = np.random.default_rng(points)
+    for index, floor, gap in calls:
+        slope = np.where(contact[index], floor + gap, floor)
+        g = rng.normal(size=points)
+        assert np.array_equal(ws.direction(slope, g), st._Workspace(config).direction(slope, g))
 
 
 GRAPHS = {name: pot.make_potential(name, **params) for name, params in (
@@ -222,3 +261,106 @@ def float_arrays(finite):
 def test_float_array_json_matches_its_list(array):
     # the nested-list path is the element-wise serializer, kept as the oracle
     assert runio._json_value(array) == runio._json_value(array.tolist())
+
+
+# the fuzzed document: grid 9, 4 steps; each entry lists the values a mutation
+# may give that key, valid ones first.  The one huge step count exceeds any
+# physical memory, so it is only ever rejected at parse time, never run.
+FUZZ_BASE = {
+    ("operator_a", "kind"): ("neumann", "dirichlet", "matrix", "spiral"),
+    ("operator_a", "modes"): ("6", "1", "2", "9", "17", "0", "-1", "4.5"),
+    ("operator_a", "length"): ("4.0", "1e-3", "1e3", "0", "-1"),
+    ("operator_a", "grid_points"): ("9", "2", "3", "17", "1", "0", "-5"),
+    ("operator_a", "exponent"): ("0.5", "0.1", "1.0", "2.5", "0", "-0.5"),
+    ("operator_b", "kind"): ("neumann", "dirichlet", "matrix", "spiral"),
+    ("operator_b", "modes"): ("6", "1", "9", "17", "0"),
+    ("operator_b", "length"): ("4.0", "2.0", "0"),
+    ("operator_b", "grid_points"): ("9", "17", "5", "0"),
+    ("operator_b", "exponent"): ("0.5", "1.0", "3.0", "0"),
+    # a potential's name comes with the parameters it takes, on the next line
+    ("potential", "name"): ("obstacle\nc2 = 1.0", "logarithmic\nc1 = 1.1", "regular",
+                            "example_best", "obstacle\nc2 = 5.0", "logarithmic\nc1 = 2.0",
+                            "obstacle\nc2 = 0", "obstacle\nc2 = 1e308", "obstacle\nc2 = nan",
+                            "logarithmic\nc1 = 0.5", "logarithmic", "regular\nc2 = 1.0",
+                            "obstacle\nc1 = 1.1\nc2 = 1.0", "quartic"),
+    ("scheme", "tau"): ("0.25", "0", "1", "1.5", "-0.1"),
+    ("scheme", "yosida_lambda"): ("1e-3", "1e-8", "10", "0", "-1e-3"),
+    ("scheme", "h"): ("0.01", "1e-6", "10", "0", "-1"),
+    ("scheme", "steps"): ("4", "0", "1", "5", "-1", "99999999999999999999"),
+    ("scheme", "newton_tol"): ("1e-10", "1e-14", "1e-2", "1e-300", "0", "-1"),
+    ("scheme", "newton_max"): ("50", "1", "2", "0", "-3"),
+    ("data", "y0"): ("cosine 0.1 0.4 0.2", "constant 0", "constant 0.99", "constant 1",
+                     "constant 2", "cosine 0.5 0.6", "cosine", "constant", "file absent.txt",
+                     "wave 1"),
+    ("data", "source"): ("decay 0.5", "zero", "constant", "decay 0", "decay -1", "decay",
+                         "tabulated absent.txt", "pulse"),
+    ("data", "u_inf"): ("constant 0", "constant 0.5", "cosine 0 0.1", "constant x"),
+    ("data", "u_bump"): ("cosine 0 0.05", "constant 0.1", "constant 3", "cosine"),
+    ("output", "snapshots"): ("log 9", "log 2", "every 1", "every 7", "log 1", "every 0",
+                              "weekly 2", "log"),
+    ("run", "seed"): ("42", "0", "-1", "x"),
+}
+# any key may also get one of these, or be left out
+FUZZ_TOKENS = ("", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "5e-324", "abc",
+               "1 2", "0x10")
+
+
+def fuzz_document(changes):
+    """The fuzzed document with ``changes`` to its (section, key) values; None drops a key."""
+    chosen = {key: values[0] for key, values in FUZZ_BASE.items()}
+    chosen.update(changes)
+    sections = {}
+    for (section, key), value in chosen.items():
+        lines = sections.setdefault(section, [])
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    return "\n".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                     for section, lines in sections.items())
+
+
+@hs.composite
+def fuzzed_documents(draw):
+    keys = draw(hs.lists(hs.sampled_from(sorted(FUZZ_BASE)), max_size=4, unique=True))
+    return fuzz_document({key: draw(hs.sampled_from(FUZZ_BASE[key])
+                                    | hs.sampled_from(FUZZ_TOKENS + (None,)))
+                          for key in keys})
+
+
+def run_cli(argv):
+    """Exit code, stdout, stderr and warnings of one ``cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(document=fuzzed_documents())
+# scales at the ends of double precision: numpy warnings, and a Python
+# OverflowError in the quartic well's closed-form resolvent
+@example(document=fuzz_document({("scheme", "h"): "5e-324"}))
+@example(document=fuzz_document({("operator_b", "length"): "1e308"}))
+@example(document=fuzz_document({("operator_a", "exponent"): "1e308"}))
+@example(document=fuzz_document({("potential", "name"): "regular",
+                                 ("scheme", "yosida_lambda"): "1e-308"}))
+def test_every_fuzzed_document_runs_or_exits_with_one_json_line(document):
+    # the input contract: exit 0, or exit 2/3/4 with exactly one JSON line on
+    # stderr; never a traceback and never warning text
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.ini")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(document)
+        rundir = os.path.join(tmp, "out")
+        for argv in (["simulate", config, "--out", rundir], ["longtime-report", rundir]):
+            code, out, err, caught = run_cli(argv)
+            assert caught == []
+            assert code in (0, 2, 3, 4)
+            if code == 0:
+                assert err == ""
+                continue
+            (line,) = err.splitlines()
+            assert json.loads(line)["exit_code"] == code
+            break

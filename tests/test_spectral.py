@@ -194,6 +194,16 @@ class TestNorms:
         direct = np.sqrt(c[0] ** 2 + np.sum((lam[1:] ** -0.5 * c[1:]) ** 2))
         assert abs(sp.dual_norms(op, c) - direct) <= 1e-12 * max(direct, 1.0)
 
+    def test_dual_norms_leave_the_shared_weights_unchanged(self, neumann16):
+        op = sp.FractionalOperator(neumann16, 0.5)
+        weights = op.power_weights(-1.0)
+        before = weights.copy()
+        sp.dual_norms(op, np.ones((2, 16)))
+        assert op.power_weights(-1.0) is weights
+        assert np.array_equal(weights, before, equal_nan=True) and weights[0] == 0.0
+        for multiplier in (1.0, 2.0, -1.0):
+            assert not op.power_weights(multiplier).flags.writeable
+
 
 class TestMean:
     def test_constant(self, neumann16):

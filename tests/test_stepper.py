@@ -245,6 +245,7 @@ def assert_dense_direction(ws, slope, g):
     expected = np.linalg.solve(ws.k + np.diag(slope), -g)
     delta = ws.direction(slope, g)
     assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
+    return delta
 
 
 class TestNewtonDirection:
@@ -291,9 +292,32 @@ class TestNewtonDirection:
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
         few = np.full(m, -2.0)
         few[[2, 7]] = 98.0
-        for slope in (np.full(m, -2.0), few, np.linspace(0.0, 1.0, m)):
+        # the second and the last call with ``few`` reuse the cached factors
+        for slope in (np.full(m, -2.0), few, few, np.linspace(0.0, 1.0, m), few):
             ws.direction(slope, np.ones(m))
-        assert calls == [(0, 0), (2, 2), (m, m)]
+        assert calls == [(0, 0), (2, 2), (2, 2), (m, m), (2, 2)]
+
+    @pytest.mark.parametrize("kind", ["neumann", "matrix"])
+    def test_cached_factors_match_a_fresh_workspace(self, kind):
+        ws = direction_workspace(kind)
+        m = ws.k.shape[0]
+        rng = np.random.default_rng(7)
+        few = np.full(m, -2.0)
+        few[[1, 4, 6]] += 1.0 / 1e-2
+        steeper = np.full(m, -2.0)   # the same nodes off the floor, a new excess
+        steeper[[1, 4, 6]] += 1.0 / 1e-3
+        dense = np.linspace(0.0, 1.0, m)
+        # (slope, whether the call reuses the factors of the call before it)
+        sequence = [(few, False), (few, True), (steeper, False), (dense, None),
+                    (steeper, True), (few + 0.5, False), (few, False), (few, True)]
+        for slope, hit in sequence:
+            before = ws.active
+            g = rng.normal(size=m)
+            delta = assert_dense_direction(ws, slope, g)
+            # the cached factors are the fresh ones, bit for bit
+            assert np.array_equal(delta, st._Workspace(ws.config).direction(slope, g))
+            if hit is not None:
+                assert (ws.active is before) == hit
 
 
 class TestRun:
