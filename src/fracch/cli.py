@@ -29,6 +29,37 @@ from . import stepper as st
 from .errors import ConfigurationError, FracchError, NumericalError, StepError
 
 
+def _number(flag: str, ok=lambda value: True, requirement: str = ""):
+    """Parser of a flag's finite number that ``ok`` accepts.
+
+    Anything else raises a :class:`ConfigurationError` naming the flag,
+    which argparse passes on, so it exits 2 with one JSON line.
+    """
+    def parse(token: str) -> float:
+        value = cfgmod.parse_number(token, flag)
+        if not ok(value):
+            raise ConfigurationError(f"{flag}: must be {requirement}, got {token!r}")
+        return value
+    return parse
+
+
+def _integer(flag: str, minimum: int):
+    """Parser of a flag's integer of at least ``minimum``; see :func:`_number`."""
+    def parse(token: str) -> int:
+        try:
+            value = int(token)
+        except ValueError:
+            raise ConfigurationError(f"{flag}: cannot parse {token!r} as an integer") from None
+        if value < minimum:
+            raise ConfigurationError(f"{flag}: must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _positive(flag: str):
+    return _number(flag, lambda value: value > 0, "positive")
+
+
 def _simulate_into(config_path: str, out_dir: str | None):
     text, run_cfg = cfgmod.read_config(config_path)
     directory = out_dir or run_cfg.output_directory
@@ -53,7 +84,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check_potentials(args) -> int:
-    lambdas = [float(v) for v in args.lambdas]
     rng = np.random.default_rng(args.seed)
     print("spec\tlambda\talpha\tC\toracle_max_error")
     for name, params in (("regular", {}), ("logarithmic", {"c1": 2.0}),
@@ -62,11 +92,11 @@ def _cmd_check_potentials(args) -> int:
         dom = spec.beta_domain
         # near an open boundary the resolvent saturates to it in double precision
         span = 0.9 * dom.hi if dom.bounded and not dom.hi_closed else 3.0
-        cert = pot.coercivity_check(spec, lambdas, (-args.range, args.range), args.grid)
+        cert = pot.coercivity_check(spec, args.lambdas, (-args.range, args.range), args.grid)
         grid = np.linspace(-args.range, args.range, 10**6)
         energy = spec.beta_hat(grid)
         finite = np.isfinite(energy)
-        for lam in lambdas:
+        for lam in args.lambdas:
             reg = pot.YosidaRegularization(spec, lam)
             worst = 0.0
             for s in rng.uniform(-span, span, size=args.samples):
@@ -116,7 +146,10 @@ def _cmd_example_best(args) -> int:
         print(f"{label}\t{runio.fmt(report.first_equation_residuals.max())}"
               f"\t{runio.fmt(report.selection_residuals.max())}"
               f"\t{'pass' if ok else 'fail'}")
-    return 0 if failures == 0 else 3
+    if failures:
+        raise NumericalError(f"{failures} of {len(profiles)} profiles exceed the "
+                             f"tolerance {runio.fmt(args.tol)}")
+    return 0
 
 
 def _final_state(run_cfg: cfgmod.RunConfig, h: float, steps: int, lam: float) -> sp.Field:
@@ -129,6 +162,13 @@ def _cmd_sweep(args) -> int:
     run_cfg = cfgmod.load_config(args.config)
     h0, n0, lam0 = run_cfg.h, run_cfg.steps, run_cfg.yosida_lambda
     levels = args.levels
+    scheme, _ = cfgmod.build_problem(run_cfg)
+    # the finest run holds the most states; past 2**64 steps (or from zero
+    # steps) the count only grows, so it is capped there
+    finest = max(n0, 1) * 2 ** min(levels + 1, 64)
+    too_large = cfgmod.states_too_large(finest, scheme.grid.size)
+    if too_large:
+        raise ConfigurationError(f"--levels: at the finest step size, {too_large}")
     rows = []
     finals = [_final_state(run_cfg, h0 / 2**i, n0 * 2**i, lam0) for i in range(levels + 2)]
     diffs = [sp.norm(finals[i] - finals[i + 1]) for i in range(levels + 1)]
@@ -168,43 +208,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("check-potentials", help="print the coercivity certificate table")
-    p.add_argument("--lambdas", nargs="+", default=["0.1", "0.01", "0.001"])
-    p.add_argument("--range", type=float, default=5.0)
-    p.add_argument("--grid", type=int, default=2001)
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lambdas", nargs="+", type=_positive("--lambdas"),
+                   default=[0.1, 0.01, 0.001])
+    p.add_argument("--range", type=_positive("--range"), default="5.0")
+    p.add_argument("--grid", type=_integer("--grid", 1000), default="2001")
+    p.add_argument("--samples", type=_integer("--samples", 1), default="25")
+    p.add_argument("--seed", type=_integer("--seed", 0), default="0")
     p.set_defaults(fn=_cmd_check_potentials)
 
     p = sub.add_parser("longtime-report", help="analyze a stored or fresh run")
     p.add_argument("rundir", nargs="?", default=None)
     p.add_argument("--config", default=None, help="simulate this config first")
     p.add_argument("--out", default=None)
-    p.add_argument("--window", type=float, default=0.5)
+    p.add_argument("--window", type=_number("--window"), default="0.5")
     p.set_defaults(fn=_cmd_longtime_report)
 
     p = sub.add_parser("example-best", help="verify the nonunique-multiplier family")
     p.add_argument("--mu", action="append", default=None,
                    help="profile descriptor: 'const C' or 'sin [amp [freq]]'")
-    p.add_argument("--modes", type=int, default=16)
-    p.add_argument("--grid-points", type=int, default=65)
-    p.add_argument("--length", type=float, default=1.0)
-    p.add_argument("--exponent", type=float, default=1.0)
-    p.add_argument("--horizon", type=float, default=10.0)
-    p.add_argument("--samples", type=int, default=21)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--modes", type=_integer("--modes", 1), default="16")
+    p.add_argument("--grid-points", type=_integer("--grid-points", 2), default="65")
+    p.add_argument("--length", type=_positive("--length"), default="1.0")
+    p.add_argument("--exponent", type=_positive("--exponent"), default="1.0")
+    p.add_argument("--horizon", type=_positive("--horizon"), default="10.0")
+    p.add_argument("--samples", type=_integer("--samples", 1), default="21")
+    p.add_argument("--tol", type=_number("--tol", lambda value: value >= 0, "nonnegative"),
+                   default="1e-12")
     p.set_defaults(fn=_cmd_example_best)
 
     p = sub.add_parser("sweep", help="dyadic step-size and regularization refinement")
     p.add_argument("config")
-    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--levels", type=_integer("--levels", 1), default="3")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # the flags' parsers raise a ConfigurationError on a value outside
+        # the contract; argparse handles only its own errors and passes it on
+        args = build_parser().parse_args(argv)
         # an overflow, a division by zero or an invalid operation means the
         # input's scales left double precision: a numerical failure, never a
         # warning printed beside a result

@@ -131,6 +131,11 @@ def _parse_operator(parser, section, collector) -> Optional[OperatorSection]:
                         f"[{section}] grid_points", collector)
         if None in (modes, length, points):
             return None
+        # a nonpositive length or mode count fails when the basis is built
+        problem = length > 0 and modes >= 1 and sp.interval_scale_problem(kind, modes, length)
+        if problem:
+            collector.add(f"[{section}] length", problem)
+            return None
         return OperatorSection(kind=kind, exponent=exponent, modes=modes,
                                length=length, grid_points=points)
     if kind == "matrix":
@@ -206,7 +211,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     # a matrix operator's grid is known once build_problem reads its file
     points = [op.grid_points for op in (op_a, op_b) if op is not None and op.kind != "matrix"]
     if steps is not None and steps >= 0 and points:
-        too_large = _states_too_large(steps, max(points))
+        too_large = states_too_large(steps, max(points))
         if too_large:
             collector.add("[scheme] steps", too_large)
 
@@ -280,7 +285,7 @@ def input_files(cfg: RunConfig) -> list:
     return paths
 
 
-def _states_too_large(steps: int, grid_size: int) -> Optional[str]:
+def states_too_large(steps: int, grid_size: int) -> Optional[str]:
     """Why a run's states cannot fit into physical memory, or None when they can.
 
     A run holds its states in two (steps + 1, grid_size) float arrays.
@@ -409,7 +414,7 @@ def build_problem(cfg: RunConfig):
     op_a = _build_operator(cfg.operator_a, cfg.base_dir)
     op_b = _build_operator(cfg.operator_b, cfg.base_dir)
     # parse_config has checked interval grids; a matrix grid is known only now
-    too_large = _states_too_large(cfg.steps, op_a.basis.grid.size)
+    too_large = states_too_large(cfg.steps, op_a.basis.grid.size)
     if too_large:
         raise ConfigurationError(f"[scheme] steps: {too_large}")
     spec = pot.make_potential(cfg.potential_name, **cfg.potential_params)

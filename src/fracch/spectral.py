@@ -220,6 +220,24 @@ class EigenBasis:
         return Field(self.modes @ c, self.grid)
 
 
+def interval_scale_problem(kind: str, n: int, length: float) -> str | None:
+    """Why an interval basis of ``n`` modes on a positive ``length`` cannot be
+    built in double precision, or None when it can.
+
+    The largest eigenvalue ``(pi*j/length)**2`` or the largest mode argument
+    ``pi*x*j``, with ``x`` up to ``length``, may overflow.  Both are evaluated
+    as :func:`build_interval_basis` evaluates them.
+    """
+    top = np.float64(n - 1 if kind == "neumann" else n)
+    with np.errstate(over="ignore"):
+        eigenvalue = (np.pi * top / length) ** 2
+        argument = np.pi * length * top
+    if np.isfinite(eigenvalue) and np.isfinite(argument):
+        return None
+    return (f"length {length!r} with {n} modes overflows the eigenvalues (pi j/length)^2 "
+            "or the mode arguments pi x j/length")
+
+
 def build_interval_basis(kind: str, n: int, length: float, grid_points: int) -> EigenBasis:
     """Cosine or sine eigenbasis of the 1-d second-derivative operator.
 
@@ -235,6 +253,9 @@ def build_interval_basis(kind: str, n: int, length: float, grid_points: int) -> 
         raise ConfigurationError("mode count must be at least 1")
     if n > grid_points:
         raise ConfigurationError(f"mode count {n} exceeds grid resolution {grid_points}")
+    problem = interval_scale_problem(kind, n, length)
+    if problem:
+        raise ConfigurationError(f"interval {problem}")
     grid = interval_grid(length, grid_points)
     if kind == "neumann":
         freqs = np.arange(n)

@@ -15,7 +15,11 @@ the increment solves the strongly monotone nodal equation
     K d + beta_lam(y + d) + pi(y + d) = u+ + S mu - B2s y,
     K = (tau/h + L) I + B2s + S/h.
 
-``K`` is assembled once per run; damped Newton solves for ``d`` with one
+``K`` is assembled once per run; damped Newton solves for ``d`` from the
+previous step's increment ``y^n - y^(n-1)`` (from ``d = 0`` on the first
+step), the state moving at a constant rate being a better guess than a
+state at rest.  The start changes where Newton begins, not the equation it
+solves or ``mu+``, which stays eliminated exactly.  Newton takes one
 product with ``K`` per residual and ``K`` plus the slope diagonal
 ``beta_lam' + pi'`` as Jacobian.  The slope alone picks how the Newton
 direction is found.  When at most half of the nodes lie above the
@@ -511,14 +515,18 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
 
 def _advance(ws: _Workspace, y: np.ndarray, mu: np.ndarray, u_next: np.ndarray,
              d_start: np.ndarray):
-    """One step from the rows ``(y, mu)``, Newton started at ``y + d_start``."""
+    """One step from the rows ``(y, mu)``, Newton started at ``y + d_start``.
+
+    Returns the new rows, the increment ``d = y+ - y`` that Newton found,
+    which :func:`run` passes on as the next step's start, and the stats.
+    """
     cfg = ws.config
     r = u_next + sp.solve_shifted(cfg.op_A, mu) - sp.power_rows(cfg.op_B, y, 2.0)
     d, iters, res, dampings = _newton_solve(ws, y, r, d_start)
     mu_next = sp.solve_shifted(cfg.op_A, mu - d / cfg.h)
     phase_res = ws.h_norm(d / cfg.h + mu_next + sp.power_rows(cfg.op_A, mu_next, 2.0) - mu)
-    return y + d, mu_next, StepStats(iterations=iters, residual_phase=phase_res,
-                                     residual_potential=res, dampings=dampings)
+    return y + d, mu_next, d, StepStats(iterations=iters, residual_phase=phase_res,
+                                        residual_potential=res, dampings=dampings)
 
 
 def solve_step(prev_y: sp.Field, prev_mu: sp.Field, u_next: sp.Field,
@@ -534,24 +542,28 @@ def solve_step(prev_y: sp.Field, prev_mu: sp.Field, u_next: sp.Field,
         if not f.grid.same_as(config.grid):
             raise DimensionError("step fields are not on the scheme grid")
     d_start = (start or prev_y).values - prev_y.values
-    y, mu, stats = _advance(_Workspace(config), prev_y.values, prev_mu.values,
-                            u_next.values, d_start)
+    y, mu, _, stats = _advance(_Workspace(config), prev_y.values, prev_mu.values,
+                               u_next.values, d_start)
     return sp.Field(y, config.grid), sp.Field(mu, config.grid), stats
 
 
 def run(config: SchemeConfig, data: ProblemData) -> DiscreteTrajectory:
-    """Validate, then march the scheme from (y0, 0) for the configured steps."""
+    """Validate, then march the scheme from (y0, 0) for the configured steps.
+
+    Newton starts step 0 at ``d = 0`` and every later step at the previous
+    step's increment ``y^n - y^(n-1)``.
+    """
     validate(config, data)
     ws = _Workspace(config)
     y = np.empty((config.steps + 1, config.grid.size))
     mu = np.zeros_like(y)
     y[0] = data.y0.values
-    zero = np.zeros(config.grid.size)
+    d = np.zeros(config.grid.size)
     stats: List[StepStats] = []
     for n in range(config.steps):
         (u_next,) = data.source.values(np.array([(n + 1) * config.h]))
         try:
-            y[n + 1], mu[n + 1], st = _advance(ws, y[n], mu[n], u_next, zero)
+            y[n + 1], mu[n + 1], d, st = _advance(ws, y[n], mu[n], u_next, d)
         except StepError as exc:
             exc.step_index = n
             raise

@@ -148,6 +148,46 @@ def smooth_benchmark(h, steps, lam):
     return st.run(config, data)
 
 
+def cold_chain(config, data):
+    """``solve_step`` chained from ``(y0, 0)``, each step started at ``d = 0``.
+
+    The oracle of the warm start in ``stepper.run``: returns the (N+1, m)
+    arrays of ``y`` and ``mu`` and the per-step stats.
+    """
+    y, mu = data.y0, sp.constant_field(0.0, config.grid)
+    ys, mus, stats = [y.values], [mu.values], []
+    for n in range(config.steps):
+        y, mu, step = st.solve_step(y, mu, data.source.at((n + 1) * config.h), config)
+        ys.append(y.values)
+        mus.append(mu.values)
+        stats.append(step)
+    return np.array(ys), np.array(mus), stats
+
+
+def assert_matches_cold_chain(traj):
+    """The warm-started ``traj`` against :func:`cold_chain`; returns both
+    Newton iteration totals, warm first.
+
+    Both solve every step's nodal equation to its accepted residual, at most
+    ``tol`` (``newton_tol`` or, above it, the round-off floor).  The equation
+    is strongly monotone with constant at least 1 (``K`` carries ``L =
+    Lip(pi) + 1`` and the slope is at least ``-Lip(pi)``), so two such
+    increments differ by at most ``2 tol`` per step; ``steps * tol`` bounds the
+    states with room for the spread through later steps, and ``mu``, which
+    takes ``d / h``, is bounded by that over ``h``.  Step 0 starts at
+    ``d = 0`` either way, so its stats and state are the cold ones bit for bit.
+    """
+    config = traj.config
+    y, mu, stats = cold_chain(config, traj.data)
+    assert traj.solver_stats[0] == stats[0]
+    assert np.array_equal(traj.y[:2], y[:2]) and np.array_equal(traj.mu[:2], mu[:2])
+    tol = max([config.newton_tol] + [s.residual_potential for s in stats + traj.solver_stats])
+    bound = config.steps * tol
+    assert sp.row_norms(traj.y - y, config.grid).max() <= bound
+    assert sp.row_norms(traj.mu - mu, config.grid).max() <= bound / config.h
+    return (sum(s.iterations for s in traj.solver_stats), sum(s.iterations for s in stats))
+
+
 def fresh_longtime_report(traj, steps, **kwargs):
     """The report.json payload of an in-memory run with snapshots at ``steps``."""
     return lt.longtime_report(traj.config, traj.data, traj.y[steps], steps,

@@ -536,6 +536,8 @@ class TestCliErrors:
     @pytest.mark.parametrize("key,value", [
         ("yosida_lambda", "inf"), ("h", "1e308"), ("newton_tol", "-1"), ("newton_tol", "nan"),
         ("newton_max", "0"), ("exponent", "inf"),
+        # the eigenvalues (pi j/length)^2 or the mode arguments pi x j/length overflow
+        ("length", "1e-308"), ("length", "1e308"),
     ])
     def test_non_finite_or_out_of_range_setting_exits_2(self, tmp_path, capsys, key, value):
         # each of these used to run, or to fail only once stepping began
@@ -600,6 +602,31 @@ class TestCliAnalysis:
                 capsys.readouterr().out.strip().splitlines()[1:]]
         for row in rows:
             assert 1.5 <= float(row[3]) <= 3.0, row
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["example-best", "--samples", "0"], "--samples"),
+        (["check-potentials", "--samples", "-3"], "--samples"),
+        (["check-potentials", "--lambdas", "0.1", "nan"], "--lambdas"),
+        (["check-potentials", "--range", "0"], "--range"),
+        (["example-best", "--horizon", "nan"], "--horizon"),
+        (["example-best", "--horizon", "-1"], "--horizon"),
+        (["example-best", "--tol", "-1"], "--tol"),
+        (["example-best", "--modes", "x"], "--modes"),
+        (["example-best", "--length", "1e-308"], "interval length"),
+        (["sweep", "CONFIG", "--levels", "0"], "--levels"),
+        (["sweep", "CONFIG", "--levels", "-1"], "--levels"),
+        (["sweep", "CONFIG", "--levels", "99999999999999999999"], "physical memory"),
+    ])
+    def test_flag_outside_its_range_exits_2(self, tmp_path, capsys, argv, flag):
+        # each of these used to end in a traceback, a silent wrong run or exit 3
+        path, _ = write_config(tmp_path)
+        argv = [str(path) if arg == "CONFIG" else arg for arg in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["exit_code"] == 2 and flag in payload["message"]
 
     def test_console_entry_point(self):
         result = subprocess.run(

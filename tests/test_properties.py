@@ -9,8 +9,11 @@ two points and a level, and check the resolvent and Yosida identities.
 The serialization examples draw float arrays and check that the JSON of an
 array is the JSON of its nested list.  The Newton-direction examples check
 the reduced branch against the dense solve, and a workspace that reuses its
-active-set factors against a fresh one, bit for bit.  The fuzzing examples
-mutate a small run document and hold ``cli.main`` to its input contract.
+active-set factors against a fresh one, bit for bit.  The warm-start
+examples check a run, whose Newton solves start at the previous increment,
+against ``solve_step`` chained from ``d = 0``.  The fuzzing examples mutate
+a small run document, or draw the flags of ``check-potentials``,
+``example-best`` and ``sweep``, and hold ``cli.main`` to its input contract.
 The examples are derandomized so that the suite gives the same verdict on
 every run.
 """
@@ -34,7 +37,7 @@ from fracch import runio
 from fracch import spectral as sp
 from fracch import stepper as st
 
-from conftest import cosine_field, zero_potential
+from conftest import assert_matches_cold_chain, cosine_field, zero_potential
 
 POTENTIALS = ("regular", "logarithmic", "obstacle", "example_best")
 EPS = np.finfo(float).eps
@@ -141,6 +144,14 @@ def test_ledger_mass_and_slack_on_random_problems(problem):
         # the mass identity is exact when the first operator annihilates constants
         mass = sp.row_means(traj.y, config.grid) + traj.h * sp.row_means(traj.mu, config.grid)
         assert np.abs(mass - mass[0]).max() <= 1e-10
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problems())
+def test_warm_started_run_matches_the_cold_chain(problem):
+    config, data = problem
+    assert_matches_cold_chain(st.run(config, data))
 
 
 def direction_config(kind, points, exponent):
@@ -364,3 +375,81 @@ def test_every_fuzzed_document_runs_or_exits_with_one_json_line(document):
             (line,) = err.splitlines()
             assert json.loads(line)["exit_code"] == code
             break
+
+
+# the flags of the analysis commands: valid values first, then ones outside
+# their ranges; the base arguments keep every run small
+FLAG_VALUES = {
+    "check-potentials": {
+        "--lambdas": ("0.1", "0.5", "1e-3", "0", "-0.1"),
+        "--range": ("5.0", "2", "1e308", "0", "-1"),
+        "--grid": ("1000", "1500", "999", "0"),
+        "--samples": ("1", "2", "0", "-3"),
+        "--seed": ("0", "7", "-1"),
+    },
+    "example-best": {
+        "--mu": ("const 0", "sin", "sin 0.5 2", "const 1.5", "const x", "wave"),
+        "--modes": ("4", "1", "9", "10", "0", "-2"),
+        "--grid-points": ("9", "2", "5", "1", "0"),
+        "--length": ("1.0", "2.5", "1e-300", "1e-308", "1e308", "0", "-1"),
+        "--exponent": ("1.0", "0.5", "1e308", "0", "-1"),
+        "--horizon": ("1.0", "3", "1e308", "0", "-1"),
+        "--samples": ("3", "1", "0", "-3"),
+        "--tol": ("1e-12", "0", "1", "-1"),
+    },
+    "sweep": {"--levels": ("1", "2", "0", "-1", "99999999999999999999")},
+}
+FLAG_BASE = {
+    "check-potentials": {"--lambdas": "0.1", "--grid": "1000", "--samples": "1"},
+    "example-best": {"--modes": "4", "--grid-points": "9", "--horizon": "1.0",
+                     "--samples": "3"},
+    "sweep": {"--levels": "1"},
+}
+
+
+def flag_argv(command, changes, config):
+    """The command's argv from its base flags with ``changes``; ``--flag=value``
+    keeps a value such as ``-inf`` from reading as a flag."""
+    flags = dict(FLAG_BASE[command], **changes)
+    positional = [config] if command == "sweep" else []
+    return [command, *positional, *(f"{flag}={value}" for flag, value in flags.items())]
+
+
+@hs.composite
+def flag_changes(draw):
+    command = draw(hs.sampled_from(sorted(FLAG_VALUES)))
+    values = FLAG_VALUES[command]
+    flags = draw(hs.lists(hs.sampled_from(sorted(values)), min_size=1, max_size=3,
+                          unique=True))
+    return command, {flag: draw(hs.sampled_from(values[flag]) | hs.sampled_from(FUZZ_TOKENS))
+                     for flag in flags}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=flag_changes())
+# each of these once ended in a traceback, a silent wrong run or exit 3
+@example(case=("example-best", {"--samples": "0"}))
+@example(case=("check-potentials", {"--samples": "-3"}))
+@example(case=("example-best", {"--horizon": "nan"}))
+@example(case=("example-best", {"--tol": "-1"}))
+# every profile but "const 0" fails: exit 3, which once printed no JSON line
+@example(case=("example-best", {"--tol": "0"}))
+@example(case=("example-best", {"--horizon": "-1"}))
+@example(case=("example-best", {"--length": "1e-308"}))
+@example(case=("sweep", {"--levels": "0"}))
+@example(case=("sweep", {"--levels": "-1"}))
+def test_every_fuzzed_flag_runs_or_exits_with_one_json_line(case):
+    command, changes = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.ini")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(fuzz_document({}))
+        code, out, err, caught = run_cli(flag_argv(command, changes, config))
+    assert caught == []
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == ""
+    else:
+        (line,) = err.splitlines()
+        assert json.loads(line)["exit_code"] == code

@@ -17,7 +17,7 @@ from fracch.errors import (
     SourceTailHypothesisError,
 )
 
-from conftest import cosine_field, zero_potential
+from conftest import assert_matches_cold_chain, cosine_field, zero_potential
 
 
 def neumann_config(spec, n=8, points=17, length=2.0, r=0.5, sigma=0.5,
@@ -411,6 +411,61 @@ class TestRun:
         d1 = sp.norm(states[0] - states[1])
         d2 = sp.norm(states[1] - states[2])
         assert d2 < d1 / 1.3
+
+
+WARM_START_WELLS = {"obstacle": ("obstacle", {"c2": 1.0}),
+                    "logarithmic": ("logarithmic", {"c1": 1.5}),
+                    "quartic": ("regular", {})}
+
+
+def warm_start_config(kind, well, h=0.1, steps=20):
+    """A 16-mode run on either first-eigenvalue branch, stiff enough that
+    Newton takes more than one iteration on most steps of the smooth wells."""
+    basis = sp.build_interval_basis(kind, 16, 2.0, 33)
+    name, params = WARM_START_WELLS[well]
+    return st.SchemeConfig(op_A=sp.FractionalOperator(basis, 0.5),
+                           op_B=sp.FractionalOperator(basis, 0.5),
+                           spec=pot.make_potential(name, **params),
+                           yosida_lambda=1e-3, tau=0.5, h=h, steps=steps)
+
+
+class TestWarmStart:
+    """``run`` starts Newton at the previous increment; the cold start of
+    ``solve_step`` (``d = 0`` on every step) is its oracle."""
+
+    @pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("well", sorted(WARM_START_WELLS))
+    def test_matches_cold_chain(self, kind, well):
+        config = warm_start_config(kind, well)
+        grid = config.grid
+        data = st.ProblemData(y0=cosine_field(grid, [0.1, 0.6, 0.2]),
+                              source=st.DecaySource(sp.constant_field(0.8, grid),
+                                                    cosine_field(grid, [0.0, 0.0, 1.0]), 0.5))
+        warm, cold = assert_matches_cold_chain(st.run(config, data))
+        if well != "obstacle":
+            # a revert to d = 0 makes the two counts equal
+            assert warm < cold
+
+    @pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
+    def test_tabulated_source_with_jumps(self, kind):
+        # the source jumps at t = 0.4, 0.9 and 1.5, where the previous
+        # increment is a poor start
+        config = warm_start_config(kind, "obstacle", h=0.05, steps=40)
+        grid = config.grid
+        fields = [cosine_field(grid, c)
+                  for c in ([0.0, 1.5], [1.0, -1.6, 0.2], [-1.2, 0.0, 1.4], [0.0])]
+        source = st.TabulatedSource(np.array([0.0, 0.4, 0.9, 1.5]), fields)
+        assert_matches_cold_chain(st.run(config, st.ProblemData(
+            y0=cosine_field(grid, [0.1, 0.6, 0.2]), source=source)))
+
+    @pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
+    def test_obstacle_at_half_step(self, kind):
+        # h = 0.5: the cold start needs over a hundred line-search halvings
+        config = warm_start_config(kind, "obstacle", h=0.5)
+        grid = config.grid
+        source = st.DecaySource(sp.constant_field(0.5, grid), cosine_field(grid, [0.0, 1.5]), 0.3)
+        assert_matches_cold_chain(st.run(config, st.ProblemData(
+            y0=cosine_field(grid, [0.1, 0.6, 0.2]), source=source)))
 
 
 class TestSources:
