@@ -60,6 +60,13 @@ def _positive(flag: str):
     return _number(flag, lambda value: value > 0, "positive")
 
 
+def _fits(flag: str, need: int, what: str) -> None:
+    """A :class:`ConfigurationError` naming ``flag`` when ``need`` bytes exceed memory."""
+    too_large = cfgmod.states_too_large(need, f"{flag}: {what} need {need:.3g} bytes")
+    if too_large:
+        raise ConfigurationError(too_large)
+
+
 def _simulate_into(config_path: str, out_dir: str | None):
     text, run_cfg = cfgmod.read_config(config_path)
     directory = out_dir or run_cfg.output_directory
@@ -84,6 +91,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check_potentials(args) -> int:
+    # the scan keeps two arrays of its points, the oracle one of its samples
+    _fits("--grid", 16 * args.grid, f"the scan's {args.grid} points")
+    _fits("--samples", 8 * args.samples, f"{args.samples} samples")
     rng = np.random.default_rng(args.seed)
     print("spec\tlambda\talpha\tC\toracle_max_error")
     for name, params in (("regular", {}), ("logarithmic", {"c1": 2.0}),
@@ -133,6 +143,11 @@ def _parse_profile(descriptor: str):
 
 
 def _cmd_example_best(args) -> int:
+    # the basis holds modes x grid points values, the residual rows samples x grid points
+    _fits("--grid-points", 8 * args.modes * args.grid_points,
+          f"{args.modes} modes on {args.grid_points} grid points")
+    _fits("--samples", 8 * args.samples * args.grid_points,
+          f"{args.samples} samples on {args.grid_points} grid points")
     basis = sp.build_interval_basis("neumann", args.modes, args.length, args.grid_points)
     op_a = sp.FractionalOperator(basis, args.exponent)
     times = np.linspace(0.0, args.horizon, args.samples)
@@ -152,37 +167,28 @@ def _cmd_example_best(args) -> int:
     return 0
 
 
-def _final_state(run_cfg: cfgmod.RunConfig, h: float, steps: int, lam: float) -> sp.Field:
-    scheme, data = cfgmod.build_problem(run_cfg)
-    scheme = dataclasses.replace(scheme, h=h, steps=steps, yosida_lambda=lam)
-    return st.run(scheme, data).ys[-1]
-
-
 def _cmd_sweep(args) -> int:
     run_cfg = cfgmod.load_config(args.config)
     h0, n0, lam0 = run_cfg.h, run_cfg.steps, run_cfg.yosida_lambda
     levels = args.levels
-    scheme, _ = cfgmod.build_problem(run_cfg)
+    scheme, data = cfgmod.build_problem(run_cfg)
     # the finest run holds the most states; past 2**64 steps (or from zero
     # steps) the count only grows, so it is capped there
     finest = max(n0, 1) * 2 ** min(levels + 1, 64)
-    too_large = cfgmod.states_too_large(finest, scheme.grid.size)
+    too_large = cfgmod.run_too_large(finest, scheme.grid.size)
     if too_large:
         raise ConfigurationError(f"--levels: at the finest step size, {too_large}")
-    rows = []
-    finals = [_final_state(run_cfg, h0 / 2**i, n0 * 2**i, lam0) for i in range(levels + 2)]
-    diffs = [sp.norm(finals[i] - finals[i + 1]) for i in range(levels + 1)]
-    for i in range(levels):
-        ratio = diffs[i] / diffs[i + 1] if diffs[i + 1] > 0 else float("inf")
-        rows.append(("h", h0 / 2**i, diffs[i], ratio))
-    finals = [_final_state(run_cfg, h0, n0, lam0 / 2**i) for i in range(levels + 2)]
-    diffs = [sp.norm(finals[i] - finals[i + 1]) for i in range(levels + 1)]
-    for i in range(levels):
-        ratio = diffs[i] / diffs[i + 1] if diffs[i + 1] > 0 else float("inf")
-        rows.append(("lambda", lam0 / 2**i, diffs[i], ratio))
+    ladders = (("h", h0, lambda k: {"h": h0 / k, "steps": n0 * k}),
+               ("lambda", lam0, lambda k: {"yosida_lambda": lam0 / k}))
     lines = ["parameter\tvalue\tsuccessive_diff\tratio"]
-    for kind, value, diff, ratio in rows:
-        lines.append(f"{kind}\t{runio.fmt(value)}\t{runio.fmt(diff)}\t{runio.fmt(ratio)}")
+    for parameter, value, settings in ladders:
+        finals = [st.run(dataclasses.replace(scheme, **settings(2**i)), data).ys[-1]
+                  for i in range(levels + 2)]
+        diffs = [sp.norm(finals[i] - finals[i + 1]) for i in range(levels + 1)]
+        for i in range(levels):
+            ratio = diffs[i] / diffs[i + 1] if diffs[i + 1] > 0 else float("inf")
+            lines.append(f"{parameter}\t{runio.fmt(value / 2**i)}\t{runio.fmt(diffs[i])}"
+                         f"\t{runio.fmt(ratio)}")
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
     if args.out:

@@ -2,10 +2,11 @@
 
 A run document has sections ``[operator_a]``, ``[operator_b]``,
 ``[potential]``, ``[scheme]``, ``[data]``, ``[output]`` and ``[run]``.
-Unknown sections or keys are errors: nothing is silently defaulted except
-the documented tolerances.  Parsing either yields a fully resolved
-:class:`RunConfig` or raises a :class:`ConfigurationError` listing every
-field-level problem at once.
+One schema table holds every key with its type and default; the ranges of
+the scheme's settings are :data:`fracch.stepper.SCHEME_RANGES`, which
+``SchemeConfig`` checks too.  Unknown sections or keys are errors.
+Parsing either yields a fully resolved :class:`RunConfig` or raises a
+:class:`ConfigurationError` listing every field-level problem at once.
 """
 
 from __future__ import annotations
@@ -24,16 +25,45 @@ from . import spectral as sp
 from . import stepper as st
 from .errors import ConfigurationError
 
-_OPERATOR_KEYS = {"kind", "modes", "length", "grid_points", "exponent", "matrix_file"}
-_POTENTIAL_KEYS = {"name", "c1", "c2"}
-_SCHEME_KEYS = {"tau", "yosida_lambda", "h", "steps", "newton_tol", "newton_max"}
-_DATA_KEYS = {"y0", "source", "u_inf", "u_bump"}
-_OUTPUT_KEYS = {"directory", "snapshots"}
-_RUN_KEYS = {"seed"}
 
-DEFAULT_NEWTON_TOL = 1e-10
-DEFAULT_NEWTON_MAX = 50
-DEFAULT_SNAPSHOTS = "log 65"
+def _finite(token: str) -> float:
+    """``float(token)``; ``ValueError`` when it does not parse or is not finite."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is not finite")
+    return value
+
+
+#: The default of a key the document must give.
+_REQUIRED = object()
+
+#: An operator's keys; its kind picks which of the last four it reads.
+_OPERATOR = {"kind": (str, _REQUIRED), "exponent": (_finite, _REQUIRED),
+             "modes": (int, _REQUIRED), "length": (_finite, _REQUIRED),
+             "grid_points": (int, _REQUIRED), "matrix_file": (str, _REQUIRED)}
+_INTERVAL_KEYS = ("modes", "length", "grid_points")
+_KIND_KEYS = {"neumann": _INTERVAL_KEYS, "dirichlet": _INTERVAL_KEYS, "matrix": ("matrix_file",)}
+
+#: Every key of the run document: section -> key -> (parser, default).  A key
+#: whose default is ``_REQUIRED`` must be given, one whose default is None may be absent.
+_SCHEMA = {
+    "operator_a": _OPERATOR,
+    "operator_b": _OPERATOR,
+    "potential": {"name": (str, _REQUIRED), "c1": (_finite, None), "c2": (_finite, None)},
+    "scheme": {"tau": (_finite, _REQUIRED), "yosida_lambda": (_finite, _REQUIRED),
+               "h": (_finite, _REQUIRED), "steps": (int, _REQUIRED),
+               "newton_tol": (_finite, st.SchemeConfig.newton_tol),
+               "newton_max": (int, st.SchemeConfig.newton_max)},
+    "data": {"y0": (str, _REQUIRED), "source": (str, "zero"), "u_inf": (str, "constant 0"),
+             "u_bump": (str, None)},
+    "output": {"directory": (str, None), "snapshots": (str, "log 65")},
+    "run": {"seed": (int, 0)},
+}
+_REQUIRED_SECTIONS = ("operator_a", "operator_b", "potential", "scheme", "data")
+
+DEFAULT_NEWTON_TOL = _SCHEMA["scheme"]["newton_tol"][1]
+DEFAULT_NEWTON_MAX = _SCHEMA["scheme"]["newton_max"][1]
+DEFAULT_SNAPSHOTS = _SCHEMA["output"]["snapshots"][1]
 
 
 @dataclass(frozen=True)
@@ -70,81 +100,27 @@ class RunConfig:
     base_dir: str = "."
 
 
-class _Collector:
-    def __init__(self):
-        self.errors = []
+def _read(parser, section: str, keys, errors: list) -> dict:
+    """The parsed values of ``keys`` in ``section``, with the schema's defaults.
 
-    def add(self, where, message):
-        self.errors.append(f"{where}: {message}")
-
-    def raise_if_any(self):
-        if self.errors:
-            raise ConfigurationError("; ".join(self.errors))
-
-
-def _get(parser, section, key, collector, default=None, required=True):
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    if required and default is None:
-        collector.add(f"[{section}] {key}", "missing")
-    return default
-
-
-def _finite(token: str) -> float:
-    """``float(token)``; ``ValueError`` when it does not parse or is not finite."""
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"{token!r} is not finite")
-    return value
-
-
-def _typed(raw, kind, where, collector):
-    """``raw`` as an int or, for ``kind=float``, a finite float; errors go to ``collector``."""
-    if raw is None:
-        return None
-    try:
-        return _finite(raw) if kind is float else kind(raw)
-    except ValueError:
-        expected = "a finite number" if kind is float else "an integer"
-        collector.add(where, f"cannot parse {raw!r} as {expected}")
-        return None
-
-
-def _parse_operator(parser, section, collector) -> Optional[OperatorSection]:
-    unknown = set(parser.options(section)) - _OPERATOR_KEYS
-    for key in sorted(unknown):
-        collector.add(f"[{section}] {key}", "unknown key")
-    kind = _get(parser, section, "kind", collector)
-    exponent = _typed(_get(parser, section, "exponent", collector), float,
-                      f"[{section}] exponent", collector)
-    if kind is None or exponent is None:
-        return None
-    if exponent <= 0:
-        collector.add(f"[{section}] exponent", "must be positive")
-        return None
-    if kind in ("neumann", "dirichlet"):
-        modes = _typed(_get(parser, section, "modes", collector), int,
-                       f"[{section}] modes", collector)
-        length = _typed(_get(parser, section, "length", collector), float,
-                        f"[{section}] length", collector)
-        points = _typed(_get(parser, section, "grid_points", collector), int,
-                        f"[{section}] grid_points", collector)
-        if None in (modes, length, points):
-            return None
-        # a nonpositive length or mode count fails when the basis is built
-        problem = length > 0 and modes >= 1 and sp.interval_scale_problem(kind, modes, length)
-        if problem:
-            collector.add(f"[{section}] length", problem)
-            return None
-        return OperatorSection(kind=kind, exponent=exponent, modes=modes,
-                               length=length, grid_points=points)
-    if kind == "matrix":
-        path = _get(parser, section, "matrix_file", collector)
-        if path is None:
-            return None
-        return OperatorSection(kind=kind, exponent=exponent, matrix_file=path)
-    collector.add(f"[{section}] kind", f"unknown operator kind {kind!r}")
-    return None
+    A required key that is missing, or a key that does not parse, is None
+    and adds its error to ``errors``.
+    """
+    values = dict.fromkeys(keys)
+    for key in keys:
+        parse, default = _SCHEMA[section][key]
+        raw = parser.get(section, key, fallback=None)
+        if raw is not None:
+            try:
+                values[key] = parse(raw)
+            except ValueError:
+                expected = "a finite number" if parse is _finite else "an integer"
+                errors.append(f"[{section}] {key}: cannot parse {raw!r} as {expected}")
+        elif default is _REQUIRED:
+            errors.append(f"[{section}] {key}: missing")
+        else:
+            values[key] = default
+    return values
 
 
 def parse_config(text: str, base_dir: str = ".") -> RunConfig:
@@ -154,108 +130,70 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed document: {exc}") from None
-    collector = _Collector()
-    known_sections = {"operator_a", "operator_b", "potential", "scheme",
-                      "data", "output", "run"}
-    for section in parser.sections():
-        if section not in known_sections:
-            collector.add(f"[{section}]", "unknown section")
-    for required in ("operator_a", "operator_b", "potential", "scheme", "data"):
-        if not parser.has_section(required):
-            collector.add(f"[{required}]", "missing section")
-    collector.raise_if_any()
+    errors = [f"[{section}]: unknown section" for section in parser.sections()
+              if section not in _SCHEMA]
+    errors += [f"[{section}]: missing section" for section in _REQUIRED_SECTIONS
+               if not parser.has_section(section)]
+    if errors:
+        raise ConfigurationError("; ".join(errors))
+    for section, keys in _SCHEMA.items():
+        if parser.has_section(section):
+            errors += [f"[{section}] {key}: unknown key"
+                       for key in sorted(set(parser.options(section)) - set(keys))]
 
-    op_a = _parse_operator(parser, "operator_a", collector)
-    op_b = _parse_operator(parser, "operator_b", collector)
+    operators = {}
+    for section in ("operator_a", "operator_b"):
+        kind, exponent = _read(parser, section, ("kind", "exponent"), errors).values()
+        if kind is None or exponent is None:
+            continue
+        if exponent <= 0:
+            errors.append(f"[{section}] exponent: must be positive")
+        elif kind not in _KIND_KEYS:
+            errors.append(f"[{section}] kind: unknown operator kind {kind!r}")
+        else:
+            extra = _read(parser, section, _KIND_KEYS[kind], errors)
+            if None in extra.values():
+                continue
+            # a nonpositive length or mode count fails when the basis is built
+            problem = (kind != "matrix" and extra["length"] > 0 and extra["modes"] >= 1
+                       and sp.interval_scale_problem(kind, extra["modes"], extra["length"]))
+            if problem:
+                errors.append(f"[{section}] length: {problem}")
+            else:
+                operators[section] = OperatorSection(kind=kind, exponent=exponent, **extra)
 
-    unknown = set(parser.options("potential")) - _POTENTIAL_KEYS
-    for key in sorted(unknown):
-        collector.add(f"[potential] {key}", "unknown key")
-    pot_name = _get(parser, "potential", "name", collector)
-    pot_params = {}
-    for pkey in ("c1", "c2"):
-        if parser.has_option("potential", pkey):
-            val = _typed(parser.get("potential", pkey), float,
-                         f"[potential] {pkey}", collector)
-            if val is not None:
-                pot_params[pkey] = val
-
-    unknown = set(parser.options("scheme")) - _SCHEME_KEYS
-    for key in sorted(unknown):
-        collector.add(f"[scheme] {key}", "unknown key")
-    tau = _typed(_get(parser, "scheme", "tau", collector), float, "[scheme] tau", collector)
-    lam = _typed(_get(parser, "scheme", "yosida_lambda", collector), float,
-                 "[scheme] yosida_lambda", collector)
-    h = _typed(_get(parser, "scheme", "h", collector), float, "[scheme] h", collector)
-    steps = _typed(_get(parser, "scheme", "steps", collector), int, "[scheme] steps", collector)
-    newton_tol = _typed(
-        _get(parser, "scheme", "newton_tol", collector, default=str(DEFAULT_NEWTON_TOL)),
-        float, "[scheme] newton_tol", collector)
-    newton_max = _typed(
-        _get(parser, "scheme", "newton_max", collector, default=str(DEFAULT_NEWTON_MAX)),
-        int, "[scheme] newton_max", collector)
-    if tau is not None and not (0.0 <= tau <= 1.0):
-        collector.add("[scheme] tau", "must lie in [0, 1]")
-    if lam is not None and lam <= 0:
-        collector.add("[scheme] yosida_lambda", "must be positive")
-    if h is not None and h <= 0:
-        collector.add("[scheme] h", "must be positive")
-    if steps is not None and steps < 0:
-        collector.add("[scheme] steps", "must be nonnegative")
+    potential, scheme, data, output, run = (
+        _read(parser, section, _SCHEMA[section], errors)
+        for section in ("potential", "scheme", "data", "output", "run"))
+    errors += [f"[scheme] {key}: {requirement}"
+               for key, (ok, requirement) in st.SCHEME_RANGES.items()
+               if scheme[key] is not None and not ok(scheme[key])]
+    h, steps = scheme["h"], scheme["steps"]
     if h is not None and steps is not None and not math.isfinite(h * steps):
-        collector.add("[scheme] h", "the horizon h * steps overflows")
-    if newton_tol is not None and newton_tol <= 0:
-        collector.add("[scheme] newton_tol", "must be positive")
-    if newton_max is not None and newton_max < 1:
-        collector.add("[scheme] newton_max", "must be at least 1")
+        errors.append("[scheme] h: the horizon h * steps overflows")
     # a matrix operator's grid is known once build_problem reads its file
-    points = [op.grid_points for op in (op_a, op_b) if op is not None and op.kind != "matrix"]
+    points = [op.grid_points for op in operators.values() if op.kind != "matrix"]
     if steps is not None and steps >= 0 and points:
-        too_large = states_too_large(steps, max(points))
+        too_large = run_too_large(steps, max(points))
         if too_large:
-            collector.add("[scheme] steps", too_large)
+            errors.append(f"[scheme] steps: {too_large}")
+    if errors:
+        raise ConfigurationError("; ".join(errors))
 
-    unknown = set(parser.options("data")) - _DATA_KEYS
-    for key in sorted(unknown):
-        collector.add(f"[data] {key}", "unknown key")
-    y0_desc = _get(parser, "data", "y0", collector)
-    source_desc = _get(parser, "data", "source", collector, default="zero")
-    u_inf_desc = _get(parser, "data", "u_inf", collector, default="constant 0")
-    u_bump_desc = _get(parser, "data", "u_bump", collector, default=None, required=False)
-
-    out_dir = None
-    snapshots = DEFAULT_SNAPSHOTS
-    if parser.has_section("output"):
-        unknown = set(parser.options("output")) - _OUTPUT_KEYS
-        for key in sorted(unknown):
-            collector.add(f"[output] {key}", "unknown key")
-        out_dir = _get(parser, "output", "directory", collector, required=False)
-        snapshots = _get(parser, "output", "snapshots", collector,
-                         default=DEFAULT_SNAPSHOTS, required=False)
-
-    seed = 0
-    if parser.has_section("run"):
-        unknown = set(parser.options("run")) - _RUN_KEYS
-        for key in sorted(unknown):
-            collector.add(f"[run] {key}", "unknown key")
-        seed = _typed(_get(parser, "run", "seed", collector, default="0", required=False),
-                      int, "[run] seed", collector) or 0
-
-    collector.raise_if_any()
     cfg = RunConfig(
-        operator_a=op_a,
-        operator_b=op_b,
-        potential_name=pot_name,
-        potential_params=pot_params,
-        tau=tau, yosida_lambda=lam, h=h, steps=steps,
-        newton_tol=newton_tol, newton_max=newton_max,
-        y0_descriptor=y0_desc,
-        source_descriptor=source_desc,
-        u_inf_descriptor=u_inf_desc,
-        u_bump_descriptor=u_bump_desc,
-        output_directory=out_dir,
-        snapshots=snapshots,
-        seed=seed,
+        operator_a=operators["operator_a"],
+        operator_b=operators["operator_b"],
+        potential_name=potential["name"],
+        potential_params={key: value for key, value in potential.items()
+                          if key != "name" and value is not None},
+        **scheme,
+        y0_descriptor=data["y0"],
+        source_descriptor=data["source"],
+        u_inf_descriptor=data["u_inf"],
+        u_bump_descriptor=data["u_bump"],
+        output_directory=output["directory"],
+        snapshots=output["snapshots"],
+        seed=run["seed"],
         base_dir=base_dir,
     )
     # fail fast on unreadable referenced files
@@ -285,21 +223,27 @@ def input_files(cfg: RunConfig) -> list:
     return paths
 
 
-def states_too_large(steps: int, grid_size: int) -> Optional[str]:
-    """Why a run's states cannot fit into physical memory, or None when they can.
+def states_too_large(need: float, what: str) -> Optional[str]:
+    """Why arrays of ``need`` bytes cannot fit into physical memory, or None when they can.
 
-    A run holds its states in two (steps + 1, grid_size) float arrays.
-    Where ``os.sysconf`` cannot tell the memory size, nothing is rejected.
+    The reason is ``what``, which says which arrays need how many bytes,
+    followed by the memory size.  Where ``os.sysconf`` cannot tell the
+    memory size, nothing is rejected.
     """
     try:
         total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
         return None
-    need = 2 * (steps + 1) * grid_size * 8
     if need <= total:
         return None
-    return (f"{steps} steps on {grid_size} grid points need {need:.3g} bytes of states, "
-            f"more than the {total:.3g} bytes of physical memory")
+    return f"{what}, more than the {total:.3g} bytes of physical memory"
+
+
+def run_too_large(steps: int, grid_size: int) -> Optional[str]:
+    """:func:`states_too_large` for a run's states, two (steps + 1, grid_size) float arrays."""
+    need = 2 * (steps + 1) * grid_size * 8
+    return states_too_large(need, f"{steps} steps on {grid_size} grid points "
+                                  f"need {need:.3g} bytes of states")
 
 
 def read_config(path: str):
@@ -414,7 +358,7 @@ def build_problem(cfg: RunConfig):
     op_a = _build_operator(cfg.operator_a, cfg.base_dir)
     op_b = _build_operator(cfg.operator_b, cfg.base_dir)
     # parse_config has checked interval grids; a matrix grid is known only now
-    too_large = states_too_large(cfg.steps, op_a.basis.grid.size)
+    too_large = run_too_large(cfg.steps, op_a.basis.grid.size)
     if too_large:
         raise ConfigurationError(f"[scheme] steps: {too_large}")
     spec = pot.make_potential(cfg.potential_name, **cfg.potential_params)

@@ -266,7 +266,7 @@ def longtime_report(config: SchemeConfig, data: ProblemData, snapshots: np.ndarr
     if len(snapshot_steps) < 2:
         raise InsufficientDataError("need at least two snapshots")
     grid, h = config.grid, config.h
-    spec, op_b, u_inf = config.spec, config.op_B, data.u_infinity
+    spec, op_b, u_inf = config.spec, config.op_B, data.source.u_inf
     gaps = np.empty((len(snapshots), len(snapshots)))
     for i, row in enumerate(snapshots):
         gaps[i] = sp.row_norms(snapshots - row, grid)

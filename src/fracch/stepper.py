@@ -73,6 +73,18 @@ from .errors import (
 _ROUNDOFF = 16.0 * np.finfo(float).eps
 
 
+#: The range of each scalar setting of the scheme: name -> (check, requirement).
+#: A NaN fails every check.
+SCHEME_RANGES = {
+    "tau": (lambda value: 0.0 <= value <= 1.0, "must lie in [0, 1]"),
+    "yosida_lambda": (lambda value: value > 0, "must be positive"),
+    "h": (lambda value: value > 0, "must be positive"),
+    "steps": (lambda value: value >= 0, "must be nonnegative"),
+    "newton_tol": (lambda value: value > 0, "must be positive"),
+    "newton_max": (lambda value: value >= 1, "must be at least 1"),
+}
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Everything the scheme needs besides the data: operators, potential, steps."""
@@ -88,18 +100,9 @@ class SchemeConfig:
     newton_max: int = 50
 
     def __post_init__(self):
-        if not (0.0 <= self.tau <= 1.0):
-            raise ConfigurationError("tau must lie in [0, 1]")
-        if not self.h > 0:
-            raise ConfigurationError("step size must be positive")
-        if self.steps < 0:
-            raise ConfigurationError("step count must be nonnegative")
-        if not self.yosida_lambda > 0:
-            raise ConfigurationError("regularization level must be positive")
-        if not self.newton_tol > 0:
-            raise ConfigurationError("newton_tol must be positive")
-        if self.newton_max < 1:
-            raise ConfigurationError("newton_max must be at least 1")
+        for key, (ok, requirement) in SCHEME_RANGES.items():
+            if not ok(getattr(self, key)):
+                raise ConfigurationError(f"{key} {requirement}")
         if not self.op_A.basis.grid.same_as(self.op_B.basis.grid):
             raise ConfigurationError("the two operators must share one quadrature grid")
 
@@ -203,11 +206,6 @@ class ProblemData:
 
     y0: sp.Field
     source: DecaySource | TabulatedSource
-    u_infinity: Optional[sp.Field] = None
-
-    def __post_init__(self):
-        if self.u_infinity is None:
-            object.__setattr__(self, "u_infinity", self.source.u_inf)
 
     @property
     def initial_mean(self) -> float:

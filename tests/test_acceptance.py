@@ -145,7 +145,7 @@ def test_criterion_5_positive_branch_longtime(branch_i_run):
     assert sups[0] > sups[1] > sups[2]
     spec = traj.config.spec
     op_b = traj.config.op_B
-    u_inf = traj.data.u_infinity
+    u_inf = traj.data.source.u_inf
     initial = lt.stationarity_residual(traj.ys[0], 0.0, u_inf, spec, op_b)
     final = lt.stationarity_residual(traj.ys[-1], 0.0, u_inf, spec, op_b)
     assert final <= 1e-3 * initial

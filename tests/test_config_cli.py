@@ -100,6 +100,41 @@ class TestParseConfig:
             cfgmod.parse_config(doc)
         message = str(excinfo.value)
         assert "tau" in message and "h" in message
+        # one error in every section: unknown, unparsable, missing and out of range
+        edits = {
+            "exponent = 0.5\n\n[operator_b]": "exponent = abc\n\n[operator_b]",
+            "grid_points = 25\nexponent = 0.5\n\n[potential]": "exponent = 0.5\n\n[potential]",
+            "c2 = 1.0": "c2 = 1.0\nc3 = 2",
+            "tau = 0.25": "tau = 2",
+            "y0 = cosine 0.1 0.4 0.2\n": "",
+            "snapshots = log 9": "snapshots = log 9\nformat = csv",
+            "seed = 42": "seed = x",
+        }
+        doc = MINIMAL
+        for old, new in edits.items():
+            assert old in doc
+            doc = doc.replace(old, new, 1)
+        with pytest.raises(ConfigurationError) as excinfo:
+            cfgmod.parse_config(doc)
+        assert sorted(str(excinfo.value).split("; ")) == [
+            "[data] y0: missing",
+            "[operator_a] exponent: cannot parse 'abc' as a finite number",
+            "[operator_b] grid_points: missing",
+            "[output] format: unknown key",
+            "[potential] c3: unknown key",
+            "[run] seed: cannot parse 'x' as an integer",
+            "[scheme] tau: must lie in [0, 1]",
+        ]
+
+    def test_readme_example_parses(self):
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            (example,) = re.findall(r"^```ini\n(.*?)^```$", fh.read(), re.S | re.M)
+        cfg = cfgmod.parse_config(example)
+        assert (cfg.operator_a.exponent, cfg.potential_params, cfg.tau) == (0.5, {"c2": 1.0}, 0.25)
+        scheme, data = cfgmod.build_problem(cfg)
+        assert (scheme.steps, scheme.grid.size) == (1000, 129)
 
     def test_build_problem(self):
         cfg = cfgmod.parse_config(MINIMAL)
@@ -616,6 +651,11 @@ class TestCliAnalysis:
         (["sweep", "CONFIG", "--levels", "0"], "--levels"),
         (["sweep", "CONFIG", "--levels", "-1"], "--levels"),
         (["sweep", "CONFIG", "--levels", "99999999999999999999"], "physical memory"),
+        # each of these ended in numpy's _ArrayMemoryError traceback
+        (["check-potentials", "--grid", "1000000000000000"], "--grid"),
+        (["example-best", "--grid-points", "1000000000000000"], "--grid-points"),
+        (["example-best", "--samples", "1000000000000000"], "--samples"),
+        (["check-potentials", "--samples", "1000000000000000"], "--samples"),
     ])
     def test_flag_outside_its_range_exits_2(self, tmp_path, capsys, argv, flag):
         # each of these used to end in a traceback, a silent wrong run or exit 3
