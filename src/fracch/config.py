@@ -15,7 +15,7 @@ import configparser
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -60,10 +60,6 @@ _SCHEMA = {
     "run": {"seed": (int, 0)},
 }
 _REQUIRED_SECTIONS = ("operator_a", "operator_b", "potential", "scheme", "data")
-
-DEFAULT_NEWTON_TOL = _SCHEMA["scheme"]["newton_tol"][1]
-DEFAULT_NEWTON_MAX = _SCHEMA["scheme"]["newton_max"][1]
-DEFAULT_SNAPSHOTS = _SCHEMA["output"]["snapshots"][1]
 
 
 @dataclass(frozen=True)
@@ -256,14 +252,12 @@ def load_config(path: str) -> RunConfig:
     return read_config(path)[1]
 
 
-def _build_operator(section: OperatorSection, base_dir: str) -> sp.FractionalOperator:
+def _build_basis(section: OperatorSection, base_dir: str) -> sp.EigenBasis:
     if section.kind == "matrix":
         matrix = sp.load_matrix_file(os.path.join(base_dir, section.matrix_file))
-        basis = sp.build_matrix_basis(matrix)
-    else:
-        basis = sp.build_interval_basis(section.kind, section.modes,
-                                        section.length, section.grid_points)
-    return sp.FractionalOperator(basis, section.exponent)
+        return sp.build_matrix_basis(matrix)
+    return sp.build_interval_basis(section.kind, section.modes, section.length,
+                                   section.grid_points)
 
 
 def parse_number(token: str, where: str) -> float:
@@ -355,8 +349,15 @@ def _build_source(cfg: RunConfig, grid: sp.Grid):
 
 def build_problem(cfg: RunConfig):
     """Materialize (SchemeConfig, ProblemData) from a parsed document."""
-    op_a = _build_operator(cfg.operator_a, cfg.base_dir)
-    op_b = _build_operator(cfg.operator_b, cfg.base_dir)
+    basis_a = _build_basis(cfg.operator_a, cfg.base_dir)
+    # sections that differ only in their exponent share one basis, which
+    # lets the stepper solve smooth-well Newton directions along its modes
+    if replace(cfg.operator_b, exponent=cfg.operator_a.exponent) == cfg.operator_a:
+        basis_b = basis_a
+    else:
+        basis_b = _build_basis(cfg.operator_b, cfg.base_dir)
+    op_a = sp.FractionalOperator(basis_a, cfg.operator_a.exponent)
+    op_b = sp.FractionalOperator(basis_b, cfg.operator_b.exponent)
     # parse_config has checked interval grids; a matrix grid is known only now
     too_large = run_too_large(cfg.steps, op_a.basis.grid.size)
     if too_large:

@@ -21,20 +21,29 @@ step), the state moving at a constant rate being a better guess than a
 state at rest.  The start changes where Newton begins, not the equation it
 solves or ``mu+``, which stays eliminated exactly.  Newton takes one
 product with ``K`` per residual and ``K`` plus the slope diagonal
-``beta_lam' + pi'`` as Jacobian.  The slope alone picks how the Newton
-direction is found.  When at most half of the nodes lie above the
-smallest slope ``c`` (the obstacle well, whose Yosida slope is 0 or
-1/lam), the direction is the Woodbury correction of ``G = (K + c I)^(-1)``
-on those nodes: ``G`` is inverted once per run and again only when ``c``
-changes, and each iteration solves a system the size of that node set.
-The obstacle slope changes only where the contact set does, so the
-columns of ``G`` on that set and the small system's matrix are kept from
-one iteration and one step to the next until the set or its slopes move.
-Otherwise (the smooth wells, whose slope differs from node to node) the
-Jacobian is factored by dense LU.  Either way each iteration makes exactly
-one ``numpy.linalg.solve`` call.  Newton stops once the residual is at most
-``newton_tol``.  A residual it can reduce no further is accepted at its
-round-off floor, which for large operator powers lies above ``newton_tol``.
+``beta_lam' + pi'`` as Jacobian.  Its direction is found in one of three
+ways, picked by the slope and the operators:
+
+- At most half of the nodes lie above the smallest slope ``c`` (the
+  obstacle well, whose Yosida slope is 0 or 1/lam): the Woodbury
+  correction of ``G = (K + c I)^(-1)`` on those nodes.  ``G`` is inverted
+  once per run and again only when ``c`` changes, and each iteration
+  solves a system the size of that node set.  The obstacle slope changes
+  only where the contact set does, so the columns of ``G`` on that set
+  and the small system's matrix are kept from one iteration and one step
+  to the next until the set or its slopes move.
+- More nodes above ``c`` (the smooth wells, whose slope differs from node
+  to node), and both operators on one eigenbasis ``Phi`` of ``n`` modes
+  with ``n`` at most 3/5 of the grid size: ``K`` is a multiple of the
+  identity plus a rank-``n`` term along the modes, and the Woodbury
+  identity along them leaves one ``n`` x ``n`` system per iteration.
+- Otherwise (two bases, or as many modes as nodes, as a matrix operator
+  has) the dense LU of the Jacobian.
+
+Each iteration makes exactly one ``numpy.linalg.solve`` call.  Newton
+stops once the residual is at most ``newton_tol``.  A residual it can
+reduce no further is accepted at its round-off floor, which for large
+operator powers lies above ``newton_tol``.
 
 Trajectories start from ``y0`` with ``mu0 = 0``; that
 initialization is part of the scheme, not a configurable choice, and it
@@ -354,13 +363,23 @@ class DiscreteTrajectory:
                                    solver_stats=self.solver_stats[:steps])
 
 
+#: The mode branch pays while the shared basis has at most this share of the
+#: grid size as modes.  Timed per direction against the dense LU on grids
+#: of 129, 257 and 513 nodes (one BLAS thread), it is faster on all three up
+#: to 0.60 (1.5x, 1.7x and 2.0x at 0.50), between 4% slower and 7% faster
+#: at 0.70, and slower on all three at 0.75.
+_MODE_SHARE = 0.6
+
+
 class _Workspace:
     """The step operator K of one run, assembled once, and its Newton directions.
 
-    ``direction`` solves ``(K + diag(slope)) delta = -g``.  With ``c`` the
-    smallest slope and ``off`` the nodes above it, ``K + diag(slope)`` is
-    ``K + c I`` plus a diagonal update on ``off``.  When ``off`` holds at
-    most half of the nodes, the Woodbury identity gives
+    ``direction`` solves ``(K + diag(slope)) delta = -g`` along one of three
+    branches.  With ``c`` the smallest slope and ``off`` the nodes above it,
+    ``K + diag(slope)`` is ``K + c I`` plus a diagonal update on ``off``.
+
+    *Nodes.*  When ``off`` holds at most half of the nodes, the Woodbury
+    identity on them gives
 
         delta = x - G[:, off] (I + E G[off, off])^(-1) E x[off],
         x = -G g,   G = (K + c I)^(-1),   E = diag(slope - c)[off],
@@ -376,11 +395,26 @@ class _Workspace:
     ``G``, and a new shift drops them before ``G`` is inverted again, so a
     failed inversion leaves no factors behind.  A hit feeds the same arrays
     to the same products, so its direction is the rebuilt one bit for bit.
-    More nodes above ``c`` take the dense LU of ``K + diag(slope)``, which
-    leaves the factors in place.  Both branches make one
-    ``numpy.linalg.solve`` call, the capacitance solve running even for an
-    empty ``off`` and on every hit, so that a count of linear solves (the
-    benchmark's trace) equals the Newton iteration count.
+
+    *Modes.*  More nodes off, with both operators on one basis ``Phi`` of
+    ``n <= _MODE_SHARE * m`` modes: there ``K = a I + Phi diag(kappa) Phi^T W``
+    with ``a = tau/h + L + 1/h`` and ``kappa = lam_B^2s - lam_A^2r / ((1 +
+    lam_A^2r) h)``.  With ``D = a + slope``, which is at least ``1 + 1/h``,
+    and ``z = -g / D``, the Woodbury identity along the modes gives
+
+        delta = z - D^(-1) Phi C^(-1) (kappa * Phi^T W z),
+        C = I + diag(kappa) Phi^T W D^(-1) Phi,
+
+    an ``n`` x ``n`` system that is invertible because ``K + diag(slope)``
+    is (``det(K + diag(slope)) = det(D) det(C)``).  ``Phi^T W D^(-1) Phi``
+    is the Gram matrix of the rows of ``Phi^T (W / D)^(1/2)``.  The branch
+    keeps no state between calls.
+
+    *Dense.*  Otherwise the dense LU of ``K + diag(slope)``.  Neither of
+    the last two branches touches the node branch's factors.  Every branch
+    makes one ``numpy.linalg.solve`` call, the capacitance solve running
+    even for an empty ``off`` and on every hit, so that a count of linear
+    solves (the benchmark's trace) equals the Newton iteration count.
     """
 
     def __init__(self, config: SchemeConfig):
@@ -391,7 +425,8 @@ class _Workspace:
                    + sp.solve_shifted(config.op_A, eye) / config.h)
         self.k = np.ascontiguousarray(columns.T)
         self.diagonal = np.diag_indices_from(self.k)
-        self.k[self.diagonal] += config.tau / config.h + config.spec.stability_shift
+        shift = config.tau / config.h + config.spec.stability_shift
+        self.k[self.diagonal] += shift
         self.w = config.grid.w
         self.k_rows = self.h_norm(np.abs(self.k).sum(axis=1))
         self.config = config
@@ -399,12 +434,22 @@ class _Workspace:
         self.inverse = None   # G = (K + c I)^(-1) for the cached shift c
         self.shift = np.nan
         self.active = None    # (off, excess, G[:, off], capacitance) of the last set
+        basis = config.op_A.basis
+        self.kappa = None     # set when the smooth slopes take the mode branch
+        if basis is config.op_B.basis and basis.n <= _MODE_SHARE * config.grid.size:
+            weights = config.op_A.power_weights(2.0)
+            self.a = shift + 1.0 / config.h
+            self.kappa = config.op_B.power_weights(2.0) - weights / ((1.0 + weights) * config.h)
+            self.modes = basis.modes
+            self.analysis = basis.analysis_matrix
 
     def direction(self, slope: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Newton direction: the solution of ``(K + diag(slope)) delta = -g``."""
         c = slope.min()
         off = np.flatnonzero(slope - c)
         if 2 * off.size > slope.size:
+            if self.kappa is not None:
+                return self._along_modes(slope, g)
             jac = self.k.copy()
             jac[self.diagonal] += slope
             return np.linalg.solve(jac, -g)
@@ -431,6 +476,17 @@ class _Workspace:
         _, _, columns, capacitance = self.active
         x = self.inverse @ -g
         return x - columns @ np.linalg.solve(capacitance, excess * x[off])
+
+    def _along_modes(self, slope: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The direction of the mode branch (see the class docstring)."""
+        inv_d = 1.0 / (self.a + slope)
+        z = -g * inv_d
+        root = self.modes.T * np.sqrt(self.w * inv_d)
+        capacitance = root @ root.T   # a matrix times its own transpose: half a general product
+        capacitance *= self.kappa[:, None]
+        capacitance.flat[:: len(capacitance) + 1] += 1.0   # the diagonal, without index arrays
+        coefficients = np.linalg.solve(capacitance, self.kappa * (self.analysis @ z))
+        return z - inv_d * (self.modes @ coefficients)
 
     def h_norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(np.sum(self.w * v * v)))

@@ -1,7 +1,10 @@
-"""Every public top-level function or class of the package is used by the package.
+"""Every public top-level function, class or module-level assignment of the
+package is used by the package.
 
-A name that only tests call is a second path beside the one the command
-line runs.  The allowlist holds the exceptions, each with its reason.
+A name that only tests call or read is a second path beside the one the
+command line runs, and a constant nothing reads is a second copy of a value
+that lives elsewhere.  The allowlist holds the exceptions, each with its
+reason.
 """
 
 import ast
@@ -31,13 +34,19 @@ def test_every_public_name_is_used_by_the_package():
     used = set()
     for module, tree in modules:
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined[node.name] = module
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined.update((name, module) for name in names if not name.startswith("_"))
+        # only reads count: an assignment stores its own name
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in used and name not in ALLOWED)

@@ -68,8 +68,8 @@ POSITIVE_BRANCH = MINIMAL.replace("kind = neumann", "kind = dirichlet") \
 class TestParseConfig:
     def test_minimal_document_defaults(self):
         cfg = cfgmod.parse_config(MINIMAL)
-        assert cfg.newton_tol == cfgmod.DEFAULT_NEWTON_TOL
-        assert cfg.newton_max == cfgmod.DEFAULT_NEWTON_MAX
+        assert cfg.newton_tol == st.SchemeConfig.newton_tol
+        assert cfg.newton_max == st.SchemeConfig.newton_max
         assert cfg.seed == 42
         assert cfg.operator_a.kind == "neumann"
 
@@ -141,6 +141,21 @@ class TestParseConfig:
         scheme, data = cfgmod.build_problem(cfg)
         assert scheme.steps == 120
         assert data.initial_mean == pytest.approx(0.1, abs=1e-12)
+
+    def test_sections_differing_in_exponent_alone_share_one_basis(self):
+        doc = MINIMAL.replace("exponent = 0.5\n\n[potential]", "exponent = 0.75\n\n[potential]")
+        scheme, _ = cfgmod.build_problem(cfgmod.parse_config(doc))
+        assert scheme.op_A.basis is scheme.op_B.basis
+        assert (scheme.op_A.exponent, scheme.op_B.exponent) == (0.5, 0.75)
+        # the shared basis is the one each section builds alone, bit for bit
+        apart = sp.build_interval_basis("neumann", 12, 4.0, 25)
+        assert np.array_equal(scheme.op_B.basis.modes, apart.modes)
+        assert np.array_equal(scheme.op_B.basis.lambdas, apart.lambdas)
+        other = doc.replace("modes = 12\nlength = 4.0\ngrid_points = 25\nexponent = 0.75",
+                            "modes = 10\nlength = 4.0\ngrid_points = 25\nexponent = 0.75")
+        scheme, _ = cfgmod.build_problem(cfgmod.parse_config(other))
+        assert scheme.op_A.basis is not scheme.op_B.basis
+        assert scheme.op_B.basis.n == 10
 
     def test_field_descriptor_file(self, tmp_path):
         grid = sp.interval_grid(4.0, 25)
@@ -500,7 +515,7 @@ class TestCliErrors:
         assert payload["error"] == "StepError" and payload["exit_code"] == 3
         assert payload["step_index"] == 0
         assert len(payload["residual_history"]) == 2
-        assert payload["residual_history"][-1] > cfgmod.DEFAULT_NEWTON_TOL
+        assert payload["residual_history"][-1] > st.SchemeConfig.newton_tol
         assert not out.exists()
 
     @pytest.mark.parametrize("replace,argv,token", [

@@ -8,12 +8,13 @@ identity and the ledger slack.  The regularization examples draw a graph,
 two points and a level, and check the resolvent and Yosida identities.
 The serialization examples draw float arrays and check that the JSON of an
 array is the JSON of its nested list.  The Newton-direction examples check
-the reduced branch against the dense solve, and a workspace that reuses its
-active-set factors against a fresh one, bit for bit.  The warm-start
-examples check a run, whose Newton solves start at the previous increment,
-against ``solve_step`` chained from ``d = 0``.  The fuzzing examples mutate
-a small run document, or draw the flags of ``check-potentials``,
-``example-best`` and ``sweep``, and hold ``cli.main`` to its input contract.
+the reduced branch and the branch along the modes against the dense solve,
+and a workspace that reuses its active-set factors against a fresh one, bit
+for bit.  The warm-start examples check a run, whose Newton solves start at
+the previous increment, against ``solve_step`` chained from ``d = 0``.  The
+fuzzing examples mutate a small run document, or draw the flags of
+``check-potentials``, ``example-best`` and ``sweep``, and hold ``cli.main``
+to its input contract.
 The examples are derandomized so that the suite gives the same verdict on
 every run.
 """
@@ -204,6 +205,35 @@ def test_cached_newton_direction_matches_a_fresh_workspace(kind, points, exponen
         slope = np.where(contact[index], floor + gap, floor)
         g = rng.normal(size=points)
         assert np.array_equal(ws.direction(slope, g), st._Workspace(config).direction(slope, g))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kind=hs.sampled_from(("neumann", "dirichlet")), points=hs.integers(5, 65),
+       exponents=hs.tuples(hs.floats(0.1, 1.0), hs.floats(0.1, 1.0)),
+       tau=hs.floats(0.0, 1.0), h=hs.floats(1e-3, 0.05), seed=hs.integers(0, 2**32 - 1))
+def test_mode_newton_direction_matches_dense_solve(kind, points, exponents, tau, h, seed):
+    # both operators on one basis of about half as many modes as nodes, and
+    # continuous slopes in [-Lip(pi), 1/lam] like a smooth well's: the
+    # direction solves one system along the modes
+    basis = sp.build_interval_basis(kind, min(points // 2, points - 2), 2.0, points)
+    config = st.SchemeConfig(
+        op_A=sp.FractionalOperator(basis, exponents[0]),
+        op_B=sp.FractionalOperator(basis, exponents[1]),
+        spec=pot.make_potential("logarithmic", c1=1.5), yosida_lambda=1e-3, tau=tau, h=h,
+        steps=1)
+    ws = st._Workspace(config)
+    assert ws.kappa is not None
+    rng = np.random.default_rng(seed)
+    slope = rng.uniform(-config.spec.lipschitz_pi, 1.0 / config.yosida_lambda, points)
+    g = rng.normal(size=points)
+    jac = ws.k + np.diag(slope)
+    expected = np.linalg.solve(jac, -g)
+    delta = ws.direction(slope, g)
+    assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
+    # the residual of a backward stable solve: round-off of the products in it
+    scale = ws.h_norm(np.abs(jac) @ np.abs(delta)) + ws.h_norm(g)
+    assert ws.h_norm(jac @ delta + g) <= 16 * EPS * scale
+    assert ws.inverse is None and ws.active is None
 
 
 GRAPHS = {name: pot.make_potential(name, **params) for name, params in (

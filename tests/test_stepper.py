@@ -228,15 +228,21 @@ class TestSolveStep:
         assert sp.norm(y_a - y_b) <= 10 * config.newton_tol
 
 
-def direction_workspace(kind):
-    """Step operator of an obstacle run on an interval basis or a matrix operator."""
-    if kind == "matrix":
-        a = np.random.default_rng(3).normal(size=(12, 12))
-        basis = sp.build_matrix_basis(0.5 * (a @ a.T + a.T @ a))
-    else:
-        basis = sp.build_interval_basis(kind, 8, 2.0, 17)
+def direction_workspace(kind, shared=True):
+    """Step operator of an obstacle run on an interval basis or a matrix operator.
+
+    The interval bases hold 8 modes on 17 nodes, the matrix operator 12 on
+    12; ``shared=False`` builds the basis of the second operator again.
+    """
+    def basis():
+        if kind == "matrix":
+            a = np.random.default_rng(3).normal(size=(12, 12))
+            return sp.build_matrix_basis(0.5 * (a @ a.T + a.T @ a))
+        return sp.build_interval_basis(kind, 8, 2.0, 17)
+    basis_a = basis()
     return st._Workspace(st.SchemeConfig(
-        op_A=sp.FractionalOperator(basis, 0.5), op_B=sp.FractionalOperator(basis, 0.7),
+        op_A=sp.FractionalOperator(basis_a, 0.5),
+        op_B=sp.FractionalOperator(basis_a if shared else basis(), 0.7),
         spec=pot.make_potential("obstacle", c2=1.0), yosida_lambda=1e-2, tau=0.3,
         h=0.05, steps=1))
 
@@ -273,15 +279,25 @@ class TestNewtonDirection:
         assert ws.shift == -1.5 and ws.inverse is not inverse
         assert np.array_equal(ws.k, k)
 
-    @pytest.mark.parametrize("kind", ["neumann", "matrix"])
-    def test_more_than_half_off_takes_dense_branch(self, kind):
-        ws = direction_workspace(kind)
+    @pytest.mark.parametrize("kind, shared, order", [
+        ("neumann", True, 8),        # one basis of 8 modes on 17 nodes: along the modes
+        ("neumann", False, 17),      # two equal bases built apart: dense LU
+        ("matrix", True, 12),        # as many modes as nodes: dense LU
+    ], ids=["neumann", "two-bases", "matrix"])
+    def test_more_than_half_off_takes_modes_or_dense_branch(self, kind, shared, order,
+                                                             monkeypatch):
+        ws = direction_workspace(kind, shared)
         m = ws.k.shape[0]
         rng = np.random.default_rng(6)
         slope = np.full(m, -2.0)
         slope[: m // 2 + 1] += 1.0 / 1e-2
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
         assert_dense_direction(ws, rng.permutation(slope), rng.normal(size=m))
         assert_dense_direction(ws, rng.uniform(-2.0, 5.0, m), rng.normal(size=m))
+        # the oracle's dense solve comes first, then the direction's one solve
+        assert calls == [(m, m), (order, order)] * 2
         assert ws.inverse is None
 
     def test_one_linear_solve_per_direction(self, monkeypatch):
@@ -292,10 +308,13 @@ class TestNewtonDirection:
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
         few = np.full(m, -2.0)
         few[[2, 7]] = 98.0
-        # the second and the last call with ``few`` reuse the cached factors
+        # the second and the last call with ``few`` reuse the cached factors;
+        # the linear slope takes the branch along the shared basis's modes
         for slope in (np.full(m, -2.0), few, few, np.linspace(0.0, 1.0, m), few):
             ws.direction(slope, np.ones(m))
-        assert calls == [(0, 0), (2, 2), (2, 2), (m, m), (2, 2)]
+        n = ws.config.op_A.basis.n
+        assert n < m
+        assert calls == [(0, 0), (2, 2), (2, 2), (n, n), (2, 2)]
 
     @pytest.mark.parametrize("kind", ["neumann", "matrix"])
     def test_cached_factors_match_a_fresh_workspace(self, kind):
@@ -403,6 +422,30 @@ class TestRun:
                                   "below newton_tol 1.0e-10 or its round-off floor ")
         assert excinfo.value.exit_code == 3
 
+    @pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
+    def test_mode_directions_match_the_dense_lu_run(self, kind, monkeypatch):
+        # a logarithmic run whose every Newton direction goes along the
+        # modes, against the same run with the dense LU patched in
+        config = warm_start_config(kind, "logarithmic")
+        grid = config.grid
+        data = st.ProblemData(y0=cosine_field(grid, [0.1, 0.6, 0.2]),
+                              source=st.DecaySource(sp.constant_field(0.8, grid),
+                                                    cosine_field(grid, [0.0, 0.0, 1.0]), 0.5))
+        calls = []
+        along = st._Workspace._along_modes
+        monkeypatch.setattr(st._Workspace, "_along_modes",
+                            lambda ws, slope, g: calls.append(1) or along(ws, slope, g))
+        modes = st.run(config, data)
+        monkeypatch.setattr(st._Workspace, "_along_modes",
+                            lambda ws, slope, g: np.linalg.solve(ws.k + np.diag(slope), -g))
+        dense = st.run(config, data)
+        iterations = [s.iterations for s in modes.solver_stats]
+        assert iterations == [s.iterations for s in dense.solver_stats]
+        assert len(calls) == sum(iterations) > config.steps
+        for name in ("y", "mu"):
+            ours, oracle = getattr(modes, name), getattr(dense, name)
+            assert np.abs(ours - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
     def test_refinement_reduces_state_difference(self):
         from conftest import smooth_benchmark
         t_final = 0.8
@@ -466,6 +509,27 @@ class TestWarmStart:
         source = st.DecaySource(sp.constant_field(0.5, grid), cosine_field(grid, [0.0, 1.5]), 0.3)
         assert_matches_cold_chain(st.run(config, st.ProblemData(
             y0=cosine_field(grid, [0.1, 0.6, 0.2]), source=source)))
+
+    @pytest.mark.parametrize("kind, length, exponent_a, y0, totals", [
+        ("neumann", 1.0, 1.0, [0.1, 0.05], (23, 13)),
+        ("dirichlet", 0.5, 0.5, [0.1, 0.1, 0.05], (20, 10)),
+    ], ids=["neumann", "dirichlet"])
+    def test_settling_run_iteration_totals(self, kind, length, exponent_a, y0, totals):
+        # the run settles within about ten steps; from there the cold start
+        # meets newton_tol at d = 0, while the previous increment, too large
+        # by a little, costs one iteration about every other step.  The
+        # totals are pinned as they stand, so that a change of the start
+        # rule shows in them.  Every start residual lies at least 1.9% away
+        # from newton_tol, far outside round-off
+        basis = sp.build_interval_basis(kind, 8, length, 17)
+        config = st.SchemeConfig(op_A=sp.FractionalOperator(basis, exponent_a),
+                                 op_B=sp.FractionalOperator(basis, 1.0),
+                                 spec=pot.make_potential("logarithmic", c1=1.5),
+                                 yosida_lambda=1e-3, tau=0.0, h=0.0026, steps=30)
+        grid = config.grid
+        data = st.ProblemData(y0=cosine_field(grid, y0),
+                              source=st.DecaySource(sp.constant_field(0.4, grid)))
+        assert assert_matches_cold_chain(st.run(config, data)) == totals
 
 
 class TestSources:
