@@ -15,7 +15,9 @@ the increment solves the strongly monotone nodal equation
     K d + beta_lam(y + d) + pi(y + d) = u+ + S mu - B2s y,
     K = (tau/h + L) I + B2s + S/h.
 
-``K`` is assembled once per run; damped Newton solves for ``d`` from the
+``K`` is built once per run from the eigenbases, one product along the
+modes of each (a single one when both operators share their basis) and
+no product with the identity; damped Newton solves for ``d`` from the
 previous step's increment ``y^n - y^(n-1)`` (from ``d = 0`` on the first
 step), the state moving at a constant rate being a better guess than a
 state at rest.  The start changes where Newton begins, not the equation it
@@ -26,12 +28,14 @@ ways, picked by the slope and the operators:
 
 - At most half of the nodes lie above the smallest slope ``c`` (the
   obstacle well, whose Yosida slope is 0 or 1/lam): the Woodbury
-  correction of ``G = (K + c I)^(-1)`` on those nodes.  ``G`` is inverted
-  once per run and again only when ``c`` changes, and each iteration
-  solves a system the size of that node set.  The obstacle slope changes
-  only where the contact set does, so the columns of ``G`` on that set
-  and the small system's matrix are kept from one iteration and one step
-  to the next until the set or its slopes move.
+  correction of ``G = (K + c I)^(-1)`` on those nodes.  ``G`` is formed
+  once per run and again only when ``c`` changes: in closed form along
+  the modes when both operators share one basis, by a dense inverse
+  otherwise.  Each iteration solves a system the size of that node set.
+  The obstacle slope changes only where the contact set does, so the
+  columns of ``G`` on that set and the small system's matrix are kept
+  from one iteration and one step to the next until the set or its
+  slopes move.
 - More nodes above ``c`` (the smooth wells, whose slope differs from node
   to node), and both operators on one eigenbasis ``Phi`` of ``n`` modes
   with ``n`` at most 3/5 of the grid size: ``K`` is a multiple of the
@@ -372,7 +376,18 @@ _MODE_SHARE = 0.6
 
 
 class _Workspace:
-    """The step operator K of one run, assembled once, and its Newton directions.
+    """The step operator K of one run, built from the bases, and its Newton directions.
+
+    With ``Phi`` the modes of a basis and ``Phi^T W`` its analysis matrix,
+    ``B2s = Phi_B diag(lam_B^2s) Phi_B^T W`` and ``(I + A2r)^(-1) = I -
+    Phi_A diag(lam_A^2r / (1 + lam_A^2r)) Phi_A^T W``, so that
+
+        K = a I + Phi_B diag(lam_B^2s) Phi_B^T W - Phi_A diag(q / h) Phi_A^T W,
+        a = tau/h + L + 1/h,   q = lam_A^2r / (1 + lam_A^2r),
+
+    two products of an ``m`` x ``n`` by an ``n`` x ``m`` matrix.  On one
+    shared basis ``Phi`` this is ``K = a I + Phi diag(kappa) Phi^T W`` with
+    ``kappa = lam_B^2s - q / h``, one product.
 
     ``direction`` solves ``(K + diag(slope)) delta = -g`` along one of three
     branches.  With ``c`` the smallest slope and ``off`` the nodes above it,
@@ -385,22 +400,28 @@ class _Workspace:
         x = -G g,   G = (K + c I)^(-1),   E = diag(slope - c)[off],
 
     with ``G`` cached until ``c`` changes.  ``K + c I`` is invertible: ``K``
-    carries the shift ``L = Lip(pi) + 1`` and ``c >= -Lip(pi)``.  The
+    carries the shift ``L = Lip(pi) + 1`` and ``c >= -Lip(pi)``.  On a
+    shared basis, whose modes are orthonormal,
+
+        G = (I - Phi diag(kappa / (a + c + kappa)) Phi^T W) / (a + c),
+
+    one product along the modes; its denominators are positive, as ``a + c
+    >= 1 + 1/h`` and ``kappa > -1/h``.  With two bases there is no such
+    closed form and ``G`` is the dense inverse of ``K + c I``.  The
     capacitance matrix ``I + E G[off, off]`` is ``E (E^(-1) + G[off, off])``
     without the division, so a slope gap that rounds to a subnormal cannot
     overflow.  ``active`` keeps the factors of the last call, the columns
     ``G[:, off]`` as one contiguous copy and the capacitance matrix, under
     the key ``(off, slope[off] - c)`` for the cached shift.  A call whose
     key equals it bit for bit reuses them; any other key rebuilds them from
-    ``G``, and a new shift drops them before ``G`` is inverted again, so a
+    ``G``, and a new shift drops them before ``G`` is formed again, so a
     failed inversion leaves no factors behind.  A hit feeds the same arrays
     to the same products, so its direction is the rebuilt one bit for bit.
 
     *Modes.*  More nodes off, with both operators on one basis ``Phi`` of
-    ``n <= _MODE_SHARE * m`` modes: there ``K = a I + Phi diag(kappa) Phi^T W``
-    with ``a = tau/h + L + 1/h`` and ``kappa = lam_B^2s - lam_A^2r / ((1 +
-    lam_A^2r) h)``.  With ``D = a + slope``, which is at least ``1 + 1/h``,
-    and ``z = -g / D``, the Woodbury identity along the modes gives
+    ``n <= _MODE_SHARE * m`` modes.  With ``D = a + slope``, which is at
+    least ``1 + 1/h``, and ``z = -g / D``, the Woodbury identity along the
+    modes gives
 
         delta = z - D^(-1) Phi C^(-1) (kappa * Phi^T W z),
         C = I + diag(kappa) Phi^T W D^(-1) Phi,
@@ -418,15 +439,27 @@ class _Workspace:
     """
 
     def __init__(self, config: SchemeConfig):
-        # K = (tau/h + L) I + B2s + (I + A2r)^(-1)/h applied to the unit
-        # vectors: row i of the result is column i of K
-        eye = np.eye(config.grid.size)
-        columns = (sp.power_rows(config.op_B, eye, 2.0)
-                   + sp.solve_shifted(config.op_A, eye) / config.h)
-        self.k = np.ascontiguousarray(columns.T)
+        h = config.h
+        shift = config.tau / h + config.spec.stability_shift
+        weights = config.op_A.power_weights(2.0)
+        # (I + A2r)^(-1)/h = I/h - Phi_A diag(q_h) Phi_A^T W
+        q_h = weights / ((1.0 + weights) * h)
+        basis = config.op_A.basis
+        self.a = shift + 1.0 / h
+        self.kappa = None     # set when both operators share one basis
+        if basis is config.op_B.basis:
+            self.kappa = config.op_B.power_weights(2.0) - q_h
+            self.modes = basis.modes
+            self.analysis = basis.analysis_matrix
+            self.k = (self.modes * self.kappa) @ self.analysis
+        else:
+            basis_b = config.op_B.basis
+            self.k = ((basis_b.modes * config.op_B.power_weights(2.0)) @ basis_b.analysis_matrix
+                      - (basis.modes * q_h) @ basis.analysis_matrix)
         self.diagonal = np.diag_indices_from(self.k)
-        shift = config.tau / config.h + config.spec.stability_shift
-        self.k[self.diagonal] += shift
+        self.k[self.diagonal] += self.a
+        self.mode_branch = (self.kappa is not None
+                            and basis.n <= _MODE_SHARE * config.grid.size)
         self.w = config.grid.w
         self.k_rows = self.h_norm(np.abs(self.k).sum(axis=1))
         self.config = config
@@ -434,37 +467,22 @@ class _Workspace:
         self.inverse = None   # G = (K + c I)^(-1) for the cached shift c
         self.shift = np.nan
         self.active = None    # (off, excess, G[:, off], capacitance) of the last set
-        basis = config.op_A.basis
-        self.kappa = None     # set when the smooth slopes take the mode branch
-        if basis is config.op_B.basis and basis.n <= _MODE_SHARE * config.grid.size:
-            weights = config.op_A.power_weights(2.0)
-            self.a = shift + 1.0 / config.h
-            self.kappa = config.op_B.power_weights(2.0) - weights / ((1.0 + weights) * config.h)
-            self.modes = basis.modes
-            self.analysis = basis.analysis_matrix
 
     def direction(self, slope: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Newton direction: the solution of ``(K + diag(slope)) delta = -g``."""
         c = slope.min()
         off = np.flatnonzero(slope - c)
         if 2 * off.size > slope.size:
-            if self.kappa is not None:
+            if self.mode_branch:
                 return self._along_modes(slope, g)
             jac = self.k.copy()
             jac[self.diagonal] += slope
             return np.linalg.solve(jac, -g)
         if c != self.shift:
-            # drop every factor of the old G before inverting, so that a
-            # failed inversion leaves nothing to hit
+            # drop every factor of the old G before forming the new one, so
+            # that a failed inversion leaves nothing to hit
             self.inverse, self.shift, self.active = None, np.nan, None
-            # shift K in place and restore its diagonal exactly: a copy of K
-            # would hold one more m x m array at the run's peak
-            diagonal = self.k[self.diagonal]
-            self.k[self.diagonal] += c
-            try:
-                self.inverse = np.linalg.inv(self.k)
-            finally:
-                self.k[self.diagonal] = diagonal
+            self.inverse = self._shifted_inverse(c)
             self.shift = c
         excess = slope[off] - c
         if (self.active is None or not np.array_equal(self.active[0], off)
@@ -476,6 +494,22 @@ class _Workspace:
         _, _, columns, capacitance = self.active
         x = self.inverse @ -g
         return x - columns @ np.linalg.solve(capacitance, excess * x[off])
+
+    def _shifted_inverse(self, c: float) -> np.ndarray:
+        """``G = (K + c I)^(-1)`` (see the class docstring)."""
+        if self.kappa is not None:
+            scale = self.a + c
+            inverse = (self.modes * (self.kappa / (-scale * (scale + self.kappa)))) @ self.analysis
+            inverse[self.diagonal] += 1.0 / scale
+            return inverse
+        # shift K in place and restore its diagonal exactly: a copy of K
+        # would hold one more m x m array at the run's peak
+        diagonal = self.k[self.diagonal]
+        self.k[self.diagonal] += c
+        try:
+            return np.linalg.inv(self.k)
+        finally:
+            self.k[self.diagonal] = diagonal
 
     def _along_modes(self, slope: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The direction of the mode branch (see the class docstring)."""

@@ -8,15 +8,16 @@ identity and the ledger slack.  The regularization examples draw a graph,
 two points and a level, and check the resolvent and Yosida identities.
 The serialization examples draw float arrays and check that the JSON of an
 array is the JSON of its nested list.  The Newton-direction examples check
-the reduced branch and the branch along the modes against the dense solve,
-and a workspace that reuses its active-set factors against a fresh one, bit
-for bit.  The warm-start examples check a run, whose Newton solves start at
-the previous increment, against ``solve_step`` chained from ``d = 0``.  The
-fuzzing examples mutate a small run document, or draw the flags of
-``check-potentials``, ``example-best`` and ``sweep``, and hold ``cli.main``
-to its input contract.
-The examples are derandomized so that the suite gives the same verdict on
-every run.
+the step operator and its shifted inverse built from a shared basis
+against the dense assembly and inverse, the reduced branch and the branch
+along the modes against the dense solve, and a workspace that reuses its
+active-set factors against a fresh one, bit for bit.  The warm-start
+examples check a run, whose Newton solves start at the previous increment,
+against ``solve_step`` chained from ``d = 0``.  The fuzzing examples
+mutate a small run document, or draw the flags of ``check-potentials``,
+``example-best`` and ``sweep``, and hold ``cli.main`` to its input
+contract.  The examples are derandomized so that the suite gives the same
+verdict on every run.
 """
 
 import contextlib
@@ -38,7 +39,8 @@ from fracch import runio
 from fracch import spectral as sp
 from fracch import stepper as st
 
-from conftest import assert_matches_cold_chain, cosine_field, zero_potential
+from conftest import (assert_matches_cold_chain, assert_step_operator_closed_forms, cosine_field,
+                      zero_potential)
 
 POTENTIALS = ("regular", "logarithmic", "obstacle", "example_best")
 EPS = np.finfo(float).eps
@@ -182,6 +184,24 @@ def test_newton_direction_matches_dense_solve(kind, points, exponent, levels, da
     delta = ws.direction(slope, g)
     assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
     assert np.array_equal(ws.k, k)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kind=hs.sampled_from(("neumann", "dirichlet")), points=hs.integers(5, 65),
+       exponents=hs.tuples(hs.floats(0.1, 1.0), hs.floats(0.1, 1.0)),
+       tau=hs.floats(0.0, 1.0), h=hs.floats(1e-3, 0.05), data=hs.data())
+def test_step_operator_closed_forms_match_dense_assembly(kind, points, exponents, tau, h, data):
+    # K and G = (K + c I)^(-1) from the shared basis, for any mode count and
+    # any shift c in [-Lip(pi), 1/lam], the range of the smallest slope
+    modes = data.draw(hs.integers(1, points - 2 if kind == "dirichlet" else points))
+    basis = sp.build_interval_basis(kind, modes, 2.0, points)
+    config = st.SchemeConfig(
+        op_A=sp.FractionalOperator(basis, exponents[0]),
+        op_B=sp.FractionalOperator(basis, exponents[1]),
+        spec=pot.make_potential("obstacle", c2=1.0), yosida_lambda=1e-3, tau=tau, h=h,
+        steps=1)
+    shift = data.draw(hs.floats(-config.spec.lipschitz_pi, 1.0 / config.yosida_lambda))
+    assert_step_operator_closed_forms(st._Workspace(config), shift)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -17,7 +17,8 @@ from fracch.errors import (
     SourceTailHypothesisError,
 )
 
-from conftest import assert_matches_cold_chain, cosine_field, zero_potential
+from conftest import (assert_matches_cold_chain, assert_step_operator_closed_forms, cosine_field,
+                      zero_potential)
 
 
 def neumann_config(spec, n=8, points=17, length=2.0, r=0.5, sigma=0.5,
@@ -278,6 +279,60 @@ class TestNewtonDirection:
         assert_dense_direction(ws, few + 0.5, g)
         assert ws.shift == -1.5 and ws.inverse is not inverse
         assert np.array_equal(ws.k, k)
+
+    @pytest.mark.parametrize("kind, shared", [
+        ("neumann", True), ("dirichlet", True),
+        ("matrix", True),            # as many modes as nodes
+        ("neumann", False),          # two bases: K from both, G the dense inverse
+    ], ids=["neumann", "dirichlet", "matrix", "two-bases"])
+    def test_closed_forms_match_dense_assembly(self, kind, shared):
+        ws = direction_workspace(kind, shared)
+        for shift in (-2.0, 0.5, 1e2):
+            assert_step_operator_closed_forms(ws, shift)
+
+    @pytest.mark.parametrize("kind, shared, inversions", [
+        ("neumann", True, 0),
+        ("matrix", True, 0),
+        ("neumann", False, 2),       # two equal bases built apart: one inverse per shift
+    ], ids=["neumann", "matrix", "two-bases"])
+    def test_dense_inverse_only_for_two_bases(self, kind, shared, inversions, monkeypatch):
+        config = direction_workspace(kind, shared).config
+        m = config.grid.size
+        calls = []
+        inv, eye = np.linalg.inv, np.eye
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+        monkeypatch.setattr(np, "eye", lambda *args, **kw: calls.append("eye") or eye(*args, **kw))
+        ws = st._Workspace(config)
+        few = np.full(m, -2.0)
+        few[[1, 4]] += 1.0 / 1e-2
+        g = np.random.default_rng(8).normal(size=m)
+        # two shift changes, each followed by a call that keeps the shift
+        for slope in (few, few[::-1].copy(), few + 0.5, few[::-1] + 0.5):
+            ws.direction(slope, g)
+        assert calls == [(m, m)] * inversions
+
+    def test_failed_inversion_leaves_no_factors(self, monkeypatch):
+        ws = direction_workspace("neumann", shared=False)
+        m = ws.k.shape[0]
+        k = ws.k.copy()
+        few = np.full(m, -2.0)
+        few[[1, 4]] += 1.0 / 1e-2
+        g = np.ones(m)
+        assert_dense_direction(ws, few, g)
+        assert ws.active is not None
+
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(np.linalg.LinAlgError):
+            ws.direction(few + 0.5, g)
+        assert ws.inverse is None and np.isnan(ws.shift) and ws.active is None
+        assert np.array_equal(ws.k, k)
+        monkeypatch.undo()
+        # the old shift again: nothing is left to hit, so G is inverted anew
+        assert_dense_direction(ws, few, g)
+        assert ws.shift == -2.0
 
     @pytest.mark.parametrize("kind, shared, order", [
         ("neumann", True, 8),        # one basis of 8 modes on 17 nodes: along the modes
