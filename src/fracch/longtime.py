@@ -10,9 +10,11 @@ When it vanishes, the limit points satisfy the same inclusion up to an
 additional spatially constant function mu_inf(t), which is nonunique and
 time dependent in general; under a smooth single-valued graph and a range
 confinement it is uniquely determined and constant.  The probes below
-witness these statements computationally: Cauchy gaps of snapshots in the
-plain norm plus a uniform graph-norm bound stand in for the weak
-compactness, the constant part of the potential is extracted from a
+witness these statements computationally: the plain-norm gap of each
+snapshot to the last one and the tail diameter of the snapshots (the
+largest gap among all later ones, whose decay is the Cauchy-type
+convergence of the run) plus a uniform graph-norm bound stand in for the
+weak compactness, the constant part of the potential is extracted from a
 trailing window, and the stationarity residual measures the distance of
 the reconstructed graph selection from the graph.
 
@@ -252,7 +254,11 @@ def longtime_report(config: SchemeConfig, data: ProblemData, snapshots: np.ndarr
 
     Inputs: the (S, m) state rows at ``snapshot_steps``, the
     :data:`TRAJECTORY_COLUMNS` series and the (min, max) of the state.
-    Gaps are plain-norm distances between snapshots, one row at a time.
+    Gaps are plain-norm distances between snapshots: ``gap_to_last[i]`` is
+    the gap of snapshot ``i`` to the last one, and ``tail_diameter[i]`` the
+    largest gap among snapshots ``i`` and later, which does not increase
+    and ends at 0.  The diameter is built from the last snapshot backwards,
+    one row of gaps at a time, so no (S, S) array is held.
     The stationarity residual of the last snapshot uses a zero constant on
     the positive branch and, on the zero branch, the tail average of the
     potential's mean over the trailing ``window_fraction``.  Its flatness
@@ -267,9 +273,10 @@ def longtime_report(config: SchemeConfig, data: ProblemData, snapshots: np.ndarr
         raise InsufficientDataError("need at least two snapshots")
     grid, h = config.grid, config.h
     spec, op_b, u_inf = config.spec, config.op_B, data.source.u_inf
-    gaps = np.empty((len(snapshots), len(snapshots)))
-    for i, row in enumerate(snapshots):
-        gaps[i] = sp.row_norms(snapshots - row, grid)
+    tail_diameter = np.zeros(len(snapshots))
+    for i in range(len(snapshots) - 2, -1, -1):
+        tail_diameter[i] = max(tail_diameter[i + 1],
+                               sp.row_norms(snapshots[i + 1:] - snapshots[i], grid).max())
     candidate = sp.Field(snapshots[-1], grid)
     if config.op_A.lambda1 > 0.0:
         branch = "lambda1_positive"
@@ -297,11 +304,12 @@ def longtime_report(config: SchemeConfig, data: ProblemData, snapshots: np.ndarr
     basis_kinds = {config.op_A.basis.kind, op_b.basis.kind}
     mean_y = columns["mean_y"]
     return {
-        "schema": "fracch-longtime/1",
+        "schema": "fracch-longtime/2",
         "branch": branch,
         "window_fraction": window_fraction,
         "probe_times": h * np.array(snapshot_steps, dtype=float),
-        "cauchy_gaps": gaps,
+        "gap_to_last": sp.row_norms(snapshots - snapshots[-1], grid),
+        "tail_diameter": tail_diameter,
         "b_sigma_bound": float(sp.row_power_norms(op_b, snapshots).max()),
         "stationarity_residual": stationarity_residual(
             candidate, mu_value, u_inf, spec, op_b, overshoot_tol),

@@ -296,6 +296,13 @@ class TestRunDirectory:
         report = json.loads((out / "report.json").read_text())
         assert report["branch"] == "lambda1_positive"
         assert report["mu_infinity"] is None
+        # one entry per snapshot in each series, no S x S matrix
+        assert report["schema"] == "fracch-longtime/2"
+        assert "cauchy_gaps" not in report
+        count = len(report["probe_times"])
+        assert count >= 2
+        assert len(report["gap_to_last"]) == len(report["tail_diameter"]) == count
+        assert report["gap_to_last"][-1] == report["tail_diameter"][-1] == 0.0
 
     @pytest.mark.parametrize("branch, doc", [
         ("lambda1_zero", MINIMAL),

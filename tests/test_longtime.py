@@ -180,19 +180,27 @@ class TestOmegaProbe:
         mu = sp.constant_field(-2.0 * m0, grid)
         traj = synthetic_trajectory(config, [y] * 5, [mu] * 5)
         report = fresh_longtime_report(traj, [0, 2, 4])
-        assert np.abs(report["cauchy_gaps"]).max() == 0.0
+        assert np.array_equal(report["gap_to_last"], np.zeros(3))
+        assert np.array_equal(report["tail_diameter"], np.zeros(3))
         assert report["stationarity_residual"] <= 1e-10
         assert report["branch"] == "lambda1_zero"
 
     def test_positive_branch_report(self, small_dirichlet_run):
         traj = small_dirichlet_run
         n = traj.steps
-        report = fresh_longtime_report(traj, [n // 4, n // 2, n])
+        steps = [n // 4, n // 2, n]
+        report = fresh_longtime_report(traj, steps)
         assert report["branch"] == "lambda1_positive"
         assert report["mu_infinity"] is None
         assert report["mu_infinity_value"] == 0.0
-        gaps = report["cauchy_gaps"]
-        assert gaps[0, 2] >= gaps[1, 2]  # later states closer together
+        # the dense matrix of all snapshot gaps is the oracle of both series
+        gaps = np.array([sp.row_norms(traj.y[steps] - row, traj.config.grid)
+                         for row in traj.y[steps]])
+        gap_to_last, tail = report["gap_to_last"], report["tail_diameter"]
+        assert np.array_equal(gap_to_last, gaps[-1])
+        assert gap_to_last[0] >= gap_to_last[1] > 0.0  # later states closer together
+        assert [tail[i] for i in range(3)] == [gaps[i:, i:].max() for i in range(3)]
+        assert tail[0] >= tail[1] > tail[2] == 0.0
         assert np.isfinite(report["b_sigma_bound"])
 
     def test_zero_branch_report(self, small_obstacle_run):

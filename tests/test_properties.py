@@ -11,7 +11,10 @@ array is the JSON of its nested list.  The Newton-direction examples check
 the step operator and its shifted inverse built from a shared basis
 against the dense assembly and inverse, the reduced branch and the branch
 along the modes against the dense solve, and a workspace that reuses its
-active-set factors against a fresh one, bit for bit.  The warm-start
+active-set factors against a fresh one, bit for bit.  The limit-set
+examples draw snapshot rows, some of them repeated, and check the gap to
+the last snapshot and the tail diameter of the long-time report against
+the dense matrix of all snapshot gaps, bit for bit.  The warm-start
 examples check a run, whose Newton solves start at the previous increment,
 against ``solve_step`` chained from ``d = 0``.  The fuzzing examples
 mutate a small run document, or draw the flags of ``check-potentials``,
@@ -40,7 +43,7 @@ from fracch import spectral as sp
 from fracch import stepper as st
 
 from conftest import (assert_matches_cold_chain, assert_step_operator_closed_forms, cosine_field,
-                      zero_potential)
+                      fresh_longtime_report, zero_potential)
 
 POTENTIALS = ("regular", "logarithmic", "obstacle", "example_best")
 EPS = np.finfo(float).eps
@@ -254,6 +257,35 @@ def test_mode_newton_direction_matches_dense_solve(kind, points, exponents, tau,
     scale = ws.h_norm(np.abs(jac) @ np.abs(delta)) + ws.h_norm(g)
     assert ws.h_norm(jac @ delta + g) <= 16 * EPS * scale
     assert ws.inverse is None and ws.active is None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=hs.sampled_from(("neumann", "dirichlet")), points=hs.integers(5, 33),
+       length=hs.floats(0.5, 4.0), rows=hs.integers(2, 40), data=hs.data())
+def test_limit_set_witnesses_match_the_dense_gap_matrix(kind, points, length, rows, data):
+    basis = sp.build_interval_basis(kind, 3, length, points)
+    op = sp.FractionalOperator(basis, 0.5)
+    config = st.SchemeConfig(op_A=op, op_B=op, spec=pot.make_potential("regular"),
+                             yosida_lambda=1e-2, tau=0.0, h=0.1, steps=rows - 1)
+    grid = config.grid
+    snapshots = data.draw(hnp.arrays(float, (rows, points), elements=hs.floats(-2.0, 2.0)))
+    # repeated rows: gaps of exactly zero, also away from the last snapshot
+    for src, dst in data.draw(hs.lists(hs.tuples(hs.integers(0, rows - 1),
+                                                 hs.integers(0, rows - 1)), max_size=rows)):
+        snapshots[dst] = snapshots[src]
+    stats = st.StepStats(iterations=0, residual_phase=0.0, residual_potential=0.0)
+    traj = st.DiscreteTrajectory(
+        y=snapshots, mu=np.zeros_like(snapshots), solver_stats=[stats] * (rows - 1),
+        config=config, data=st.ProblemData(y0=sp.Field(snapshots[0], grid),
+                                           source=st.zero_source(grid)))
+    report = fresh_longtime_report(traj, list(range(rows)))
+    gaps = np.array([sp.row_norms(snapshots - row, grid) for row in snapshots])
+    gap_to_last, tail = report["gap_to_last"], report["tail_diameter"]
+    assert len(gap_to_last) == len(tail) == len(report["probe_times"]) == rows
+    assert np.array_equal(gap_to_last, gaps[-1])
+    assert all(tail[i] == gaps[i:, i:].max() for i in range(rows))
+    assert np.all(np.diff(tail) <= 0.0) and tail[-1] == 0.0
+    assert np.all(tail >= gap_to_last)
 
 
 GRAPHS = {name: pot.make_potential(name, **params) for name, params in (
