@@ -415,8 +415,12 @@ def _resolvent_bisection(spec, lam, s, budget=200):
 
 
 def _pointwise(fn, reg: YosidaRegularization, s, *values):
-    # scalars map to floats, arrays to arrays of the same shape
-    out = fn(reg.lam, *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (s, *values)))
+    # scalars map to floats, arrays to arrays of the same shape; 1-d float
+    # arrays, the stepper's rows, go through as they are
+    args = (s, *values)
+    if all(type(v) is np.ndarray and v.ndim == 1 and v.dtype == np.float64 for v in args):
+        return fn(reg.lam, *args)
+    out = fn(reg.lam, *(np.atleast_1d(np.asarray(v, dtype=float)) for v in args))
     return float(out[0]) if np.isscalar(s) else out
 
 

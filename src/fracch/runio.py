@@ -293,9 +293,11 @@ def _write_files(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConf
 class StoredRun:
     """A run directory loaded back into memory.
 
-    ``columns`` holds the :data:`TRAJECTORY_COLUMNS` series and the
-    snapshot tables give (S, m) arrays of states at ``snapshot_steps``.
-    All numbers are bit-identical to the ones computed by the fresh run.
+    ``columns`` holds the :data:`TRAJECTORY_COLUMNS` series and
+    ``y_snapshots`` the (S, m) array of states at ``snapshot_steps``.  All
+    numbers are bit-identical to the ones computed by the fresh run.  No
+    report reads the potential values of ``snapshots_mu.csv``, so only its
+    layout is checked.
     """
 
     run_config: cfgmod.RunConfig
@@ -304,7 +306,6 @@ class StoredRun:
     columns: dict
     snapshot_steps: List[int]
     y_snapshots: np.ndarray
-    mu_snapshots: np.ndarray
     meta: dict
 
 
@@ -316,6 +317,23 @@ def _read_table(path, sep):
         except ValueError as exc:
             raise ConfigurationError(f"{path} is malformed: {exc}") from None
     return header, rows
+
+
+def _table_layout(path, sep):
+    """The first column of a table and the field count of its rows, the other
+    fields left unparsed; rows of different lengths are malformed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        lines = [line for line in fh.read().splitlines() if line.strip()]
+    widths = {line.count(sep) + 1 for line in lines}
+    if len(widths) > 1:
+        raise ConfigurationError(f"{path} is malformed: its rows hold different numbers "
+                                 "of fields")
+    try:
+        first = np.array([float(line.split(sep, 1)[0]) for line in lines])
+    except ValueError as exc:
+        raise ConfigurationError(f"{path} is malformed: {exc}") from None
+    return first, widths.pop() if widths else 0
 
 
 def _read_meta(path) -> dict:
@@ -365,18 +383,19 @@ def load_run(directory) -> StoredRun:
             f"trajectory.csv has {len(values)} rows, expected {meta['steps'] + 1}")
     columns = dict(zip(TRAJECTORY_COLUMNS, values.T))
 
-    def read_snapshots(name):
-        _, rows = _read_table(os.path.join(directory, name), ",")
-        if rows.shape[1] != scheme.grid.size + 1:
+    def check_snapshots(name, times, fields):
+        if fields != scheme.grid.size + 1:
             raise ConfigurationError(f"{name} rows do not match the grid size")
-        if np.rint(rows[:, 0] / scheme.h).astype(int).tolist() != meta["snapshot_steps"]:
+        if np.rint(times / scheme.h).astype(int).tolist() != meta["snapshot_steps"]:
             raise ConfigurationError(f"{name} does not hold the snapshot steps of meta.json")
-        return rows[:, 1:]
 
+    _, y_rows = _read_table(os.path.join(directory, "snapshots_y.csv"), ",")
+    check_snapshots("snapshots_y.csv", y_rows[:, 0], y_rows.shape[1])
+    check_snapshots("snapshots_mu.csv",
+                    *_table_layout(os.path.join(directory, "snapshots_mu.csv"), ","))
     return StoredRun(run_config=run_cfg, scheme=scheme, data=data, columns=columns,
-                     snapshot_steps=meta["snapshot_steps"],
-                     y_snapshots=read_snapshots("snapshots_y.csv"),
-                     mu_snapshots=read_snapshots("snapshots_mu.csv"), meta=meta)
+                     snapshot_steps=meta["snapshot_steps"], y_snapshots=y_rows[:, 1:],
+                     meta=meta)
 
 
 def stored_longtime_report(stored: StoredRun, window_fraction: float = 0.5,

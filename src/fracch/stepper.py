@@ -21,10 +21,9 @@ no product with the identity; damped Newton solves for ``d`` from the
 previous step's increment ``y^n - y^(n-1)`` (from ``d = 0`` on the first
 step), the state moving at a constant rate being a better guess than a
 state at rest.  The start changes where Newton begins, not the equation it
-solves or ``mu+``, which stays eliminated exactly.  Newton takes one
-product with ``K`` per residual and ``K`` plus the slope diagonal
-``beta_lam' + pi'`` as Jacobian.  Its direction is found in one of three
-ways, picked by the slope and the operators:
+solves or ``mu+``, which stays eliminated exactly.  Newton takes ``K``
+plus the slope diagonal ``beta_lam' + pi'`` as Jacobian.  Its direction is
+found in one of three ways, picked by the slope and the operators:
 
 - At most half of the nodes lie above the smallest slope ``c`` (the
   obstacle well, whose Yosida slope is 0 or 1/lam): the Woodbury
@@ -48,6 +47,20 @@ Each iteration makes exactly one ``numpy.linalg.solve`` call.  Newton
 stops once the residual is at most ``newton_tol``.  A residual it can
 reduce no further is accepted at its round-off floor, which for large
 operator powers lies above ``newton_tol``.
+
+A step hands three things to the next one: Newton's accepted increment,
+which starts the next Newton solve; its product ``K d``, which the next
+step's first residual takes in place of a new product, so that ``K`` is
+applied once per trial point of the line search; and the spectral part
+``S mu - mu - B2s y`` of the next right-hand side.  That part and the
+``A2r mu+`` of the phase residual come from one analysis of ``(mu+, y+)``
+and one synthesis, stacked when both operators share their basis.  With
+the analysis and synthesis of ``mu+ = S (mu - d/h)`` a step thus makes
+four passes over the mode and analysis matrices on a shared basis and
+six with two bases.  ``run`` and ``solve_step`` take every step through
+one routine.  ``solve_step`` computes the carry from its rows and start;
+from the rows of a run and the increment Newton returned for the step
+before, that carry is the carried one bit for bit, and so is the step.
 
 Trajectories start from ``y0`` with ``mu0 = 0``; that
 initialization is part of the scheme, not a configurable choice, and it
@@ -389,6 +402,12 @@ class _Workspace:
     shared basis ``Phi`` this is ``K = a I + Phi diag(kappa) Phi^T W`` with
     ``kappa = lam_B^2s - q / h``, one product.
 
+    ``spectral`` gives the rows a step carries, ``A2r mu`` and ``S mu - mu -
+    B2s y = -Phi_A diag(q) Phi_A^T W mu - Phi_B diag(lam_B^2s) Phi_B^T W y``,
+    from one analysis and one synthesis per basis: on a shared basis one
+    product of the stacked rows ``(mu, y)`` with the analysis matrix and one
+    of the two coefficient rows with the modes.
+
     ``direction`` solves ``(K + diag(slope)) delta = -g`` along one of three
     branches.  With ``c`` the smallest slope and ``off`` the nodes above it,
     ``K + diag(slope)`` is ``K + c I`` plus a diagonal update on ``off``.
@@ -444,17 +463,21 @@ class _Workspace:
         weights = config.op_A.power_weights(2.0)
         # (I + A2r)^(-1)/h = I/h - Phi_A diag(q_h) Phi_A^T W
         q_h = weights / ((1.0 + weights) * h)
-        basis = config.op_A.basis
+        basis, basis_b = config.op_A.basis, config.op_B.basis
         self.a = shift + 1.0 / h
         self.kappa = None     # set when both operators share one basis
-        if basis is config.op_B.basis:
-            self.kappa = config.op_B.power_weights(2.0) - q_h
+        # the weights of A2r, S - I and B2s along their bases
+        self.power_a = weights
+        self.shifted_a = -weights / (1.0 + weights)
+        self.power_b = config.op_B.power_weights(2.0)
+        self.bases = (basis, basis_b)
+        if basis is basis_b:
+            self.kappa = self.power_b - q_h
             self.modes = basis.modes
             self.analysis = basis.analysis_matrix
             self.k = (self.modes * self.kappa) @ self.analysis
         else:
-            basis_b = config.op_B.basis
-            self.k = ((basis_b.modes * config.op_B.power_weights(2.0)) @ basis_b.analysis_matrix
+            self.k = ((basis_b.modes * self.power_b) @ basis_b.analysis_matrix
                       - (basis.modes * q_h) @ basis.analysis_matrix)
         self.diagonal = np.diag_indices_from(self.k)
         self.k[self.diagonal] += self.a
@@ -522,8 +545,19 @@ class _Workspace:
         coefficients = np.linalg.solve(capacitance, self.kappa * (self.analysis @ z))
         return z - inv_d * (self.modes @ coefficients)
 
+    def spectral(self, mu: np.ndarray, y: np.ndarray):
+        """The rows ``A2r mu`` and ``S mu - mu - B2s y`` (see the class docstring)."""
+        basis, basis_b = self.bases
+        if basis is basis_b:
+            c_mu, c_y = np.array((mu, y)) @ self.analysis.T
+            return (np.array((self.power_a * c_mu, self.shifted_a * c_mu - self.power_b * c_y))
+                    @ self.modes.T)
+        c_mu = mu @ basis.analysis_matrix.T
+        a_mu, s_mu = np.array((self.power_a * c_mu, self.shifted_a * c_mu)) @ basis.modes.T
+        return a_mu, s_mu - (self.power_b * (y @ basis_b.analysis_matrix.T)) @ basis_b.modes.T
+
     def h_norm(self, v: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(self.w * v * v)))
+        return math.sqrt((self.w * v * v).sum())
 
     def roundoff_floor(self, d: np.ndarray, *summands: np.ndarray) -> float:
         """Round-off floor of the residual ``K d + sum(summands)``.
@@ -539,42 +573,46 @@ class _Workspace:
         return _ROUNDOFF * largest
 
 
-def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarray):
+def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarray,
+                  kd: np.ndarray):
     """Damped Newton for ``K d + beta_lam(y_prev + d) + pi(y_prev + d) = r``, from ``d``.
 
-    Each residual evaluation solves the resolvent once, through
-    :func:`potentials.yosida`.  The Jacobian slope and the round-off floor
-    of an accepted iterate reuse the Yosida value of its residual, so no
-    iterate solves the resolvent twice.  When the line search fails or
-    ``newton_max`` is reached above ``newton_tol``, the residual is accepted
-    if it is finite and at its round-off floor (see
-    :meth:`_Workspace.roundoff_floor`).
+    ``kd`` is ``K d`` of the start; every later iterate takes one product
+    with ``K``.  Returns the accepted iterate, its ``K d``, the iteration
+    count, the residual and the damping count.  Each residual evaluation
+    solves the resolvent once, through :func:`potentials.yosida`.  The
+    Jacobian slope and the round-off floor of an accepted iterate reuse the
+    Yosida value of its residual, so no iterate solves the resolvent twice.
+    When the line search fails or ``newton_max`` is reached above
+    ``newton_tol``, the residual is accepted if it is finite and at its
+    round-off floor (see :meth:`_Workspace.roundoff_floor`).
     """
     cfg = ws.config
     reg = ws.reg
 
-    def residual(dc):
+    def residual(dc, kdc):
         # the residual at y_prev + dc and the Yosida value in it
         yc = y_prev + dc
         beta = pot.yosida(reg, yc)
-        return ws.k @ dc + beta + cfg.spec.pi(yc) - r, beta
+        return kdc + beta + cfg.spec.pi(yc) - r, beta
 
     def floor_at(dc, beta):
         return ws.roundoff_floor(dc, beta, cfg.spec.pi(y_prev + dc), r)
 
-    g, beta = residual(d)
+    g, beta = residual(d, kd)
     res = ws.h_norm(g)
     history = [res]
     dampings = 0
     for iteration in range(cfg.newton_max):
         if res <= cfg.newton_tol:
-            return d, iteration, res, dampings
+            return d, kd, iteration, res, dampings
         y = y_prev + d
         delta = ws.direction(pot.yosida_derivative(reg, y, beta) + cfg.spec.pi_prime(y), g)
         alpha = 1.0
         for _ in range(30):
             d_new = d + alpha * delta
-            g_new, beta_new = residual(d_new)
+            kd_new = ws.k @ d_new
+            g_new, beta_new = residual(d_new, kd_new)
             res_new = ws.h_norm(g_new)
             if res_new < res:
                 break
@@ -583,17 +621,17 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
         else:
             floor = floor_at(d, beta)
             if res <= floor < math.inf:
-                return d, iteration, res, dampings
+                return d, kd, iteration, res, dampings
             raise StepError(
                 f"Newton step could not reduce the residual {res:.3e} below newton_tol "
                 f"{cfg.newton_tol:.1e} or its round-off floor {floor:.1e} after 30 halvings; "
                 "try a smaller step size or a larger regularization level",
                 residual_history=history,
             )
-        d, g, beta, res = d_new, g_new, beta_new, res_new
+        d, kd, g, beta, res = d_new, kd_new, g_new, beta_new, res_new
         history.append(res)
     if res <= cfg.newton_tol or res <= floor_at(d, beta) < math.inf:
-        return d, cfg.newton_max, res, dampings
+        return d, kd, cfg.newton_max, res, dampings
     raise StepError(
         f"Newton did not reach tolerance {cfg.newton_tol:.1e} in {cfg.newton_max} "
         "iterations; try a smaller step size or a larger regularization level",
@@ -601,20 +639,30 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
     )
 
 
-def _advance(ws: _Workspace, y: np.ndarray, mu: np.ndarray, u_next: np.ndarray,
-             d_start: np.ndarray):
-    """One step from the rows ``(y, mu)``, Newton started at ``y + d_start``.
+def _fresh_carry(ws: _Workspace, y: np.ndarray, mu: np.ndarray, d: np.ndarray):
+    """The carry of a step from the rows ``(y, mu)`` that starts Newton at ``d``."""
+    return d, ws.k @ d, ws.spectral(mu, y)[1]
 
-    Returns the new rows, the increment ``d = y+ - y`` that Newton found,
-    which :func:`run` passes on as the next step's start, and the stats.
+
+def _advance(ws: _Workspace, y: np.ndarray, mu: np.ndarray, u_next: np.ndarray, carry):
+    """One step from the rows ``(y, mu)`` with the carry of the step before.
+
+    ``carry`` is ``(d, K d, S mu - mu - B2s y)``: Newton's start, its
+    product with ``K`` and the spectral part of the right-hand side, as
+    :func:`_fresh_carry` computes it or the step before returned it.
+    Returns the new rows, the carry of the next step, which starts Newton
+    at this step's increment ``d = y+ - y``, and the stats.
     """
     cfg = ws.config
-    r = u_next + sp.solve_shifted(cfg.op_A, mu) - sp.power_rows(cfg.op_B, y, 2.0)
-    d, iters, res, dampings = _newton_solve(ws, y, r, d_start)
-    mu_next = sp.solve_shifted(cfg.op_A, mu - d / cfg.h)
-    phase_res = ws.h_norm(d / cfg.h + mu_next + sp.power_rows(cfg.op_A, mu_next, 2.0) - mu)
-    return y + d, mu_next, d, StepStats(iterations=iters, residual_phase=phase_res,
-                                        residual_potential=res, dampings=dampings)
+    d, kd, part = carry
+    d, kd, iters, res, dampings = _newton_solve(ws, y, u_next + mu + part, d, kd)
+    rate = d / cfg.h
+    y_next = y + d
+    mu_next = sp.solve_shifted(cfg.op_A, mu - rate)
+    a_mu, part = ws.spectral(mu_next, y_next)
+    phase_res = ws.h_norm(rate + mu_next + a_mu - mu)
+    return y_next, mu_next, (d, kd, part), StepStats(
+        iterations=iters, residual_phase=phase_res, residual_potential=res, dampings=dampings)
 
 
 def solve_step(prev_y: sp.Field, prev_mu: sp.Field, u_next: sp.Field,
@@ -629,10 +677,15 @@ def solve_step(prev_y: sp.Field, prev_mu: sp.Field, u_next: sp.Field,
     for f in (prev_y, prev_mu, u_next):
         if not f.grid.same_as(config.grid):
             raise DimensionError("step fields are not on the scheme grid")
-    d_start = (start or prev_y).values - prev_y.values
-    y, mu, _, stats = _advance(_Workspace(config), prev_y.values, prev_mu.values,
-                               u_next.values, d_start)
+    ws = _Workspace(config)
+    y, mu = prev_y.values, prev_mu.values
+    carry = _fresh_carry(ws, y, mu, (start or prev_y).values - y)
+    y, mu, _, stats = _advance(ws, y, mu, u_next.values, carry)
     return sp.Field(y, config.grid), sp.Field(mu, config.grid), stats
+
+
+#: ``run`` evaluates the source at this many step times at once.
+_SOURCE_BLOCK = 64
 
 
 def run(config: SchemeConfig, data: ProblemData) -> DiscreteTrajectory:
@@ -646,12 +699,15 @@ def run(config: SchemeConfig, data: ProblemData) -> DiscreteTrajectory:
     y = np.empty((config.steps + 1, config.grid.size))
     mu = np.zeros_like(y)
     y[0] = data.y0.values
-    d = np.zeros(config.grid.size)
+    carry = _fresh_carry(ws, y[0], mu[0], np.zeros(config.grid.size))
     stats: List[StepStats] = []
     for n in range(config.steps):
-        (u_next,) = data.source.values(np.array([(n + 1) * config.h]))
+        block = n % _SOURCE_BLOCK
+        if block == 0:
+            sources = data.source.values(
+                config.h * np.arange(n + 1, min(n + _SOURCE_BLOCK, config.steps) + 1))
         try:
-            y[n + 1], mu[n + 1], d, st = _advance(ws, y[n], mu[n], u_next, d)
+            y[n + 1], mu[n + 1], carry, st = _advance(ws, y[n], mu[n], sources[block], carry)
         except StepError as exc:
             exc.step_index = n
             raise

@@ -257,7 +257,8 @@ class TestRunDirectory:
         traj = st.run(scheme, data)
         stored = runio.load_run(str(out))
         assert np.array_equal(stored.y_snapshots, traj.y[stored.snapshot_steps])
-        assert np.array_equal(stored.mu_snapshots, traj.mu[stored.snapshot_steps])
+        _, mu_rows = runio._read_table(str(out / "snapshots_mu.csv"), ",")
+        assert np.array_equal(mu_rows[:, 1:], traj.mu[stored.snapshot_steps])
 
     def test_determinism_byte_identical(self, tmp_path):
         path, out = write_config(tmp_path)
@@ -480,6 +481,19 @@ class TestCliErrors:
             (out / name).write_text("".join(lines[:keep]))
         else:
             (out / name).unlink()
+        capsys.readouterr()
+        assert cli.main(["longtime-report", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and '"exit_code": 2' in err[0] and name in err[0]
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("name", ["snapshots_y.csv", "snapshots_mu.csv"])
+    def test_snapshot_row_missing_a_field(self, tmp_path, capsys, name):
+        path, out = write_config(tmp_path)
+        assert cli.main(["simulate", str(path)]) == 0
+        lines = (out / name).read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+        (out / name).write_text("".join(lines))
         capsys.readouterr()
         assert cli.main(["longtime-report", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()

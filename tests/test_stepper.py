@@ -587,6 +587,149 @@ class TestWarmStart:
         assert assert_matches_cold_chain(st.run(config, data)) == totals
 
 
+def carry_problem(kind_a, kind_b, well, h, steps, source):
+    """A 16-mode run, on one basis when the two kinds agree."""
+    basis_a = sp.build_interval_basis(kind_a, 16, 2.0, 33)
+    basis_b = basis_a if kind_b == kind_a else sp.build_interval_basis(kind_b, 16, 2.0, 33)
+    name, params = WARM_START_WELLS[well]
+    config = st.SchemeConfig(op_A=sp.FractionalOperator(basis_a, 0.5),
+                             op_B=sp.FractionalOperator(basis_b, 0.5),
+                             spec=pot.make_potential(name, **params),
+                             yosida_lambda=1e-3, tau=0.5, h=h, steps=steps)
+    grid = config.grid
+    if source == "decay":
+        u = st.DecaySource(sp.constant_field(0.8, grid), cosine_field(grid, [0.0, 0.0, 1.0]), 0.5)
+    else:   # jumps at t = 0.4, 0.9 and 1.5
+        fields = [cosine_field(grid, c)
+                  for c in ([0.0, 1.5], [1.0, -1.6, 0.2], [-1.2, 0.0, 1.4], [0.0])]
+        u = st.TabulatedSource(np.array([0.0, 0.4, 0.9, 1.5]), fields)
+    return config, st.ProblemData(y0=cosine_field(grid, [0.1, 0.6, 0.2]), source=u)
+
+
+CARRY_PROBLEMS = {
+    # the arguments of carry_problem, and the steps whose line search damps
+    "shared-obstacle": (("neumann", "neumann", "obstacle", 0.5, 20, "decay"), [0]),
+    "shared-logarithmic": (("neumann", "neumann", "logarithmic", 0.1, 20, "decay"), []),
+    "two-bases-obstacle": (("dirichlet", "neumann", "obstacle", 0.05, 40, "tabulated"),
+                           [8, 11, 18, 29]),
+    "two-bases-logarithmic": (("dirichlet", "neumann", "logarithmic", 0.1, 20, "decay"), []),
+}
+
+
+class CountedProducts(np.ndarray):
+    """A view of the step operator ``K`` that counts the products taken with
+    it; copies of it and results computed from it do not count."""
+
+    def __matmul__(self, other):
+        if "products" in vars(self):
+            self.products += 1
+        return np.asarray(self) @ other
+
+
+@pytest.fixture
+def counted_workspaces(monkeypatch):
+    """Every workspace built from here on, its ``K`` a :class:`CountedProducts`."""
+    built = []
+    init = st._Workspace.__init__
+
+    def counted(ws, config):
+        init(ws, config)
+        ws.k = ws.k.view(CountedProducts)
+        ws.k.products = 0
+        built.append(ws)
+
+    monkeypatch.setattr(st._Workspace, "__init__", counted)
+    return built
+
+
+class TestCarry:
+    """``run`` hands each step's increment, its ``K d`` and the spectral part
+    of the next right-hand side to the next step; ``solve_step`` computes
+    them from its rows."""
+
+    @pytest.mark.parametrize("problem", sorted(CARRY_PROBLEMS))
+    def test_every_step_matches_a_step_with_a_fresh_carry(self, problem, monkeypatch):
+        args, damped = CARRY_PROBLEMS[problem]
+        config, data = carry_problem(*args)
+        carries = []
+        advance = st._advance
+        monkeypatch.setattr(st, "_advance", lambda ws, y, mu, u, carry:
+                            carries.append(carry) or advance(ws, y, mu, u, carry))
+        traj = st.run(config, data)
+        monkeypatch.undo()
+        assert len(carries) == config.steps
+        assert [n for n, s in enumerate(traj.solver_stats) if s.dampings] == damped
+        ws = st._Workspace(config)
+        for n, carry in enumerate(carries):
+            y, mu = traj.y[n], traj.mu[n]
+            # the increment of the step before, as Newton returned it
+            fresh = st._fresh_carry(ws, y, mu, carry[0])
+            assert all(np.array_equal(a, b) for a, b in zip(carry, fresh))
+            y_next, mu_next, _, stats = st._advance(
+                ws, y, mu, data.source.at((n + 1) * config.h).values, fresh)
+            assert np.array_equal(y_next, traj.y[n + 1])
+            assert np.array_equal(mu_next, traj.mu[n + 1])
+            assert stats == traj.solver_stats[n]
+
+    def test_every_newton_exit_returns_k_times_its_iterate(self, monkeypatch):
+        exits = set()
+        newton = st._newton_solve
+
+        def checked(ws, y_prev, r, d, kd):
+            d, kd, iterations, res, dampings = newton(ws, y_prev, r, d, kd)
+            assert np.array_equal(kd, ws.k @ d)
+            cfg = ws.config
+            if res > cfg.newton_tol:
+                exits.add("floor, line search" if iterations < cfg.newton_max
+                          else "floor, newton_max")
+            else:
+                exits.add("start" if iterations == 0 else "converged")
+            return d, kd, iterations, res, dampings
+
+        monkeypatch.setattr(st, "_newton_solve", checked)
+        # a settling run: from the previous increment some steps meet
+        # newton_tol at once, others after an iteration
+        basis = sp.build_interval_basis("neumann", 8, 1.0, 17)
+        config = st.SchemeConfig(op_A=sp.FractionalOperator(basis, 1.0),
+                                 op_B=sp.FractionalOperator(basis, 1.0),
+                                 spec=pot.make_potential("logarithmic", c1=1.5),
+                                 yosida_lambda=1e-3, tau=0.0, h=0.0026, steps=30)
+        grid = config.grid
+        st.run(config, st.ProblemData(y0=cosine_field(grid, [0.1, 0.05]),
+                                      source=st.DecaySource(sp.constant_field(0.4, grid))))
+        assert exits == {"start", "converged"}
+        # B^{2s} up to about 1.6e9 leaves the residual at a round-off floor
+        # above newton_tol: the first step stops there after a failed line
+        # search, or at newton_max when that is 3
+        for newton_max, exit in ((50, "floor, line search"), (3, "floor, newton_max")):
+            exits.clear()
+            config = neumann_config(pot.make_potential("regular"), n=33, points=33,
+                                    length=0.5, r=1.0, sigma=1.0, tau=0.0, lam=1 / 16,
+                                    h=1 / 32, steps=3, newton_max=newton_max)
+            grid = config.grid
+            st.run(config, st.ProblemData(y0=cosine_field(grid, [0.1, 0.4, 0.2]),
+                                          source=st.zero_source(grid)))
+            assert exit in exits
+
+    @pytest.mark.parametrize("problem", sorted(CARRY_PROBLEMS))
+    def test_k_products_per_run(self, problem, counted_workspaces, monkeypatch):
+        # every residual takes one product with K, except the first residual
+        # of each step after the first, which takes the carried one
+        config, data = carry_problem(*CARRY_PROBLEMS[problem][0])
+        calls = []
+        yosida = pot.yosida
+        monkeypatch.setattr(pot, "yosida", lambda reg, s: calls.append(1) or yosida(reg, s))
+        traj = st.run(config, data)
+        (ws,) = counted_workspaces
+        trial_points = sum(s.iterations + s.dampings for s in traj.solver_stats)
+        assert len(calls) == config.steps + trial_points
+        assert ws.k.products == len(calls) - (config.steps - 1) == trial_points + 1
+        calls.clear()
+        st.solve_step(traj.ys[1], traj.mus[1], data.source.at(2 * config.h), config,
+                      start=traj.ys[2])
+        assert counted_workspaces[1].k.products == len(calls)
+
+
 class TestSources:
     def test_decay_derivative_l1_closed_form(self, neumann16):
         grid = neumann16.grid
