@@ -20,8 +20,9 @@ at the same points as well, so a caller holding ``beta_lam(s)`` gets the
 slope without a second resolvent solve: the quartic and logarithmic wells
 read ``J_lam(s)`` off that value in closed form.  :func:`make_potential`
 builds the four canonical splits with closed forms (the logarithmic graph
-is inverted by a safeguarded Newton iteration).  Any other graph enters
-through :func:`custom_potential`, which validates the split and supplies
+is inverted by Newton's method, monotone from a lower bound of the root as
+the equation is concave there).  Any other graph enters through
+:func:`custom_potential`, which validates the split and supplies
 bracketing bisection, the difference quotient and centered differences.
 """
 
@@ -149,26 +150,23 @@ def _regular_spec() -> PotentialSpec:
 
 
 def _logarithmic_newton(lam, s, tol=1e-12, budget=100):
-    # substitute J = tanh(theta); then tanh(theta) + 2*lam*theta = s is smooth
-    # and strictly increasing on the whole line, and beta_lam(s) = 2*theta exactly
+    # J = tanh(theta) gives f = tanh(theta) + 2 lam theta - s = 0 and beta_lam = 2 theta.  As f' =
+    # sech^2 + 2 lam > 0 and f'' = -2 sech^2 tanh, f is concave on [0, theta*] for s > 0: Newton
+    # climbs to theta* from any point there.  Lower bounds: the Newton step from atanh(s) > theta*
+    # (s < 1), (s - 1)/(2 lam) as tanh < 1, s/(1 + 2 lam) as tanh x <= x.  s < 0 mirrors via |s|.
     s = np.asarray(s, dtype=float)
-    lo = (s - 1.0) / (2.0 * lam)
-    hi = (s + 1.0) / (2.0 * lam)
-    theta = np.clip(s / (1.0 + 2.0 * lam), lo, hi)
-    lo, hi = lo.copy(), hi.copy()
+    a = np.abs(s)
+    u = np.where(a < 1.0, a, 0.0)
+    v = 1.0 - u * u
+    bound = np.maximum((a - 1.0) / (2.0 * lam), a / (1.0 + 2.0 * lam))
+    theta = np.copysign(np.maximum(np.arctanh(u) * v / (v + 2.0 * lam), bound), s)
     for _ in range(budget):
         t = np.tanh(theta)
         f = t + 2.0 * lam * theta - s
+        # the step after |f| < tol polishes theta to round-off for the nodal residual
+        theta = theta - f / ((1.0 - t * t) + 2.0 * lam)
         if np.max(np.abs(f)) < tol:
             break
-        hi = np.where(f > 0, theta, hi)
-        lo = np.where(f <= 0, theta, lo)
-        step = f / ((1.0 - t * t) + 2.0 * lam)
-        candidate = theta - step
-        # a node whose Newton step rounds away (f == 0 among them) keeps its
-        # theta, although theta is now an end of its bracket
-        outside = (candidate != theta) & ((candidate <= lo) | (candidate >= hi))
-        theta = np.where(outside, 0.5 * (lo + hi), candidate)
     else:
         worst = float(np.max(np.abs(np.tanh(theta) + 2.0 * lam * theta - s)))
         raise NumericalError(

@@ -212,13 +212,6 @@ class EigenBasis:
             raise DimensionError("field is not on the basis grid")
         return self._analysis @ f.values
 
-    def synthesize(self, coefficients: np.ndarray) -> Field:
-        """Nodal field from expansion coefficients."""
-        c = np.asarray(coefficients, dtype=float)
-        if c.shape != (self.n,):
-            raise DimensionError("coefficient vector does not match the mode count")
-        return Field(self.modes @ c, self.grid)
-
 
 def interval_scale_problem(kind: str, n: int, length: float) -> str | None:
     """Why an interval basis of ``n`` modes on a positive ``length`` cannot be
@@ -316,7 +309,7 @@ def read_text(path, what: str) -> str:
 
 
 def load_matrix_file(path) -> np.ndarray:
-    """Read a dense operator matrix: first line n, then n rows of n reals."""
+    """Read a dense operator matrix: first line n >= 1, then n rows of n finite reals."""
     tokens = read_text(path, "matrix file").split()
     if not tokens:
         raise ConfigurationError(f"matrix file {path} is empty")
@@ -325,11 +318,16 @@ def load_matrix_file(path) -> np.ndarray:
         values = [float(t) for t in tokens[1:]]
     except ValueError as exc:
         raise ConfigurationError(f"matrix file {path} is malformed: {exc}") from None
+    if n < 1:
+        raise ConfigurationError(f"matrix file {path} declares n={n}, expected at least 1")
     if len(values) != n * n:
         raise ConfigurationError(
             f"matrix file {path} declares n={n} but carries {len(values)} entries"
         )
-    return np.array(values).reshape(n, n)
+    matrix = np.array(values).reshape(n, n)
+    if not np.all(np.isfinite(matrix)):
+        raise ConfigurationError(f"matrix file {path} has a non-finite entry")
+    return matrix
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ def branch_i_run():
     rng = np.random.default_rng(7)
     coeffs = np.zeros(32)
     coeffs[:8] = rng.normal(size=8) * 0.5 / np.arange(1, 9) ** 2
-    y0 = basis.synthesize(coeffs)
+    y0 = sp.Field(basis.modes @ coeffs, basis.grid)
     data = st.ProblemData(y0=y0, source=st.zero_source(config.grid))
     return st.run(config, data)
 
@@ -125,8 +125,8 @@ def small_dirichlet_run():
     rng = np.random.default_rng(3)
     coeffs = np.zeros(16)
     coeffs[:6] = rng.normal(size=6) * 0.3 / np.arange(1, 7)
-    y0 = basis.synthesize(coeffs)
-    bump = basis.synthesize(np.eye(16)[1] * 0.1)
+    y0 = sp.Field(basis.modes @ coeffs, basis.grid)
+    bump = sp.Field(basis.modes @ (np.eye(16)[1] * 0.1), basis.grid)
     data = st.ProblemData(y0=y0, source=st.DecaySource(
         sp.constant_field(0.0, grid), bump, 1.0))
     return st.run(config, data)

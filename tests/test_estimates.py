@@ -213,7 +213,7 @@ class TestDualNorm:
         j = 2  # third mode
         lam_j = basis.lambdas[j]
         coeff = 0.3
-        mu_field = basis.synthesize(np.eye(8)[j] * coeff)
+        mu_field = sp.Field(basis.modes @ (np.eye(8)[j] * coeff), basis.grid)
         zero = sp.constant_field(0.0, grid)
         # dy/dt on each interval equals mu_prev - mu - A2 mu; choose states so
         # the increments realize exactly that field

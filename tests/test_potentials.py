@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from fracch import potentials as pot
-from fracch.errors import CoercivityError, ConfigurationError, DomainError
+from fracch.errors import CoercivityError, ConfigurationError, DomainError, NumericalError
 
 ALL_SPECS = {
     "regular": pot.make_potential("regular"),
@@ -138,13 +138,52 @@ class TestLogarithmicResolvent:
                                 hs.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -5e-324, 1e-13])),
                       min_size=1, max_size=64))
     def test_random_batches_converge_quickly(self, exponent, s):
-        # at most 14 Newton updates: the budget counts residual evaluations,
-        # and the last one only confirms convergence (s = 1 at lam = 1e-6
-        # takes all of them, its theta climbing by about 1/2 per update)
+        # at most 15 Newton updates: the budget counts residual evaluations,
+        # each followed by an update, the last one the polish after
+        # convergence (s = 1 at lam = 1e-6 takes all of them, its theta
+        # climbing from 1 by about 1/2 per update)
         lam = 10.0 ** exponent
         s = np.array(s)
         _, value = pot._logarithmic_newton(lam, s, budget=15)
         assert np.all(logarithmic_defect(lam, s, value) <= 1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(exponent=hs.floats(-8.0, -1.0),
+           s=hs.lists(hs.one_of(hs.floats(-3.0, 3.0),
+                                hs.sampled_from([0.0, -0.0, 1.0, 1.0 - 1e-16, 1e-300, 5e-324])),
+                      min_size=1, max_size=64))
+    def test_random_batches_reach_round_off_oddly(self, exponent, s):
+        # the polish leaves the equation's defect at round-off of its terms,
+        # and the iteration on |s| makes the resolvent odd bit for bit
+        lam = 10.0 ** exponent
+        s = np.array(s)
+        j, value = pot._logarithmic_newton(lam, s)
+        eps = np.finfo(float).eps
+        assert np.all(logarithmic_defect(lam, s, value) <= 4 * eps * np.maximum(1.0, np.abs(s)))
+        mirror_j, mirror_value = pot._logarithmic_newton(lam, -s)
+        np.testing.assert_array_equal(mirror_j, -j)
+        np.testing.assert_array_equal(mirror_value, -value)
+
+    def test_agrees_with_bisection(self):
+        # at lam = 0.1 and |s| <= 2, |J| stays below 1 - 5e-5, where the
+        # bisection of the graph itself resolves J to 2 ulps
+        s = np.random.default_rng(11).uniform(-2.0, 2.0, 5000)
+        j, _ = pot._logarithmic_newton(0.1, s)
+        oracle = pot._resolvent_bisection(ALL_SPECS["logarithmic"], 0.1, s)
+        assert np.all(np.abs(j - oracle) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(s)))
+
+    def test_nan_raises(self):
+        with pytest.raises(NumericalError, match="failed to converge: residual nan"):
+            pot._logarithmic_newton(1e-4, np.array([0.3, np.nan, -0.2]))
+
+    def test_two_updates_on_a_log_well_batch(self):
+        # the log-well benchmark calls the resolvent at lam = 1e-4 with |s| <=
+        # 0.69: one update from the start, then the polish.  A start further
+        # from the root costs a third update and fails here
+        s = np.random.default_rng(3).uniform(-0.75, 0.75, 10000)
+        pot._logarithmic_newton(1e-4, s, budget=2)
+        with pytest.raises(NumericalError):
+            pot._logarithmic_newton(1e-4, s, budget=1)
 
     @pytest.mark.parametrize("lam", [1e-1, 1e-4, 1e-8])
     def test_slope_from_value_is_slope_from_resolvent(self, lam):

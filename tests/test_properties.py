@@ -17,10 +17,10 @@ the last snapshot and the tail diameter of the long-time report against
 the dense matrix of all snapshot gaps, bit for bit.  The warm-start
 examples check a run, whose Newton solves start at the previous increment,
 against ``solve_step`` chained from ``d = 0``.  The fuzzing examples
-mutate a small run document, or draw the flags of ``check-potentials``,
-``example-best`` and ``sweep``, and hold ``cli.main`` to its input
-contract.  The examples are derandomized so that the suite gives the same
-verdict on every run.
+mutate a small run document or the matrix file its operators read, or
+draw the flags of ``check-potentials``, ``example-best`` and ``sweep``,
+and hold ``cli.main`` to its input contract.  The examples are
+derandomized so that the suite gives the same verdict on every run.
 """
 
 import contextlib
@@ -429,6 +429,28 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
 
 
+def assert_runs_or_exits_with_one_json_line(document, files=()):
+    """Hold ``simulate`` and then ``longtime-report`` of ``document`` to the input
+    contract: exit 0, or exit 2/3/4 with exactly one JSON line on stderr; never
+    a traceback and never warning text.  ``files`` are (name, text) pairs
+    written beside the document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in (("run.ini", document), *files):
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        config, rundir = os.path.join(tmp, "run.ini"), os.path.join(tmp, "out")
+        for argv in (["simulate", config, "--out", rundir], ["longtime-report", rundir]):
+            code, out, err, caught = run_cli(argv)
+            assert caught == []
+            assert code in (0, 2, 3, 4)
+            if code == 0:
+                assert err == ""
+                continue
+            (line,) = err.splitlines()
+            assert json.loads(line)["exit_code"] == code
+            break
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(document=fuzzed_documents())
@@ -440,23 +462,46 @@ def run_cli(argv):
 @example(document=fuzz_document({("potential", "name"): "regular",
                                  ("scheme", "yosida_lambda"): "1e-308"}))
 def test_every_fuzzed_document_runs_or_exits_with_one_json_line(document):
-    # the input contract: exit 0, or exit 2/3/4 with exactly one JSON line on
-    # stderr; never a traceback and never warning text
-    with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "run.ini")
-        with open(config, "w", encoding="utf-8") as fh:
-            fh.write(document)
-        rundir = os.path.join(tmp, "out")
-        for argv in (["simulate", config, "--out", rundir], ["longtime-report", rundir]):
-            code, out, err, caught = run_cli(argv)
-            assert caught == []
-            assert code in (0, 2, 3, 4)
-            if code == 0:
-                assert err == ""
-                continue
-            (line,) = err.splitlines()
-            assert json.loads(line)["exit_code"] == code
-            break
+    assert_runs_or_exits_with_one_json_line(document)
+
+
+# both operators of the fuzzed document read one matrix file: the graph
+# Laplacian of a path of n nodes, with up to two of its tokens replaced
+# (the same off-diagonal pair, so that some symmetric mutants reach the
+# eigensolver and the run) or dropped
+MATRIX_DOCUMENT = fuzz_document({(section, "kind"): "matrix\nmatrix_file = matrix.txt"
+                                 for section in ("operator_a", "operator_b")})
+MATRIX_TOKENS = ("0", "-1", "2", "3", "4.5", "-2", "1e-308", "-1e308")
+
+
+@hs.composite
+def matrix_files(draw):
+    n = draw(hs.sampled_from((3, 1, 2, 5)))
+    laplacian = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    laplacian[0, 0] = laplacian[-1, -1] = 1.0 if n > 1 else 0.0
+    tokens = [str(n)] + [format(v, "g") for v in laplacian.ravel()]
+    for _ in range(draw(hs.integers(0, 2))):
+        value = draw(hs.sampled_from(MATRIX_TOKENS + FUZZ_TOKENS + (None,)))
+        i = draw(hs.integers(0, len(tokens) - 1))
+        mirror = 1 + (i - 1) % n * n + (i - 1) // n if i else 0
+        for k in sorted({i, mirror} & set(range(len(tokens))), reverse=True):
+            if value is None:
+                del tokens[k]
+            else:
+                tokens[k] = value
+    return " ".join(tokens)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(matrix=matrix_files())
+# each of these once ended in a traceback or a run with residual nan
+@example(matrix="0")
+@example(matrix="-1 5")
+@example(matrix="2 1 nan nan 1")
+@example(matrix="3 2 -1 0 -1 nan -1 0 -1 2")
+def test_every_fuzzed_matrix_file_runs_or_exits_with_one_json_line(matrix):
+    assert_runs_or_exits_with_one_json_line(MATRIX_DOCUMENT, [("matrix.txt", matrix)])
 
 
 # the flags of the analysis commands: valid values first, then ones outside
