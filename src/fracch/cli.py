@@ -78,8 +78,8 @@ def _simulate_into(config_path: str, out_dir: str | None):
     scheme, data = cfgmod.build_problem(run_cfg)
     snapshot_steps = cfgmod.snapshot_steps(run_cfg.snapshots, run_cfg.steps)
     cfgmod.input_files(run_cfg)  # an input outside the config's directory fails here
-    traj = st.run(scheme, data)
-    meta = runio.write_run(directory, traj, run_cfg, text, snapshot_steps)
+    traj = st.run(scheme, data, snapshot_steps)
+    meta = runio.write_run(directory, traj, run_cfg, text)
     return directory, traj, meta
 
 
@@ -172,18 +172,19 @@ def _cmd_sweep(args) -> int:
     h0, n0, lam0 = run_cfg.h, run_cfg.steps, run_cfg.yosida_lambda
     levels = args.levels
     scheme, data = cfgmod.build_problem(run_cfg)
-    # the finest run holds the most states; past 2**64 steps (or from zero
-    # steps) the count only grows, so it is capped there
+    # the finest run holds the most steps, and its first and last state; past
+    # 2**64 steps (or from zero steps) the count only grows, so it is capped there
     finest = max(n0, 1) * 2 ** min(levels + 1, 64)
-    too_large = cfgmod.run_too_large(finest, scheme.grid.size)
+    too_large = cfgmod.run_too_large(finest, scheme.grid.size, 2)
     if too_large:
         raise ConfigurationError(f"--levels: at the finest step size, {too_large}")
     ladders = (("h", h0, lambda k: {"h": h0 / k, "steps": n0 * k}),
                ("lambda", lam0, lambda k: {"yosida_lambda": lam0 / k}))
     lines = ["parameter\tvalue\tsuccessive_diff\tratio"]
     for parameter, value, settings in ladders:
-        finals = [st.run(dataclasses.replace(scheme, **settings(2**i)), data).ys[-1]
-                  for i in range(levels + 2)]
+        runs = (st.run(dataclasses.replace(scheme, **settings(2**i)), data)
+                for i in range(levels + 2))
+        finals = [traj.snapshot(traj.steps)[0] for traj in runs]
         diffs = [sp.norm(finals[i] - finals[i + 1]) for i in range(levels + 1)]
         for i in range(levels):
             ratio = diffs[i] / diffs[i + 1] if diffs[i + 1] > 0 else float("inf")

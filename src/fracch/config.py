@@ -169,10 +169,16 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         errors.append("[scheme] h: the horizon h * steps overflows")
     # a matrix operator's grid is known once build_problem reads its file
     points = [op.grid_points for op in operators.values() if op.kind != "matrix"]
-    if steps is not None and steps >= 0 and points:
-        too_large = run_too_large(steps, max(points))
-        if too_large:
-            errors.append(f"[scheme] steps: {too_large}")
+    try:
+        _schedule(output["snapshots"])
+    except ConfigurationError as exc:
+        errors.append(f"[output] snapshots: {exc}")
+    else:
+        if steps is not None and steps >= 0 and points:
+            too_large = run_too_large(steps, max(points),
+                                      snapshot_count(output["snapshots"], steps))
+            if too_large:
+                errors.append(f"[scheme] steps: {too_large}")
     if errors:
         raise ConfigurationError("; ".join(errors))
 
@@ -235,11 +241,18 @@ def states_too_large(need: float, what: str) -> Optional[str]:
     return f"{what}, more than the {total:.3g} bytes of physical memory"
 
 
-def run_too_large(steps: int, grid_size: int) -> Optional[str]:
-    """:func:`states_too_large` for a run's states, two (steps + 1, grid_size) float arrays."""
-    need = 2 * (steps + 1) * grid_size * 8
-    return states_too_large(need, f"{steps} steps on {grid_size} grid points "
-                                  f"need {need:.3g} bytes of states")
+#: Bytes a run holds per step beside its snapshots: the trajectory's 14
+#: columns and its solver stats, and the ledger and table rows that
+#: ``runio.write_run`` builds from them.
+RUN_BYTES_PER_STEP = 512
+
+
+def run_too_large(steps: int, grid_size: int, snapshots: int) -> Optional[str]:
+    """:func:`states_too_large` for a run: its ``snapshots`` state rows of ``y``
+    and ``mu`` and :data:`RUN_BYTES_PER_STEP` per step."""
+    need = 2 * snapshots * grid_size * 8 + RUN_BYTES_PER_STEP * (steps + 1)
+    return states_too_large(need, f"{steps} steps with {snapshots} snapshots on "
+                                  f"{grid_size} grid points need {need:.3g} bytes")
 
 
 def read_config(path: str):
@@ -359,7 +372,8 @@ def build_problem(cfg: RunConfig):
     op_a = sp.FractionalOperator(basis_a, cfg.operator_a.exponent)
     op_b = sp.FractionalOperator(basis_b, cfg.operator_b.exponent)
     # parse_config has checked interval grids; a matrix grid is known only now
-    too_large = run_too_large(cfg.steps, op_a.basis.grid.size)
+    too_large = run_too_large(cfg.steps, op_a.basis.grid.size,
+                              snapshot_count(cfg.snapshots, cfg.steps))
     if too_large:
         raise ConfigurationError(f"[scheme] steps: {too_large}")
     spec = pot.make_potential(cfg.potential_name, **cfg.potential_params)
@@ -375,13 +389,8 @@ def build_problem(cfg: RunConfig):
     return scheme, data
 
 
-def snapshot_steps(descriptor: str, steps: int) -> list:
-    """Resolve a snapshot schedule: ``log <count>`` or ``every <k>``.
-
-    Always includes the initial and final steps.  The logarithmic schedule
-    bounds memory on long runs while keeping late-time states dense enough
-    for limit-point probes.
-    """
+def _schedule(descriptor: str):
+    """The kind and count of a snapshot schedule: ``log <count>`` or ``every <k>``."""
     tokens = descriptor.split()
     if len(tokens) != 2:
         raise ConfigurationError(f"bad snapshot schedule {descriptor!r}")
@@ -394,12 +403,31 @@ def snapshot_steps(descriptor: str, steps: int) -> list:
     if kind == "every":
         if count < 1:
             raise ConfigurationError("snapshot cadence must be at least 1")
-        chosen = list(range(0, steps + 1, count))
-        return chosen if chosen[-1] == steps else chosen + [steps]
-    if kind == "log":
+    elif kind == "log":
         if count < 2:
             raise ConfigurationError("log schedule needs at least 2 snapshots")
-        marks = np.round(np.geomspace(1, max(steps, 1), count - 1))
-        chosen = {0, steps} | {int(v) for v in marks}
-        return sorted(v for v in chosen if 0 <= v <= steps)
-    raise ConfigurationError(f"unknown snapshot schedule kind {kind!r}")
+    else:
+        raise ConfigurationError(f"unknown snapshot schedule kind {kind!r}")
+    return kind, count
+
+
+def snapshot_count(descriptor: str, steps: int) -> int:
+    """An upper bound of the number of snapshot steps, found without listing them."""
+    kind, count = _schedule(descriptor)
+    return count + 1 if kind == "log" else steps // count + 2
+
+
+def snapshot_steps(descriptor: str, steps: int) -> list:
+    """Resolve a snapshot schedule: ``log <count>`` or ``every <k>``.
+
+    Always includes the initial and final steps.  The logarithmic schedule
+    bounds memory on long runs while keeping late-time states dense enough
+    for limit-point probes.
+    """
+    kind, count = _schedule(descriptor)
+    if kind == "every":
+        chosen = list(range(0, steps + 1, count))
+        return chosen if chosen[-1] == steps else chosen + [steps]
+    marks = np.round(np.geomspace(1, max(steps, 1), count - 1))
+    chosen = {0, steps} | {int(v) for v in marks}
+    return sorted(v for v in chosen if 0 <= v <= steps)

@@ -16,8 +16,9 @@ the classical step from the summed inequality to a horizon-uniform bound
 introduces generic constants, so it is monitored, not asserted.
 
 Every pass takes the trajectory alone, reading its scheme configuration
-and data from it, and works on all rows of its state arrays at once;
-running totals are cumulative sums.  The ledger is five arrays with one
+and data from it, and works on the per-row and per-step columns that
+:func:`stepper.run` reduced the states to as it marched; running totals
+are cumulative sums over whole columns.  The ledger is five arrays with one
 entry per step and no per-step view: one step's contribution is the
 difference of consecutive entries, or a row of :func:`_ledger_increments`.
 """
@@ -29,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import potentials as pot
 from . import spectral as sp
-from .stepper import DiscreteTrajectory, SchemeConfig
+from .stepper import DiscreteTrajectory
 
 #: Order of the named left-hand-side terms of the summed inequality.
 LEDGER_TERMS = (
@@ -46,9 +46,6 @@ LEDGER_TERMS = (
 )
 
 SLACK_FLOOR = 1e-12
-
-#: Nodal values per block of :func:`_split_energies`.
-_SPLIT_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,59 +67,28 @@ class EnergyLedger:
     data_bound: np.ndarray
 
 
-def _split_energies(config: SchemeConfig, y: np.ndarray, absolute: bool = False) -> np.ndarray:
-    """Integral of ``beta_hat_lam + pi_hat``, or of its absolute value, at each state row.
+def _ledger_increments(traj: DiscreteTrajectory):
+    """Per-step increments of the ledger terms, from the trajectory's columns.
 
-    The rows are evaluated in blocks of about ``_SPLIT_BLOCK`` nodal values:
-    the logarithmic resolvent holds about nine temporaries the size of its
-    batch, which over a whole trajectory would set the run's peak memory.
-    """
-    w = config.grid.w
-    out = np.empty(len(y))
-    rows = max(1, _SPLIT_BLOCK // y.shape[1])
-    for start in range(0, len(y), rows):
-        block = y[start:start + rows]
-        values = pot.yosida_primal(config.regularization, block) + config.spec.pi_hat(block)
-        out[start:start + rows] = np.sum(w * (np.abs(values) if absolute else values), axis=1)
-    return out
-
-
-def _step_norms(config: SchemeConfig, y: np.ndarray, mu: np.ndarray) -> dict:
-    """Per-step squared norms shared by the ledger, uniform and dual-norm passes.
-
-    For K+1 consecutive state rows: |dy|^2, |dmu|^2, |B^s dy|^2 and
-    |A^r mu^k|^2, one value per step k = 1..K.
-    """
-    dy = np.diff(y, axis=0)
-    return {
-        "dy": sp.row_norms(dy, config.grid) ** 2,
-        "dmu": sp.row_norms(np.diff(mu, axis=0), config.grid) ** 2,
-        "b_dy": sp.row_power_norms(config.op_B, dy) ** 2,
-        "ar_mu": sp.row_power_norms(config.op_A, mu[1:]) ** 2,
-    }
-
-
-def _ledger_increments(config: SchemeConfig, y: np.ndarray, mu: np.ndarray):
-    """Per-step increments of the ledger terms for K+1 consecutive state rows.
-
-    Returns the (K, 8) increments and the initial split energy and B-norm
+    Returns the (N, 8) increments and the initial split energy and B-norm
     term that the summed inequality moves to its right side.
     """
+    config, col = traj.config, traj.columns
     h, tau = config.h, config.tau
     shift = config.spec.stability_shift
-    sq = _step_norms(config, y, mu)
-    mu_sq = sp.row_norms(mu, config.grid) ** 2
-    b_sq = sp.row_power_norms(config.op_B, y) ** 2
-    energy = _split_energies(config, y)
+    mu_sq = col["norm_mu"] ** 2
+    b_sq = col["norm_B_sigma_y"] ** 2
+    energy = col["split_energy"]
+    dy_sq = col["norm_dy"] ** 2
     increments = np.column_stack([
         0.5 * h * np.diff(mu_sq),
-        0.5 * h * sq["dmu"],
-        h * sq["ar_mu"],
-        tau / h * sq["dy"],
+        0.5 * h * col["norm_dmu"] ** 2,
+        h * col["norm_Ar_mu"][1:] ** 2,
+        tau / h * dy_sq,
         0.5 * np.diff(b_sq),
-        0.5 * sq["b_dy"],
+        0.5 * col["norm_B_sigma_dy"] ** 2,
         np.diff(energy),
-        0.5 * shift * sq["dy"],
+        0.5 * shift * dy_sq,
     ])
     return increments, float(energy[0]), 0.5 * float(b_sq[0])
 
@@ -136,16 +102,15 @@ def gronwall_ledger(traj: DiscreteTrajectory) -> EnergyLedger:
     ``data_bound`` carries ``|u(0)| + integral |du/dt|`` up to the entry's
     horizon for uniformity monitoring.
     """
-    config, source = traj.config, traj.data.source
+    source = traj.data.source
     steps = np.arange(1, traj.steps + 1)
     times = traj.h * steps
-    terms, e0_split, e0_b = _ledger_increments(config, traj.y, traj.mu)
-    pairing = sp.row_inner(source.values(times), np.diff(traj.y, axis=0), config.grid)
+    terms, e0_split, e0_b = _ledger_increments(traj)
     lhs = np.cumsum(terms, axis=0)
     # shift the telescoped initial energies onto the right side
     lhs[:, LEDGER_TERMS.index("B_sigma_norm")] += e0_b
     lhs[:, LEDGER_TERMS.index("beta_pi_integral")] += e0_split
-    rhs = e0_split + e0_b + np.cumsum(pairing)
+    rhs = e0_split + e0_b + np.cumsum(traj.columns["source_pairing"])
     data_bound = sp.norm(source.at(0.0)) + source.derivative_l1(times)
     return EnergyLedger(
         step=steps,
@@ -175,19 +140,15 @@ class UniformReport:
 
 def uniform_report(traj: DiscreteTrajectory) -> UniformReport:
     """Evaluate the uniform-in-horizon quantities of the trajectory."""
-    config, source = traj.config, traj.data.source
-    h, tau = traj.h, config.tau
-    grid = config.grid
-    sq = _step_norms(config, traj.y, traj.mu)
-    graph = np.hypot(sp.row_norms(traj.y, grid), sp.row_power_norms(config.op_B, traj.y))
-    split = _split_energies(config, traj.y, absolute=True)
+    source, col = traj.data.source, traj.columns
+    h, tau = traj.h, traj.config.tau
     return UniformReport(
-        mu_jump_l2=float(np.sqrt(np.sum(h * sq["dmu"]))),
-        ar_mu_l2=float(np.sqrt(np.sum(h * sq["ar_mu"]))),
-        sup_y_graph_norm=float(graph.max()),
-        b_jump_scaled=float(np.sqrt(np.sum(sq["b_dy"]))),
-        rate_l2_scaled=float(np.sqrt(tau * np.sum(sq["dy"] / h))),
-        sup_split_energy=float(split.max()),
+        mu_jump_l2=float(np.sqrt(np.sum(h * col["norm_dmu"] ** 2))),
+        ar_mu_l2=float(np.sqrt(np.sum(h * col["norm_Ar_mu"][1:] ** 2))),
+        sup_y_graph_norm=float(np.hypot(col["norm_y"], col["norm_B_sigma_y"]).max()),
+        b_jump_scaled=float(np.sqrt(np.sum(col["norm_B_sigma_dy"] ** 2))),
+        rate_l2_scaled=float(np.sqrt(tau * np.sum(col["norm_dy"] ** 2 / h))),
+        sup_split_energy=float(col["split_energy_abs"].max()),
         dual_rate_l2=dual_norm_report(traj).value,
         data_bound=float(sp.norm(source.at(0.0)) + source.derivative_l1(traj.final_time)),
     )
@@ -212,15 +173,9 @@ def dual_norm_report(traj: DiscreteTrajectory) -> DualNormReport:
     is also bounded by the potential jump and power norms with the
     explicit embedding constant ``c0`` of H into the dual space.
     """
-    config = traj.config
-    op, h = config.op_A, traj.h
-    analysis = op.basis.analysis_matrix
-    sq = _step_norms(config, traj.y, traj.mu)
-    rate = (np.diff(traj.y, axis=0) * (1.0 / h)) @ analysis.T
-    c_mu = traj.mu @ analysis.T
-    reconstructed = c_mu[:-1] - c_mu[1:] - op.power_weights(2.0) * c_mu[1:]
-    direct = np.sum(h * sp.dual_norms(op, rate) ** 2)
-    identity = np.sum(h * sp.dual_norms(op, reconstructed) ** 2)
+    op, h, col = traj.config.op_A, traj.h, traj.columns
+    direct = np.sum(h * col["dual_rate"] ** 2)
+    identity = np.sum(h * col["dual_rate_identity"] ** 2)
     lam = op.basis.lambdas
     if op.lambda1 > 0.0:
         c0 = float(lam[0] ** (-op.exponent))
@@ -229,7 +184,8 @@ def dual_norm_report(traj: DiscreteTrajectory) -> DualNormReport:
     return DualNormReport(
         value=float(np.sqrt(direct)),
         value_identity=float(np.sqrt(identity)),
-        bound=c0 * float(np.sqrt(np.sum(h * sq["dmu"]))) + float(np.sqrt(np.sum(h * sq["ar_mu"]))),
+        bound=(c0 * float(np.sqrt(np.sum(h * col["norm_dmu"] ** 2)))
+               + float(np.sqrt(np.sum(h * col["norm_Ar_mu"][1:] ** 2)))),
         c0=c0,
     )
 

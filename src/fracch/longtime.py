@@ -50,16 +50,10 @@ TRAJECTORY_COLUMNS = ("t", "mean_y", "mean_mu", "norm_y", "norm_B_sigma_y",
 
 
 def trajectory_columns(traj: DiscreteTrajectory) -> dict:
-    """The :data:`TRAJECTORY_COLUMNS` series of a trajectory, from its state arrays."""
-    cfg, grid = traj.config, traj.config.grid
+    """The :data:`TRAJECTORY_COLUMNS` series of a trajectory, from its columns."""
     return {
         "t": traj.times(),
-        "mean_y": sp.row_means(traj.y, grid),
-        "mean_mu": sp.row_means(traj.mu, grid),
-        "norm_y": sp.row_norms(traj.y, grid),
-        "norm_B_sigma_y": sp.row_power_norms(cfg.op_B, traj.y),
-        "norm_mu": sp.row_norms(traj.mu, grid),
-        "norm_Ar_mu": sp.row_power_norms(cfg.op_A, traj.mu),
+        **{name: traj.columns[name] for name in TRAJECTORY_COLUMNS[1:-1]},
         "newton_iters": np.array([0] + [s.iterations for s in traj.solver_stats], dtype=float),
     }
 

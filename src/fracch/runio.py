@@ -7,7 +7,10 @@ array among them, goes element by element, with the same bytes either
 way.  A run directory contains the verbatim configuration, a
 per-step scalar table, the energy ledger, field snapshots at the
 configured schedule, a metadata file and a gnuplot script referencing the
-tables.  Nothing time- or host-dependent is ever written.  A run
+tables.  Every file is written from the trajectory's scalar columns and
+snapshot rows, which :func:`stepper.run` reduced its states to as it
+marched; no file needs a state that is not a snapshot.  Nothing time- or
+host-dependent is ever written.  A run
 directory is written into a temporary sibling and swapped in as a whole
 once complete, so a failure midway leaves the previous directory intact
 and no file of an earlier run survives a rerun; ``report.json`` is
@@ -208,7 +211,7 @@ def _swap_in(staging: str, target: str) -> None:
 
 
 def write_run(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
-              config_text: str, snapshot_steps: List[int]) -> dict:
+              config_text: str) -> dict:
     """Write the full run directory; returns the metadata dictionary.
 
     The files go to a temporary sibling of ``directory``, which replaces
@@ -223,7 +226,7 @@ def write_run(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
         os.makedirs(parent, exist_ok=True)
         staging = tempfile.mkdtemp(dir=parent, prefix=TEMP_PREFIX)
         os.chmod(staging, _umask_mode(0o777))
-        meta = _write_files(staging, traj, run_cfg, config_text, snapshot_steps)
+        meta = _write_files(staging, traj, run_cfg, config_text)
         check_run_target(directory)
         _swap_in(staging, target)
         staging = None
@@ -236,7 +239,7 @@ def write_run(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
 
 
 def _write_files(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
-                 config_text: str, snapshot_steps: List[int]) -> dict:
+                 config_text: str) -> dict:
     config = traj.config
     rows = trajectory_rows(traj)
     _write_table(os.path.join(directory, "trajectory.csv"), TRAJECTORY_COLUMNS, rows, ",")
@@ -246,10 +249,11 @@ def _write_files(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConf
                  np.column_stack([ledger.step, ledger.terms, ledger.rhs_bound,
                                   ledger.slack, ledger.data_bound]), "\t")
     snap_header = ["t"] + [f"v{i}" for i in range(config.grid.size)]
-    snap_times = traj.h * np.array(snapshot_steps, dtype=float)
-    for name, states in (("snapshots_y.csv", traj.y), ("snapshots_mu.csv", traj.mu)):
+    snap_times = traj.h * np.array(traj.snapshot_steps, dtype=float)
+    for name, states in (("snapshots_y.csv", traj.y_snapshots),
+                         ("snapshots_mu.csv", traj.mu_snapshots)):
         _write_table(os.path.join(directory, name), snap_header,
-                     np.column_stack([snap_times, states[snapshot_steps]]), ",")
+                     np.column_stack([snap_times, states]), ",")
     report = est.uniform_report(traj)
     plateau = {}
     steps = len(ledger.step)
@@ -271,12 +275,12 @@ def _write_files(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConf
         "seed": run_cfg.seed,
         "h": traj.h,
         "steps": traj.steps,
-        "snapshot_steps": snapshot_steps,
+        "snapshot_steps": traj.snapshot_steps,
         "initial_mean": mean_y[0],
         "final_mass_identity_defect": abs(
             mean_y[-1] + traj.h * columns["mean_mu"][-1] - mean_y[0]),
-        "y_min": float(traj.y.min()),
-        "y_max": float(traj.y.max()),
+        "y_min": traj.y_range[0],
+        "y_max": traj.y_range[1],
         "newton_iterations_max": int(columns["newton_iters"].max()),
     }
     write_json(os.path.join(directory, "meta.json"), meta)
@@ -322,15 +326,19 @@ def _read_table(path, sep):
 def _table_layout(path, sep):
     """The first column of a table and the field count of its rows, the other
     fields left unparsed; rows of different lengths are malformed."""
+    first, widths = [], set()
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    widths = {line.count(sep) + 1 for line in lines}
+        # line by line: the whole file at once would set the reload's peak memory;
+        # splitlines() splits each as it would split the whole text
+        for row in (line for text in fh for line in text.splitlines() if line.strip()):
+            widths.add(row.count(sep) + 1)
+            first.append(row.split(sep, 1)[0])
     if len(widths) > 1:
         raise ConfigurationError(f"{path} is malformed: its rows hold different numbers "
                                  "of fields")
     try:
-        first = np.array([float(line.split(sep, 1)[0]) for line in lines])
+        first = np.array([float(field) for field in first])
     except ValueError as exc:
         raise ConfigurationError(f"{path} is malformed: {exc}") from None
     return first, widths.pop() if widths else 0

@@ -281,9 +281,13 @@ def build_matrix_basis(matrix: np.ndarray) -> EigenBasis:
     if m.shape[0] > 512:
         raise ConfigurationError("matrix-backed operators are limited to 512 modes")
     scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > 1e-12 * scale:
+    # a difference that overflows is infinite, so it counts as asymmetry
+    with np.errstate(over="ignore"):
+        asymmetry = float(np.abs(m - m.T).max())
+    if asymmetry > 1e-12 * scale:
         raise OperatorError("operator matrix is not symmetric to 1e-12")
-    lambdas, modes = np.linalg.eigh(0.5 * (m + m.T))
+    # halves first: the sum of two entries near the largest double overflows
+    lambdas, modes = np.linalg.eigh(0.5 * m + 0.5 * m.T)
     floor = -EIGENVALUE_CLAMP * scale
     if np.any(lambdas < floor):
         raise OperatorError(

@@ -64,14 +64,17 @@ before, that carry is the carried one bit for bit, and so is the step.
 
 Trajectories start from ``y0`` with ``mu0 = 0``; that
 initialization is part of the scheme, not a configurable choice, and it
-is what makes the discrete mass identity exact.  A trajectory stores the
-states as two read-only (N+1, m) arrays, one row per step, which the
-stepper fills in place.
+is what makes the discrete mass identity exact.  ``run`` marches in
+blocks of 64 steps and keeps no state beyond the block: at the end of each
+block it reduces the block's rows, together with the last row of the block
+before, to the per-row and per-step scalar columns every later analysis
+reads (norms, split energies, increments, the source pairing and the dual
+rates), copies the rows at the snapshot steps and drops the rest.  So a
+run holds its snapshots and a few numbers per step, whatever its horizon.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -302,7 +305,7 @@ def validate(config: SchemeConfig, data: ProblemData) -> ValidationReport:
     return ValidationReport(checks)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepStats:
     """Per-step solver diagnostics."""
 
@@ -312,50 +315,45 @@ class StepStats:
     dampings: int = 0
 
 
-class FieldRows(Sequence):
-    """The rows of a (K, m) array of nodal values, each indexed as a Field."""
+#: The per-row columns of a trajectory, one entry per state ``k = 0..N``:
+#: means and norms of ``y`` and ``mu``, ``|B^s y|``, ``|A^r mu|`` and the
+#: integral of ``beta_hat_lam + pi_hat`` at ``y`` and of its absolute value.
+ROW_COLUMNS = ("mean_y", "mean_mu", "norm_y", "norm_B_sigma_y", "norm_mu", "norm_Ar_mu",
+               "split_energy", "split_energy_abs")
 
-    def __init__(self, values: np.ndarray, grid: sp.Grid):
-        self.values = values
-        self.grid = grid
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k) -> sp.Field:
-        return sp.Field(self.values[k], self.grid)
+#: The per-step columns, one entry per step ``k = 1..N``: with ``dy = y^k -
+#: y^(k-1)``, the norms ``|dy|``, ``|mu^k - mu^(k-1)|`` and ``|B^s dy|``, the
+#: pairing ``(u^k, dy)``, and the dual norm of the first operator of ``dy / h``
+#: and of ``mu^(k-1) - mu^k - A2r mu^k``, which the first equation makes equal.
+STEP_COLUMNS = ("norm_dy", "norm_dmu", "norm_B_sigma_dy", "source_pairing", "dual_rate",
+                "dual_rate_identity")
 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteTrajectory:
-    """Solution tuples (y^0..y^N, mu^0..mu^N) plus solver diagnostics.
+    """A run as it was reduced while it marched, plus solver diagnostics.
 
-    ``y`` and ``mu`` are read-only (N+1, m) arrays of nodal values with one
-    row per step; ``ys[k]`` and ``mus[k]`` return row k as a Field.
+    ``columns`` maps each name of :data:`ROW_COLUMNS` to an array of N+1
+    entries and each name of :data:`STEP_COLUMNS` to one of N entries.
+    ``y_snapshots`` and ``mu_snapshots`` are the (S, m) state rows at
+    ``snapshot_steps``, and ``y_range`` is the (min, max) of ``y`` over all
+    states.  No other state is kept, and every array is read-only.
     """
 
-    y: np.ndarray
-    mu: np.ndarray
+    columns: dict
+    snapshot_steps: tuple
+    y_snapshots: np.ndarray
+    mu_snapshots: np.ndarray
+    y_range: tuple
     solver_stats: List[StepStats]
     config: SchemeConfig
     data: ProblemData
 
-    def __post_init__(self):
-        shape = (len(self.solver_stats) + 1, self.config.grid.size)
-        for name in ("y", "mu"):
-            rows = np.asarray(getattr(self, name), dtype=float)
-            if rows.shape != shape:
-                raise DimensionError(f"{name} must hold {shape[0]} rows of {shape[1]} nodal values")
-            rows.flags.writeable = False
-            object.__setattr__(self, name, rows)
-
-    @property
-    def ys(self) -> FieldRows:
-        return FieldRows(self.y, self.config.grid)
-
-    @property
-    def mus(self) -> FieldRows:
-        return FieldRows(self.mu, self.config.grid)
+    def snapshot(self, step: int):
+        """The state ``(y, mu)`` at one of the snapshot steps, as Fields."""
+        i = self.snapshot_steps.index(step)
+        grid = self.config.grid
+        return sp.Field(self.y_snapshots[i], grid), sp.Field(self.mu_snapshots[i], grid)
 
     @property
     def h(self) -> float:
@@ -363,7 +361,7 @@ class DiscreteTrajectory:
 
     @property
     def steps(self) -> int:
-        return len(self.y) - 1
+        return len(self.solver_stats)
 
     @property
     def final_time(self) -> float:
@@ -372,12 +370,83 @@ class DiscreteTrajectory:
     def times(self) -> np.ndarray:
         return self.h * np.arange(self.steps + 1)
 
-    def truncated(self, steps: int) -> "DiscreteTrajectory":
-        """Prefix of the trajectory with the given number of steps; a view."""
-        if not (0 <= steps <= self.steps):
-            raise ConfigurationError("truncation exceeds the trajectory length")
-        return dataclasses.replace(self, y=self.y[: steps + 1], mu=self.mu[: steps + 1],
-                                   solver_stats=self.solver_stats[:steps])
+
+#: Nodal values per batch of the Yosida evaluation of the split energies: the
+#: logarithmic resolvent holds about nine temporaries the size of its batch.
+_SPLIT_BLOCK = 8192
+
+
+class _Recorder:
+    """The columns, snapshots and range of a trajectory, taken as it marches.
+
+    :meth:`add` takes consecutive state rows.  Every call after the first
+    starts with the last row of the call before, so that each step's
+    increment lies within one call, and every row enters the per-row
+    columns once.  The rows at the snapshot steps are copied; the others are
+    left to the caller.
+    """
+
+    def __init__(self, config: SchemeConfig, data: ProblemData, snapshot_steps):
+        self.snapshot_steps = tuple(int(s) for s in snapshot_steps)
+        if any(not 0 <= s <= config.steps for s in self.snapshot_steps):
+            raise ConfigurationError(f"snapshot steps must lie in [0, {config.steps}]")
+        self.config, self.data = config, data
+        self.wanted = np.array(sorted(set(self.snapshot_steps)), dtype=int)
+        self.snap_y = np.empty((len(self.wanted), config.grid.size))
+        self.snap_mu = np.empty_like(self.snap_y)
+        self.parts = {name: [] for name in ROW_COLUMNS + STEP_COLUMNS}
+        self.rows = 0          # rows taken so far
+        self.y_min, self.y_max = np.inf, -np.inf
+
+    def add(self, y: np.ndarray, mu: np.ndarray, sources: np.ndarray) -> None:
+        """Take the (K+1, m) rows ``y`` and ``mu`` and the (K, m) source rows
+        of the K steps that end at ``y[1:]``."""
+        cfg, grid, parts = self.config, self.config.grid, self.parts
+        skip = 1 if self.rows else 0      # the first row was taken by the call before
+        first = self.rows - skip          # the step index of y[0]
+        new_y, new_mu = y[skip:], mu[skip:]
+        chunk = max(1, _SPLIT_BLOCK // grid.size)
+        for start in range(0, len(new_y), chunk):
+            block = new_y[start:start + chunk]
+            values = pot.yosida_primal(cfg.regularization, block) + cfg.spec.pi_hat(block)
+            parts["split_energy"].append(np.sum(grid.w * values, axis=1))
+            parts["split_energy_abs"].append(np.sum(grid.w * np.abs(values), axis=1))
+        dy = np.diff(y, axis=0)
+        analysis = cfg.op_A.basis.analysis_matrix
+        c_mu = mu @ analysis.T
+        for name, column in (
+                ("mean_y", sp.row_means(new_y, grid)),
+                ("mean_mu", sp.row_means(new_mu, grid)),
+                ("norm_y", sp.row_norms(new_y, grid)),
+                ("norm_B_sigma_y", sp.row_power_norms(cfg.op_B, new_y)),
+                ("norm_mu", sp.row_norms(new_mu, grid)),
+                ("norm_Ar_mu", sp.row_power_norms(cfg.op_A, new_mu)),
+                ("norm_dy", sp.row_norms(dy, grid)),
+                ("norm_dmu", sp.row_norms(np.diff(mu, axis=0), grid)),
+                ("norm_B_sigma_dy", sp.row_power_norms(cfg.op_B, dy)),
+                ("source_pairing", sp.row_inner(sources, dy, grid)),
+                ("dual_rate", sp.dual_norms(cfg.op_A, (dy * (1.0 / cfg.h)) @ analysis.T)),
+                ("dual_rate_identity", sp.dual_norms(
+                    cfg.op_A, c_mu[:-1] - c_mu[1:] - cfg.op_A.power_weights(2.0) * c_mu[1:]))):
+            parts[name].append(column)
+        self.y_min = np.minimum(self.y_min, new_y.min())
+        self.y_max = np.maximum(self.y_max, new_y.max())
+        lo, hi = np.searchsorted(self.wanted, (first + skip, first + len(y)))
+        self.snap_y[lo:hi] = y[self.wanted[lo:hi] - first]
+        self.snap_mu[lo:hi] = mu[self.wanted[lo:hi] - first]
+        self.rows = first + len(y)
+
+    def trajectory(self, stats: List[StepStats]) -> DiscreteTrajectory:
+        """The trajectory of the rows taken, with read-only arrays."""
+        index = np.searchsorted(self.wanted, self.snapshot_steps)
+        columns = {name: np.concatenate(part) for name, part in self.parts.items()}
+        y_snapshots, mu_snapshots = self.snap_y[index], self.snap_mu[index]
+        for array in (*columns.values(), y_snapshots, mu_snapshots):
+            array.flags.writeable = False
+        return DiscreteTrajectory(
+            columns=columns, snapshot_steps=self.snapshot_steps, y_snapshots=y_snapshots,
+            mu_snapshots=mu_snapshots, y_range=(float(self.y_min), float(self.y_max)),
+            solver_stats=stats, config=self.config, data=self.data)
 
 
 #: The mode branch pays while the shared basis has at most this share of the
@@ -684,32 +753,42 @@ def solve_step(prev_y: sp.Field, prev_mu: sp.Field, u_next: sp.Field,
     return sp.Field(y, config.grid), sp.Field(mu, config.grid), stats
 
 
-#: ``run`` evaluates the source at this many step times at once.
+#: ``run`` marches this many steps at a time: it evaluates the source at their
+#: times at once and reduces their rows to the trajectory's columns.
 _SOURCE_BLOCK = 64
 
 
-def run(config: SchemeConfig, data: ProblemData) -> DiscreteTrajectory:
+def run(config: SchemeConfig, data: ProblemData,
+        snapshot_steps: Optional[Sequence[int]] = None) -> DiscreteTrajectory:
     """Validate, then march the scheme from (y0, 0) for the configured steps.
 
     Newton starts step 0 at ``d = 0`` and every later step at the previous
-    step's increment ``y^n - y^(n-1)``.
+    step's increment ``y^n - y^(n-1)``.  The states of each block of
+    ``_SOURCE_BLOCK`` steps are reduced to the trajectory's columns at the
+    end of the block; only the rows at ``snapshot_steps`` (by default the
+    first and the last step) are kept.
     """
     validate(config, data)
+    steps = config.steps
+    recorder = _Recorder(config, data, (0, steps) if snapshot_steps is None else snapshot_steps)
     ws = _Workspace(config)
-    y = np.empty((config.steps + 1, config.grid.size))
+    y = np.empty((_SOURCE_BLOCK + 1, config.grid.size))
     mu = np.zeros_like(y)
     y[0] = data.y0.values
     carry = _fresh_carry(ws, y[0], mu[0], np.zeros(config.grid.size))
     stats: List[StepStats] = []
-    for n in range(config.steps):
-        block = n % _SOURCE_BLOCK
-        if block == 0:
-            sources = data.source.values(
-                config.h * np.arange(n + 1, min(n + _SOURCE_BLOCK, config.steps) + 1))
-        try:
-            y[n + 1], mu[n + 1], carry, st = _advance(ws, y[n], mu[n], sources[block], carry)
-        except StepError as exc:
-            exc.step_index = n
-            raise
-        stats.append(st)
-    return DiscreteTrajectory(y=y, mu=mu, solver_stats=stats, config=config, data=data)
+    # one pass with no step when there are none, which takes the initial row alone
+    for start in range(0, max(steps, 1), _SOURCE_BLOCK):
+        sources = data.source.values(
+            config.h * np.arange(start + 1, min(start + _SOURCE_BLOCK, steps) + 1))
+        for k, u in enumerate(sources):
+            try:
+                y[k + 1], mu[k + 1], carry, st = _advance(ws, y[k], mu[k], u, carry)
+            except StepError as exc:
+                exc.step_index = start + k
+                raise
+            stats.append(st)
+        end = len(sources)
+        recorder.add(y[:end + 1], mu[:end + 1], sources)
+        y[0], mu[0] = y[end], mu[end]
+    return recorder.trajectory(stats)

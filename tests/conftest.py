@@ -95,8 +95,9 @@ def branch_ii_run():
 
 
 @pytest.fixture(scope="session")
-def small_obstacle_run():
-    """Quick 16-mode obstacle run with a decaying source (unit-test sized)."""
+def small_obstacle_recorded():
+    """Quick 16-mode obstacle run with a decaying source (unit-test sized), and
+    its recorded states: ``(trajectory, y, mu)`` as :func:`recorded_run` gives them."""
     basis = sp.build_interval_basis("neumann", 16, 4.0, 33)
     op = sp.FractionalOperator(basis, 0.5)
     config = st.SchemeConfig(
@@ -108,7 +109,12 @@ def small_obstacle_run():
     bump = cosine_field(grid, [0.0, 0.05])
     data = st.ProblemData(y0=y0, source=st.DecaySource(
         sp.constant_field(0.0, grid), bump, 0.5))
-    return st.run(config, data)
+    return recorded_run(config, data)
+
+
+@pytest.fixture(scope="session")
+def small_obstacle_run(small_obstacle_recorded):
+    return small_obstacle_recorded[0]
 
 
 @pytest.fixture(scope="session")
@@ -148,6 +154,44 @@ def smooth_benchmark(h, steps, lam):
     return st.run(config, data)
 
 
+def final_y(traj):
+    """The last state of a run, which its default snapshots keep."""
+    return traj.snapshot(traj.steps)[0]
+
+
+def recorded_run(config, data, snapshot_steps=None):
+    """``stepper.run`` and every state it stepped through.
+
+    A run keeps only its snapshot rows; this records the rows its step
+    routine returned, as the run took them, and returns the trajectory and
+    the (N+1, m) arrays of ``y`` and ``mu``.
+    """
+    ys, mus = [data.y0.values], [np.zeros(config.grid.size)]
+    advance = st._advance
+
+    def recording(*args):
+        out = advance(*args)
+        ys.append(out[0])
+        mus.append(out[1])
+        return out
+
+    st._advance = recording
+    try:
+        traj = st.run(config, data, snapshot_steps)
+    finally:
+        st._advance = advance
+    return traj, np.array(ys), np.array(mus)
+
+
+def states_trajectory(config, data, y, mu, stats=None, snapshot_steps=None):
+    """The trajectory of the (N+1, m) states ``y`` and ``mu``, reduced in one
+    pass as ``run`` reduces each block of its steps."""
+    steps = len(y) - 1
+    recorder = st._Recorder(config, data, (0, steps) if snapshot_steps is None else snapshot_steps)
+    recorder.add(y, mu, data.source.values(config.h * np.arange(1, steps + 1)))
+    return recorder.trajectory(stats or [st.StepStats(0, 0.0, 0.0)] * steps)
+
+
 def cold_chain(config, data):
     """``solve_step`` chained from ``(y0, 0)``, each step started at ``d = 0``.
 
@@ -164,9 +208,9 @@ def cold_chain(config, data):
     return np.array(ys), np.array(mus), stats
 
 
-def assert_matches_cold_chain(traj):
-    """The warm-started ``traj`` against :func:`cold_chain`; returns both
-    Newton iteration totals, warm first.
+def assert_matches_cold_chain(config, data):
+    """The warm-started run of ``config`` and ``data`` against
+    :func:`cold_chain`; returns both Newton iteration totals, warm first.
 
     Both solve every step's nodal equation to its accepted residual, at most
     ``tol`` (``newton_tol`` or, above it, the round-off floor).  The equation
@@ -177,22 +221,21 @@ def assert_matches_cold_chain(traj):
     takes ``d / h``, is bounded by that over ``h``.  Step 0 starts at
     ``d = 0`` either way, so its stats and state are the cold ones bit for bit.
     """
-    config = traj.config
-    y, mu, stats = cold_chain(config, traj.data)
+    traj, warm_y, warm_mu = recorded_run(config, data)
+    y, mu, stats = cold_chain(config, data)
     assert traj.solver_stats[0] == stats[0]
-    assert np.array_equal(traj.y[:2], y[:2]) and np.array_equal(traj.mu[:2], mu[:2])
+    assert np.array_equal(warm_y[:2], y[:2]) and np.array_equal(warm_mu[:2], mu[:2])
     tol = max([config.newton_tol] + [s.residual_potential for s in stats + traj.solver_stats])
     bound = config.steps * tol
-    assert sp.row_norms(traj.y - y, config.grid).max() <= bound
-    assert sp.row_norms(traj.mu - mu, config.grid).max() <= bound / config.h
+    assert sp.row_norms(warm_y - y, config.grid).max() <= bound
+    assert sp.row_norms(warm_mu - mu, config.grid).max() <= bound / config.h
     return (sum(s.iterations for s in traj.solver_stats), sum(s.iterations for s in stats))
 
 
-def fresh_longtime_report(traj, steps, **kwargs):
-    """The report.json payload of an in-memory run with snapshots at ``steps``."""
-    return lt.longtime_report(traj.config, traj.data, traj.y[steps], steps,
-                              lt.trajectory_columns(traj),
-                              (float(traj.y.min()), float(traj.y.max())), **kwargs)
+def fresh_longtime_report(traj, **kwargs):
+    """The report.json payload of an in-memory run, from its snapshots."""
+    return lt.longtime_report(traj.config, traj.data, traj.y_snapshots, traj.snapshot_steps,
+                              lt.trajectory_columns(traj), traj.y_range, **kwargs)
 
 
 def assert_step_operator_closed_forms(ws, shift):

@@ -16,7 +16,7 @@ from fracch import longtime as lt
 from fracch import potentials as pot
 from fracch import spectral as sp
 
-from conftest import fresh_longtime_report, smooth_benchmark
+from conftest import final_y, fresh_longtime_report, smooth_benchmark
 
 
 def report(line):
@@ -104,12 +104,9 @@ def test_criterion_2_spectral_correctness(obstacle_run):
 
 
 def test_criterion_3_discrete_mass_identity(obstacle_run):
-    traj = obstacle_run.truncated(1000)
-    m0 = sp.mean(traj.ys[0])
-    worst = max(
-        abs(sp.mean(traj.ys[k]) + traj.h * sp.mean(traj.mus[k]) - m0)
-        for k in range(traj.steps + 1)
-    )
+    mean_y = obstacle_run.columns["mean_y"][:1001]
+    mean_mu = obstacle_run.columns["mean_mu"][:1001]
+    worst = float(np.abs(mean_y + obstacle_run.h * mean_mu - mean_y[0]).max())
     assert worst <= 1e-10
     report(f"criterion 3: mass identity defect {worst:.2e} <= 1e-10 over the "
            "1000-step 64-mode obstacle run")
@@ -146,8 +143,8 @@ def test_criterion_5_positive_branch_longtime(branch_i_run):
     spec = traj.config.spec
     op_b = traj.config.op_B
     u_inf = traj.data.source.u_inf
-    initial = lt.stationarity_residual(traj.ys[0], 0.0, u_inf, spec, op_b)
-    final = lt.stationarity_residual(traj.ys[-1], 0.0, u_inf, spec, op_b)
+    initial = lt.stationarity_residual(traj.snapshot(0)[0], 0.0, u_inf, spec, op_b)
+    final = lt.stationarity_residual(final_y(traj), 0.0, u_inf, spec, op_b)
     assert final <= 1e-3 * initial
     report(f"criterion 5: tail sup of the potential decreases "
            f"({sups[0]:.2e} > {sups[1]:.2e} > {sups[2]:.2e}); stationarity "
@@ -156,7 +153,7 @@ def test_criterion_5_positive_branch_longtime(branch_i_run):
 
 def test_criterion_6_zero_branch_longtime(branch_ii_run):
     traj = branch_ii_run
-    payload = fresh_longtime_report(traj, [0, traj.steps])
+    payload = fresh_longtime_report(traj)
     estimate = payload["mu_infinity"]
     assert estimate["flatness_max"] <= 1e-2
     assert estimate["spread"] <= 5e-2
@@ -192,12 +189,12 @@ def test_criterion_7_nonuniqueness_of_the_constant():
 
 def test_criterion_8_refinement_ladders():
     t_final = 0.8
-    finals = [smooth_benchmark(0.1 / 2**i, int(round(t_final / (0.1 / 2**i))), 1e-2).ys[-1]
+    finals = [final_y(smooth_benchmark(0.1 / 2**i, int(round(t_final / (0.1 / 2**i))), 1e-2))
               for i in range(5)]
     h_diffs = [sp.norm(finals[i] - finals[i + 1]) for i in range(4)]
     h_ratios = [h_diffs[i] / h_diffs[i + 1] for i in range(3)]
     assert all(1.5 <= r <= 3.0 for r in h_ratios)
-    finals = [smooth_benchmark(0.05, 16, 1e-2 / 2**i).ys[-1] for i in range(5)]
+    finals = [final_y(smooth_benchmark(0.05, 16, 1e-2 / 2**i)) for i in range(5)]
     l_diffs = [sp.norm(finals[i] - finals[i + 1]) for i in range(4)]
     l_ratios = [l_diffs[i] / l_diffs[i + 1] for i in range(3)]
     assert all(1.5 <= r <= 3.0 for r in l_ratios)

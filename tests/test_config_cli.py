@@ -195,6 +195,22 @@ class TestParseConfig:
             cfgmod.build_problem(cfg)
 
 
+    def test_long_log_run_is_bounded_by_what_it_keeps(self, monkeypatch):
+        # nothing runs: at 4 GiB of memory, the two (steps + 1) x grid arrays
+        # of states a 10**6-step run at grid 513 once held (8.2e9 bytes) are
+        # too large, while its 66 snapshot rows and per-step columns fit
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**20}
+        monkeypatch.setattr(cfgmod.os, "sysconf", pages.__getitem__)
+        doc = MINIMAL.replace("grid_points = 25", "grid_points = 513") \
+                     .replace("steps = 120", "steps = 1000000") \
+                     .replace("snapshots = log 9", "snapshots = log 65")
+        assert 2 * (10**6 + 1) * 513 * 8 > 4096 * 2**20
+        assert cfgmod.parse_config(doc).steps == 10**6
+        # a snapshot at every step is a state array again
+        with pytest.raises(ConfigurationError, match="physical memory"):
+            cfgmod.parse_config(doc.replace("snapshots = log 65", "snapshots = every 1"))
+
+
 class TestSerialization:
     def test_fmt_round_trips_doubles(self):
         rng = np.random.default_rng(1)
@@ -254,11 +270,11 @@ class TestRunDirectory:
         cli.main(["simulate", str(path)])
         cfg = cfgmod.load_config(str(path))
         scheme, data = cfgmod.build_problem(cfg)
-        traj = st.run(scheme, data)
         stored = runio.load_run(str(out))
-        assert np.array_equal(stored.y_snapshots, traj.y[stored.snapshot_steps])
+        traj = st.run(scheme, data, stored.snapshot_steps)
+        assert np.array_equal(stored.y_snapshots, traj.y_snapshots)
         _, mu_rows = runio._read_table(str(out / "snapshots_mu.csv"), ",")
-        assert np.array_equal(mu_rows[:, 1:], traj.mu[stored.snapshot_steps])
+        assert np.array_equal(mu_rows[:, 1:], traj.mu_snapshots)
 
     def test_determinism_byte_identical(self, tmp_path):
         path, out = write_config(tmp_path)
@@ -314,8 +330,8 @@ class TestRunDirectory:
         assert cli.main(["simulate", str(path)]) == 0
         assert cli.main(["longtime-report", str(out)]) == 0
         cfg = cfgmod.load_config(str(path))
-        traj = st.run(*cfgmod.build_problem(cfg))
-        payload = fresh_longtime_report(traj, cfgmod.snapshot_steps(cfg.snapshots, cfg.steps))
+        traj = st.run(*cfgmod.build_problem(cfg), cfgmod.snapshot_steps(cfg.snapshots, cfg.steps))
+        payload = fresh_longtime_report(traj)
         assert payload["branch"] == branch
         fresh = (runio._json_value(payload) + "\n").encode()
         assert fresh == (out / "report.json").read_bytes()
@@ -645,6 +661,25 @@ class TestCliErrors:
         assert captured.out == "" and len(err) == 1
         payload = json.loads(err[0])
         assert payload["exit_code"] == 2 and str(bad) in payload["message"]
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("matrix, token", [
+        ("2\n1 -1e308\n-1e308 1\n", "negative eigenvalue"),
+        ("1\n-1e308\n", "negative eigenvalue"),
+        ("2\n0 1e308\n-1e308 0\n", "not symmetric"),
+    ], ids=["negative_2x2", "negative_1x1", "overflowing_asymmetry"])
+    def test_matrix_near_the_largest_double_is_an_operator_error(self, tmp_path, capsys,
+                                                                 monkeypatch, matrix, token):
+        # the sum m + m^T of the symmetric part overflowed before any range
+        # check, which exited 3 as a numerical failure
+        (tmp_path / "bad").write_text(matrix)
+        path, out = write_config(tmp_path, doc=MATRIX_OPERATOR)
+        monkeypatch.setattr(st, "run", no_steps)
+        assert cli.main(["simulate", str(path)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "OperatorError" and token in payload["message"]
         assert not out.exists()
 
 

@@ -10,7 +10,7 @@ from fracch import potentials as pot
 from fracch import spectral as sp
 from fracch import stepper as st
 
-from conftest import zero_potential
+from conftest import states_trajectory, zero_potential
 
 
 def zero_run(steps=5):
@@ -39,21 +39,21 @@ def convexity_gap(config, prev_y, next_y):
     return float(gap.min())
 
 
-def summed_source_pairing(traj, data, k):
-    """Summation-by-parts value of the source pairing up to step k.
+def summed_source_pairing(y, data, h, k):
+    """Summation-by-parts value of the source pairing of the states ``y`` up to step k.
 
     Equals ``(u^k, y^k) - (u^1, y^0) - sum_{n=1}^{k-1} (u^{n+1} - u^n, y^n)``,
     which is the same number as the accumulated per-step pairings.
     """
-    h = traj.h
     if k == 0:
         return 0.0
+    ys = [sp.Field(row, data.y0.grid) for row in y]
     uk = data.source.at(k * h)
     u1 = data.source.at(h)
-    total = sp.inner(uk, traj.ys[k]) - sp.inner(u1, traj.ys[0])
+    total = sp.inner(uk, ys[k]) - sp.inner(u1, ys[0])
     for n in range(1, k):
         du = data.source.at((n + 1) * h) - data.source.at(n * h)
-        total -= sp.inner(du, traj.ys[n])
+        total -= sp.inner(du, ys[n])
     return total
 
 
@@ -68,7 +68,7 @@ class TestPerStepInequality:
 
     def test_zero_trajectory_equality(self):
         traj, data, config = zero_run()
-        increments, _, _ = est._ledger_increments(config, traj.y, traj.mu)
+        increments, _, _ = est._ledger_increments(traj)
         assert np.abs(increments).max() <= 1e-14
         assert np.abs(np.diff(est.gronwall_ledger(traj).slack, prepend=0.0)).max() <= 1e-14
 
@@ -84,7 +84,7 @@ class TestPerStepInequality:
         data = st.ProblemData(y0=sp.constant_field(c, grid),
                               source=st.zero_source(grid))
         traj = st.run(config, data)
-        increments, _, _ = est._ledger_increments(config, traj.y, traj.mu)
+        increments, _, _ = est._ledger_increments(traj)
         # y stays at c and mu stays at zero, so every increment vanishes:
         # the B-power annihilates constants and the split energy is constant
         for name, value in zip(est.LEDGER_TERMS, increments[0]):
@@ -93,7 +93,7 @@ class TestPerStepInequality:
 
     def test_random_run_min_slack(self, small_obstacle_run):
         traj = small_obstacle_run
-        increments, e0_split, e0_b = est._ledger_increments(traj.config, traj.y, traj.mu)
+        increments, e0_split, e0_b = est._ledger_increments(traj)
         ledger = est.gronwall_ledger(traj)
         slack = np.diff(ledger.slack, prepend=0.0)
         pairing = np.diff(ledger.rhs_bound, prepend=e0_split + e0_b)
@@ -101,20 +101,21 @@ class TestPerStepInequality:
                            est.SLACK_FLOOR)
         assert np.min(slack / scale) >= -1e-8
 
-    def test_convexity_gap_pointwise(self, small_obstacle_run):
-        traj = small_obstacle_run
+    def test_convexity_gap_pointwise(self, small_obstacle_recorded):
+        traj, y, _ = small_obstacle_recorded
+        grid = traj.config.grid
         for k in range(1, traj.steps + 1):
-            gap = convexity_gap(traj.config, traj.ys[k - 1], traj.ys[k])
+            gap = convexity_gap(traj.config, sp.Field(y[k - 1], grid), sp.Field(y[k], grid))
             assert gap >= -1e-10
 
-    def test_violation_shows_on_corrupted_state(self, small_obstacle_run):
-        genuine = small_obstacle_run.truncated(5)
+    def test_violation_shows_on_corrupted_state(self, small_obstacle_recorded):
+        traj, y, mu = small_obstacle_recorded
+        genuine, mu = y[:6], mu[:6]
         # a state that no solver produced: the energy jumps with no source
-        y = genuine.y.copy()
-        y[5] *= 3.0
-        corrupted = dataclasses.replace(genuine, y=y)
-        for traj, violated in ((corrupted, True), (genuine, False)):
-            ledger = est.gronwall_ledger(traj)
+        corrupted = genuine.copy()
+        corrupted[5] *= 3.0
+        for states, violated in ((corrupted, True), (genuine, False)):
+            ledger = est.gronwall_ledger(states_trajectory(traj.config, traj.data, states, mu))
             assert (ledger.slack[4] < -1e-8 * slack_scale(ledger)[4]) == violated
 
 
@@ -133,33 +134,33 @@ class TestGronwallLedger:
             series = ledger.terms[:, est.LEDGER_TERMS.index(name)]
             assert np.all(np.diff(series) >= -1e-13)
 
-    def test_state_terms_match_direct_evaluation(self, small_obstacle_run):
-        traj = small_obstacle_run
+    def test_state_terms_match_direct_evaluation(self, small_obstacle_recorded):
+        traj, states, mus = small_obstacle_recorded
         config = traj.config
         ledger = est.gronwall_ledger(traj)
         k = traj.steps // 2
         terms = dict(zip(est.LEDGER_TERMS, ledger.terms[k - 1]))
         reg = config.regularization
-        y = traj.ys[k]
+        y = sp.Field(states[k], config.grid)
         direct_b = 0.5 * sp.norm(sp.apply_power(config.op_B, y)) ** 2
-        direct_mu = 0.5 * traj.h * sp.norm(traj.mus[k]) ** 2
+        direct_mu = 0.5 * traj.h * sp.norm(sp.Field(mus[k], config.grid)) ** 2
         direct_split = float(np.sum(
             y.grid.w * (pot.yosida_primal(reg, y.values) + config.spec.pi_hat(y.values))))
         assert terms["B_sigma_norm"] == pytest.approx(direct_b, abs=1e-10)
         assert terms["mu_l2_accum"] == pytest.approx(direct_mu, abs=1e-10)
         assert terms["beta_pi_integral"] == pytest.approx(direct_split, abs=1e-10)
 
-    def test_summation_by_parts_identity(self, small_obstacle_run):
-        traj = small_obstacle_run
+    def test_summation_by_parts_identity(self, small_obstacle_recorded):
+        traj, y, _ = small_obstacle_recorded
         data = traj.data
         k = traj.steps
         accumulated = est.gronwall_ledger(traj).rhs_bound[k - 1]
         config = traj.config
-        y0 = traj.ys[0]
+        y0 = data.y0
         e0_split = float(np.sum(y0.grid.w * (
             pot.yosida_primal(config.regularization, y0.values) + config.spec.pi_hat(y0.values))))
         e0_b = 0.5 * sp.norm(sp.apply_power(config.op_B, y0)) ** 2
-        by_parts = e0_split + e0_b + summed_source_pairing(traj, data, k)
+        by_parts = e0_split + e0_b + summed_source_pairing(y, data, traj.h, k)
         assert accumulated == pytest.approx(by_parts, abs=1e-10)
 
     def test_decaying_source_data_bound(self, small_obstacle_run):
@@ -189,7 +190,7 @@ class TestUniformReport:
         # plateau claim is asserted on the long reference run in the
         # acceptance suite
         traj = small_obstacle_run
-        half = traj.truncated(traj.steps // 2)
+        half = st.run(dataclasses.replace(traj.config, steps=traj.steps // 2), traj.data)
         full_report = est.uniform_report(traj).as_dict()
         half_report = est.uniform_report(half).as_dict()
         for name in full_report:
@@ -219,10 +220,9 @@ class TestDualNorm:
         # the increments realize exactly that field
         rate = sp.Field(-(1.0 + lam_j) * mu_field.values, grid)
         y1 = sp.Field(rate.values * config.h, grid)
-        traj = st.DiscreteTrajectory(
-            y=np.array([zero.values, y1.values]), mu=np.array([zero.values, mu_field.values]),
-            solver_stats=[st.StepStats(0, 0.0, 0.0)], config=config,
-            data=st.ProblemData(y0=zero, source=st.zero_source(grid)))
+        traj = states_trajectory(
+            config, st.ProblemData(y0=zero, source=st.zero_source(grid)),
+            np.array([zero.values, y1.values]), np.array([zero.values, mu_field.values]))
         report = est.dual_norm_report(traj)
         expected = np.sqrt(config.h) * lam_j ** (-0.5) * abs(
             (1.0 + lam_j) * coeff)

@@ -11,17 +11,18 @@ from fracch import spectral as sp
 from fracch import stepper as st
 from fracch.errors import BranchError, DomainError, InsufficientDataError
 
-from conftest import fresh_longtime_report, zero_potential
+from conftest import fresh_longtime_report, states_trajectory, zero_potential
 
 
-def synthetic_trajectory(config, ys, mus):
-    grid = config.grid
-    data = st.ProblemData(y0=ys[0], source=st.zero_source(grid))
-    stats = [st.StepStats(iterations=0, residual_phase=0.0, residual_potential=0.0)]
-    return st.DiscreteTrajectory(y=np.array([f.values for f in ys]),
-                                 mu=np.array([f.values for f in mus]),
-                                 solver_stats=stats * (len(ys) - 1), config=config,
-                                 data=data)
+def synthetic_trajectory(config, ys, mus, snapshot_steps=None):
+    data = st.ProblemData(y0=ys[0], source=st.zero_source(config.grid))
+    return states_trajectory(config, data, np.array([f.values for f in ys]),
+                             np.array([f.values for f in mus]), snapshot_steps=snapshot_steps)
+
+
+def with_snapshots(traj, steps):
+    """The run of ``traj`` again, keeping the states at ``steps``."""
+    return st.run(traj.config, traj.data, steps)
 
 
 def neumann_config(spec, steps=4, h=0.1):
@@ -38,7 +39,7 @@ class TestPotentialTail:
         config = neumann_config(zero_potential())
         zero = sp.constant_field(0.0, config.grid)
         traj = synthetic_trajectory(config, [zero] * 5, [zero] * 5)
-        estimate = fresh_longtime_report(traj, [0, 4])["mu_infinity"]
+        estimate = fresh_longtime_report(traj)["mu_infinity"]
         assert np.all(estimate["series"] == 0.0)
         assert estimate["spread"] == estimate["flatness_max"] == 0.0
 
@@ -61,20 +62,19 @@ class TestPotentialTail:
         g = [0.3, 0.2, 0.15, 0.12, 0.1]
         mus = [sp.constant_field(v, grid) for v in g]
         traj = synthetic_trajectory(config, [zero] * 5, mus)
-        estimate = fresh_longtime_report(traj, [0, 4])["mu_infinity"]
+        estimate = fresh_longtime_report(traj)["mu_infinity"]
         assert np.allclose(estimate["series"], g[2:], atol=1e-14)
         # the fields are flat to round-off ...
         means = np.asarray(estimate["series"])
-        assert sp.row_norms(traj.mu[2:] - means[:, None], grid).max() <= 1e-12
+        rows = np.array([mu.values for mu in mus])
+        assert sp.row_norms(rows[2:] - means[:, None], grid).max() <= 1e-12
         # ... and the column formula resolves that to about sqrt(eps) |mu|
-        resolution = 2.0 * np.sqrt(np.finfo(float).eps) * sp.row_norms(traj.mu, grid).max()
+        resolution = 2.0 * np.sqrt(np.finfo(float).eps) * sp.row_norms(rows, grid).max()
         assert estimate["flatness_max"] <= resolution
 
     def test_obstacle_run_flattens(self, small_obstacle_run):
-        n = small_obstacle_run.steps
-
         def flatness(window):
-            report = fresh_longtime_report(small_obstacle_run, [0, n], window_fraction=window)
+            report = fresh_longtime_report(small_obstacle_run, window_fraction=window)
             return report["mu_infinity"]["flatness_max"]
 
         assert flatness(0.25) < flatness(0.999)
@@ -162,7 +162,7 @@ class TestVariationalInequality:
 
     def test_obstacle_run_final_state(self, small_obstacle_run):
         traj = small_obstacle_run
-        report = fresh_longtime_report(traj, [0, traj.steps], window_fraction=0.25)
+        report = fresh_longtime_report(traj, window_fraction=0.25)
         # regularization overshoot and remaining transients leave a small
         # inequality defect proportional to the residual scale
         assert report["variational_inequality_violation"] <= 0.05 * report["residual_scale"]
@@ -178,24 +178,23 @@ class TestOmegaProbe:
         m0 = 0.2
         y = sp.constant_field(m0, grid)
         mu = sp.constant_field(-2.0 * m0, grid)
-        traj = synthetic_trajectory(config, [y] * 5, [mu] * 5)
-        report = fresh_longtime_report(traj, [0, 2, 4])
+        traj = synthetic_trajectory(config, [y] * 5, [mu] * 5, [0, 2, 4])
+        report = fresh_longtime_report(traj)
         assert np.array_equal(report["gap_to_last"], np.zeros(3))
         assert np.array_equal(report["tail_diameter"], np.zeros(3))
         assert report["stationarity_residual"] <= 1e-10
         assert report["branch"] == "lambda1_zero"
 
     def test_positive_branch_report(self, small_dirichlet_run):
-        traj = small_dirichlet_run
-        n = traj.steps
-        steps = [n // 4, n // 2, n]
-        report = fresh_longtime_report(traj, steps)
+        n = small_dirichlet_run.steps
+        traj = with_snapshots(small_dirichlet_run, [n // 4, n // 2, n])
+        report = fresh_longtime_report(traj)
         assert report["branch"] == "lambda1_positive"
         assert report["mu_infinity"] is None
         assert report["mu_infinity_value"] == 0.0
         # the dense matrix of all snapshot gaps is the oracle of both series
-        gaps = np.array([sp.row_norms(traj.y[steps] - row, traj.config.grid)
-                         for row in traj.y[steps]])
+        gaps = np.array([sp.row_norms(traj.y_snapshots - row, traj.config.grid)
+                         for row in traj.y_snapshots])
         gap_to_last, tail = report["gap_to_last"], report["tail_diameter"]
         assert np.array_equal(gap_to_last, gaps[-1])
         assert gap_to_last[0] >= gap_to_last[1] > 0.0  # later states closer together
@@ -204,9 +203,9 @@ class TestOmegaProbe:
         assert np.isfinite(report["b_sigma_bound"])
 
     def test_zero_branch_report(self, small_obstacle_run):
-        traj = small_obstacle_run
-        n = traj.steps
-        report = fresh_longtime_report(traj, [n // 2, n], overshoot_tol=1e-2)
+        n = small_obstacle_run.steps
+        report = fresh_longtime_report(with_snapshots(small_obstacle_run, [n // 2, n]),
+                                       overshoot_tol=1e-2)
         assert report["branch"] == "lambda1_zero"
         assert report["mu_infinity"] is not None
         assert report["mu_infinity"]["spread"] >= 0.0
@@ -214,7 +213,7 @@ class TestOmegaProbe:
 
     def test_insufficient_snapshots(self, small_obstacle_run):
         with pytest.raises(InsufficientDataError):
-            fresh_longtime_report(small_obstacle_run, [100])
+            fresh_longtime_report(with_snapshots(small_obstacle_run, [100]))
 
 
 class TestNonuniquenessConstruction:
@@ -256,22 +255,22 @@ class TestRangeCertificate:
         config = neumann_config(zero_potential())
         zero = sp.constant_field(0.0, config.grid)
         traj = synthetic_trajectory(config, [zero] * 3, [zero] * 3)
-        cert = fresh_longtime_report(traj, [0, 2])["range_certificate"]
+        cert = fresh_longtime_report(traj)["range_certificate"]
         assert cert["y_min"] == cert["y_max"] == 0.0
         assert cert["contained"]
 
     def test_obstacle_overshoot_bounded(self, small_obstacle_run):
-        cert = fresh_longtime_report(small_obstacle_run, [0, 300])["range_certificate"]
+        cert = fresh_longtime_report(small_obstacle_run)["range_certificate"]
         assert cert["interval"] == (-1.0, 1.0)
         assert cert["overshoot"] <= 0.05
         assert cert["yosida_lambda"] == small_obstacle_run.config.yosida_lambda
 
     def test_unbounded_domain_self_certifies(self, small_dirichlet_run):
-        cert = fresh_longtime_report(small_dirichlet_run, [0, 400])["range_certificate"]
+        cert = fresh_longtime_report(small_dirichlet_run)["range_certificate"]
         assert cert["contained"]
         assert cert["overshoot"] == 0.0
 
     def test_unique_constant_certification(self, small_obstacle_run, small_dirichlet_run):
         for traj, certified in ((small_obstacle_run, False), (small_dirichlet_run, True)):
-            report = fresh_longtime_report(traj, [0, traj.steps])
+            report = fresh_longtime_report(traj)
             assert report["assumptions"]["unique_constant_multiplier_certified"] == certified

@@ -24,6 +24,7 @@ derandomized so that the suite gives the same verdict on every run.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -31,6 +32,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hs
 from hypothesis.extra import numpy as hnp
@@ -43,7 +45,7 @@ from fracch import spectral as sp
 from fracch import stepper as st
 
 from conftest import (assert_matches_cold_chain, assert_step_operator_closed_forms, cosine_field,
-                      fresh_longtime_report, zero_potential)
+                      fresh_longtime_report, recorded_run, states_trajectory, zero_potential)
 
 POTENTIALS = ("regular", "logarithmic", "obstacle", "example_best")
 EPS = np.finfo(float).eps
@@ -80,8 +82,9 @@ def problems(draw):
     return config, st.ProblemData(y0=y0, source=source)
 
 
-def oracle_ledger(traj):
-    """The summed inequality at every step, one Field and one apply_power at a time."""
+def oracle_ledger(traj, y, mu):
+    """The summed inequality at every step of the recorded states ``y`` and
+    ``mu``, one Field and one apply_power at a time."""
     config, data = traj.config, traj.data
     h, tau = traj.h, config.tau
     shift = config.spec.stability_shift
@@ -89,22 +92,24 @@ def oracle_ledger(traj):
 
     # the logarithmic resolvent iterates until a whole batch has converged,
     # so its last bits depend on the batch: evaluate it on the same batch as
-    # the ledger (these trajectories fit in one of its blocks), which leaves
-    # only the ledger's own arithmetic to compare
-    integrand = pot.yosida_primal(reg, traj.y) + config.spec.pi_hat(traj.y)
+    # the run's columns (these trajectories fit in one of its blocks), which
+    # leaves only the ledger's own arithmetic to compare
+    integrand = pot.yosida_primal(reg, y) + config.spec.pi_hat(y)
+    ys = [sp.Field(row, config.grid) for row in y]
+    mus = [sp.Field(row, config.grid) for row in mu]
 
     def split(k):
-        return float(np.sum(traj.ys[k].grid.w * integrand[k]))
+        return float(np.sum(config.grid.w * integrand[k]))
 
     def b_sq(y):
         return sp.norm(sp.apply_power(config.op_B, y)) ** 2
 
-    e0_split, e0_b = split(0), 0.5 * b_sq(traj.ys[0])
+    e0_split, e0_b = split(0), 0.5 * b_sq(ys[0])
     totals = dict.fromkeys(est.LEDGER_TERMS, 0.0)
     pairing = 0.0
     rows = []
     for k in range(1, traj.steps + 1):
-        y0, y1, mu0, mu1 = traj.ys[k - 1], traj.ys[k], traj.mus[k - 1], traj.mus[k]
+        y0, y1, mu0, mu1 = ys[k - 1], ys[k], mus[k - 1], mus[k]
         dy = y1 - y0
         increments = {
             "mu_l2_accum": 0.5 * h * (sp.norm(mu1) ** 2 - sp.norm(mu0) ** 2),
@@ -133,12 +138,12 @@ def oracle_ledger(traj):
 @given(problems())
 def test_ledger_mass_and_slack_on_random_problems(problem):
     config, data = problem
-    traj = st.run(config, data)
+    traj, y, mu = recorded_run(config, data)
     ledger = est.gronwall_ledger(traj)
     assert len(ledger.step) == traj.steps
     scale = np.maximum(np.maximum(np.abs(ledger.terms).max(axis=1), np.abs(ledger.rhs_bound)),
                        est.SLACK_FLOOR)
-    for k, (lhs, rhs, slack, data_bound) in enumerate(oracle_ledger(traj)):
+    for k, (lhs, rhs, slack, data_bound) in enumerate(oracle_ledger(traj, y, mu)):
         tol = 1e-12 * scale[k]
         for name, value in zip(est.LEDGER_TERMS, ledger.terms[k]):
             assert abs(value - lhs[name]) <= tol, name
@@ -148,7 +153,7 @@ def test_ledger_mass_and_slack_on_random_problems(problem):
         assert ledger.slack[k] >= -1e-8 * scale[k]
     if config.op_A.lambda1 == 0.0:
         # the mass identity is exact when the first operator annihilates constants
-        mass = sp.row_means(traj.y, config.grid) + traj.h * sp.row_means(traj.mu, config.grid)
+        mass = sp.row_means(y, config.grid) + traj.h * sp.row_means(mu, config.grid)
         assert np.abs(mass - mass[0]).max() <= 1e-10
 
 
@@ -157,7 +162,73 @@ def test_ledger_mass_and_slack_on_random_problems(problem):
 @given(problems())
 def test_warm_started_run_matches_the_cold_chain(problem):
     config, data = problem
-    assert_matches_cold_chain(st.run(config, data))
+    assert_matches_cold_chain(config, data)
+
+
+def whole_array_columns(config, data, y, mu):
+    """The columns of the states ``y`` and ``mu``, each pass over all rows at once."""
+    grid, op_a, op_b, h = config.grid, config.op_A, config.op_B, config.h
+    values = pot.yosida_primal(config.regularization, y) + config.spec.pi_hat(y)
+    dy = np.diff(y, axis=0)
+    c_mu = mu @ op_a.basis.analysis_matrix.T
+    return {
+        "mean_y": sp.row_means(y, grid),
+        "mean_mu": sp.row_means(mu, grid),
+        "norm_y": sp.row_norms(y, grid),
+        "norm_B_sigma_y": sp.row_power_norms(op_b, y),
+        "norm_mu": sp.row_norms(mu, grid),
+        "norm_Ar_mu": sp.row_power_norms(op_a, mu),
+        "split_energy": np.sum(grid.w * values, axis=1),
+        "split_energy_abs": np.sum(grid.w * np.abs(values), axis=1),
+        "norm_dy": sp.row_norms(dy, grid),
+        "norm_dmu": sp.row_norms(np.diff(mu, axis=0), grid),
+        "norm_B_sigma_dy": sp.row_power_norms(op_b, dy),
+        "source_pairing": sp.row_inner(data.source.values(h * np.arange(1, len(y))), dy, grid),
+        "dual_rate": sp.dual_norms(op_a, (dy / h) @ op_a.basis.analysis_matrix.T),
+        "dual_rate_identity": sp.dual_norms(
+            op_a, c_mu[:-1] - c_mu[1:] - op_a.power_weights(2.0) * c_mu[1:]),
+    }
+
+
+def assert_close(ours, oracle, name):
+    """Agreement to 1e-13 relative to the largest magnitude of the oracle."""
+    ours, oracle = np.asarray(ours, dtype=float), np.asarray(oracle, dtype=float)
+    assert ours.shape == oracle.shape, name
+    if oracle.size:
+        assert np.abs(ours - oracle).max() <= 1e-13 * max(np.abs(oracle).max(), 1e-300), name
+
+
+@pytest.mark.parametrize("steps", [0, 1, 63, 64, 65, 130])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problem=problems(), data=hs.data())
+def test_streamed_columns_match_the_whole_array_pass(steps, problem, data):
+    # run reduces its states block by block, 64 steps at a time, carrying the
+    # last row of each block into the next; every column, snapshot and report
+    # must be the one of the whole recorded trajectory
+    config, problem_data = problem
+    config = dataclasses.replace(config, steps=steps)
+    snapshot_steps = data.draw(hs.lists(hs.integers(0, steps), min_size=2, max_size=8))
+    traj, y, mu = recorded_run(config, problem_data, snapshot_steps)
+    assert y.shape == (steps + 1, config.grid.size) and traj.steps == steps
+    oracle = whole_array_columns(config, problem_data, y, mu)
+    assert traj.columns.keys() == oracle.keys()
+    for name, column in oracle.items():
+        assert_close(traj.columns[name], column, name)
+    assert traj.snapshot_steps == tuple(snapshot_steps)
+    assert np.array_equal(traj.y_snapshots, y[snapshot_steps])
+    assert np.array_equal(traj.mu_snapshots, mu[snapshot_steps])
+    assert traj.y_range == (y.min(), y.max())
+    whole = dataclasses.replace(traj, columns=oracle)
+    ours, theirs = est.gronwall_ledger(traj), est.gronwall_ledger(whole)
+    for field in ("terms", "rhs_bound", "slack", "data_bound"):
+        assert_close(getattr(ours, field), getattr(theirs, field), field)
+    for ours, theirs in ((est.uniform_report(traj).as_dict(),
+                          est.uniform_report(whole).as_dict()),
+                         (est.dual_norm_report(traj).__dict__,
+                          est.dual_norm_report(whole).__dict__)):
+        for name in theirs:
+            assert_close(ours[name], theirs[name], name)
 
 
 def direction_config(kind, points, exponent):
@@ -273,12 +344,10 @@ def test_limit_set_witnesses_match_the_dense_gap_matrix(kind, points, length, ro
     for src, dst in data.draw(hs.lists(hs.tuples(hs.integers(0, rows - 1),
                                                  hs.integers(0, rows - 1)), max_size=rows)):
         snapshots[dst] = snapshots[src]
-    stats = st.StepStats(iterations=0, residual_phase=0.0, residual_potential=0.0)
-    traj = st.DiscreteTrajectory(
-        y=snapshots, mu=np.zeros_like(snapshots), solver_stats=[stats] * (rows - 1),
-        config=config, data=st.ProblemData(y0=sp.Field(snapshots[0], grid),
-                                           source=st.zero_source(grid)))
-    report = fresh_longtime_report(traj, list(range(rows)))
+    traj = states_trajectory(config, st.ProblemData(y0=sp.Field(snapshots[0], grid),
+                                                    source=st.zero_source(grid)),
+                             snapshots, np.zeros_like(snapshots), snapshot_steps=range(rows))
+    report = fresh_longtime_report(traj)
     gaps = np.array([sp.row_norms(snapshots - row, grid) for row in snapshots])
     gap_to_last, tail = report["gap_to_last"], report["tail_diameter"]
     assert len(gap_to_last) == len(tail) == len(report["probe_times"]) == rows

@@ -18,7 +18,7 @@ from fracch.errors import (
 )
 
 from conftest import (assert_matches_cold_chain, assert_step_operator_closed_forms, cosine_field,
-                      zero_potential)
+                      final_y, recorded_run, zero_potential)
 
 
 def neumann_config(spec, n=8, points=17, length=2.0, r=0.5, sigma=0.5,
@@ -400,23 +400,19 @@ class TestRun:
         y0 = sp.constant_field(0.0, config.grid)
         traj = st.run(config, st.ProblemData(y0=y0, source=st.zero_source(config.grid)))
         assert traj.steps == 0
-        assert sp.norm(traj.mus[0]) == 0.0
+        assert sp.norm(traj.snapshot(0)[1]) == 0.0
 
     def test_zero_data_zero_trajectory(self):
         config = neumann_config(pot.make_potential("regular"), steps=5)
         y0 = sp.constant_field(0.0, config.grid)
         traj = st.run(config, st.ProblemData(y0=y0, source=st.zero_source(config.grid)))
-        assert max(sp.norm(y) for y in traj.ys) <= 1e-12
-        assert max(sp.norm(mu) for mu in traj.mus) <= 1e-12
+        assert traj.columns["norm_y"].max() <= 1e-12
+        assert traj.columns["norm_mu"].max() <= 1e-12
 
     def test_mass_identity(self, small_obstacle_run):
         traj = small_obstacle_run
-        m0 = sp.mean(traj.ys[0])
-        defects = [
-            abs(sp.mean(traj.ys[k]) + traj.h * sp.mean(traj.mus[k]) - m0)
-            for k in range(traj.steps + 1)
-        ]
-        assert max(defects) <= 1e-10
+        mass = traj.columns["mean_y"] + traj.h * traj.columns["mean_mu"]
+        assert np.abs(mass - mass[0]).max() <= 1e-10
 
     def test_residuals_within_tolerance(self, small_obstacle_run):
         cfg = small_obstacle_run.config
@@ -456,7 +452,7 @@ class TestRun:
                                       sp.Field(rng.uniform(-0.5, 0.5, grid.size), grid), 1.0))
         traj = st.run(config, data)
         assert traj.solver_stats[0].residual_potential > config.newton_tol
-        mass = sp.row_means(traj.y, grid) + traj.h * sp.row_means(traj.mu, grid)
+        mass = traj.columns["mean_y"] + traj.h * traj.columns["mean_mu"]
         assert abs(mass[1] - mass[0]) <= 1e-10
         ledger = est.gronwall_ledger(traj)
         scale = max(np.abs(ledger.terms[0]).max(), abs(ledger.rhs_bound[0]), est.SLACK_FLOOR)
@@ -490,21 +486,20 @@ class TestRun:
         along = st._Workspace._along_modes
         monkeypatch.setattr(st._Workspace, "_along_modes",
                             lambda ws, slope, g: calls.append(1) or along(ws, slope, g))
-        modes = st.run(config, data)
+        modes = recorded_run(config, data)
         monkeypatch.setattr(st._Workspace, "_along_modes",
                             lambda ws, slope, g: np.linalg.solve(ws.k + np.diag(slope), -g))
-        dense = st.run(config, data)
-        iterations = [s.iterations for s in modes.solver_stats]
-        assert iterations == [s.iterations for s in dense.solver_stats]
+        dense = recorded_run(config, data)
+        iterations = [s.iterations for s in modes[0].solver_stats]
+        assert iterations == [s.iterations for s in dense[0].solver_stats]
         assert len(calls) == sum(iterations) > config.steps
-        for name in ("y", "mu"):
-            ours, oracle = getattr(modes, name), getattr(dense, name)
+        for ours, oracle in zip(modes[1:], dense[1:]):
             assert np.abs(ours - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_refinement_reduces_state_difference(self):
         from conftest import smooth_benchmark
         t_final = 0.8
-        states = [smooth_benchmark(h, int(round(t_final / h)), 1e-2).ys[-1]
+        states = [final_y(smooth_benchmark(h, int(round(t_final / h)), 1e-2))
                   for h in (0.1, 0.05, 0.025)]
         d1 = sp.norm(states[0] - states[1])
         d2 = sp.norm(states[1] - states[2])
@@ -539,7 +534,7 @@ class TestWarmStart:
         data = st.ProblemData(y0=cosine_field(grid, [0.1, 0.6, 0.2]),
                               source=st.DecaySource(sp.constant_field(0.8, grid),
                                                     cosine_field(grid, [0.0, 0.0, 1.0]), 0.5))
-        warm, cold = assert_matches_cold_chain(st.run(config, data))
+        warm, cold = assert_matches_cold_chain(config, data)
         if well != "obstacle":
             # a revert to d = 0 makes the two counts equal
             assert warm < cold
@@ -553,8 +548,8 @@ class TestWarmStart:
         fields = [cosine_field(grid, c)
                   for c in ([0.0, 1.5], [1.0, -1.6, 0.2], [-1.2, 0.0, 1.4], [0.0])]
         source = st.TabulatedSource(np.array([0.0, 0.4, 0.9, 1.5]), fields)
-        assert_matches_cold_chain(st.run(config, st.ProblemData(
-            y0=cosine_field(grid, [0.1, 0.6, 0.2]), source=source)))
+        assert_matches_cold_chain(config, st.ProblemData(
+            y0=cosine_field(grid, [0.1, 0.6, 0.2]), source=source))
 
     @pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
     def test_obstacle_at_half_step(self, kind):
@@ -562,8 +557,8 @@ class TestWarmStart:
         config = warm_start_config(kind, "obstacle", h=0.5)
         grid = config.grid
         source = st.DecaySource(sp.constant_field(0.5, grid), cosine_field(grid, [0.0, 1.5]), 0.3)
-        assert_matches_cold_chain(st.run(config, st.ProblemData(
-            y0=cosine_field(grid, [0.1, 0.6, 0.2]), source=source)))
+        assert_matches_cold_chain(config, st.ProblemData(
+            y0=cosine_field(grid, [0.1, 0.6, 0.2]), source=source))
 
     @pytest.mark.parametrize("kind, length, exponent_a, y0, totals", [
         ("neumann", 1.0, 1.0, [0.1, 0.05], (23, 13)),
@@ -584,7 +579,7 @@ class TestWarmStart:
         grid = config.grid
         data = st.ProblemData(y0=cosine_field(grid, y0),
                               source=st.DecaySource(sp.constant_field(0.4, grid)))
-        assert assert_matches_cold_chain(st.run(config, data)) == totals
+        assert assert_matches_cold_chain(config, data) == totals
 
 
 def carry_problem(kind_a, kind_b, well, h, steps, source):
@@ -655,20 +650,20 @@ class TestCarry:
         advance = st._advance
         monkeypatch.setattr(st, "_advance", lambda ws, y, mu, u, carry:
                             carries.append(carry) or advance(ws, y, mu, u, carry))
-        traj = st.run(config, data)
+        traj, ys, mus = recorded_run(config, data)
         monkeypatch.undo()
         assert len(carries) == config.steps
         assert [n for n, s in enumerate(traj.solver_stats) if s.dampings] == damped
         ws = st._Workspace(config)
         for n, carry in enumerate(carries):
-            y, mu = traj.y[n], traj.mu[n]
+            y, mu = ys[n], mus[n]
             # the increment of the step before, as Newton returned it
             fresh = st._fresh_carry(ws, y, mu, carry[0])
             assert all(np.array_equal(a, b) for a, b in zip(carry, fresh))
             y_next, mu_next, _, stats = st._advance(
                 ws, y, mu, data.source.at((n + 1) * config.h).values, fresh)
-            assert np.array_equal(y_next, traj.y[n + 1])
-            assert np.array_equal(mu_next, traj.mu[n + 1])
+            assert np.array_equal(y_next, ys[n + 1])
+            assert np.array_equal(mu_next, mus[n + 1])
             assert stats == traj.solver_stats[n]
 
     def test_every_newton_exit_returns_k_times_its_iterate(self, monkeypatch):
@@ -719,14 +714,14 @@ class TestCarry:
         calls = []
         yosida = pot.yosida
         monkeypatch.setattr(pot, "yosida", lambda reg, s: calls.append(1) or yosida(reg, s))
-        traj = st.run(config, data)
+        traj = st.run(config, data, (1, 2))
         (ws,) = counted_workspaces
         trial_points = sum(s.iterations + s.dampings for s in traj.solver_stats)
         assert len(calls) == config.steps + trial_points
         assert ws.k.products == len(calls) - (config.steps - 1) == trial_points + 1
         calls.clear()
-        st.solve_step(traj.ys[1], traj.mus[1], data.source.at(2 * config.h), config,
-                      start=traj.ys[2])
+        st.solve_step(*traj.snapshot(1), data.source.at(2 * config.h), config,
+                      start=traj.snapshot(2)[0])
         assert counted_workspaces[1].k.products == len(calls)
 
 
