@@ -175,7 +175,7 @@ def _cmd_sweep(args) -> int:
     # the finest run holds the most steps, and its first and last state; past
     # 2**64 steps (or from zero steps) the count only grows, so it is capped there
     finest = max(n0, 1) * 2 ** min(levels + 1, 64)
-    too_large = cfgmod.run_too_large(finest, scheme.grid.size, 2)
+    too_large = cfgmod.run_too_large(finest, scheme.grid.size, 2, scheme.shared_modes)
     if too_large:
         raise ConfigurationError(f"--levels: at the finest step size, {too_large}")
     ladders = (("h", h0, lambda k: {"h": h0 / k, "steps": n0 * k}),

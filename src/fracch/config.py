@@ -175,8 +175,10 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         errors.append(f"[output] snapshots: {exc}")
     else:
         if steps is not None and steps >= 0 and points:
+            a, b = operators.get("operator_a"), operators.get("operator_b")
+            shared_modes = a.modes if a and b and _shares_basis(a, b) else None
             too_large = run_too_large(steps, max(points),
-                                      snapshot_count(output["snapshots"], steps))
+                                      snapshot_count(output["snapshots"], steps), shared_modes)
             if too_large:
                 errors.append(f"[scheme] steps: {too_large}")
     if errors:
@@ -247,12 +249,24 @@ def states_too_large(need: float, what: str) -> Optional[str]:
 RUN_BYTES_PER_STEP = 512
 
 
-def run_too_large(steps: int, grid_size: int, snapshots: int) -> Optional[str]:
+def run_too_large(steps: int, grid_size: int, snapshots: int,
+                  shared_modes: Optional[int]) -> Optional[str]:
     """:func:`states_too_large` for a run: its ``snapshots`` state rows of ``y``
-    and ``mu`` and :data:`RUN_BYTES_PER_STEP` per step."""
-    need = 2 * snapshots * grid_size * 8 + RUN_BYTES_PER_STEP * (steps + 1)
-    return states_too_large(need, f"{steps} steps with {snapshots} snapshots on "
-                                  f"{grid_size} grid points need {need:.3g} bytes")
+    and ``mu``, :data:`RUN_BYTES_PER_STEP` per step and the arrays of its step
+    operator, :func:`stepper.step_operator_bytes` of ``grid_size`` and of
+    ``shared_modes``, the mode count of the one basis both operators share
+    (None for two bases)."""
+    operator = st.step_operator_bytes(grid_size, shared_modes)
+    need = 2 * snapshots * grid_size * 8 + RUN_BYTES_PER_STEP * (steps + 1) + operator
+    with_operator = f" and a dense step operator of {operator:.3g} bytes" if operator else ""
+    return states_too_large(need, f"{steps} steps with {snapshots} snapshots on {grid_size} "
+                                  f"grid points{with_operator} need {need:.3g} bytes")
+
+
+def _shares_basis(a: OperatorSection, b: OperatorSection) -> bool:
+    """Whether two operator sections differ only in their exponent, so that
+    both operators are built on one basis."""
+    return replace(b, exponent=a.exponent) == a
 
 
 def read_config(path: str):
@@ -363,19 +377,14 @@ def _build_source(cfg: RunConfig, grid: sp.Grid):
 def build_problem(cfg: RunConfig):
     """Materialize (SchemeConfig, ProblemData) from a parsed document."""
     basis_a = _build_basis(cfg.operator_a, cfg.base_dir)
-    # sections that differ only in their exponent share one basis, which
-    # lets the stepper solve smooth-well Newton directions along its modes
-    if replace(cfg.operator_b, exponent=cfg.operator_a.exponent) == cfg.operator_a:
+    # one shared basis lets the stepper apply K and solve Newton directions
+    # along its modes
+    if _shares_basis(cfg.operator_a, cfg.operator_b):
         basis_b = basis_a
     else:
         basis_b = _build_basis(cfg.operator_b, cfg.base_dir)
     op_a = sp.FractionalOperator(basis_a, cfg.operator_a.exponent)
     op_b = sp.FractionalOperator(basis_b, cfg.operator_b.exponent)
-    # parse_config has checked interval grids; a matrix grid is known only now
-    too_large = run_too_large(cfg.steps, op_a.basis.grid.size,
-                              snapshot_count(cfg.snapshots, cfg.steps))
-    if too_large:
-        raise ConfigurationError(f"[scheme] steps: {too_large}")
     spec = pot.make_potential(cfg.potential_name, **cfg.potential_params)
     scheme = st.SchemeConfig(
         op_A=op_a, op_B=op_b, spec=spec,
@@ -383,6 +392,11 @@ def build_problem(cfg: RunConfig):
         h=cfg.h, steps=cfg.steps,
         newton_tol=cfg.newton_tol, newton_max=cfg.newton_max,
     )
+    # parse_config has checked interval grids; a matrix grid is known only now
+    too_large = run_too_large(cfg.steps, scheme.grid.size,
+                              snapshot_count(cfg.snapshots, cfg.steps), scheme.shared_modes)
+    if too_large:
+        raise ConfigurationError(f"[scheme] steps: {too_large}")
     y0 = _build_field(cfg.y0_descriptor, scheme.grid, cfg.base_dir)
     source = _build_source(cfg, scheme.grid)
     data = st.ProblemData(y0=y0, source=source)

@@ -195,7 +195,8 @@ class EigenBasis:
     def gram_defect(self) -> float:
         """Max deviation of the quadrature Gram matrix from the identity."""
         g = self._analysis @ self.modes
-        return float(np.abs(g - np.eye(self.n)).max())
+        g.flat[:: self.n + 1] -= 1.0   # minus the identity, in place
+        return float(np.abs(g, out=g).max())
 
     def first_mode_is_constant(self, tol: float = CONSTANT_MODE_TOL) -> bool:
         e1 = self.modes[:, 0]
@@ -251,21 +252,27 @@ def build_interval_basis(kind: str, n: int, length: float, grid_points: int) -> 
         raise ConfigurationError(f"interval {problem}")
     grid = interval_grid(length, grid_points)
     if kind == "neumann":
-        freqs = np.arange(n)
-        lambdas = (np.pi * freqs / length) ** 2
-        modes = np.cos(np.pi * np.outer(grid.x, freqs) / length)
+        freqs, wave = np.arange(n), np.cos
     elif kind == "dirichlet":
         if n > grid_points - 2:
             raise ConfigurationError(
                 f"dirichlet basis needs at least n + 2 grid points (n={n}, points={grid_points})"
             )
-        freqs = np.arange(1, n + 1)
-        lambdas = (np.pi * freqs / length) ** 2
-        modes = np.sin(np.pi * np.outer(grid.x, freqs) / length)
+        freqs, wave = np.arange(1, n + 1), np.sin
     else:
         raise ConfigurationError(f"unknown interval basis kind: {kind!r}")
-    norms = np.sqrt(np.sum(grid.w[:, None] * modes**2, axis=0))
-    return EigenBasis(lambdas, modes / norms, grid, kind)
+    lambdas = (np.pi * freqs / length) ** 2
+    # each step in place: the argument pi x j / length, its wave, the squares
+    modes = np.outer(grid.x, freqs)
+    modes *= np.pi
+    modes /= length
+    wave(modes, out=modes)
+    squares = np.square(modes)
+    squares *= grid.w[:, None]
+    norms = np.sqrt(np.sum(squares, axis=0))
+    del squares
+    modes /= norms
+    return EigenBasis(lambdas, modes, grid, kind)
 
 
 def build_matrix_basis(matrix: np.ndarray) -> EigenBasis:

@@ -15,9 +15,13 @@ the increment solves the strongly monotone nodal equation
     K d + beta_lam(y + d) + pi(y + d) = u+ + S mu - B2s y,
     K = (tau/h + L) I + B2s + S/h.
 
-``K`` is built once per run from the eigenbases, one product along the
-modes of each (a single one when both operators share their basis) and
-no product with the identity; damped Newton solves for ``d`` from the
+When both operators share one basis of at most 3/5 as many modes as
+nodes, on a grid of at least 257 nodes, ``K`` is a multiple of the
+identity plus a term along the modes, and it is applied in that form, one
+analysis and one synthesis per product, so that a run holds no ``m`` x
+``m`` array.  Otherwise ``K`` is built once per run from the eigenbases,
+one product along the modes of each (a single one on a shared basis) and
+no product with the identity.  Damped Newton solves for ``d`` from the
 previous step's increment ``y^n - y^(n-1)`` (from ``d = 0`` on the first
 step), the state moving at a constant rate being a better guess than a
 state at rest.  The start changes where Newton begins, not the equation it
@@ -27,14 +31,15 @@ found in one of three ways, picked by the slope and the operators:
 
 - At most half of the nodes lie above the smallest slope ``c`` (the
   obstacle well, whose Yosida slope is 0 or 1/lam): the Woodbury
-  correction of ``G = (K + c I)^(-1)`` on those nodes.  ``G`` is formed
-  once per run and again only when ``c`` changes: in closed form along
-  the modes when both operators share one basis, by a dense inverse
-  otherwise.  Each iteration solves a system the size of that node set.
-  The obstacle slope changes only where the contact set does, so the
-  columns of ``G`` on that set and the small system's matrix are kept
-  from one iteration and one step to the next until the set or its
-  slopes move.
+  correction of ``G = (K + c I)^(-1)`` on those nodes.  On a shared
+  basis ``G`` has a closed form along the modes, in which it is applied
+  where ``K`` is; otherwise ``G`` is formed as a dense matrix, from that
+  closed form or, with two bases, by a dense inverse, once per run and
+  again only when ``c`` changes.  Each iteration solves a system the size
+  of that node set.  The obstacle slope changes only where the contact
+  set does, so the factors of ``G`` on that set and the small system's
+  matrix are kept from one iteration and one step to the next until the
+  set or its slopes move.
 - More nodes above ``c`` (the smooth wells, whose slope differs from node
   to node), and both operators on one eigenbasis ``Phi`` of ``n`` modes
   with ``n`` at most 3/5 of the grid size: ``K`` is a multiple of the
@@ -57,10 +62,12 @@ applied once per trial point of the line search; and the spectral part
 and one synthesis, stacked when both operators share their basis.  With
 the analysis and synthesis of ``mu+ = S (mu - d/h)`` a step thus makes
 four passes over the mode and analysis matrices on a shared basis and
-six with two bases.  ``run`` and ``solve_step`` take every step through
-one routine.  ``solve_step`` computes the carry from its rows and start;
-from the rows of a run and the increment Newton returned for the step
-before, that carry is the carried one bit for bit, and so is the step.
+six with two bases, plus two for each product with ``K`` and each node
+direction where ``K`` is applied along the modes.  ``run`` and
+``solve_step`` take every step through one routine.  ``solve_step``
+computes the carry from its rows and start; from the rows of a run and
+the increment Newton returned for the step before, that carry is the
+carried one bit for bit, and so is the step.
 
 Trajectories start from ``y0`` with ``mu0 = 0``; that
 initialization is part of the scheme, not a configurable choice, and it
@@ -75,6 +82,7 @@ run holds its snapshots and a few numbers per step, whatever its horizon.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -142,6 +150,12 @@ class SchemeConfig:
     @property
     def regularization(self) -> pot.YosidaRegularization:
         return pot.YosidaRegularization(self.spec, self.yosida_lambda)
+
+    @property
+    def shared_modes(self) -> Optional[int]:
+        """The mode count of the one basis both operators share, or None for two bases."""
+        basis = self.op_A.basis
+        return basis.n if basis is self.op_B.basis else None
 
 
 
@@ -456,20 +470,65 @@ class _Recorder:
 #: at 0.70, and slower on all three at 0.75.
 _MODE_SHARE = 0.6
 
+#: The smallest grid on which such a basis applies ``K`` along its modes.
+#: Timed per step against the dense ``K`` and ``G`` on the obstacle runs of
+#: the benchmark (one BLAS thread, half as many modes as nodes), the
+#: factored form is 6% slower at 129 nodes and 2% to 4% faster at 257 and
+#: 513: below this size its four passes per direction, in place of two
+#: products with the dense arrays, cost more than they save.
+_FACTORED_GRID = 257
+
+#: Entries of ``K`` per block of rows when its absolute row sums are taken.
+_ROW_BLOCK = 1 << 15
+
+#: How many ``m`` x ``m`` arrays a dense step operator holds at once, at
+#: most: ``K`` and ``G``, the cached columns ``G[:, off]`` and capacitance
+#: matrix (at most half and a quarter of one), and inside a dense LU or
+#: inverse two more, the Jacobian and LAPACK's copy of it.
+_DENSE_ARRAYS = 5
+
+
+def _mode_branch(grid_size: int, shared_modes: Optional[int]) -> bool:
+    """Whether both operators share one basis of ``shared_modes`` modes (None
+    for two bases), at most ``_MODE_SHARE`` of the ``grid_size`` nodes."""
+    return shared_modes is not None and shared_modes <= _MODE_SHARE * grid_size
+
+
+def _factored_operator(grid_size: int, shared_modes: Optional[int]) -> bool:
+    """Whether a run applies ``K`` along the modes, holding no ``m`` x ``m``
+    array: a basis as :func:`_mode_branch` asks, on a grid of at least
+    ``_FACTORED_GRID`` nodes."""
+    return _mode_branch(grid_size, shared_modes) and grid_size >= _FACTORED_GRID
+
+
+def step_operator_bytes(grid_size: int, shared_modes: Optional[int]) -> int:
+    """Bytes of the ``m`` x ``m`` arrays a run's step operator holds at once
+    (arguments as for :func:`_factored_operator`)."""
+    if _factored_operator(grid_size, shared_modes):
+        return 0
+    return _DENSE_ARRAYS * 8 * grid_size * grid_size
+
 
 class _Workspace:
-    """The step operator K of one run, built from the bases, and its Newton directions.
+    """The step operator K of one run, from the bases, and its Newton directions.
 
     With ``Phi`` the modes of a basis and ``Phi^T W`` its analysis matrix,
     ``B2s = Phi_B diag(lam_B^2s) Phi_B^T W`` and ``(I + A2r)^(-1) = I -
     Phi_A diag(lam_A^2r / (1 + lam_A^2r)) Phi_A^T W``, so that
 
         K = a I + Phi_B diag(lam_B^2s) Phi_B^T W - Phi_A diag(q / h) Phi_A^T W,
-        a = tau/h + L + 1/h,   q = lam_A^2r / (1 + lam_A^2r),
+        a = tau/h + L + 1/h,   q = lam_A^2r / (1 + lam_A^2r).
 
-    two products of an ``m`` x ``n`` by an ``n`` x ``m`` matrix.  On one
-    shared basis ``Phi`` this is ``K = a I + Phi diag(kappa) Phi^T W`` with
-    ``kappa = lam_B^2s - q / h``, one product.
+    On one shared basis ``Phi`` this is ``K = a I + Phi diag(kappa) Phi^T W``
+    with ``kappa = lam_B^2s - q / h``.  When that basis has at most
+    ``_MODE_SHARE`` modes per node and the grid at least ``_FACTORED_GRID``
+    nodes (:func:`_factored_operator`), ``K`` stays in this form:
+    :meth:`apply` computes ``K d = a d + Phi (kappa * Phi^T W d)``, one
+    analysis and one synthesis, and the workspace holds no ``m`` x ``m``
+    array.  Otherwise ``K`` is assembled once, from two products of
+    an ``m`` x ``n`` by an ``n`` x ``m`` matrix (one on a shared basis),
+    and applied as a dense matrix.  ``k_rows``, the absolute row sums of
+    ``K`` that size its round-off, are taken a block of rows at a time.
 
     ``spectral`` gives the rows a step carries, ``A2r mu`` and ``S mu - mu -
     B2s y = -Phi_A diag(q) Phi_A^T W mu - Phi_B diag(lam_B^2s) Phi_B^T W y``,
@@ -484,27 +543,35 @@ class _Workspace:
     *Nodes.*  When ``off`` holds at most half of the nodes, the Woodbury
     identity on them gives
 
-        delta = x - G[:, off] (I + E G[off, off])^(-1) E x[off],
-        x = -G g,   G = (K + c I)^(-1),   E = diag(slope - c)[off],
+        delta = x - G[:, off] t,   t = (I + E G[off, off])^(-1) E x[off],
+        x = -G g,   G = (K + c I)^(-1),   E = diag(slope - c)[off].
 
-    with ``G`` cached until ``c`` changes.  ``K + c I`` is invertible: ``K``
-    carries the shift ``L = Lip(pi) + 1`` and ``c >= -Lip(pi)``.  On a
-    shared basis, whose modes are orthonormal,
+    ``K + c I`` is invertible: ``K`` carries the shift ``L = Lip(pi) + 1``
+    and ``c >= -Lip(pi)``.  On a shared basis, whose modes are orthonormal,
 
-        G = (I - Phi diag(kappa / (a + c + kappa)) Phi^T W) / (a + c),
+        G = (I - Phi diag(gamma) Phi^T W) / (a + c),   gamma = kappa / (a + c + kappa),
 
-    one product along the modes; its denominators are positive, as ``a + c
-    >= 1 + 1/h`` and ``kappa > -1/h``.  With two bases there is no such
-    closed form and ``G`` is the dense inverse of ``K + c I``.  The
-    capacitance matrix ``I + E G[off, off]`` is ``E (E^(-1) + G[off, off])``
-    without the division, so a slope gap that rounds to a subnormal cannot
-    overflow.  ``active`` keeps the factors of the last call, the columns
-    ``G[:, off]`` as one contiguous copy and the capacitance matrix, under
-    the key ``(off, slope[off] - c)`` for the cached shift.  A call whose
-    key equals it bit for bit reuses them; any other key rebuilds them from
-    ``G``, and a new shift drops them before ``G`` is formed again, so a
-    failed inversion leaves no factors behind.  A hit feeds the same arrays
-    to the same products, so its direction is the rebuilt one bit for bit.
+    whose denominators are positive, as ``a + c >= 1 + 1/h`` and ``kappa >
+    -1/h``.  With ``K`` factored, ``G`` stays in this form too, and
+
+        delta = (Phi (gamma * (Phi^T W g + (Phi^T W)[:, off] t)) - g - P_off t) / (a + c),
+
+    with ``P_off`` placing a vector on ``off``: one analysis and one
+    synthesis per direction.  A dense ``K`` takes ``G`` as a dense matrix,
+    the closed form above as one product on a shared basis and the dense
+    inverse of ``K + c I`` with two bases.  ``G`` is cached until ``c``
+    changes.  The capacitance matrix ``I + E G[off, off]`` is ``E (E^(-1) +
+    G[off, off])`` without the division, so a slope gap that rounds to a
+    subnormal cannot overflow.  ``active`` keeps the factors of the last
+    call under the key ``(off, slope[off] - c)`` for the cached shift: the
+    capacitance matrix and either the columns ``G[:, off]`` as one
+    contiguous copy or, with ``K`` factored, the rows ``Phi[off] gamma`` and
+    the analysis columns ``(Phi^T W)[:, off]``, whose product gives
+    ``G[off, off]``.  A call whose key equals it bit for bit reuses them;
+    any other key rebuilds them, and a new shift drops them before ``G`` is
+    formed again, so a failed inversion leaves no factors behind.  A hit
+    feeds the same arrays to the same products, so its direction is the
+    rebuilt one bit for bit.
 
     *Modes.*  More nodes off, with both operators on one basis ``Phi`` of
     ``n <= _MODE_SHARE * m`` modes.  With ``D = a + slope``, which is at
@@ -533,6 +600,7 @@ class _Workspace:
         # (I + A2r)^(-1)/h = I/h - Phi_A diag(q_h) Phi_A^T W
         q_h = weights / ((1.0 + weights) * h)
         basis, basis_b = config.op_A.basis, config.op_B.basis
+        m = config.grid.size
         self.a = shift + 1.0 / h
         self.kappa = None     # set when both operators share one basis
         # the weights of A2r, S - I and B2s along their bases
@@ -540,25 +608,53 @@ class _Workspace:
         self.shifted_a = -weights / (1.0 + weights)
         self.power_b = config.op_B.power_weights(2.0)
         self.bases = (basis, basis_b)
-        if basis is basis_b:
+        shared = basis is basis_b
+        if shared:
             self.kappa = self.power_b - q_h
             self.modes = basis.modes
             self.analysis = basis.analysis_matrix
-            self.k = (self.modes * self.kappa) @ self.analysis
-        else:
-            self.k = ((basis_b.modes * self.power_b) @ basis_b.analysis_matrix
-                      - (basis.modes * q_h) @ basis.analysis_matrix)
-        self.diagonal = np.diag_indices_from(self.k)
-        self.k[self.diagonal] += self.a
-        self.mode_branch = (self.kappa is not None
-                            and basis.n <= _MODE_SHARE * config.grid.size)
+        self.mode_branch = _mode_branch(m, config.shared_modes)
+        self.k = None         # the dense K, None when it is factored
+        if not _factored_operator(m, config.shared_modes):
+            if shared:
+                self.k = (self.modes * self.kappa) @ self.analysis
+            else:
+                self.k = (basis_b.modes * self.power_b) @ basis_b.analysis_matrix
+                self.k -= (basis.modes * q_h) @ basis.analysis_matrix
+            self.diagonal = np.diag_indices(m)
+            self.k[self.diagonal] += self.a
         self.w = config.grid.w
-        self.k_rows = self.h_norm(np.abs(self.k).sum(axis=1))
         self.config = config
         self.reg = config.regularization
-        self.inverse = None   # G = (K + c I)^(-1) for the cached shift c
+        # G = (K + c I)^(-1) for the cached shift c: the dense matrix, or
+        # its weights gamma along the modes when K is factored
+        self.inverse = None
         self.shift = np.nan
-        self.active = None    # (off, excess, G[:, off], capacitance) of the last set
+        self.active = None    # (off, excess, factors of G on off, capacitance) of the last set
+
+    def apply(self, d: np.ndarray) -> np.ndarray:
+        """``K d`` (see the class docstring)."""
+        if self.k is not None:
+            return self.k @ d
+        return self.a * d + self.modes @ (self.kappa * (self.analysis @ d))
+
+    @functools.cached_property
+    def k_rows(self) -> float:
+        """The quadrature norm of the absolute row sums of ``K``, taken a block
+        of rows at a time when a round-off floor first needs it."""
+        m = self.w.size
+        sums = np.empty(m)
+        size = max(1, _ROW_BLOCK // m)
+        for start in range(0, m, size):
+            stop = min(start + size, m)
+            if self.k is not None:
+                rows = np.abs(self.k[start:stop])
+            else:
+                rows = (self.modes[start:stop] * self.kappa) @ self.analysis
+                rows.flat[start:: m + 1] += self.a   # the diagonal entries of these rows
+                np.abs(rows, out=rows)
+            sums[start:stop] = rows.sum(axis=1)
+        return self.h_norm(sums)
 
     def direction(self, slope: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Newton direction: the solution of ``(K + diag(slope)) delta = -g``."""
@@ -579,18 +675,20 @@ class _Workspace:
         excess = slope[off] - c
         if (self.active is None or not np.array_equal(self.active[0], off)
                 or not np.array_equal(self.active[1], excess)):
-            columns = self.inverse[:, off]
-            capacitance = excess[:, None] * columns[off]
-            capacitance[np.diag_indices_from(capacitance)] += 1.0
-            self.active = (off, excess, columns, capacitance)
+            self.active = (off, excess, *self._node_factors(off, excess))
+        if self.k is None:
+            return self._factored_node_direction(g)
         _, _, columns, capacitance = self.active
         x = self.inverse @ -g
         return x - columns @ np.linalg.solve(capacitance, excess * x[off])
 
     def _shifted_inverse(self, c: float) -> np.ndarray:
-        """``G = (K + c I)^(-1)`` (see the class docstring)."""
+        """``G = (K + c I)^(-1)``, or its ``gamma`` with ``K`` factored (see
+        the class docstring)."""
+        scale = self.a + c
+        if self.k is None:
+            return self.kappa / (scale + self.kappa)
         if self.kappa is not None:
-            scale = self.a + c
             inverse = (self.modes * (self.kappa / (-scale * (scale + self.kappa)))) @ self.analysis
             inverse[self.diagonal] += 1.0 / scale
             return inverse
@@ -602,6 +700,35 @@ class _Workspace:
             return np.linalg.inv(self.k)
         finally:
             self.k[self.diagonal] = diagonal
+
+    def _node_factors(self, off: np.ndarray, excess: np.ndarray):
+        """The factors of ``G`` on ``off`` and the capacitance matrix (see the
+        class docstring)."""
+        if self.k is None:
+            rows = self.modes[off] * self.inverse
+            columns = self.analysis[:, off]
+            capacitance = rows @ columns
+            np.negative(capacitance, out=capacitance)
+            capacitance.flat[:: off.size + 1] += 1.0   # now (a + c) G[off, off]
+            capacitance *= excess[:, None] / (self.a + self.shift)
+            capacitance.flat[:: off.size + 1] += 1.0
+            return rows, columns, capacitance
+        columns = self.inverse[:, off]
+        capacitance = excess[:, None] * columns[off]
+        capacitance[np.diag_indices_from(capacitance)] += 1.0
+        return columns, capacitance
+
+    def _factored_node_direction(self, g: np.ndarray) -> np.ndarray:
+        """The node branch's direction with ``K`` factored (see the class docstring)."""
+        off, excess, rows, columns, capacitance = self.active
+        scale = self.a + self.shift
+        analysed = self.analysis @ g
+        t = np.linalg.solve(capacitance, (excess / scale) * (rows @ analysed - g[off]))
+        delta = self.modes @ (self.inverse * (analysed + columns @ t))
+        delta -= g
+        delta[off] -= t
+        delta /= scale
+        return delta
 
     def _along_modes(self, slope: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The direction of the mode branch (see the class docstring)."""
@@ -680,7 +807,7 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
         alpha = 1.0
         for _ in range(30):
             d_new = d + alpha * delta
-            kd_new = ws.k @ d_new
+            kd_new = ws.apply(d_new)
             g_new, beta_new = residual(d_new, kd_new)
             res_new = ws.h_norm(g_new)
             if res_new < res:
@@ -710,7 +837,7 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
 
 def _fresh_carry(ws: _Workspace, y: np.ndarray, mu: np.ndarray, d: np.ndarray):
     """The carry of a step from the rows ``(y, mu)`` that starts Newton at ``d``."""
-    return d, ws.k @ d, ws.spectral(mu, y)[1]
+    return d, ws.apply(d), ws.spectral(mu, y)[1]
 
 
 def _advance(ws: _Workspace, y: np.ndarray, mu: np.ndarray, u_next: np.ndarray, carry):

@@ -238,29 +238,42 @@ def fresh_longtime_report(traj, **kwargs):
                               lt.trajectory_columns(traj), traj.y_range, **kwargs)
 
 
+def dense_step_operator(config):
+    """The step operator ``K`` of ``config`` as a dense matrix: the operator
+    applied to the unit vectors, as ``power_rows`` and ``solve_shifted``
+    apply it to any rows.  It is the oracle of every test of ``K``, of its
+    shifted inverse and of the Newton directions."""
+    eye = np.eye(config.grid.size)
+    k = (sp.power_rows(config.op_B, eye, 2.0) + sp.solve_shifted(config.op_A, eye) / config.h).T
+    k += (config.tau / config.h + config.spec.stability_shift) * eye
+    return k
+
+
 def assert_step_operator_closed_forms(ws, shift):
     """``K`` and ``G = (K + shift I)^(-1)`` of a workspace against their dense
     oracles.
 
-    The oracle of ``K`` is the operator applied to the unit vectors, as
-    ``power_rows`` and ``solve_shifted`` apply it to any rows.  The oracle
-    of ``G`` is the dense inverse of that ``K`` plus the shift.  The closed
-    form of ``G`` holds for orthonormal modes; the modes' Gram defect and
-    the oracle's own round-off each move ``G`` by about the condition number
-    times that defect or the machine epsilon, so the bound on ``G`` is 1e-12
-    relative or 16 times that, whichever is larger.  ``G`` is taken from a
-    direction whose slope is the shift at every node, the call that forms
-    it in a run.
+    The oracle of ``K`` is :func:`dense_step_operator`, compared with what
+    the workspace's ``apply`` makes of the unit vectors, and its absolute
+    row sums size the round-off floor.  The oracle of ``G`` is the dense
+    inverse of that ``K`` plus the shift.  The closed form of ``G`` holds
+    for orthonormal modes; the modes' Gram defect and the oracle's own
+    round-off each move ``G`` by about the condition number times that
+    defect or the machine epsilon, so the bound on ``G`` is 1e-12 relative
+    or 16 times that, whichever is larger.  ``G`` is read off the
+    directions whose slope is the shift at every node, ``-G g`` for each
+    unit vector ``g``: the first of them forms ``G`` as a run does.
     """
     config = ws.config
     eye = np.eye(config.grid.size)
-    k = (sp.power_rows(config.op_B, eye, 2.0) + sp.solve_shifted(config.op_A, eye) / config.h).T
-    k += (config.tau / config.h + config.spec.stability_shift) * eye
-    assert np.abs(ws.k - k).max() <= 1e-13 * np.abs(k).max()
+    k = dense_step_operator(config)
+    assert np.abs(np.array([ws.apply(e) for e in eye]).T - k).max() <= 1e-13 * np.abs(k).max()
+    assert ws.k_rows == pytest.approx(ws.h_norm(np.abs(k).sum(axis=1)), rel=1e-12)
     shifted = k + shift * eye
     expected = np.linalg.inv(shifted)
-    ws.direction(np.full(config.grid.size, shift), np.zeros(config.grid.size))
+    slope = np.full(config.grid.size, shift)
+    inverse = -np.array([ws.direction(slope, e) for e in eye]).T
     assert ws.shift == shift
     defect = config.op_A.basis.gram_defect() + np.finfo(float).eps
     tol = max(1e-12, 16 * defect * np.linalg.cond(shifted))
-    assert np.abs(ws.inverse - expected).max() <= tol * np.abs(expected).max()
+    assert np.abs(inverse - expected).max() <= tol * np.abs(expected).max()

@@ -620,6 +620,29 @@ class TestCliErrors:
         assert "physical memory" in payload["message"]
         assert not out.exists()
 
+    def test_dense_step_operator_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # at 4 MiB of memory: with two bases on 513 nodes the dense step
+        # operator takes up to 5 * 8 * 513**2 bytes (1.05e7) and the run is
+        # rejected before any step; on one shared basis of 12 modes K is
+        # applied along them and the same run fits
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**10}
+        monkeypatch.setattr(cfgmod.os, "sysconf", pages.__getitem__)
+        doc = MINIMAL.replace("grid_points = 25", "grid_points = 513")
+        two_bases = doc.replace("[operator_a]\nkind = neumann", "[operator_a]\nkind = dirichlet")
+        path, out = write_config(tmp_path, "two.ini", doc=two_bases)
+        assert cli.main(["simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["exit_code"] == 2 and "] steps:" in payload["message"]
+        assert "dense step operator of 1.05e+07 bytes" in payload["message"]
+        assert "physical memory" in payload["message"]
+        assert not out.exists()
+        path, out = write_config(tmp_path, "shared.ini", doc=doc)
+        assert cli.main(["simulate", str(path)]) == 0
+        assert (out / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("yosida_lambda", "inf"), ("h", "1e308"), ("newton_tol", "-1"), ("newton_tol", "nan"),
         ("newton_max", "0"), ("exponent", "inf"),

@@ -45,7 +45,8 @@ from fracch import spectral as sp
 from fracch import stepper as st
 
 from conftest import (assert_matches_cold_chain, assert_step_operator_closed_forms, cosine_field,
-                      fresh_longtime_report, recorded_run, states_trajectory, zero_potential)
+                      dense_step_operator, fresh_longtime_report, recorded_run,
+                      states_trajectory, zero_potential)
 
 POTENTIALS = ("regular", "logarithmic", "obstacle", "example_best")
 EPS = np.finfo(float).eps
@@ -231,9 +232,23 @@ def test_streamed_columns_match_the_whole_array_pass(steps, problem, data):
             assert_close(ours[name], theirs[name], name)
 
 
-def direction_config(kind, points, exponent):
-    """An obstacle scheme on an interval basis, for Newton directions alone."""
-    modes = points - 2 if kind == "dirichlet" else points
+#: Grid sizes on both sides of the size from which a shared basis of at most
+#: ``_MODE_SHARE`` modes per node applies ``K`` and ``G`` along its modes.
+GRIDS = hs.integers(5, 33) | hs.integers(st._FACTORED_GRID, st._FACTORED_GRID + 24)
+
+
+def direction_config(kind, points, exponent, data):
+    """An obstacle scheme on an interval basis, for Newton directions alone.
+
+    Below the factored grid size the basis has as many modes as the grid
+    allows, at most 33.  From there on it has a drawn count of at most 33,
+    so that ``K`` spans the same eigenvalues on both sides: the dense
+    oracle's own error grows with the condition number, and with 143 modes
+    and an exponent near 1 (condition number 1e7) the dense LU of ``K +
+    diag(slope)`` misses it by 7.6e-10 relative, factored or not.
+    """
+    top = points - 2 if kind == "dirichlet" else points
+    modes = top if points < st._FACTORED_GRID else data.draw(hs.integers(1, 33), label="modes")
     basis = sp.build_interval_basis(kind, modes, 2.0, points)
     return st.SchemeConfig(
         op_A=sp.FractionalOperator(basis, exponent), op_B=sp.FractionalOperator(basis, exponent),
@@ -242,26 +257,28 @@ def direction_config(kind, points, exponent):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(kind=hs.sampled_from(("neumann", "dirichlet")), points=hs.integers(5, 33),
+@given(kind=hs.sampled_from(("neumann", "dirichlet")), points=GRIDS,
        exponent=hs.floats(0.1, 1.0), levels=hs.lists(hs.floats(0.0, 1e3), min_size=2,
                                                       max_size=3, unique=True),
        data=hs.data())
 def test_newton_direction_matches_dense_solve(kind, points, exponent, levels, data):
     # piecewise-constant slopes above -Lip(pi), like the obstacle's pi' + {0, 1/lam}
-    ws = st._Workspace(direction_config(kind, points, exponent))
-    k = ws.k.copy()
+    config = direction_config(kind, points, exponent, data)
+    ws = st._Workspace(config)
+    probe = np.linspace(-1.0, 1.0, points)
+    k_probe = ws.apply(probe)
     index = data.draw(hs.lists(hs.integers(0, len(levels) - 1), min_size=points,
                                max_size=points))
     slope = np.asarray(levels)[index] - 2.0
     g = np.random.default_rng(points).normal(size=points)
-    expected = np.linalg.solve(k + np.diag(slope), -g)
+    expected = np.linalg.solve(dense_step_operator(config) + np.diag(slope), -g)
     delta = ws.direction(slope, g)
     assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
-    assert np.array_equal(ws.k, k)
+    assert np.array_equal(ws.apply(probe), k_probe)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(kind=hs.sampled_from(("neumann", "dirichlet")), points=hs.integers(5, 65),
+@given(kind=hs.sampled_from(("neumann", "dirichlet")), points=GRIDS,
        exponents=hs.tuples(hs.floats(0.1, 1.0), hs.floats(0.1, 1.0)),
        tau=hs.floats(0.0, 1.0), h=hs.floats(1e-3, 0.05), data=hs.data())
 def test_step_operator_closed_forms_match_dense_assembly(kind, points, exponents, tau, h, data):
@@ -279,14 +296,15 @@ def test_step_operator_closed_forms_match_dense_assembly(kind, points, exponents
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(kind=hs.sampled_from(("neumann", "dirichlet")), points=hs.integers(5, 17),
+@given(kind=hs.sampled_from(("neumann", "dirichlet")),
+       points=hs.integers(5, 17) | hs.integers(st._FACTORED_GRID, st._FACTORED_GRID + 16),
        exponent=hs.floats(0.1, 1.0), data=hs.data())
 def test_cached_newton_direction_matches_a_fresh_workspace(kind, points, exponent, data):
     # two-valued slopes like the obstacle's pi' + {0, 1/lam}, drawn from a few
     # contact sets, floors and gaps, so that whole cache keys repeat in the
     # sequence; with more than half of the nodes in contact a call takes the
-    # dense branch in between
-    config = direction_config(kind, points, exponent)
+    # dense branch or the branch along the modes in between
+    config = direction_config(kind, points, exponent, data)
     ws = st._Workspace(config)
     contact = data.draw(hs.lists(hs.lists(hs.booleans(), min_size=points, max_size=points),
                                  min_size=1, max_size=3))
@@ -320,7 +338,7 @@ def test_mode_newton_direction_matches_dense_solve(kind, points, exponents, tau,
     rng = np.random.default_rng(seed)
     slope = rng.uniform(-config.spec.lipschitz_pi, 1.0 / config.yosida_lambda, points)
     g = rng.normal(size=points)
-    jac = ws.k + np.diag(slope)
+    jac = dense_step_operator(config) + np.diag(slope)
     expected = np.linalg.solve(jac, -g)
     delta = ws.direction(slope, g)
     assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()

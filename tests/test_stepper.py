@@ -1,6 +1,7 @@
 """Time stepping: validation, single steps against a dense oracle, trajectories."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fracch.errors import (
 )
 
 from conftest import (assert_matches_cold_chain, assert_step_operator_closed_forms, cosine_field,
-                      final_y, recorded_run, zero_potential)
+                      dense_step_operator, final_y, recorded_run, zero_potential)
 
 
 def neumann_config(spec, n=8, points=17, length=2.0, r=0.5, sigma=0.5,
@@ -233,23 +234,30 @@ def direction_workspace(kind, shared=True):
     """Step operator of an obstacle run on an interval basis or a matrix operator.
 
     The interval bases hold 8 modes on 17 nodes, the matrix operator 12 on
-    12; ``shared=False`` builds the basis of the second operator again.
+    12, and ``factored`` 8 cosine modes on as many nodes as it takes for
+    ``K`` to be applied along them; ``shared=False`` builds the basis of the
+    second operator again.
     """
     def basis():
         if kind == "matrix":
             a = np.random.default_rng(3).normal(size=(12, 12))
             return sp.build_matrix_basis(0.5 * (a @ a.T + a.T @ a))
+        if kind == "factored":
+            return sp.build_interval_basis("neumann", 8, 2.0, st._FACTORED_GRID)
         return sp.build_interval_basis(kind, 8, 2.0, 17)
     basis_a = basis()
-    return st._Workspace(st.SchemeConfig(
+    ws = st._Workspace(st.SchemeConfig(
         op_A=sp.FractionalOperator(basis_a, 0.5),
         op_B=sp.FractionalOperator(basis_a if shared else basis(), 0.7),
         spec=pot.make_potential("obstacle", c2=1.0), yosida_lambda=1e-2, tau=0.3,
         h=0.05, steps=1))
+    assert (ws.k is None) == (kind == "factored" and shared)
+    return ws
 
 
 def assert_dense_direction(ws, slope, g):
-    expected = np.linalg.solve(ws.k + np.diag(slope), -g)
+    k = dense_step_operator(ws.config)
+    expected = np.linalg.solve(k + np.diag(slope), -g)
     delta = ws.direction(slope, g)
     assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
     return delta
@@ -258,12 +266,13 @@ def assert_dense_direction(ws, slope, g):
 class TestNewtonDirection:
     """``_Workspace.direction`` against the dense solve of ``K + diag(slope)``."""
 
-    @pytest.mark.parametrize("kind", ["neumann", "dirichlet", "matrix"])
+    @pytest.mark.parametrize("kind", ["neumann", "dirichlet", "matrix", "factored"])
     def test_matches_dense_solve(self, kind):
         ws = direction_workspace(kind)
-        k = ws.k.copy()
-        m = k.shape[0]
+        m = ws.config.grid.size
         rng = np.random.default_rng(5)
+        probe = rng.normal(size=m)
+        k_probe = ws.apply(probe)
         g = rng.normal(size=m)
         floor = np.full(m, -2.0)   # obstacle slope pi' away from the contact
         few = floor.copy()
@@ -274,17 +283,18 @@ class TestNewtonDirection:
         inverse = ws.inverse
         assert_dense_direction(ws, few[::-1].copy(), g)
         assert ws.inverse is inverse   # same shift: G is reused
-        assert np.array_equal(ws.k, k)
+        assert np.array_equal(ws.apply(probe), k_probe)
         # a new shift rebuilds G and leaves K bit for bit as it was
         assert_dense_direction(ws, few + 0.5, g)
         assert ws.shift == -1.5 and ws.inverse is not inverse
-        assert np.array_equal(ws.k, k)
+        assert np.array_equal(ws.apply(probe), k_probe)
 
     @pytest.mark.parametrize("kind, shared", [
         ("neumann", True), ("dirichlet", True),
         ("matrix", True),            # as many modes as nodes
         ("neumann", False),          # two bases: K from both, G the dense inverse
-    ], ids=["neumann", "dirichlet", "matrix", "two-bases"])
+        ("factored", True),          # K and G along the modes
+    ], ids=["neumann", "dirichlet", "matrix", "two-bases", "factored"])
     def test_closed_forms_match_dense_assembly(self, kind, shared):
         ws = direction_workspace(kind, shared)
         for shift in (-2.0, 0.5, 1e2):
@@ -294,7 +304,8 @@ class TestNewtonDirection:
         ("neumann", True, 0),
         ("matrix", True, 0),
         ("neumann", False, 2),       # two equal bases built apart: one inverse per shift
-    ], ids=["neumann", "matrix", "two-bases"])
+        ("factored", True, 0),
+    ], ids=["neumann", "matrix", "two-bases", "factored"])
     def test_dense_inverse_only_for_two_bases(self, kind, shared, inversions, monkeypatch):
         config = direction_workspace(kind, shared).config
         m = config.grid.size
@@ -313,8 +324,9 @@ class TestNewtonDirection:
 
     def test_failed_inversion_leaves_no_factors(self, monkeypatch):
         ws = direction_workspace("neumann", shared=False)
-        m = ws.k.shape[0]
-        k = ws.k.copy()
+        m = ws.config.grid.size
+        probe = np.random.default_rng(9).normal(size=m)
+        k_probe = ws.apply(probe)
         few = np.full(m, -2.0)
         few[[1, 4]] += 1.0 / 1e-2
         g = np.ones(m)
@@ -328,7 +340,7 @@ class TestNewtonDirection:
         with pytest.raises(np.linalg.LinAlgError):
             ws.direction(few + 0.5, g)
         assert ws.inverse is None and np.isnan(ws.shift) and ws.active is None
-        assert np.array_equal(ws.k, k)
+        assert np.array_equal(ws.apply(probe), k_probe)
         monkeypatch.undo()
         # the old shift again: nothing is left to hit, so G is inverted anew
         assert_dense_direction(ws, few, g)
@@ -338,11 +350,12 @@ class TestNewtonDirection:
         ("neumann", True, 8),        # one basis of 8 modes on 17 nodes: along the modes
         ("neumann", False, 17),      # two equal bases built apart: dense LU
         ("matrix", True, 12),        # as many modes as nodes: dense LU
-    ], ids=["neumann", "two-bases", "matrix"])
+        ("factored", True, 8),
+    ], ids=["neumann", "two-bases", "matrix", "factored"])
     def test_more_than_half_off_takes_modes_or_dense_branch(self, kind, shared, order,
                                                              monkeypatch):
         ws = direction_workspace(kind, shared)
-        m = ws.k.shape[0]
+        m = ws.config.grid.size
         rng = np.random.default_rng(6)
         slope = np.full(m, -2.0)
         slope[: m // 2 + 1] += 1.0 / 1e-2
@@ -355,9 +368,10 @@ class TestNewtonDirection:
         assert calls == [(m, m), (order, order)] * 2
         assert ws.inverse is None
 
-    def test_one_linear_solve_per_direction(self, monkeypatch):
-        ws = direction_workspace("neumann")
-        m = ws.k.shape[0]
+    @pytest.mark.parametrize("kind", ["neumann", "factored"])
+    def test_one_linear_solve_per_direction(self, kind, monkeypatch):
+        ws = direction_workspace(kind)
+        m = ws.config.grid.size
         calls = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
@@ -371,10 +385,10 @@ class TestNewtonDirection:
         assert n < m
         assert calls == [(0, 0), (2, 2), (2, 2), (n, n), (2, 2)]
 
-    @pytest.mark.parametrize("kind", ["neumann", "matrix"])
+    @pytest.mark.parametrize("kind", ["neumann", "matrix", "factored"])
     def test_cached_factors_match_a_fresh_workspace(self, kind):
         ws = direction_workspace(kind)
-        m = ws.k.shape[0]
+        m = ws.config.grid.size
         rng = np.random.default_rng(7)
         few = np.full(m, -2.0)
         few[[1, 4, 6]] += 1.0 / 1e-2
@@ -392,6 +406,27 @@ class TestNewtonDirection:
             assert np.array_equal(delta, st._Workspace(ws.config).direction(slope, g))
             if hit is not None:
                 assert (ws.active is before) == hit
+
+    def test_factored_run_holds_no_m_by_m_array(self):
+        # a shared basis of 256 modes on 513 nodes, where a dense K and G
+        # took 2.1 MB each: the whole run allocates less than one of them
+        basis = sp.build_interval_basis("neumann", 256, 4.0, 513)
+        config = st.SchemeConfig(op_A=sp.FractionalOperator(basis, 0.5),
+                                 op_B=sp.FractionalOperator(basis, 0.5),
+                                 spec=pot.make_potential("obstacle", c2=1.0),
+                                 yosida_lambda=1e-3, tau=0.25, h=0.01, steps=3)
+        grid = config.grid
+        data = st.ProblemData(y0=cosine_field(grid, [0.1, 0.4, 0.2]),
+                              source=st.zero_source(grid))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            traj = st.run(config, data)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert traj.steps == 3
+        assert peak < 8 * grid.size ** 2
 
 
 class TestRun:
@@ -487,8 +522,9 @@ class TestRun:
         monkeypatch.setattr(st._Workspace, "_along_modes",
                             lambda ws, slope, g: calls.append(1) or along(ws, slope, g))
         modes = recorded_run(config, data)
+        k = dense_step_operator(config)
         monkeypatch.setattr(st._Workspace, "_along_modes",
-                            lambda ws, slope, g: np.linalg.solve(ws.k + np.diag(slope), -g))
+                            lambda ws, slope, g: np.linalg.solve(k + np.diag(slope), -g))
         dense = recorded_run(config, data)
         iterations = [s.iterations for s in modes[0].solver_stats]
         assert iterations == [s.iterations for s in dense[0].solver_stats]
@@ -582,10 +618,10 @@ class TestWarmStart:
         assert assert_matches_cold_chain(config, data) == totals
 
 
-def carry_problem(kind_a, kind_b, well, h, steps, source):
+def carry_problem(kind_a, kind_b, well, h, steps, source, points=33):
     """A 16-mode run, on one basis when the two kinds agree."""
-    basis_a = sp.build_interval_basis(kind_a, 16, 2.0, 33)
-    basis_b = basis_a if kind_b == kind_a else sp.build_interval_basis(kind_b, 16, 2.0, 33)
+    basis_a = sp.build_interval_basis(kind_a, 16, 2.0, points)
+    basis_b = basis_a if kind_b == kind_a else sp.build_interval_basis(kind_b, 16, 2.0, points)
     name, params = WARM_START_WELLS[well]
     config = st.SchemeConfig(op_A=sp.FractionalOperator(basis_a, 0.5),
                              op_B=sp.FractionalOperator(basis_b, 0.5),
@@ -605,35 +641,33 @@ CARRY_PROBLEMS = {
     # the arguments of carry_problem, and the steps whose line search damps
     "shared-obstacle": (("neumann", "neumann", "obstacle", 0.5, 20, "decay"), [0]),
     "shared-logarithmic": (("neumann", "neumann", "logarithmic", 0.1, 20, "decay"), []),
+    # K applied along the modes
+    "factored-obstacle": (("neumann", "neumann", "obstacle", 0.5, 20, "decay",
+                           st._FACTORED_GRID), [0, 1, 2, 3]),
     "two-bases-obstacle": (("dirichlet", "neumann", "obstacle", 0.05, 40, "tabulated"),
                            [8, 11, 18, 29]),
     "two-bases-logarithmic": (("dirichlet", "neumann", "logarithmic", 0.1, 20, "decay"), []),
 }
 
 
-class CountedProducts(np.ndarray):
-    """A view of the step operator ``K`` that counts the products taken with
-    it; copies of it and results computed from it do not count."""
-
-    def __matmul__(self, other):
-        if "products" in vars(self):
-            self.products += 1
-        return np.asarray(self) @ other
-
-
 @pytest.fixture
 def counted_workspaces(monkeypatch):
-    """Every workspace built from here on, its ``K`` a :class:`CountedProducts`."""
+    """Every workspace built from here on, with ``products``, the count of
+    its applications of ``K``."""
     built = []
-    init = st._Workspace.__init__
+    init, apply = st._Workspace.__init__, st._Workspace.apply
 
-    def counted(ws, config):
+    def counted_init(ws, config):
         init(ws, config)
-        ws.k = ws.k.view(CountedProducts)
-        ws.k.products = 0
+        ws.products = 0
         built.append(ws)
 
-    monkeypatch.setattr(st._Workspace, "__init__", counted)
+    def counted_apply(ws, d):
+        ws.products += 1
+        return apply(ws, d)
+
+    monkeypatch.setattr(st._Workspace, "__init__", counted_init)
+    monkeypatch.setattr(st._Workspace, "apply", counted_apply)
     return built
 
 
@@ -672,7 +706,7 @@ class TestCarry:
 
         def checked(ws, y_prev, r, d, kd):
             d, kd, iterations, res, dampings = newton(ws, y_prev, r, d, kd)
-            assert np.array_equal(kd, ws.k @ d)
+            assert np.array_equal(kd, ws.apply(d))
             cfg = ws.config
             if res > cfg.newton_tol:
                 exits.add("floor, line search" if iterations < cfg.newton_max
@@ -718,11 +752,11 @@ class TestCarry:
         (ws,) = counted_workspaces
         trial_points = sum(s.iterations + s.dampings for s in traj.solver_stats)
         assert len(calls) == config.steps + trial_points
-        assert ws.k.products == len(calls) - (config.steps - 1) == trial_points + 1
+        assert ws.products == len(calls) - (config.steps - 1) == trial_points + 1
         calls.clear()
         st.solve_step(*traj.snapshot(1), data.source.at(2 * config.h), config,
                       start=traj.snapshot(2)[0])
-        assert counted_workspaces[1].k.products == len(calls)
+        assert counted_workspaces[1].products == len(calls)
 
 
 class TestSources:
