@@ -368,8 +368,14 @@ class TestNewtonDirection:
         assert calls == [(m, m), (order, order)] * 2
         assert ws.inverse is None
 
-    @pytest.mark.parametrize("kind", ["neumann", "factored"])
-    def test_one_linear_solve_per_direction(self, kind, monkeypatch):
+    def test_one_linear_solve_per_direction(self, monkeypatch):
+        self.assert_one_linear_solve_per_direction("neumann", monkeypatch)
+
+    def test_one_linear_solve_per_direction_factored(self, monkeypatch):
+        self.assert_one_linear_solve_per_direction("factored", monkeypatch)
+
+    @staticmethod
+    def assert_one_linear_solve_per_direction(kind, monkeypatch):
         ws = direction_workspace(kind)
         m = ws.config.grid.size
         calls = []
