@@ -107,11 +107,10 @@ def _cmd_check_potentials(args) -> int:
         energy = spec.beta_hat(grid)
         finite = np.isfinite(energy)
         for lam in args.lambdas:
-            reg = pot.YosidaRegularization(spec, lam)
             worst = 0.0
             for s in rng.uniform(-span, span, size=args.samples):
                 oracle = float(np.min((grid[finite] - s) ** 2 / (2 * lam) + energy[finite]))
-                worst = max(worst, abs(pot.yosida_primal(reg, float(s)) - oracle))
+                worst = max(worst, abs(pot.yosida_primal(spec, lam, float(s)) - oracle))
             print(f"{name}\t{runio.fmt(lam)}\t{runio.fmt(cert.alpha)}"
                   f"\t{runio.fmt(cert.C)}\t{runio.fmt(worst)}")
     return 0
@@ -143,8 +142,8 @@ def _parse_profile(descriptor: str):
 
 
 def _cmd_example_best(args) -> int:
-    # the basis holds modes x grid points values, the residual rows samples x grid points
-    _fits("--grid-points", 8 * args.modes * args.grid_points,
+    # the basis build peaks at spectral.basis_bytes, the residual rows hold samples x grid points
+    _fits("--grid-points", sp.basis_bytes(args.grid_points, args.modes),
           f"{args.modes} modes on {args.grid_points} grid points")
     _fits("--samples", 8 * args.samples * args.grid_points,
           f"{args.samples} samples on {args.grid_points} grid points")
@@ -175,7 +174,8 @@ def _cmd_sweep(args) -> int:
     # the finest run holds the most steps, and its first and last state; past
     # 2**64 steps (or from zero steps) the count only grows, so it is capped there
     finest = max(n0, 1) * 2 ** min(levels + 1, 64)
-    too_large = cfgmod.run_too_large(finest, scheme.grid.size, 2, scheme.shared_modes)
+    too_large = cfgmod.run_too_large(finest, scheme.grid.size, 2, scheme.basis_modes,
+                                     built=True)
     if too_large:
         raise ConfigurationError(f"--levels: at the finest step size, {too_large}")
     ladders = (("h", h0, lambda k: {"h": h0 / k, "steps": n0 * k}),

@@ -4,7 +4,9 @@ A run document has sections ``[operator_a]``, ``[operator_b]``,
 ``[potential]``, ``[scheme]``, ``[data]``, ``[output]`` and ``[run]``.
 One schema table holds every key with its type and default; the ranges of
 the scheme's settings are :data:`fracch.stepper.SCHEME_RANGES`, which
-``SchemeConfig`` checks too.  Unknown sections or keys are errors.
+``SchemeConfig`` checks too, and an operator's exponent range is
+:data:`fracch.spectral.EXPONENT_RANGE`, which ``FractionalOperator``
+checks too.  Unknown sections or keys are errors.
 Parsing either yields a fully resolved :class:`RunConfig` or raises a
 :class:`ConfigurationError` listing every field-level problem at once.
 """
@@ -138,12 +140,13 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                        for key in sorted(set(parser.options(section)) - set(keys))]
 
     operators = {}
+    exponent_ok, exponent_requirement = sp.EXPONENT_RANGE
     for section in ("operator_a", "operator_b"):
         kind, exponent = _read(parser, section, ("kind", "exponent"), errors).values()
         if kind is None or exponent is None:
             continue
-        if exponent <= 0:
-            errors.append(f"[{section}] exponent: must be positive")
+        if not exponent_ok(exponent):
+            errors.append(f"[{section}] exponent: {exponent_requirement}")
         elif kind not in _KIND_KEYS:
             errors.append(f"[{section}] kind: unknown operator kind {kind!r}")
         else:
@@ -176,9 +179,12 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     else:
         if steps is not None and steps >= 0 and points:
             a, b = operators.get("operator_a"), operators.get("operator_b")
-            shared_modes = a.modes if a and b and _shares_basis(a, b) else None
+            sections = [a] if a and b and _shares_basis(a, b) else operators.values()
+            # a mode count outside [1, grid points] fails before its basis is
+            # built; a matrix section's count is 0 until its file is read
+            modes = tuple(min(max(op.modes, 0), op.grid_points) for op in sections)
             too_large = run_too_large(steps, max(points),
-                                      snapshot_count(output["snapshots"], steps), shared_modes)
+                                      snapshot_count(output["snapshots"], steps), modes)
             if too_large:
                 errors.append(f"[scheme] steps: {too_large}")
     if errors:
@@ -249,18 +255,31 @@ def states_too_large(need: float, what: str) -> Optional[str]:
 RUN_BYTES_PER_STEP = 512
 
 
-def run_too_large(steps: int, grid_size: int, snapshots: int,
-                  shared_modes: Optional[int]) -> Optional[str]:
-    """:func:`states_too_large` for a run: its ``snapshots`` state rows of ``y``
-    and ``mu``, :data:`RUN_BYTES_PER_STEP` per step and the arrays of its step
-    operator, :func:`stepper.step_operator_bytes` of ``grid_size`` and of
-    ``shared_modes``, the mode count of the one basis both operators share
-    (None for two bases)."""
+def run_too_large(steps: int, grid_size: int, snapshots: int, basis_modes: tuple,
+                  built: bool = False) -> Optional[str]:
+    """:func:`states_too_large` for a run of ``steps`` steps on ``grid_size``
+    nodes and on one basis per entry of ``basis_modes`` (its mode count; one
+    entry when both operators share one basis).
+
+    The run holds its ``snapshots`` state rows of ``y`` and ``mu``,
+    :data:`RUN_BYTES_PER_STEP` per step, what each built basis keeps, the
+    block buffers of :func:`stepper.block_bytes` and the arrays of its step
+    operator, :func:`stepper.step_operator_bytes`.  Unless the bases are
+    ``built``, their builds come first, one after another: each peaks at
+    :func:`spectral.basis_bytes` beside what the bases before it keep.
+    """
+    shared_modes = basis_modes[0] if len(basis_modes) == 1 else None
+    kept = [sp.basis_bytes(grid_size, n, built=True) for n in basis_modes]
+    bases = sum(kept) if built else max(
+        [sum(kept[:i]) + sp.basis_bytes(grid_size, n) for i, n in enumerate(basis_modes)],
+        default=0)
     operator = st.step_operator_bytes(grid_size, shared_modes)
-    need = 2 * snapshots * grid_size * 8 + RUN_BYTES_PER_STEP * (steps + 1) + operator
+    need = max(bases, 2 * snapshots * grid_size * 8 + RUN_BYTES_PER_STEP * (steps + 1)
+               + sum(kept) + st.block_bytes(grid_size) + operator)
     with_operator = f" and a dense step operator of {operator:.3g} bytes" if operator else ""
     return states_too_large(need, f"{steps} steps with {snapshots} snapshots on {grid_size} "
-                                  f"grid points{with_operator} need {need:.3g} bytes")
+                                  f"grid points, bases of {bases:.3g} bytes{with_operator} "
+                                  f"need {need:.3g} bytes")
 
 
 def _shares_basis(a: OperatorSection, b: OperatorSection) -> bool:
@@ -392,9 +411,11 @@ def build_problem(cfg: RunConfig):
         h=cfg.h, steps=cfg.steps,
         newton_tol=cfg.newton_tol, newton_max=cfg.newton_max,
     )
-    # parse_config has checked interval grids; a matrix grid is known only now
+    # the bases are built: count what they keep.  parse_config has counted
+    # an interval basis's build; a matrix grid is known only now
     too_large = run_too_large(cfg.steps, scheme.grid.size,
-                              snapshot_count(cfg.snapshots, cfg.steps), scheme.shared_modes)
+                              snapshot_count(cfg.snapshots, cfg.steps), scheme.basis_modes,
+                              built=True)
     if too_large:
         raise ConfigurationError(f"[scheme] steps: {too_large}")
     y0 = _build_field(cfg.y0_descriptor, scheme.grid, cfg.base_dir)

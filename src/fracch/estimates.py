@@ -25,7 +25,6 @@ difference of consecutive entries, or a row of :func:`_ledger_increments`.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +132,6 @@ class UniformReport:
     sup_split_energy: float    # sup_t integral |beta_hat_lam + pi_hat| (y_bar)
     dual_rate_l2: float        # |dy/dt| in L2 of the dual space
     data_bound: float
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def uniform_report(traj: DiscreteTrajectory) -> UniformReport:

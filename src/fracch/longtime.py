@@ -31,7 +31,6 @@ it reads.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -197,36 +196,20 @@ def example_best_check(mu_bar, sample_times: Sequence[float],
     )
 
 
-@dataclass(frozen=True)
-class RangeCertificate:
-    """Extent of the state over the whole run against a confinement interval."""
-
-    y_min: float
-    y_max: float
-    interval: tuple
-    contained: bool
-    overshoot: float
-    yosida_lambda: float
-
-
 def _certify_range(y_min: float, y_max: float, spec: pot.PotentialSpec,
-                   yosida_lambda: float) -> RangeCertificate:
-    """Certify the state's range against the closure of a bounded graph domain;
-    an unbounded domain certifies the observed range against itself."""
+                   yosida_lambda: float) -> dict:
+    """The extent of the state over the whole run against a confinement
+    interval: the closure of a bounded graph domain, or for an unbounded
+    domain the observed range itself."""
     dom = spec.beta_domain
     a, b = map(float, (dom.lo, dom.hi) if dom.bounded else (y_min, y_max))
     overshoot = max(0.0, a - y_min, y_max - b)
-    return RangeCertificate(
-        y_min=y_min,
-        y_max=y_max,
-        interval=(a, b),
-        contained=overshoot == 0.0,
-        overshoot=overshoot,
-        yosida_lambda=yosida_lambda,
-    )
+    return {"y_min": y_min, "y_max": y_max, "interval": (a, b),
+            "contained": overshoot == 0.0, "overshoot": overshoot,
+            "yosida_lambda": yosida_lambda}
 
 
-def _unique_constant_certified(spec: pot.PotentialSpec, cert: RangeCertificate) -> bool:
+def _unique_constant_certified(spec: pot.PotentialSpec, cert: dict) -> bool:
     """Whether the unique-constant-multiplier hypotheses hold for a run.
 
     They require a single-valued smooth graph on an open interval and the
@@ -237,7 +220,7 @@ def _unique_constant_certified(spec: pot.PotentialSpec, cert: RangeCertificate) 
     if not spec.smooth_graph:
         return False
     dom = spec.beta_domain
-    return dom.lo < cert.y_min and cert.y_max < dom.hi
+    return dom.lo < cert["y_min"] and cert["y_max"] < dom.hi
 
 
 def longtime_report(config: SchemeConfig, data: ProblemData, snapshots: np.ndarray,
@@ -313,7 +296,7 @@ def longtime_report(config: SchemeConfig, data: ProblemData, snapshots: np.ndarr
         "mu_infinity_value": mu_value,
         "mu_infinity": mu_payload,
         "mass_identity_defect": float(abs(mean_y[-1] + h * columns["mean_mu"][-1] - mean_y[0])),
-        "range_certificate": dataclasses.asdict(cert),
+        "range_certificate": cert,
         "assumptions": {
             "bounded_density": ("verified_interval_bases" if "matrix" not in basis_kinds
                                 else "assumed_for_matrix_basis"),

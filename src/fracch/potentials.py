@@ -42,6 +42,10 @@ ALPHA_LADDER = (8.0, 4.0, 2.0, 1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0,
 
 _FD_STEP = 1e-6  # centered-difference step for slopes without closed form
 
+#: The range of a regularization level ``lam``: (check, requirement).  A NaN
+#: fails the check.
+LEVEL_RANGE = (lambda lam: lam > 0, "must be positive")
+
 #: A regularized map of a spec: (level, array of points) -> array of values.
 RegularizedMap = Callable[[float, np.ndarray], np.ndarray]
 #: The Yosida slope of a spec: (level, points, Yosida values there) -> slopes.
@@ -349,18 +353,6 @@ def validate_potential(spec: PotentialSpec, samples: int = 1000, seed: int = 0,
         raise ConfigurationError("declared Lipschitz constant of pi is violated")
 
 
-@dataclass(frozen=True)
-class YosidaRegularization:
-    """A potential spec together with a positive regularization level."""
-
-    spec: PotentialSpec
-    lam: float
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ConfigurationError("regularization level must be positive")
-
-
 def _resolvent_bisection(spec, lam, s, budget=200):
     # generic maximal monotone graph: J is the unique point with
     # s - J in lam*beta(J); bracket via nonexpansiveness through 0.  The
@@ -412,31 +404,26 @@ def _resolvent_bisection(spec, lam, s, budget=200):
     return out.reshape(s.shape)
 
 
-def _pointwise(fn, reg: YosidaRegularization, s, *values):
+def _pointwise(fn, lam: float, s, *values):
     # scalars map to floats, arrays to arrays of the same shape; 1-d float
     # arrays, the stepper's rows, go through as they are
     args = (s, *values)
     if all(type(v) is np.ndarray and v.ndim == 1 and v.dtype == np.float64 for v in args):
-        return fn(reg.lam, *args)
-    out = fn(reg.lam, *(np.atleast_1d(np.asarray(v, dtype=float)) for v in args))
+        return fn(lam, *args)
+    out = fn(lam, *(np.atleast_1d(np.asarray(v, dtype=float)) for v in args))
     return float(out[0]) if np.isscalar(s) else out
 
 
-def resolvent(reg: YosidaRegularization, s) -> np.ndarray | float:
-    """Resolvent ``J_lam(s)``: the unique solution of ``J + lam*beta(J) ∋ s``."""
-    return _pointwise(reg.spec.resolvent, reg, s)
-
-
-def yosida(reg: YosidaRegularization, s) -> np.ndarray | float:
-    """Yosida approximation ``beta_lam(s) = (s - J_lam(s))/lam``.
+def yosida(spec: PotentialSpec, lam: float, s) -> np.ndarray | float:
+    """Yosida approximation ``beta_lam(s) = (s - J_lam(s))/lam`` at level ``lam``.
 
     This is a selection of the graph at the resolvent point:
     ``beta_lam(s)`` lies in ``beta(J_lam(s))``.
     """
-    return _pointwise(reg.spec.yosida, reg, s)
+    return _pointwise(spec.yosida, lam, s)
 
 
-def yosida_primal(reg: YosidaRegularization, s) -> np.ndarray | float:
+def yosida_primal(spec: PotentialSpec, lam: float, s) -> np.ndarray | float:
     """Regularized convex part ``beta_hat_lam(s)``, always in [0, beta_hat(s)].
 
     Evaluated through the resolvent as ``|s - J|^2/(2 lam) + beta_hat(J)``,
@@ -444,16 +431,16 @@ def yosida_primal(reg: YosidaRegularization, s) -> np.ndarray | float:
     """
     scalar = np.isscalar(s)
     arr = np.atleast_1d(np.asarray(s, dtype=float))
-    j = reg.spec.resolvent(reg.lam, arr)
-    if reg.spec.beta_domain.bounded:
+    j = spec.resolvent(lam, arr)
+    if spec.beta_domain.bounded:
         # the resolvent may round onto the boundary of an open domain;
         # beta_hat is evaluated in the closure where it is finite
-        j = np.clip(j, reg.spec.beta_hat_domain.lo, reg.spec.beta_hat_domain.hi)
-    out = (arr - j) ** 2 / (2.0 * reg.lam) + reg.spec.beta_hat(j)
+        j = np.clip(j, spec.beta_hat_domain.lo, spec.beta_hat_domain.hi)
+    out = (arr - j) ** 2 / (2.0 * lam) + spec.beta_hat(j)
     return float(out[0]) if scalar else out
 
 
-def yosida_derivative(reg: YosidaRegularization, s, value) -> np.ndarray | float:
+def yosida_derivative(spec: PotentialSpec, lam: float, s, value) -> np.ndarray | float:
     """Pointwise derivative of the Yosida approximation, in [0, 1/lam].
 
     ``value`` is ``beta_lam(s)`` as :func:`yosida` returns it; the smooth
@@ -461,7 +448,7 @@ def yosida_derivative(reg: YosidaRegularization, s, value) -> np.ndarray | float
     again.  At kinks of the piecewise-defined canonical graphs one of the
     one-sided values is used; custom graphs use centered differences.
     """
-    return _pointwise(reg.spec.yosida_slope, reg, s, value)
+    return _pointwise(spec.yosida_slope, lam, s, value)
 
 
 def graph_selection_residual(spec: PotentialSpec, y, xi):
@@ -513,13 +500,12 @@ def coercivity_check(spec: PotentialSpec, lambdas, scan_range=(-5.0, 5.0),
     if grid < 1000:
         raise ConfigurationError("coercivity scan needs at least 1000 grid points")
     lambdas = sorted(float(v) for v in np.atleast_1d(lambdas))
-    if not lambdas or lambdas[0] <= 0:
+    if not lambdas or not all(LEVEL_RANGE[0](lam) for lam in lambdas):
         raise ConfigurationError("need at least one positive regularization level")
     s = np.linspace(lo, hi, int(grid))
     base = np.full_like(s, np.inf)
     for lam in lambdas:
-        reg = YosidaRegularization(spec, lam)
-        base = np.minimum(base, yosida_primal(reg, s) + spec.pi_hat(s))
+        base = np.minimum(base, yosida_primal(spec, lam, s) + spec.pi_hat(s))
     edge_tol = 1e-9 * max(1.0, float(np.abs(base[np.isfinite(base)]).max()))
     rejected = {}
     for alpha in ladder:

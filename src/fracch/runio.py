@@ -27,7 +27,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -262,8 +262,8 @@ def _write_files(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConf
         ratios = np.abs(final - halfway) / np.maximum(np.abs(final), est.SLACK_FLOOR)
         plateau = dict(zip(est.LEDGER_TERMS, ratios.tolist()))
     est_payload = {
-        "uniform": report.as_dict(),
-        "dual_norm": est.dual_norm_report(traj).__dict__,
+        "uniform": asdict(report),
+        "dual_norm": asdict(est.dual_norm_report(traj)),
         "min_slack": float(ledger.slack.min()) if steps else 0.0,
         "halfway_plateau_ratios": plateau,
     }

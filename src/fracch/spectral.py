@@ -33,6 +33,9 @@ EIGENVALUE_CLAMP = 1e-12
 #: Tolerance used when deciding whether the first mode is constant.
 CONSTANT_MODE_TOL = 1e-10
 
+#: The range of an operator's fractional exponent: (check, requirement).
+EXPONENT_RANGE = (lambda exponent: exponent > 0, "must be positive")
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -232,6 +235,23 @@ def interval_scale_problem(kind: str, n: int, length: float) -> str | None:
             "or the mode arguments pi x j/length")
 
 
+def basis_bytes(grid_points: int, modes: int, built: bool = False) -> int:
+    """Peak bytes of building an eigenbasis of ``modes`` modes on
+    ``grid_points`` nodes, or, when ``built``, the bytes the basis keeps.
+
+    With ``m`` nodes and ``n`` modes the build peaks at ``8 (3 m n + n^2)``:
+    three ``m`` x ``n`` arrays at once (the modes, the copy
+    :class:`EigenBasis` keeps and its analysis matrix) and the ``n`` x ``n``
+    Gram matrix of its orthonormality check.  A built basis keeps two of the
+    ``m`` x ``n`` arrays, ``16 m n``.  The grid and eigenvalue arrays, O(m +
+    n) bytes, come on top.  A matrix basis, with ``n = m``, takes about the
+    same bytes.
+    """
+    if built:
+        return 16 * grid_points * modes
+    return 8 * (3 * grid_points * modes + modes * modes)
+
+
 def build_interval_basis(kind: str, n: int, length: float, grid_points: int) -> EigenBasis:
     """Cosine or sine eigenbasis of the 1-d second-derivative operator.
 
@@ -350,8 +370,9 @@ class FractionalOperator:
     _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.exponent > 0:
-            raise ConfigurationError("fractional exponent must be positive")
+        ok, requirement = EXPONENT_RANGE
+        if not ok(self.exponent):
+            raise ConfigurationError(f"fractional exponent {requirement}")
 
     @property
     def lambda1(self) -> float:

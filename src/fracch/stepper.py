@@ -114,7 +114,7 @@ _ROUNDOFF = 16.0 * np.finfo(float).eps
 #: A NaN fails every check.
 SCHEME_RANGES = {
     "tau": (lambda value: 0.0 <= value <= 1.0, "must lie in [0, 1]"),
-    "yosida_lambda": (lambda value: value > 0, "must be positive"),
+    "yosida_lambda": pot.LEVEL_RANGE,
     "h": (lambda value: value > 0, "must be positive"),
     "steps": (lambda value: value >= 0, "must be nonnegative"),
     "newton_tol": (lambda value: value > 0, "must be positive"),
@@ -148,14 +148,10 @@ class SchemeConfig:
         return self.op_A.basis.grid
 
     @property
-    def regularization(self) -> pot.YosidaRegularization:
-        return pot.YosidaRegularization(self.spec, self.yosida_lambda)
-
-    @property
-    def shared_modes(self) -> Optional[int]:
-        """The mode count of the one basis both operators share, or None for two bases."""
-        basis = self.op_A.basis
-        return basis.n if basis is self.op_B.basis else None
+    def basis_modes(self) -> tuple:
+        """The mode count of each distinct basis: one entry when both operators share one."""
+        a, b = self.op_A.basis, self.op_B.basis
+        return (a.n,) if a is b else (a.n, b.n)
 
 
 
@@ -255,29 +251,19 @@ class ProblemData:
         return sp.mean(self.y0)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Named outcomes of the hypothesis checks; all true when validation passes."""
-
-    checks: dict
-
-    def __bool__(self):
-        return all(self.checks.values())
-
-
-def validate(config: SchemeConfig, data: ProblemData) -> ValidationReport:
+def validate(config: SchemeConfig, data: ProblemData) -> None:
     """Check the structural and data hypotheses; raise a named error on failure.
 
-    With a positive first eigenvalue of the first operator the mean-value
-    hypotheses are skipped.  With a zero first eigenvalue the zero must be
-    simple with a constant first mode, constants must be representable in
-    the second operator's basis, and the initial mean must lie strictly
-    inside the graph domain.
+    Returns None when every hypothesis holds.  With a positive first
+    eigenvalue of the first operator the mean-value hypotheses are skipped.
+    With a zero first eigenvalue the zero must be simple with a constant
+    first mode, constants must be representable in the second operator's
+    basis, and the initial mean must lie strictly inside the graph domain.
+    On both branches the data must lie on the scheme grid, the initial state
+    must have a finite convex energy and the source must settle.
     """
-    checks = {}
     basis_a = config.op_A.basis
     lam1 = config.op_A.lambda1
-    checks["lambda1_branch"] = "positive" if lam1 > 0 else "zero"
     if lam1 == 0.0:
         if basis_a.n < 2 or basis_a.lambdas[1] <= 0.0:
             raise SpectrumHypothesisError("zero eigenvalue is not simple: lambda_2 = 0")
@@ -285,14 +271,12 @@ def validate(config: SchemeConfig, data: ProblemData) -> ValidationReport:
             raise SpectrumHypothesisError(
                 "first eigenvalue vanishes but the first mode is not constant"
             )
-        checks["simple_zero_eigenvalue"] = True
         ones = sp.constant_field(1.0, config.grid)
         defect = config.op_B.basis.span_projection_defect(ones)
         if defect > 1e-10 * np.sqrt(config.grid.length):
             raise ConstantSpanHypothesisError(
                 f"constants are not in the span of the second basis (defect {defect:.3e})"
             )
-        checks["constants_in_second_span"] = True
     y0 = data.y0
     if not y0.grid.same_as(config.grid):
         raise DimensionError("initial state is not on the scheme grid")
@@ -303,20 +287,16 @@ def validate(config: SchemeConfig, data: ProblemData) -> ValidationReport:
         raise InitialDataHypothesisError(
             "initial state has non-integrable convex energy (values outside the domain)"
         )
-    checks["initial_energy_integrable"] = True
     if lam1 == 0.0:
         m0 = data.initial_mean
         if not config.spec.beta_domain.strictly_contains(m0):
             raise MeanInteriorHypothesisError(
                 f"initial mean {m0!r} is not interior to the graph domain"
             )
-        checks["mean_interior"] = True
     if not data.source.settles():
         raise SourceTailHypothesisError(
             "source does not settle: u - u_inf is not square integrable in time"
         )
-    checks["source_settles"] = True
-    return ValidationReport(checks)
 
 
 @dataclass(slots=True)
@@ -416,13 +396,14 @@ class _Recorder:
         """Take the (K+1, m) rows ``y`` and ``mu`` and the (K, m) source rows
         of the K steps that end at ``y[1:]``."""
         cfg, grid, parts = self.config, self.config.grid, self.parts
+        spec, lam = cfg.spec, cfg.yosida_lambda
         skip = 1 if self.rows else 0      # the first row was taken by the call before
         first = self.rows - skip          # the step index of y[0]
         new_y, new_mu = y[skip:], mu[skip:]
         chunk = max(1, _SPLIT_BLOCK // grid.size)
         for start in range(0, len(new_y), chunk):
             block = new_y[start:start + chunk]
-            values = pot.yosida_primal(cfg.regularization, block) + cfg.spec.pi_hat(block)
+            values = pot.yosida_primal(spec, lam, block) + spec.pi_hat(block)
             parts["split_energy"].append(np.sum(grid.w * values, axis=1))
             parts["split_energy_abs"].append(np.sum(grid.w * np.abs(values), axis=1))
         dy = np.diff(y, axis=0)
@@ -613,9 +594,10 @@ class _Workspace:
             self.kappa = self.power_b - q_h
             self.modes = basis.modes
             self.analysis = basis.analysis_matrix
-        self.mode_branch = _mode_branch(m, config.shared_modes)
+        shared_modes = basis.n if shared else None
+        self.mode_branch = _mode_branch(m, shared_modes)
         self.k = None         # the dense K, None when it is factored
-        if not _factored_operator(m, config.shared_modes):
+        if not _factored_operator(m, shared_modes):
             if shared:
                 self.k = (self.modes * self.kappa) @ self.analysis
             else:
@@ -625,7 +607,6 @@ class _Workspace:
             self.k[self.diagonal] += self.a
         self.w = config.grid.w
         self.config = config
-        self.reg = config.regularization
         # G = (K + c I)^(-1) for the cached shift c: the dense matrix, or
         # its weights gamma along the modes when K is factored
         self.inverse = None
@@ -784,16 +765,16 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
     round-off floor (see :meth:`_Workspace.roundoff_floor`).
     """
     cfg = ws.config
-    reg = ws.reg
+    spec, lam = cfg.spec, cfg.yosida_lambda
 
     def residual(dc, kdc):
         # the residual at y_prev + dc and the Yosida value in it
         yc = y_prev + dc
-        beta = pot.yosida(reg, yc)
-        return kdc + beta + cfg.spec.pi(yc) - r, beta
+        beta = pot.yosida(spec, lam, yc)
+        return kdc + beta + spec.pi(yc) - r, beta
 
     def floor_at(dc, beta):
-        return ws.roundoff_floor(dc, beta, cfg.spec.pi(y_prev + dc), r)
+        return ws.roundoff_floor(dc, beta, spec.pi(y_prev + dc), r)
 
     g, beta = residual(d, kd)
     res = ws.h_norm(g)
@@ -803,7 +784,7 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
         if res <= cfg.newton_tol:
             return d, kd, iteration, res, dampings
         y = y_prev + d
-        delta = ws.direction(pot.yosida_derivative(reg, y, beta) + cfg.spec.pi_prime(y), g)
+        delta = ws.direction(pot.yosida_derivative(spec, lam, y, beta) + spec.pi_prime(y), g)
         alpha = 1.0
         for _ in range(30):
             d_new = d + alpha * delta
@@ -883,6 +864,12 @@ def solve_step(prev_y: sp.Field, prev_mu: sp.Field, u_next: sp.Field,
 #: ``run`` marches this many steps at a time: it evaluates the source at their
 #: times at once and reduces their rows to the trajectory's columns.
 _SOURCE_BLOCK = 64
+
+
+def block_bytes(grid_size: int) -> int:
+    """Bytes of the two buffers of ``_SOURCE_BLOCK + 1`` rows of ``y`` and
+    ``mu`` in which ``run`` marches."""
+    return 2 * 8 * (_SOURCE_BLOCK + 1) * grid_size
 
 
 def run(config: SchemeConfig, data: ProblemData,

@@ -49,15 +49,14 @@ def test_criterion_1_yosida_oracle_equivalence():
         span = ORACLE_SPAN[name]
         samples = rng.uniform(-span, span, size=100)
         for lam in levels:
-            reg = pot.YosidaRegularization(spec, lam)
             for s in samples:
                 s = float(s)
                 objective = (r_grid - s) ** 2 / (2.0 * lam) + energy
                 i = int(np.argmin(objective))
                 r_star, v_star = float(r_grid[i]), float(objective[i])
-                j = pot.resolvent(reg, s)
-                xi = pot.yosida(reg, s)
-                primal = pot.yosida_primal(reg, s)
+                j = spec.resolvent(lam, s)
+                xi = pot.yosida(spec, lam, s)
+                primal = pot.yosida_primal(spec, lam, s)
                 assert abs(j - r_star) <= 2.0 * spacing
                 # the grid error propagates through (s - r)/lam
                 assert abs(xi - (s - r_star) / lam) <= 2.0 * spacing / lam

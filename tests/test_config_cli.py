@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,49 @@ class TestParseConfig:
         # a snapshot at every step is a state array again
         with pytest.raises(ConfigurationError, match="physical memory"):
             cfgmod.parse_config(doc.replace("snapshots = log 65", "snapshots = every 1"))
+
+    def test_run_bound_counts_bases_and_block_buffers(self, monkeypatch):
+        # 120 steps with 10 snapshots on one shared basis of 12 modes over 513
+        # nodes, where K is applied along the modes: the snapshot rows, 512
+        # bytes per step, the 16 m n bytes the basis keeps and the two (65, m)
+        # block buffers, and not one byte more; its build, 8 (3 m n + n^2)
+        # bytes, is over before the run allocates
+        m, n = 513, 12
+        need = 2 * 10 * m * 8 + 512 * 121 + 16 * m * n + 2 * 65 * 8 * m
+        assert 8 * (3 * m * n + n * n) < need
+        for memory, fits in ((need, True), (need - 1, False)):
+            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+            monkeypatch.setattr(cfgmod.os, "sysconf", pages.__getitem__)
+            assert (cfgmod.run_too_large(120, m, 10, (n,)) is None) == fits
+        # the second of two bases is built beside what the first keeps, and
+        # a second basis brings the dense step operator
+        message = cfgmod.run_too_large(120, m, 10, (n, n))
+        assert f"bases of {16 * m * n + 8 * (3 * m * n + n * n):.3g} bytes" in message
+        assert f"dense step operator of {5 * 8 * m * m:.3g} bytes" in message
+        # built bases count what they keep
+        message = cfgmod.run_too_large(120, m, 10, (n, n), built=True)
+        assert f"bases of {2 * 16 * m * n:.3g} bytes" in message
+
+    def test_matrix_run_at_the_byte_boundary(self, tmp_path, monkeypatch):
+        # a matrix basis of 3 nodes and 3 modes is counted once it is built:
+        # 10 snapshot rows, 512 bytes per step, the 16 m^2 bytes the basis
+        # keeps, the block buffers and the dense step operator's 5 m^2 doubles
+        (tmp_path / "op.txt").write_text("3\n0 0 0\n0 1 0\n0 0 2\n")
+        section = "kind = neumann\nmodes = 12\nlength = 4.0\ngrid_points = 25\nexponent = 0.5\n"
+        doc = MINIMAL.replace(section, "kind = matrix\nmatrix_file = op.txt\nexponent = 0.5\n")
+        doc = doc.replace("y0 = cosine 0.1 0.4 0.2", "y0 = constant 0.1")
+        cfg = cfgmod.parse_config(doc.replace("u_bump = cosine 0 0.05", "u_bump = constant 0"),
+                                  base_dir=str(tmp_path))
+        m = 3
+        need = 2 * 10 * m * 8 + 512 * 121 + 16 * m * m + 2 * 65 * 8 * m + 5 * 8 * m * m
+        for memory, fits in ((need, True), (need - 1, False)):
+            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+            monkeypatch.setattr(cfgmod.os, "sysconf", pages.__getitem__)
+            if fits:
+                assert cfgmod.build_problem(cfg)[0].grid.size == m
+            else:
+                with pytest.raises(ConfigurationError, match="physical memory"):
+                    cfgmod.build_problem(cfg)
 
 
 class TestSerialization:
@@ -642,6 +686,46 @@ class TestCliErrors:
         path, out = write_config(tmp_path, "shared.ini", doc=doc)
         assert cli.main(["simulate", str(path)]) == 0
         assert (out / "trajectory.csv").exists()
+
+    def test_bases_beyond_memory_exit_2_before_any_allocation(self, tmp_path, capsys):
+        # one step on 400000 nodes with 200000 shared modes: building the basis
+        # peaks at 8 (3 m n + n^2) = 2.24e12 bytes, which once ended in numpy's
+        # _ArrayMemoryError from np.outer; the document is rejected at parse time
+        doc = MINIMAL.replace("modes = 12", "modes = 200000") \
+                     .replace("grid_points = 25", "grid_points = 400000") \
+                     .replace("steps = 120", "steps = 1")
+        path, out = write_config(tmp_path, doc=doc)
+        tracemalloc.start()
+        try:
+            assert cli.main(["simulate", str(path)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**7   # not one array of the grid's size
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["exit_code"] == 2 and "] steps:" in payload["message"]
+        assert "bases of 2.24e+12 bytes" in payload["message"]
+        assert "physical memory" in payload["message"]
+        assert not out.exists()
+
+    def test_example_best_basis_build_beyond_memory_exits_2(self, capsys, monkeypatch):
+        # at 4 MiB of memory: 200 modes on 1000 points peak at 8 (3 m n + n^2)
+        # = 5.12e6 bytes while the basis is built; 8 m n (1.6e6) once let it run
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**10}
+        monkeypatch.setattr(cfgmod.os, "sysconf", pages.__getitem__)
+        argv = ["example-best", "--modes", "200", "--grid-points", "1000", "--tol", "1e-6"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["exit_code"] == 2
+        assert payload["message"].startswith("--grid-points: 200 modes on 1000 grid points "
+                                             "need 5.12e+06 bytes")
+        assert "physical memory" in payload["message"]
 
     @pytest.mark.parametrize("key,value", [
         ("yosida_lambda", "inf"), ("h", "1e308"), ("newton_tol", "-1"), ("newton_tol", "nan"),

@@ -27,14 +27,14 @@ def zero_run(steps=5):
 
 def convexity_gap(config, prev_y, next_y):
     """Nodal minimum of F'(y+)(y+ - y) - (F(y+) - F(y)), nonnegative by convexity."""
-    reg = config.regularization
-    shift = config.spec.stability_shift
+    spec, lam = config.spec, config.yosida_lambda
+    shift = spec.stability_shift
     a, b = prev_y.values, next_y.values
 
     def f(v):
-        return 0.5 * shift * v * v + pot.yosida_primal(reg, v) + config.spec.pi_hat(v)
+        return 0.5 * shift * v * v + pot.yosida_primal(spec, lam, v) + spec.pi_hat(v)
 
-    fprime = shift * b + pot.yosida(reg, b) + config.spec.pi(b)
+    fprime = shift * b + pot.yosida(spec, lam, b) + spec.pi(b)
     gap = fprime * (b - a) - (f(b) - f(a))
     return float(gap.min())
 
@@ -140,12 +140,12 @@ class TestGronwallLedger:
         ledger = est.gronwall_ledger(traj)
         k = traj.steps // 2
         terms = dict(zip(est.LEDGER_TERMS, ledger.terms[k - 1]))
-        reg = config.regularization
+        spec, lam = config.spec, config.yosida_lambda
         y = sp.Field(states[k], config.grid)
         direct_b = 0.5 * sp.norm(sp.apply_power(config.op_B, y)) ** 2
         direct_mu = 0.5 * traj.h * sp.norm(sp.Field(mus[k], config.grid)) ** 2
         direct_split = float(np.sum(
-            y.grid.w * (pot.yosida_primal(reg, y.values) + config.spec.pi_hat(y.values))))
+            y.grid.w * (pot.yosida_primal(spec, lam, y.values) + spec.pi_hat(y.values))))
         assert terms["B_sigma_norm"] == pytest.approx(direct_b, abs=1e-10)
         assert terms["mu_l2_accum"] == pytest.approx(direct_mu, abs=1e-10)
         assert terms["beta_pi_integral"] == pytest.approx(direct_split, abs=1e-10)
@@ -157,8 +157,9 @@ class TestGronwallLedger:
         accumulated = est.gronwall_ledger(traj).rhs_bound[k - 1]
         config = traj.config
         y0 = data.y0
+        spec, lam = config.spec, config.yosida_lambda
         e0_split = float(np.sum(y0.grid.w * (
-            pot.yosida_primal(config.regularization, y0.values) + config.spec.pi_hat(y0.values))))
+            pot.yosida_primal(spec, lam, y0.values) + spec.pi_hat(y0.values))))
         e0_b = 0.5 * sp.norm(sp.apply_power(config.op_B, y0)) ** 2
         by_parts = e0_split + e0_b + summed_source_pairing(y, data, traj.h, k)
         assert accumulated == pytest.approx(by_parts, abs=1e-10)
@@ -181,7 +182,7 @@ class TestUniformReport:
     def test_zero_run_all_zero(self):
         traj, data, config = zero_run()
         report = est.uniform_report(traj)
-        for name, value in report.as_dict().items():
+        for name, value in dataclasses.asdict(report).items():
             assert value == pytest.approx(0.0, abs=1e-12), name
 
     def test_quantities_finite_and_monotone_in_horizon(self, small_obstacle_run):
@@ -191,8 +192,8 @@ class TestUniformReport:
         # acceptance suite
         traj = small_obstacle_run
         half = st.run(dataclasses.replace(traj.config, steps=traj.steps // 2), traj.data)
-        full_report = est.uniform_report(traj).as_dict()
-        half_report = est.uniform_report(half).as_dict()
+        full_report = dataclasses.asdict(est.uniform_report(traj))
+        half_report = dataclasses.asdict(est.uniform_report(half))
         for name in full_report:
             assert np.isfinite(full_report[name])
             assert full_report[name] >= half_report[name] - 1e-12, name

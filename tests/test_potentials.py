@@ -86,34 +86,34 @@ class TestMakePotential:
 
 class TestResolvent:
     def test_obstacle_projection(self):
-        reg = pot.YosidaRegularization(ALL_SPECS["obstacle"], 0.7)
-        assert pot.resolvent(reg, 2.5) == 1.0
-        assert pot.resolvent(reg, -3.0) == -1.0
-        assert pot.resolvent(reg, 0.4) == 0.4
+        spec, lam = ALL_SPECS["obstacle"], 0.7
+        assert spec.resolvent(lam, 2.5) == 1.0
+        assert spec.resolvent(lam, -3.0) == -1.0
+        assert spec.resolvent(lam, 0.4) == 0.4
 
     def test_nonunique_graph_closed_form(self):
-        reg = pot.YosidaRegularization(ALL_SPECS["example_best"], 0.5)
-        j = pot.resolvent(reg, 1.0)
+        spec, lam = ALL_SPECS["example_best"], 0.5
+        j = spec.resolvent(lam, 1.0)
         assert j == pytest.approx(0.25, abs=1e-14)
         # frozen from the 10^6-point grid minimization of the primal objective
         r_star, _, spacing = grid_minimizer(ALL_SPECS["example_best"], 0.5, 1.0)
         assert abs(j - r_star) <= 2 * spacing
 
     def test_logarithmic_odd_symmetry(self):
-        reg = pot.YosidaRegularization(ALL_SPECS["logarithmic"], 0.3)
-        assert pot.resolvent(reg, 0.0) == 0.0
-        assert pot.resolvent(reg, 0.5) == pytest.approx(-pot.resolvent(reg, -0.5), abs=1e-14)
+        spec, lam = ALL_SPECS["logarithmic"], 0.3
+        assert spec.resolvent(lam, 0.0) == 0.0
+        assert spec.resolvent(lam, 0.5) == pytest.approx(-spec.resolvent(lam, -0.5), abs=1e-14)
 
     def test_regular_cubic_root(self):
-        reg = pot.YosidaRegularization(ALL_SPECS["regular"], 0.1)
-        j = pot.resolvent(reg, 1.0)
+        spec, lam = ALL_SPECS["regular"], 0.1
+        j = spec.resolvent(lam, 1.0)
         assert j + 0.1 * j**3 == pytest.approx(1.0, abs=1e-14)
 
     def test_custom_graph_bisection(self):
         # beta(r) = 2r built as a custom spec exercises the generic path
-        reg = pot.YosidaRegularization(pot.custom_potential(**QUADRATIC), 0.25)
+        spec, lam = pot.custom_potential(**QUADRATIC), 0.25
         for s in (-2.0, -0.3, 0.0, 1.7):
-            assert pot.resolvent(reg, s) == pytest.approx(s / 1.5, abs=1e-12)
+            assert spec.resolvent(lam, s) == pytest.approx(s / 1.5, abs=1e-12)
 
 
 def logarithmic_defect(lam, s, value):
@@ -196,32 +196,32 @@ class TestLogarithmicResolvent:
 
 class TestYosida:
     def test_nonunique_graph_value(self):
-        reg = pot.YosidaRegularization(ALL_SPECS["example_best"], 0.5)
-        assert pot.yosida(reg, 1.0) == pytest.approx(1.5, abs=1e-13)
+        spec, lam = ALL_SPECS["example_best"], 0.5
+        assert pot.yosida(spec, lam, 1.0) == pytest.approx(1.5, abs=1e-13)
 
     def test_obstacle_value(self):
-        reg = pot.YosidaRegularization(ALL_SPECS["obstacle"], 0.1)
-        assert pot.yosida(reg, 2.0) == pytest.approx(10.0, abs=1e-12)
+        spec, lam = ALL_SPECS["obstacle"], 0.1
+        assert pot.yosida(spec, lam, 2.0) == pytest.approx(10.0, abs=1e-12)
 
     @pytest.mark.parametrize("name", list(ALL_SPECS))
     def test_zero_fixed_point(self, name):
-        reg = pot.YosidaRegularization(ALL_SPECS[name], 0.2)
-        assert pot.yosida(reg, 0.0) == 0.0
+        spec, lam = ALL_SPECS[name], 0.2
+        assert pot.yosida(spec, lam, 0.0) == 0.0
 
 
 class TestYosidaPrimal:
     def test_obstacle_squared_distance(self):
-        reg = pot.YosidaRegularization(ALL_SPECS["obstacle"], 0.1)
-        assert pot.yosida_primal(reg, 2.0) == pytest.approx(5.0, abs=1e-12)
+        spec, lam = ALL_SPECS["obstacle"], 0.1
+        assert pot.yosida_primal(spec, lam, 2.0) == pytest.approx(5.0, abs=1e-12)
 
     @pytest.mark.parametrize("name", list(ALL_SPECS))
     def test_zero_value(self, name):
-        reg = pot.YosidaRegularization(ALL_SPECS[name], 0.2)
-        assert pot.yosida_primal(reg, 0.0) == 0.0
+        spec, lam = ALL_SPECS[name], 0.2
+        assert pot.yosida_primal(spec, lam, 0.0) == 0.0
 
     def test_regular_against_grid_oracle(self):
-        reg = pot.YosidaRegularization(ALL_SPECS["regular"], 0.1)
-        value = pot.yosida_primal(reg, 1.0)
+        spec, lam = ALL_SPECS["regular"], 0.1
+        value = pot.yosida_primal(spec, lam, 1.0)
         _, oracle, _ = grid_minimizer(ALL_SPECS["regular"], 0.1, 1.0)
         assert value == pytest.approx(oracle, abs=1e-6)
         # frozen closed-form value for regression
@@ -295,8 +295,7 @@ class TestRegularizationProperties:
         s = rng.uniform(-3, 3, size=10_000)
         t = rng.uniform(-3, 3, size=10_000)
         for lam in self.LEVELS:
-            reg = pot.YosidaRegularization(spec, lam)
-            gap = np.abs(pot.resolvent(reg, s) - pot.resolvent(reg, t))
+            gap = np.abs(spec.resolvent(lam, s) - spec.resolvent(lam, t))
             assert np.all(gap <= np.abs(s - t) + 1e-12)
 
     @pytest.mark.parametrize("name", list(ALL_SPECS))
@@ -305,8 +304,7 @@ class TestRegularizationProperties:
         spec = ALL_SPECS[name]
         s = np.sort(rng.uniform(-3, 3, size=10_000))
         for lam in self.LEVELS:
-            reg = pot.YosidaRegularization(spec, lam)
-            values = pot.yosida(reg, s)
+            values = pot.yosida(spec, lam, s)
             assert np.all(np.diff(values) >= -1e-12)
             gap = np.abs(np.diff(values))
             assert np.all(gap <= np.abs(np.diff(s)) / lam + 1e-9 / lam)
@@ -319,8 +317,7 @@ class TestRegularizationProperties:
         s = rng.uniform(-span, span, size=500)
         previous = None
         for lam in (1.0, 0.1, 0.01):  # decreasing level
-            reg = pot.YosidaRegularization(spec, lam)
-            values = pot.yosida_primal(reg, s)
+            values = pot.yosida_primal(spec, lam, s)
             assert np.all(values >= -1e-12)
             exact = spec.beta_hat(s)
             finite = np.isfinite(exact)
@@ -335,16 +332,15 @@ class TestRegularizationProperties:
         spec = ALL_SPECS[name]
         span = SAMPLE_SPAN[name]
         for lam in self.LEVELS:
-            reg = pot.YosidaRegularization(spec, lam)
             for s in rng.uniform(-span, span, size=200):
-                j = pot.resolvent(reg, float(s))
-                xi = pot.yosida(reg, float(s))
+                j = spec.resolvent(lam, float(s))
+                xi = pot.yosida(spec, lam, float(s))
                 assert pot.graph_selection_residual(spec, j, xi) <= 1e-10
 
     def test_logarithmic_convergence_to_graph(self):
         spec = ALL_SPECS["logarithmic"]
         exact = math.log(1.5 / 0.5)
-        approx = pot.yosida(pot.YosidaRegularization(spec, 1e-4), 0.5)
+        approx = pot.yosida(spec, 1e-4, 0.5)
         assert abs(approx - exact) < 1e-2
 
 

@@ -56,7 +56,7 @@ def assert_matches_coupled_dense_oracle(spec, kind, tau):
     analysis = basis.modes.T * grid.w[None, :]
     a2 = basis.modes @ np.diag(basis.lambdas ** (2 * 0.5)) @ analysis
     b2 = basis.modes @ np.diag(basis.lambdas ** (2 * 0.5)) @ analysis
-    reg = config.regularization
+    lam = config.yosida_lambda
     shift = spec.stability_shift
     h = config.h
     yk = y0.values.copy()
@@ -64,7 +64,7 @@ def assert_matches_coupled_dense_oracle(spec, kind, tau):
     for _ in range(60):
         f1 = (yk - y0.values) / h + muk + a2 @ muk - mu0.values
         f2 = tau * (yk - y0.values) / h + shift * (yk - y0.values) \
-            + b2 @ yk + pot.yosida(reg, yk) + spec.pi(yk) \
+            + b2 @ yk + pot.yosida(spec, lam, yk) + spec.pi(yk) \
             - u1.values - muk
         residual = np.sqrt(np.sum(grid.w * (f1 * f1 + f2 * f2)))
         if residual < 1e-12:
@@ -72,7 +72,7 @@ def assert_matches_coupled_dense_oracle(spec, kind, tau):
         j11 = np.eye(m) / h
         j12 = np.eye(m) + a2
         j21 = (tau / h + shift) * np.eye(m) + b2 + np.diag(
-            pot.yosida_derivative(reg, yk, pot.yosida(reg, yk)) + spec.pi_prime(yk))
+            pot.yosida_derivative(spec, lam, yk, pot.yosida(spec, lam, yk)) + spec.pi_prime(yk))
         j22 = -np.eye(m)
         jac = np.block([[j11, j12], [j21, j22]])
         rhs = -np.concatenate([f1, f2])
@@ -117,8 +117,9 @@ class TestValidate:
         config = neumann_config(pot.make_potential("obstacle", c2=1.0))
         data = st.ProblemData(y0=sp.constant_field(0.0, config.grid),
                               source=st.zero_source(config.grid))
-        report = st.validate(config, data)
-        assert report.checks["mean_interior"]
+        # the zero branch checks the mean, and 0 is interior to [-1, 1]
+        assert config.op_A.lambda1 == 0.0
+        assert st.validate(config, data) is None
 
     def test_obstacle_boundary_mean_rejected(self):
         config = neumann_config(pot.make_potential("obstacle", c2=1.0))
@@ -135,12 +136,12 @@ class TestValidate:
             spec=pot.make_potential("obstacle", c2=1.0),
             yosida_lambda=1e-2, tau=0.0, h=0.05, steps=1,
         )
-        # mean 1.0 would violate the interior condition on the zero branch
+        # mean 1.0 violates the interior condition on the zero branch
+        # (test_obstacle_boundary_mean_rejected); the positive branch skips it
         data = st.ProblemData(y0=sp.constant_field(1.0, config.grid),
                               source=st.zero_source(config.grid))
-        report = st.validate(config, data)
-        assert "mean_interior" not in report.checks
-        assert report.checks["lambda1_branch"] == "positive"
+        assert config.op_A.lambda1 > 0.0
+        assert st.validate(config, data) is None
 
     def test_constants_must_span_second_basis(self):
         neumann = sp.build_interval_basis("neumann", 8, 2.0, 17)
@@ -753,7 +754,8 @@ class TestCarry:
         config, data = carry_problem(*CARRY_PROBLEMS[problem][0])
         calls = []
         yosida = pot.yosida
-        monkeypatch.setattr(pot, "yosida", lambda reg, s: calls.append(1) or yosida(reg, s))
+        monkeypatch.setattr(pot, "yosida",
+                            lambda spec, lam, s: calls.append(1) or yosida(spec, lam, s))
         traj = st.run(config, data, (1, 2))
         (ws,) = counted_workspaces
         trial_points = sum(s.iterations + s.dampings for s in traj.solver_stats)
