@@ -262,10 +262,12 @@ def run_too_large(steps: int, grid_size: int, snapshots: int, basis_modes: tuple
     entry when both operators share one basis).
 
     The run holds its ``snapshots`` state rows of ``y`` and ``mu``,
-    :data:`RUN_BYTES_PER_STEP` per step, what each built basis keeps, the
-    block buffers of :func:`stepper.block_bytes` and the arrays of its step
-    operator, :func:`stepper.step_operator_bytes`.  Unless the bases are
-    ``built``, their builds come first, one after another: each peaks at
+    :data:`RUN_BYTES_PER_STEP` per step, what each built basis keeps (its
+    modes, one ``m`` x ``n`` array), the block arrays of
+    :func:`stepper.block_bytes` (the buffers of ``y`` and ``mu`` and the
+    source rows of a block) and the arrays of its step operator,
+    :func:`stepper.step_operator_bytes`.  Unless the bases are ``built``,
+    their builds come first, one after another: each peaks at
     :func:`spectral.basis_bytes` beside what the bases before it keep.
     """
     shared_modes = basis_modes[0] if len(basis_modes) == 1 else None

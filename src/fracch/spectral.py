@@ -155,13 +155,21 @@ class EigenBasis:
     modes : (m, n) eigenvectors as nodal columns, orthonormal under the
         grid's quadrature inner product.
     kind : one of ``neumann``, ``dirichlet``, ``matrix``.
+
+    The modes are the only ``m`` x ``n`` array a basis keeps: synthesis is
+    ``modes @ c`` and analysis, :meth:`coefficients`, weights the rows by
+    the quadrature before the product with the same array.  With weights
+    that are powers of two (the interval grids of ``2**k + 1`` nodes on a
+    length that is a power of two, and the unit-weight matrix grid), that
+    weighting is exact and the coefficients are those of the weighted
+    matrix ``modes.T @ diag(w)`` bit for bit; with other weights they
+    agree to round-off.
     """
 
     lambdas: np.ndarray
     modes: np.ndarray
     grid: Grid
     kind: str
-    _analysis: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         lam = np.array(self.lambdas, dtype=float)
@@ -174,11 +182,8 @@ class EigenBasis:
             raise OperatorError("eigenvalues must be nonnegative")
         lam.flags.writeable = False
         modes.flags.writeable = False
-        analysis = (modes * self.grid.w[:, None]).T
-        analysis.flags.writeable = False
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "_analysis", analysis)
         defect = self.gram_defect()
         if defect > 1e-10:
             raise OperatorError(
@@ -190,14 +195,14 @@ class EigenBasis:
     def n(self) -> int:
         return self.lambdas.size
 
-    @property
-    def analysis_matrix(self) -> np.ndarray:
-        """(n, m) matrix whose rows compute coefficients: ``modes.T @ diag(w)``."""
-        return self._analysis
+    def coefficients(self, rows: np.ndarray) -> np.ndarray:
+        """Expansion coefficients ``(row, e_j)`` of each row of a (..., m)
+        array of nodal values: ``(rows * w) @ modes``."""
+        return (rows * self.grid.w) @ self.modes
 
     def gram_defect(self) -> float:
         """Max deviation of the quadrature Gram matrix from the identity."""
-        g = self._analysis @ self.modes
+        g = (self.modes * self.grid.w[:, None]).T @ self.modes
         g.flat[:: self.n + 1] -= 1.0   # minus the identity, in place
         return float(np.abs(g, out=g).max())
 
@@ -214,7 +219,7 @@ class EigenBasis:
         """Expansion coefficients (f, e_j) under the quadrature inner product."""
         if not f.grid.same_as(self.grid):
             raise DimensionError("field is not on the basis grid")
-        return self._analysis @ f.values
+        return self.coefficients(f.values)
 
 
 def interval_scale_problem(kind: str, n: int, length: float) -> str | None:
@@ -241,14 +246,14 @@ def basis_bytes(grid_points: int, modes: int, built: bool = False) -> int:
 
     With ``m`` nodes and ``n`` modes the build peaks at ``8 (3 m n + n^2)``:
     three ``m`` x ``n`` arrays at once (the modes, the copy
-    :class:`EigenBasis` keeps and its analysis matrix) and the ``n`` x ``n``
-    Gram matrix of its orthonormality check.  A built basis keeps two of the
-    ``m`` x ``n`` arrays, ``16 m n``.  The grid and eigenvalue arrays, O(m +
-    n) bytes, come on top.  A matrix basis, with ``n = m``, takes about the
-    same bytes.
+    :class:`EigenBasis` keeps and the weighted modes of its orthonormality
+    check) and that check's ``n`` x ``n`` Gram matrix.  A built basis keeps
+    one ``m`` x ``n`` array, its modes, ``8 m n``.  The grid and eigenvalue
+    arrays, O(m + n) bytes, come on top.  A matrix basis, with ``n = m``,
+    takes about the same bytes.
     """
     if built:
-        return 16 * grid_points * modes
+        return 8 * grid_points * modes
     return 8 * (3 * grid_points * modes + modes * modes)
 
 
@@ -408,7 +413,7 @@ def apply_power(op: FractionalOperator, f: Field, multiplier: float = 1.0) -> Fi
 
 def power_rows(op: FractionalOperator, rows: np.ndarray, multiplier: float = 1.0) -> np.ndarray:
     """:func:`apply_power` on each row of a (..., m) array of nodal values."""
-    c = rows @ op.basis.analysis_matrix.T
+    c = op.basis.coefficients(rows)
     return (op.power_weights(multiplier) * c) @ op.basis.modes.T
 
 
@@ -419,7 +424,7 @@ def solve_shifted(op: FractionalOperator, rows: np.ndarray) -> np.ndarray:
     the identity there and diagonal on the span.  The returned rows satisfy
     the shifted equation nodally to round-off.
     """
-    c = rows @ op.basis.analysis_matrix.T
+    c = op.basis.coefficients(rows)
     weights = op.power_weights(2.0)
     # identity off the span, diagonal 1/(1 + lambda^2r) on it
     return rows - (c * weights / (1.0 + weights)) @ op.basis.modes.T
@@ -460,10 +465,9 @@ def row_power_norms(op: FractionalOperator, rows: np.ndarray) -> np.ndarray:
     """``norm(apply_power(op, row))`` for each row of a (K, m) array.
 
     The power lies in the span, where the quadrature norm is the Euclidean
-    norm of the coefficients, so one product with the analysis matrix
-    serves every row.
+    norm of the coefficients, so one analysis serves every row.
     """
-    c = op.power_weights() * (rows @ op.basis.analysis_matrix.T)
+    c = op.power_weights() * op.basis.coefficients(rows)
     return np.sqrt(np.sum(c * c, axis=-1))
 
 

@@ -15,6 +15,9 @@ the increment solves the strongly monotone nodal equation
     K d + beta_lam(y + d) + pi(y + d) = u+ + S mu - B2s y,
     K = (tau/h + L) I + B2s + S/h.
 
+Each basis keeps one ``m`` x ``n`` array, its modes ``Phi``: a synthesis
+``Phi c`` and an analysis ``Phi^T W v``, which weights ``v`` by the
+quadrature before its product with ``Phi``, pass over the same array.
 When both operators share one basis of at most 3/5 as many modes as
 nodes, on a grid of at least 257 nodes, ``K`` is a multiple of the
 identity plus a term along the modes, and it is applied in that form, one
@@ -61,13 +64,13 @@ applied once per trial point of the line search; and the spectral part
 ``A2r mu+`` of the phase residual come from one analysis of ``(mu+, y+)``
 and one synthesis, stacked when both operators share their basis.  With
 the analysis and synthesis of ``mu+ = S (mu - d/h)`` a step thus makes
-four passes over the mode and analysis matrices on a shared basis and
-six with two bases, plus two for each product with ``K`` and each node
-direction where ``K`` is applied along the modes.  ``run`` and
-``solve_step`` take every step through one routine.  ``solve_step``
-computes the carry from its rows and start; from the rows of a run and
-the increment Newton returned for the step before, that carry is the
-carried one bit for bit, and so is the step.
+four passes over the modes of a shared basis and six over those of two
+bases, plus two for each product with ``K`` and each node direction where
+``K`` is applied along the modes.  ``run`` and ``solve_step`` take every
+step through one routine.  ``solve_step`` computes the carry from its rows
+and start; from the rows of a run and the increment Newton returned for
+the step before, that carry is the carried one bit for bit, and so is the
+step.
 
 Trajectories start from ``y0`` with ``mu0 = 0``; that
 initialization is part of the scheme, not a configurable choice, and it
@@ -407,8 +410,10 @@ class _Recorder:
             parts["split_energy"].append(np.sum(grid.w * values, axis=1))
             parts["split_energy_abs"].append(np.sum(grid.w * np.abs(values), axis=1))
         dy = np.diff(y, axis=0)
-        analysis = cfg.op_A.basis.analysis_matrix
-        c_mu = mu @ analysis.T
+        basis_a = cfg.op_A.basis
+        c_mu = basis_a.coefficients(mu)
+        # the coefficients of dy / h, the weights folded into the scaling: one (K, m) copy
+        c_rate = (dy * (grid.w * (1.0 / cfg.h))) @ basis_a.modes
         for name, column in (
                 ("mean_y", sp.row_means(new_y, grid)),
                 ("mean_mu", sp.row_means(new_mu, grid)),
@@ -420,7 +425,7 @@ class _Recorder:
                 ("norm_dmu", sp.row_norms(np.diff(mu, axis=0), grid)),
                 ("norm_B_sigma_dy", sp.row_power_norms(cfg.op_B, dy)),
                 ("source_pairing", sp.row_inner(sources, dy, grid)),
-                ("dual_rate", sp.dual_norms(cfg.op_A, (dy * (1.0 / cfg.h)) @ analysis.T)),
+                ("dual_rate", sp.dual_norms(cfg.op_A, c_rate)),
                 ("dual_rate_identity", sp.dual_norms(
                     cfg.op_A, c_mu[:-1] - c_mu[1:] - cfg.op_A.power_weights(2.0) * c_mu[1:]))):
             parts[name].append(column)
@@ -493,8 +498,8 @@ def step_operator_bytes(grid_size: int, shared_modes: Optional[int]) -> int:
 class _Workspace:
     """The step operator K of one run, from the bases, and its Newton directions.
 
-    With ``Phi`` the modes of a basis and ``Phi^T W`` its analysis matrix,
-    ``B2s = Phi_B diag(lam_B^2s) Phi_B^T W`` and ``(I + A2r)^(-1) = I -
+    With ``Phi`` the modes of a basis and ``W`` the diagonal of quadrature
+    weights, ``B2s = Phi_B diag(lam_B^2s) Phi_B^T W`` and ``(I + A2r)^(-1) = I -
     Phi_A diag(lam_A^2r / (1 + lam_A^2r)) Phi_A^T W``, so that
 
         K = a I + Phi_B diag(lam_B^2s) Phi_B^T W - Phi_A diag(q / h) Phi_A^T W,
@@ -505,17 +510,21 @@ class _Workspace:
     ``_MODE_SHARE`` modes per node and the grid at least ``_FACTORED_GRID``
     nodes (:func:`_factored_operator`), ``K`` stays in this form:
     :meth:`apply` computes ``K d = a d + Phi (kappa * Phi^T W d)``, one
-    analysis and one synthesis, and the workspace holds no ``m`` x ``m``
-    array.  Otherwise ``K`` is assembled once, from two products of
-    an ``m`` x ``n`` by an ``n`` x ``m`` matrix (one on a shared basis),
-    and applied as a dense matrix.  ``k_rows``, the absolute row sums of
-    ``K`` that size its round-off, are taken a block of rows at a time.
+    analysis and one synthesis over the modes, and the workspace holds no
+    ``m`` x ``m`` array.  Otherwise ``K`` is assembled once, from two
+    products of an ``m`` x ``n`` by an ``n`` x ``m`` matrix, ``(Phi
+    diag(.)) Phi^T`` (one on a shared basis), whose columns are then scaled
+    by ``W``, and applied as a dense matrix.  Every analysis weights its rows
+    before their product with the modes, as
+    :meth:`spectral.EigenBasis.coefficients` does.  ``k_rows``, the absolute
+    row sums of ``K`` that size its round-off, are taken a block of rows at
+    a time.
 
     ``spectral`` gives the rows a step carries, ``A2r mu`` and ``S mu - mu -
     B2s y = -Phi_A diag(q) Phi_A^T W mu - Phi_B diag(lam_B^2s) Phi_B^T W y``,
-    from one analysis and one synthesis per basis: on a shared basis one
-    product of the stacked rows ``(mu, y)`` with the analysis matrix and one
-    of the two coefficient rows with the modes.
+    from one analysis and one synthesis per basis: on a shared basis the
+    stacked rows ``(mu, y)`` are weighted in place and multiplied by the
+    modes, and the two coefficient rows by their transpose.
 
     ``direction`` solves ``(K + diag(slope)) delta = -g`` along one of three
     branches.  With ``c`` the smallest slope and ``off`` the nodes above it,
@@ -547,10 +556,11 @@ class _Workspace:
     call under the key ``(off, slope[off] - c)`` for the cached shift: the
     capacitance matrix and either the columns ``G[:, off]`` as one
     contiguous copy or, with ``K`` factored, the rows ``Phi[off] gamma`` and
-    the analysis columns ``(Phi^T W)[:, off]``, whose product gives
-    ``G[off, off]``.  A call whose key equals it bit for bit reuses them;
-    any other key rebuilds them, and a new shift drops them before ``G`` is
-    formed again, so a failed inversion leaves no factors behind.  A hit
+    the weighted columns ``(Phi^T W)[:, off] = (W_off Phi[off])^T``, whose
+    product gives ``G[off, off]``.  A call whose key equals it bit for bit
+    reuses them; any other key rebuilds them, and a new shift drops them
+    before ``G`` is formed again, so a failed inversion leaves no factors
+    behind.  A hit
     feeds the same arrays to the same products, so its direction is the
     rebuilt one bit for bit.
 
@@ -589,23 +599,24 @@ class _Workspace:
         self.shifted_a = -weights / (1.0 + weights)
         self.power_b = config.op_B.power_weights(2.0)
         self.bases = (basis, basis_b)
+        self.w = config.grid.w
         shared = basis is basis_b
         if shared:
             self.kappa = self.power_b - q_h
             self.modes = basis.modes
-            self.analysis = basis.analysis_matrix
+            self.coefficients = basis.coefficients
         shared_modes = basis.n if shared else None
         self.mode_branch = _mode_branch(m, shared_modes)
         self.k = None         # the dense K, None when it is factored
         if not _factored_operator(m, shared_modes):
             if shared:
-                self.k = (self.modes * self.kappa) @ self.analysis
+                self.k = (self.modes * self.kappa) @ self.modes.T
             else:
-                self.k = (basis_b.modes * self.power_b) @ basis_b.analysis_matrix
-                self.k -= (basis.modes * q_h) @ basis.analysis_matrix
+                self.k = (basis_b.modes * self.power_b) @ basis_b.modes.T
+                self.k -= (basis.modes * q_h) @ basis.modes.T
+            self.k *= self.w      # the weights of Phi^T W, one per column
             self.diagonal = np.diag_indices(m)
             self.k[self.diagonal] += self.a
-        self.w = config.grid.w
         self.config = config
         # G = (K + c I)^(-1) for the cached shift c: the dense matrix, or
         # its weights gamma along the modes when K is factored
@@ -617,7 +628,7 @@ class _Workspace:
         """``K d`` (see the class docstring)."""
         if self.k is not None:
             return self.k @ d
-        return self.a * d + self.modes @ (self.kappa * (self.analysis @ d))
+        return self.a * d + self.modes @ (self.kappa * self.coefficients(d))
 
     @functools.cached_property
     def k_rows(self) -> float:
@@ -631,7 +642,8 @@ class _Workspace:
             if self.k is not None:
                 rows = np.abs(self.k[start:stop])
             else:
-                rows = (self.modes[start:stop] * self.kappa) @ self.analysis
+                rows = (self.modes[start:stop] * self.kappa) @ self.modes.T
+                rows *= self.w
                 rows.flat[start:: m + 1] += self.a   # the diagonal entries of these rows
                 np.abs(rows, out=rows)
             sums[start:stop] = rows.sum(axis=1)
@@ -670,7 +682,8 @@ class _Workspace:
         if self.k is None:
             return self.kappa / (scale + self.kappa)
         if self.kappa is not None:
-            inverse = (self.modes * (self.kappa / (-scale * (scale + self.kappa)))) @ self.analysis
+            inverse = (self.modes * (self.kappa / (-scale * (scale + self.kappa)))) @ self.modes.T
+            inverse *= self.w
             inverse[self.diagonal] += 1.0 / scale
             return inverse
         # shift K in place and restore its diagonal exactly: a copy of K
@@ -687,7 +700,7 @@ class _Workspace:
         class docstring)."""
         if self.k is None:
             rows = self.modes[off] * self.inverse
-            columns = self.analysis[:, off]
+            columns = (self.modes[off] * self.w[off, None]).T
             capacitance = rows @ columns
             np.negative(capacitance, out=capacitance)
             capacitance.flat[:: off.size + 1] += 1.0   # now (a + c) G[off, off]
@@ -703,7 +716,7 @@ class _Workspace:
         """The node branch's direction with ``K`` factored (see the class docstring)."""
         off, excess, rows, columns, capacitance = self.active
         scale = self.a + self.shift
-        analysed = self.analysis @ g
+        analysed = self.coefficients(g)
         t = np.linalg.solve(capacitance, (excess / scale) * (rows @ analysed - g[off]))
         delta = self.modes @ (self.inverse * (analysed + columns @ t))
         delta -= g
@@ -719,19 +732,21 @@ class _Workspace:
         capacitance = root @ root.T   # a matrix times its own transpose: half a general product
         capacitance *= self.kappa[:, None]
         capacitance.flat[:: len(capacitance) + 1] += 1.0   # the diagonal, without index arrays
-        coefficients = np.linalg.solve(capacitance, self.kappa * (self.analysis @ z))
+        coefficients = np.linalg.solve(capacitance, self.kappa * self.coefficients(z))
         return z - inv_d * (self.modes @ coefficients)
 
     def spectral(self, mu: np.ndarray, y: np.ndarray):
         """The rows ``A2r mu`` and ``S mu - mu - B2s y`` (see the class docstring)."""
         basis, basis_b = self.bases
         if basis is basis_b:
-            c_mu, c_y = np.array((mu, y)) @ self.analysis.T
+            stacked = np.array((mu, y))
+            stacked *= self.w
+            c_mu, c_y = stacked @ self.modes
             return (np.array((self.power_a * c_mu, self.shifted_a * c_mu - self.power_b * c_y))
                     @ self.modes.T)
-        c_mu = mu @ basis.analysis_matrix.T
+        c_mu = basis.coefficients(mu)
         a_mu, s_mu = np.array((self.power_a * c_mu, self.shifted_a * c_mu)) @ basis.modes.T
-        return a_mu, s_mu - (self.power_b * (y @ basis_b.analysis_matrix.T)) @ basis_b.modes.T
+        return a_mu, s_mu - (self.power_b * basis_b.coefficients(y)) @ basis_b.modes.T
 
     def h_norm(self, v: np.ndarray) -> float:
         return math.sqrt((self.w * v * v).sum())
@@ -867,9 +882,13 @@ _SOURCE_BLOCK = 64
 
 
 def block_bytes(grid_size: int) -> int:
-    """Bytes of the two buffers of ``_SOURCE_BLOCK + 1`` rows of ``y`` and
-    ``mu`` in which ``run`` marches."""
-    return 2 * 8 * (_SOURCE_BLOCK + 1) * grid_size
+    """Bytes of the arrays of up to ``_SOURCE_BLOCK + 1`` rows that ``run``
+    holds at once, at most five: the two buffers of ``y`` and ``mu`` in which
+    it marches, the source rows of a block, and beside those either the
+    source rows of the block before and the temporary that evaluating a
+    decaying source with a bump takes, or, while :meth:`_Recorder.add`
+    reduces the block, its increments and one weighted copy of rows."""
+    return 5 * 8 * (_SOURCE_BLOCK + 1) * grid_size
 
 
 def run(config: SchemeConfig, data: ProblemData,

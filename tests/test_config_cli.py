@@ -214,11 +214,11 @@ class TestParseConfig:
     def test_run_bound_counts_bases_and_block_buffers(self, monkeypatch):
         # 120 steps with 10 snapshots on one shared basis of 12 modes over 513
         # nodes, where K is applied along the modes: the snapshot rows, 512
-        # bytes per step, the 16 m n bytes the basis keeps and the two (65, m)
-        # block buffers, and not one byte more; its build, 8 (3 m n + n^2)
-        # bytes, is over before the run allocates
+        # bytes per step, the 8 m n bytes of modes the basis keeps and the
+        # five (65, m) block arrays, and not one byte more; its build, 8 (3 m n
+        # + n^2) bytes, is over before the run allocates
         m, n = 513, 12
-        need = 2 * 10 * m * 8 + 512 * 121 + 16 * m * n + 2 * 65 * 8 * m
+        need = 2 * 10 * m * 8 + 512 * 121 + 8 * m * n + 5 * 65 * 8 * m
         assert 8 * (3 * m * n + n * n) < need
         for memory, fits in ((need, True), (need - 1, False)):
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
@@ -227,16 +227,16 @@ class TestParseConfig:
         # the second of two bases is built beside what the first keeps, and
         # a second basis brings the dense step operator
         message = cfgmod.run_too_large(120, m, 10, (n, n))
-        assert f"bases of {16 * m * n + 8 * (3 * m * n + n * n):.3g} bytes" in message
+        assert f"bases of {8 * m * n + 8 * (3 * m * n + n * n):.3g} bytes" in message
         assert f"dense step operator of {5 * 8 * m * m:.3g} bytes" in message
         # built bases count what they keep
         message = cfgmod.run_too_large(120, m, 10, (n, n), built=True)
-        assert f"bases of {2 * 16 * m * n:.3g} bytes" in message
+        assert f"bases of {2 * 8 * m * n:.3g} bytes" in message
 
     def test_matrix_run_at_the_byte_boundary(self, tmp_path, monkeypatch):
         # a matrix basis of 3 nodes and 3 modes is counted once it is built:
-        # 10 snapshot rows, 512 bytes per step, the 16 m^2 bytes the basis
-        # keeps, the block buffers and the dense step operator's 5 m^2 doubles
+        # 10 snapshot rows, 512 bytes per step, the 8 m^2 bytes the basis
+        # keeps, the block arrays and the dense step operator's 5 m^2 doubles
         (tmp_path / "op.txt").write_text("3\n0 0 0\n0 1 0\n0 0 2\n")
         section = "kind = neumann\nmodes = 12\nlength = 4.0\ngrid_points = 25\nexponent = 0.5\n"
         doc = MINIMAL.replace(section, "kind = matrix\nmatrix_file = op.txt\nexponent = 0.5\n")
@@ -244,7 +244,7 @@ class TestParseConfig:
         cfg = cfgmod.parse_config(doc.replace("u_bump = cosine 0 0.05", "u_bump = constant 0"),
                                   base_dir=str(tmp_path))
         m = 3
-        need = 2 * 10 * m * 8 + 512 * 121 + 16 * m * m + 2 * 65 * 8 * m + 5 * 8 * m * m
+        need = 2 * 10 * m * 8 + 512 * 121 + 8 * m * m + 5 * 65 * 8 * m + 5 * 8 * m * m
         for memory, fits in ((need, True), (need - 1, False)):
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
             monkeypatch.setattr(cfgmod.os, "sysconf", pages.__getitem__)
@@ -253,6 +253,35 @@ class TestParseConfig:
             else:
                 with pytest.raises(ConfigurationError, match="physical memory"):
                     cfgmod.build_problem(cfg)
+
+    def test_decaying_source_rows_at_the_byte_boundary(self, monkeypatch):
+        # a decaying source with a bump evaluates the 64 rows of a block into a
+        # (64, m) result through a (64, m) temporary, while the rows of the
+        # block before are still held: three arrays beside the two (65, m)
+        # buffers of y and mu, which the bound counts as five (65, m) arrays
+        m, n = 4097, 12
+        doc = MINIMAL.replace("grid_points = 25", f"grid_points = {m}")
+        scheme, data = cfgmod.build_problem(cfgmod.parse_config(doc))
+        tracemalloc.start()
+        try:
+            rows = data.source.values(scheme.h * np.arange(1, 65))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (64, m) and 64 * 8 * m <= kept <= 64 * 8 * m + 4096
+        assert 2 * 64 * 8 * m <= peak <= 2 * 64 * 8 * m + 4096
+        assert st.block_bytes(m) == 5 * 65 * 8 * m
+        # 10 snapshot rows, 512 bytes per step, the 8 m n bytes the shared
+        # basis keeps and the block arrays, and not one byte more
+        need = 2 * 10 * m * 8 + 512 * 121 + 8 * m * n + 5 * 65 * 8 * m
+        for memory, fits in ((need, True), (need - 1, False)):
+            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+            monkeypatch.setattr(cfgmod.os, "sysconf", pages.__getitem__)
+            if fits:
+                assert cfgmod.parse_config(doc).steps == 120
+            else:
+                with pytest.raises(ConfigurationError, match="physical memory"):
+                    cfgmod.parse_config(doc)
 
 
 class TestSerialization:

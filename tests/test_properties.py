@@ -171,7 +171,7 @@ def whole_array_columns(config, data, y, mu):
     grid, op_a, op_b, h = config.grid, config.op_A, config.op_B, config.h
     values = pot.yosida_primal(config.spec, config.yosida_lambda, y) + config.spec.pi_hat(y)
     dy = np.diff(y, axis=0)
-    c_mu = mu @ op_a.basis.analysis_matrix.T
+    c_mu = (mu * grid.w) @ op_a.basis.modes
     return {
         "mean_y": sp.row_means(y, grid),
         "mean_mu": sp.row_means(mu, grid),
@@ -185,7 +185,7 @@ def whole_array_columns(config, data, y, mu):
         "norm_dmu": sp.row_norms(np.diff(mu, axis=0), grid),
         "norm_B_sigma_dy": sp.row_power_norms(op_b, dy),
         "source_pairing": sp.row_inner(data.source.values(h * np.arange(1, len(y))), dy, grid),
-        "dual_rate": sp.dual_norms(op_a, (dy / h) @ op_a.basis.analysis_matrix.T),
+        "dual_rate": sp.dual_norms(op_a, (dy / h * grid.w) @ op_a.basis.modes),
         "dual_rate_identity": sp.dual_norms(
             op_a, c_mu[:-1] - c_mu[1:] - op_a.power_weights(2.0) * c_mu[1:]),
     }
@@ -193,7 +193,7 @@ def whole_array_columns(config, data, y, mu):
 
 def coefficient_floors(config, y, mu):
     """Per-row bounds on how far the columns built from weighted coefficients
-    ``rows @ analysis.T`` move when BLAS sums those products in another order.
+    ``(rows * w) @ modes`` move when BLAS sums those products in another order.
 
     A dot product of m terms is off by at most about m eps times the dot
     product of the magnitudes, each way; a column weights those errors as it
@@ -203,7 +203,7 @@ def coefficient_floors(config, y, mu):
     op_a, op_b = config.op_A, config.op_B
 
     def magnitudes(op, rows):
-        return np.abs(rows) @ np.abs(op.basis.analysis_matrix).T
+        return (np.abs(rows) * config.grid.w) @ np.abs(op.basis.modes)
 
     def power_norms(op, c):
         return np.sqrt(np.sum((op.power_weights() * c) ** 2, axis=-1))

@@ -1,5 +1,7 @@
 """Spectral bases, fractional powers, norms and the sharp gap inequality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,26 @@ class TestIntervalBasis:
     def test_invalid_length(self):
         with pytest.raises(ConfigurationError):
             sp.build_interval_basis("neumann", 4, -1.0, 17)
+
+
+class TestBasisBytes:
+    @pytest.mark.parametrize("m, n", [(1000, 200), (2001, 1000)])
+    def test_build_peak_and_kept_bytes(self, m, n):
+        # the build peaks at three m x n arrays (the modes, the copy the basis
+        # keeps, their weighted copy in the orthonormality check) and its n x n
+        # Gram matrix; the built basis keeps its modes, one m x n array; the
+        # grid and the eigenvalues add O(m + n) bytes to both
+        tracemalloc.start()
+        try:
+            basis = sp.build_interval_basis("neumann", n, 4.0, m)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slack = 32 * (m + n) + 4096
+        assert sp.basis_bytes(m, n) == 8 * (3 * m * n + n * n)
+        assert sp.basis_bytes(m, n) <= peak <= sp.basis_bytes(m, n) + slack
+        assert sp.basis_bytes(m, n, built=True) == 8 * m * n == basis.modes.nbytes
+        assert 8 * m * n <= kept <= 8 * m * n + slack
 
 
 class TestMatrixBasis:

@@ -436,6 +436,35 @@ class TestNewtonDirection:
         assert peak < 8 * grid.size ** 2
 
 
+@pytest.mark.parametrize("points", [100, 300], ids=["dense", "factored"])
+def test_analysis_matches_the_weighted_matrix_off_powers_of_two(points):
+    # length 3 gives the grid the weights 3/(points - 1), no powers of two, so
+    # weighting the rows before the product with the modes rounds apart from
+    # the product with the weighted matrix modes.T diag(w) the basis once kept;
+    # the two agree to round-off, with K dense (100 nodes) or along the modes
+    basis = sp.build_interval_basis("neumann", 50, 3.0, points)
+    grid = basis.grid
+    assert np.any(np.frexp(grid.w)[0] != 0.5)
+    ws = st._Workspace(st.SchemeConfig(
+        op_A=sp.FractionalOperator(basis, 0.5), op_B=sp.FractionalOperator(basis, 0.7),
+        spec=pot.make_potential("obstacle", c2=1.0), yosida_lambda=1e-2, tau=0.3,
+        h=0.05, steps=1))
+    assert (ws.k is None) == (points >= st._FACTORED_GRID)
+    weighted = (basis.modes * grid.w[:, None]).T
+
+    def assert_close(ours, oracle):
+        assert np.abs(ours - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    rng = np.random.default_rng(11)
+    mu, y, d = rng.normal(size=(3, points))
+    assert_close(basis.coefficients(np.array((mu, y))), np.array((mu, y)) @ weighted.T)
+    assert_close(ws.apply(d), ws.a * d + basis.modes @ (ws.kappa * (weighted @ d)))
+    a_mu, part = ws.spectral(mu, y)
+    assert_close(a_mu, basis.modes @ (ws.power_a * (weighted @ mu)))
+    assert_close(part, basis.modes @ (ws.shifted_a * (weighted @ mu)
+                                      - ws.power_b * (weighted @ y)))
+
+
 class TestRun:
     def test_no_steps(self):
         config = neumann_config(pot.make_potential("regular"), steps=0)
