@@ -270,18 +270,16 @@ def run_too_large(steps: int, grid_size: int, snapshots: int, basis_modes: tuple
     their builds come first, one after another: each peaks at
     :func:`spectral.basis_bytes` beside what the bases before it keep.
     """
-    shared_modes = basis_modes[0] if len(basis_modes) == 1 else None
     kept = [sp.basis_bytes(grid_size, n, built=True) for n in basis_modes]
     bases = sum(kept) if built else max(
         [sum(kept[:i]) + sp.basis_bytes(grid_size, n) for i, n in enumerate(basis_modes)],
         default=0)
-    operator = st.step_operator_bytes(grid_size, shared_modes)
+    operator = st.step_operator_bytes(grid_size, basis_modes)
     need = max(bases, 2 * snapshots * grid_size * 8 + RUN_BYTES_PER_STEP * (steps + 1)
                + sum(kept) + st.block_bytes(grid_size) + operator)
-    with_operator = f" and a dense step operator of {operator:.3g} bytes" if operator else ""
     return states_too_large(need, f"{steps} steps with {snapshots} snapshots on {grid_size} "
-                                  f"grid points, bases of {bases:.3g} bytes{with_operator} "
-                                  f"need {need:.3g} bytes")
+                                  f"grid points, bases of {bases:.3g} bytes and a step "
+                                  f"operator of {operator:.3g} bytes need {need:.3g} bytes")
 
 
 def _shares_basis(a: OperatorSection, b: OperatorSection) -> bool:

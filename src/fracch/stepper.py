@@ -18,38 +18,35 @@ the increment solves the strongly monotone nodal equation
 Each basis keeps one ``m`` x ``n`` array, its modes ``Phi``: a synthesis
 ``Phi c`` and an analysis ``Phi^T W v``, which weights ``v`` by the
 quadrature before its product with ``Phi``, pass over the same array.
-When both operators share one basis of at most 3/5 as many modes as
-nodes, on a grid of at least 257 nodes, ``K`` is a multiple of the
-identity plus a term along the modes, and it is applied in that form, one
-analysis and one synthesis per product, so that a run holds no ``m`` x
-``m`` array.  Otherwise ``K`` is built once per run from the eigenbases,
-one product along the modes of each (a single one on a shared basis) and
-no product with the identity.  Damped Newton solves for ``d`` from the
+``K`` is a multiple of the identity plus a term along ``N`` columns
+``Psi``, orthonormal in the quadrature inner product: the modes of a basis
+both operators share, or else found once per run to span both bases.  With
+at most 3/5 as many columns as nodes, on a grid of at least 257 nodes,
+``K`` is applied in that form, one analysis and one synthesis per product,
+so that a run holds no ``m`` x ``m`` array; otherwise it is built once per
+run as one product along ``Psi``.  Damped Newton solves for ``d`` from the
 previous step's increment ``y^n - y^(n-1)`` (from ``d = 0`` on the first
 step), the state moving at a constant rate being a better guess than a
 state at rest.  The start changes where Newton begins, not the equation it
 solves or ``mu+``, which stays eliminated exactly.  Newton takes ``K``
 plus the slope diagonal ``beta_lam' + pi'`` as Jacobian.  Its direction is
-found in one of three ways, picked by the slope and the operators:
+found in one of three ways, picked by the slope and by ``N``:
 
 - At most half of the nodes lie above the smallest slope ``c`` (the
   obstacle well, whose Yosida slope is 0 or 1/lam): the Woodbury
-  correction of ``G = (K + c I)^(-1)`` on those nodes.  On a shared
-  basis ``G`` has a closed form along the modes, in which it is applied
-  where ``K`` is; otherwise ``G`` is formed as a dense matrix, from that
-  closed form or, with two bases, by a dense inverse, once per run and
-  again only when ``c`` changes.  Each iteration solves a system the size
-  of that node set.  The obstacle slope changes only where the contact
-  set does, so the factors of ``G`` on that set and the small system's
-  matrix are kept from one iteration and one step to the next until the
-  set or its slopes move.
+  correction of ``G = (K + c I)^(-1)`` on those nodes.  ``G`` has a closed
+  form along ``Psi``, in which it is applied where ``K`` is; otherwise
+  ``G`` is formed from that closed form as a dense matrix, once per run
+  and again only when ``c`` changes.  Each iteration solves a system the
+  size of that node set.  The obstacle slope changes only where the
+  contact set does, so the factors of ``G`` on that set and the small
+  system's matrix are kept from one iteration and one step to the next
+  until the set or its slopes move.
 - More nodes above ``c`` (the smooth wells, whose slope differs from node
-  to node), and both operators on one eigenbasis ``Phi`` of ``n`` modes
-  with ``n`` at most 3/5 of the grid size: ``K`` is a multiple of the
-  identity plus a rank-``n`` term along the modes, and the Woodbury
-  identity along them leaves one ``n`` x ``n`` system per iteration.
-- Otherwise (two bases, or as many modes as nodes, as a matrix operator
-  has) the dense LU of the Jacobian.
+  to node), and ``N`` at most 3/5 of the grid size: the Woodbury identity
+  along ``Psi`` leaves one ``N`` x ``N`` system per iteration.
+- Otherwise (as many columns as nodes, as a matrix operator has) the
+  dense LU of the Jacobian.
 
 Each iteration makes exactly one ``numpy.linalg.solve`` call.  Newton
 stops once the residual is at most ``newton_tol``.  A residual it can
@@ -66,7 +63,7 @@ and one synthesis, stacked when both operators share their basis.  With
 the analysis and synthesis of ``mu+ = S (mu - d/h)`` a step thus makes
 four passes over the modes of a shared basis and six over those of two
 bases, plus two for each product with ``K`` and each node direction where
-``K`` is applied along the modes.  ``run`` and ``solve_step`` take every
+``K`` is applied along ``Psi``.  ``run`` and ``solve_step`` take every
 step through one routine.  ``solve_step`` computes the carry from its rows
 and start; from the rows of a run and the increment Newton returned for
 the step before, that carry is the carried one bit for bit, and so is the
@@ -449,14 +446,14 @@ class _Recorder:
             solver_stats=stats, config=self.config, data=self.data)
 
 
-#: The mode branch pays while the shared basis has at most this share of the
-#: grid size as modes.  Timed per direction against the dense LU on grids
-#: of 129, 257 and 513 nodes (one BLAS thread), it is faster on all three up
-#: to 0.60 (1.5x, 1.7x and 2.0x at 0.50), between 4% slower and 7% faster
-#: at 0.70, and slower on all three at 0.75.
+#: The mode branch pays while ``K`` has at most this share of the grid size
+#: as columns along its term.  Timed per direction on a shared basis against
+#: the dense LU on grids of 129, 257 and 513 nodes (one BLAS thread), it is
+#: faster on all three up to 0.60 (1.5x, 1.7x and 2.0x at 0.50), between 4%
+#: slower and 7% faster at 0.70, and slower on all three at 0.75.
 _MODE_SHARE = 0.6
 
-#: The smallest grid on which such a basis applies ``K`` along its modes.
+#: The smallest grid on which such columns apply ``K`` along them.
 #: Timed per step against the dense ``K`` and ``G`` on the obstacle runs of
 #: the benchmark (one BLAS thread, half as many modes as nodes), the
 #: factored form is 6% slower at 129 nodes and 2% to 4% faster at 257 and
@@ -468,31 +465,41 @@ _FACTORED_GRID = 257
 _ROW_BLOCK = 1 << 15
 
 #: How many ``m`` x ``m`` arrays a dense step operator holds at once, at
-#: most: ``K`` and ``G``, the cached columns ``G[:, off]`` and capacitance
-#: matrix (at most half and a quarter of one), and inside a dense LU or
-#: inverse two more, the Jacobian and LAPACK's copy of it.
+#: most: ``K``, ``G``, the cached ``G[:, off]`` and capacitance matrix (at
+#: most half and a quarter of one), and a dense LU's Jacobian and its copy.
 _DENSE_ARRAYS = 5
 
 
-def _mode_branch(grid_size: int, shared_modes: Optional[int]) -> bool:
-    """Whether both operators share one basis of ``shared_modes`` modes (None
-    for two bases), at most ``_MODE_SHARE`` of the ``grid_size`` nodes."""
-    return shared_modes is not None and shared_modes <= _MODE_SHARE * grid_size
+def _mode_branch(grid_size: int, columns: int) -> bool:
+    """Whether ``K`` has at most ``_MODE_SHARE`` of the ``grid_size`` nodes as
+    ``columns`` along its term."""
+    return columns <= _MODE_SHARE * grid_size
 
 
-def _factored_operator(grid_size: int, shared_modes: Optional[int]) -> bool:
-    """Whether a run applies ``K`` along the modes, holding no ``m`` x ``m``
-    array: a basis as :func:`_mode_branch` asks, on a grid of at least
+def _factored_operator(grid_size: int, columns: int) -> bool:
+    """Whether a run applies ``K`` along its columns, holding no ``m`` x
+    ``m`` array: as many as :func:`_mode_branch` asks, on a grid of at least
     ``_FACTORED_GRID`` nodes."""
-    return _mode_branch(grid_size, shared_modes) and grid_size >= _FACTORED_GRID
+    return _mode_branch(grid_size, columns) and grid_size >= _FACTORED_GRID
 
 
-def step_operator_bytes(grid_size: int, shared_modes: Optional[int]) -> int:
-    """Bytes of the ``m`` x ``m`` arrays a run's step operator holds at once
-    (arguments as for :func:`_factored_operator`)."""
-    if _factored_operator(grid_size, shared_modes):
-        return 0
-    return _DENSE_ARRAYS * 8 * grid_size * grid_size
+def step_operator_bytes(grid_size: int, basis_modes: tuple) -> int:
+    """Bytes a run's step operator holds at once beyond its bases, at most, on
+    ``grid_size`` nodes and one basis per entry of ``basis_modes`` (its mode
+    count), so along at most ``n = sum(basis_modes)`` columns: the dense
+    arrays unless :func:`_factored_operator` holds, the ``(n, m)`` root and
+    ``n`` x ``n`` capacitance of a direction on the :func:`_mode_branch`,
+    and for two bases their columns, ``8 m n``, on top, or the peak of the
+    SVD that builds them if larger, ``8 (4 m n + 6 n^2 + 13 n + 64 (m +
+    n))``: the union, LAPACK's copy of it, either factor twice and a
+    workspace of at most ``4 n^2 + 7 n + 64 (m + n)`` doubles."""
+    m, n = grid_size, sum(basis_modes)
+    held = 0 if _factored_operator(m, n) else _DENSE_ARRAYS * 8 * m * m
+    if _mode_branch(m, n):
+        held += 8 * n * (m + n)
+    if len(basis_modes) == 1:
+        return held
+    return max(held + 8 * m * n, 8 * (4 * m * n + 6 * n * n + 13 * n + 64 * (m + n)))
 
 
 class _Workspace:
@@ -502,23 +509,23 @@ class _Workspace:
     weights, ``B2s = Phi_B diag(lam_B^2s) Phi_B^T W`` and ``(I + A2r)^(-1) = I -
     Phi_A diag(lam_A^2r / (1 + lam_A^2r)) Phi_A^T W``, so that
 
-        K = a I + Phi_B diag(lam_B^2s) Phi_B^T W - Phi_A diag(q / h) Phi_A^T W,
+        K = a I + U diag(sigma) U^T W,   U = [Phi_B, Phi_A],   sigma = [lam_B^2s, -q / h],
         a = tau/h + L + 1/h,   q = lam_A^2r / (1 + lam_A^2r).
 
-    On one shared basis ``Phi`` this is ``K = a I + Phi diag(kappa) Phi^T W``
-    with ``kappa = lam_B^2s - q / h``.  When that basis has at most
-    ``_MODE_SHARE`` modes per node and the grid at least ``_FACTORED_GRID``
-    nodes (:func:`_factored_operator`), ``K`` stays in this form:
-    :meth:`apply` computes ``K d = a d + Phi (kappa * Phi^T W d)``, one
-    analysis and one synthesis over the modes, and the workspace holds no
-    ``m`` x ``m`` array.  Otherwise ``K`` is assembled once, from two
-    products of an ``m`` x ``n`` by an ``n`` x ``m`` matrix, ``(Phi
-    diag(.)) Phi^T`` (one on a shared basis), whose columns are then scaled
-    by ``W``, and applied as a dense matrix.  Every analysis weights its rows
-    before their product with the modes, as
-    :meth:`spectral.EigenBasis.coefficients` does.  ``k_rows``, the absolute
-    row sums of ``K`` that size its round-off, are taken a block of rows at
-    a time.
+    The workspace holds ``K`` as ``a I + Psi diag(kappa) Psi^T W`` with
+    ``Psi^T W Psi = I``: on one shared basis ``Psi = Phi`` and ``kappa =
+    lam_B^2s - q / h``.  With two bases ``Psi = W^(-1/2) P V``, from the SVD
+    ``W^(1/2) U = P s Q^T`` cut where ``s <= s_max max(m, N) eps`` (numpy's
+    rank tolerance for the ``N`` columns of ``U``) and the eigenpairs ``R
+    diag(sigma) R^T = V diag(kappa) V^T`` of ``R = s Q^T``, so that nested
+    or nearly dependent bases give fewer columns.  With ``n`` columns, at
+    most ``_MODE_SHARE`` per node, on a grid of at least ``_FACTORED_GRID``
+    nodes (:func:`_factored_operator`), :meth:`apply` computes ``K d = a d +
+    Psi (kappa * Psi^T W d)``, one analysis and one synthesis, and the
+    workspace holds no ``m`` x ``m`` array.  Otherwise ``K`` is assembled
+    once as ``(Psi diag(kappa)) Psi^T``, whose columns are then scaled by
+    ``W``, and applied as a dense matrix.  ``k_rows``, the absolute row sums
+    of ``K`` that size its round-off, are taken a block of rows at a time.
 
     ``spectral`` gives the rows a step carries, ``A2r mu`` and ``S mu - mu -
     B2s y = -Phi_A diag(q) Phi_A^T W mu - Phi_B diag(lam_B^2s) Phi_B^T W y``,
@@ -537,44 +544,41 @@ class _Workspace:
         x = -G g,   G = (K + c I)^(-1),   E = diag(slope - c)[off].
 
     ``K + c I`` is invertible: ``K`` carries the shift ``L = Lip(pi) + 1``
-    and ``c >= -Lip(pi)``.  On a shared basis, whose modes are orthonormal,
+    and ``c >= -Lip(pi)``.  As the columns of ``Psi`` are orthonormal,
 
-        G = (I - Phi diag(gamma) Phi^T W) / (a + c),   gamma = kappa / (a + c + kappa),
+        G = (I - Psi diag(gamma) Psi^T W) / (a + c),   gamma = kappa / (a + c + kappa),
 
     whose denominators are positive, as ``a + c >= 1 + 1/h`` and ``kappa >
     -1/h``.  With ``K`` factored, ``G`` stays in this form too, and
 
-        delta = (Phi (gamma * (Phi^T W g + (Phi^T W)[:, off] t)) - g - P_off t) / (a + c),
+        delta = (Psi (gamma * (Psi^T W g + (Psi^T W)[:, off] t)) - g - P_off t) / (a + c),
 
     with ``P_off`` placing a vector on ``off``: one analysis and one
     synthesis per direction.  A dense ``K`` takes ``G`` as a dense matrix,
-    the closed form above as one product on a shared basis and the dense
-    inverse of ``K + c I`` with two bases.  ``G`` is cached until ``c``
+    the closed form above as one product.  ``G`` is cached until ``c``
     changes.  The capacitance matrix ``I + E G[off, off]`` is ``E (E^(-1) +
     G[off, off])`` without the division, so a slope gap that rounds to a
     subnormal cannot overflow.  ``active`` keeps the factors of the last
     call under the key ``(off, slope[off] - c)`` for the cached shift: the
     capacitance matrix and either the columns ``G[:, off]`` as one
-    contiguous copy or, with ``K`` factored, the rows ``Phi[off] gamma`` and
-    the weighted columns ``(Phi^T W)[:, off] = (W_off Phi[off])^T``, whose
+    contiguous copy or, with ``K`` factored, the rows ``Psi[off] gamma`` and
+    the weighted columns ``(Psi^T W)[:, off] = (W_off Psi[off])^T``, whose
     product gives ``G[off, off]``.  A call whose key equals it bit for bit
     reuses them; any other key rebuilds them, and a new shift drops them
-    before ``G`` is formed again, so a failed inversion leaves no factors
-    behind.  A hit
-    feeds the same arrays to the same products, so its direction is the
-    rebuilt one bit for bit.
+    before ``G`` is formed again, so that a failure while it is formed
+    leaves no factors behind.  A hit feeds the same arrays to the same
+    products, so its direction is the rebuilt one bit for bit.
 
-    *Modes.*  More nodes off, with both operators on one basis ``Phi`` of
-    ``n <= _MODE_SHARE * m`` modes.  With ``D = a + slope``, which is at
-    least ``1 + 1/h``, and ``z = -g / D``, the Woodbury identity along the
-    modes gives
+    *Modes.*  More nodes off, with ``n <= _MODE_SHARE * m``.  With ``D = a +
+    slope``, which is at least ``1 + 1/h``, and ``z = -g / D``, the
+    Woodbury identity along the columns gives
 
-        delta = z - D^(-1) Phi C^(-1) (kappa * Phi^T W z),
-        C = I + diag(kappa) Phi^T W D^(-1) Phi,
+        delta = z - D^(-1) Psi C^(-1) (kappa * Psi^T W z),
+        C = I + diag(kappa) Psi^T W D^(-1) Psi,
 
     an ``n`` x ``n`` system that is invertible because ``K + diag(slope)``
-    is (``det(K + diag(slope)) = det(D) det(C)``).  ``Phi^T W D^(-1) Phi``
-    is the Gram matrix of the rows of ``Phi^T (W / D)^(1/2)``.  The branch
+    is (``det(K + diag(slope)) = det(D) det(C)``).  ``Psi^T W D^(-1) Psi``
+    is the Gram matrix of the rows of ``Psi^T (W / D)^(1/2)``.  The branch
     keeps no state between calls.
 
     *Dense.*  Otherwise the dense LU of ``K + diag(slope)``.  Neither of
@@ -593,33 +597,34 @@ class _Workspace:
         basis, basis_b = config.op_A.basis, config.op_B.basis
         m = config.grid.size
         self.a = shift + 1.0 / h
-        self.kappa = None     # set when both operators share one basis
         # the weights of A2r, S - I and B2s along their bases
         self.power_a = weights
         self.shifted_a = -weights / (1.0 + weights)
         self.power_b = config.op_B.power_weights(2.0)
         self.bases = (basis, basis_b)
         self.w = config.grid.w
-        shared = basis is basis_b
-        if shared:
-            self.kappa = self.power_b - q_h
-            self.modes = basis.modes
-            self.coefficients = basis.coefficients
-        shared_modes = basis.n if shared else None
-        self.mode_branch = _mode_branch(m, shared_modes)
+        if basis is basis_b:
+            self.modes, self.kappa = basis.modes, self.power_b - q_h
+        else:   # Psi from the SVD of W^(1/2) U and R diag(sigma) R^T (see the class docstring)
+            root = np.sqrt(self.w)[:, None]
+            p, s, qt = np.linalg.svd(np.hstack((basis_b.modes, basis.modes)) * root,
+                                     full_matrices=False)
+            r = s[:, None] * qt
+            r = r[s > s[0] * max(m, qt.shape[1]) * np.finfo(float).eps]
+            self.kappa, v = np.linalg.eigh((r * np.concatenate((self.power_b, -q_h))) @ r.T)
+            self.modes = p[:, :len(r)] @ v
+            self.modes /= root
+        n = self.modes.shape[1]
+        self.mode_branch = _mode_branch(m, n)
         self.k = None         # the dense K, None when it is factored
-        if not _factored_operator(m, shared_modes):
-            if shared:
-                self.k = (self.modes * self.kappa) @ self.modes.T
-            else:
-                self.k = (basis_b.modes * self.power_b) @ basis_b.modes.T
-                self.k -= (basis.modes * q_h) @ basis.modes.T
-            self.k *= self.w      # the weights of Phi^T W, one per column
+        if not _factored_operator(m, n):
+            self.k = (self.modes * self.kappa) @ self.modes.T
+            self.k *= self.w      # the weights of Psi^T W, one per column
             self.diagonal = np.diag_indices(m)
             self.k[self.diagonal] += self.a
         self.config = config
         # G = (K + c I)^(-1) for the cached shift c: the dense matrix, or
-        # its weights gamma along the modes when K is factored
+        # its weights gamma along the columns when K is factored
         self.inverse = None
         self.shift = np.nan
         self.active = None    # (off, excess, factors of G on off, capacitance) of the last set
@@ -628,7 +633,7 @@ class _Workspace:
         """``K d`` (see the class docstring)."""
         if self.k is not None:
             return self.k @ d
-        return self.a * d + self.modes @ (self.kappa * self.coefficients(d))
+        return self.a * d + self.modes @ (self.kappa * ((d * self.w) @ self.modes))
 
     @functools.cached_property
     def k_rows(self) -> float:
@@ -681,19 +686,10 @@ class _Workspace:
         scale = self.a + c
         if self.k is None:
             return self.kappa / (scale + self.kappa)
-        if self.kappa is not None:
-            inverse = (self.modes * (self.kappa / (-scale * (scale + self.kappa)))) @ self.modes.T
-            inverse *= self.w
-            inverse[self.diagonal] += 1.0 / scale
-            return inverse
-        # shift K in place and restore its diagonal exactly: a copy of K
-        # would hold one more m x m array at the run's peak
-        diagonal = self.k[self.diagonal]
-        self.k[self.diagonal] += c
-        try:
-            return np.linalg.inv(self.k)
-        finally:
-            self.k[self.diagonal] = diagonal
+        inverse = (self.modes * (self.kappa / (-scale * (scale + self.kappa)))) @ self.modes.T
+        inverse *= self.w
+        inverse[self.diagonal] += 1.0 / scale
+        return inverse
 
     def _node_factors(self, off: np.ndarray, excess: np.ndarray):
         """The factors of ``G`` on ``off`` and the capacitance matrix (see the
@@ -716,7 +712,7 @@ class _Workspace:
         """The node branch's direction with ``K`` factored (see the class docstring)."""
         off, excess, rows, columns, capacitance = self.active
         scale = self.a + self.shift
-        analysed = self.coefficients(g)
+        analysed = (g * self.w) @ self.modes
         t = np.linalg.solve(capacitance, (excess / scale) * (rows @ analysed - g[off]))
         delta = self.modes @ (self.inverse * (analysed + columns @ t))
         delta -= g
@@ -732,7 +728,7 @@ class _Workspace:
         capacitance = root @ root.T   # a matrix times its own transpose: half a general product
         capacitance *= self.kappa[:, None]
         capacitance.flat[:: len(capacitance) + 1] += 1.0   # the diagonal, without index arrays
-        coefficients = np.linalg.solve(capacitance, self.kappa * self.coefficients(z))
+        coefficients = np.linalg.solve(capacitance, self.kappa * ((z * self.w) @ self.modes))
         return z - inv_d * (self.modes @ coefficients)
 
     def spectral(self, mu: np.ndarray, y: np.ndarray):

@@ -257,10 +257,10 @@ def assert_step_operator_closed_forms(ws, shift):
     the workspace's ``apply`` makes of the unit vectors, and its absolute
     row sums size the round-off floor.  The oracle of ``G`` is the dense
     inverse of that ``K`` plus the shift.  The closed form of ``G`` holds
-    for orthonormal modes; the modes' Gram defect and the oracle's own
-    round-off each move ``G`` by about the condition number times that
-    defect or the machine epsilon, so the bound on ``G`` is 1e-12 relative
-    or 16 times that, whichever is larger.  ``G`` is read off the
+    for orthonormal columns ``ws.modes``; their Gram defect and the
+    oracle's own round-off each move ``G`` by about the condition number
+    times that defect or the machine epsilon, so the bound on ``G`` is
+    1e-12 relative or 16 times that, whichever is larger.  ``G`` is read off the
     directions whose slope is the shift at every node, ``-G g`` for each
     unit vector ``g``: the first of them forms ``G`` as a run does.
     """
@@ -274,6 +274,7 @@ def assert_step_operator_closed_forms(ws, shift):
     slope = np.full(config.grid.size, shift)
     inverse = -np.array([ws.direction(slope, e) for e in eye]).T
     assert ws.shift == shift
-    defect = config.op_A.basis.gram_defect() + np.finfo(float).eps
+    gram = (ws.modes * ws.w[:, None]).T @ ws.modes
+    defect = np.abs(gram - np.eye(len(gram))).max() + np.finfo(float).eps
     tol = max(1e-12, 16 * defect * np.linalg.cond(shifted))
     assert np.abs(inverse - expected).max() <= tol * np.abs(expected).max()

@@ -214,24 +214,54 @@ class TestParseConfig:
     def test_run_bound_counts_bases_and_block_buffers(self, monkeypatch):
         # 120 steps with 10 snapshots on one shared basis of 12 modes over 513
         # nodes, where K is applied along the modes: the snapshot rows, 512
-        # bytes per step, the 8 m n bytes of modes the basis keeps and the
-        # five (65, m) block arrays, and not one byte more; its build, 8 (3 m n
-        # + n^2) bytes, is over before the run allocates
+        # bytes per step, the 8 m n bytes of modes the basis keeps, the five
+        # (65, m) block arrays and a direction along the modes, 8 n (m + n)
+        # bytes, and not one byte more; its build, 8 (3 m n + n^2) bytes, is
+        # over before the run allocates
         m, n = 513, 12
-        need = 2 * 10 * m * 8 + 512 * 121 + 8 * m * n + 5 * 65 * 8 * m
+        need = 2 * 10 * m * 8 + 512 * 121 + 8 * m * n + 5 * 65 * 8 * m + 8 * n * (m + n)
         assert 8 * (3 * m * n + n * n) < need
         for memory, fits in ((need, True), (need - 1, False)):
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
             monkeypatch.setattr(cfgmod.os, "sysconf", pages.__getitem__)
             assert (cfgmod.run_too_large(120, m, 10, (n,)) is None) == fits
         # the second of two bases is built beside what the first keeps, and
-        # a second basis brings the dense step operator
+        # two bases bring the SVD of their union, here the step operator's peak
         message = cfgmod.run_too_large(120, m, 10, (n, n))
         assert f"bases of {8 * m * n + 8 * (3 * m * n + n * n):.3g} bytes" in message
-        assert f"dense step operator of {5 * 8 * m * m:.3g} bytes" in message
+        union = 2 * n
+        svd = 8 * (4 * m * union + 6 * union**2 + 13 * union + 64 * (m + union))
+        assert svd > 8 * union * (m + union) + 8 * m * union
+        assert f"step operator of {svd:.3g} bytes" in message
         # built bases count what they keep
         message = cfgmod.run_too_large(120, m, 10, (n, n), built=True)
         assert f"bases of {2 * 8 * m * n:.3g} bytes" in message
+
+    @pytest.mark.parametrize("kind_a", ["neumann", "dirichlet"], ids=["shared", "two-bases"])
+    def test_step_operator_at_the_byte_boundary(self, kind_a, monkeypatch):
+        # 12 modes per basis on 513 nodes.  A shared basis adds a direction
+        # along its modes, 8 n (m + n) bytes, to the bases, block arrays,
+        # snapshot rows and per-step bytes; two bases add the peak of the SVD
+        # of their m x 2n union, which is above the 2n columns and a direction
+        # along them
+        m, n = 513, 12
+        doc = MINIMAL.replace("grid_points = 25", f"grid_points = {m}").replace(
+            "[operator_a]\nkind = neumann", f"[operator_a]\nkind = {kind_a}")
+        if kind_a == "neumann":
+            bases, operator = 1, 8 * n * (m + n)
+        else:
+            bases, columns = 2, 2 * n
+            operator = 8 * (4 * m * columns + 6 * columns**2 + 13 * columns + 64 * (m + columns))
+        need = 2 * 10 * m * 8 + 512 * 121 + bases * 8 * m * n + 5 * 65 * 8 * m + operator
+        for memory, fits in ((need, True), (need - 1, False)):
+            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+            monkeypatch.setattr(cfgmod.os, "sysconf", pages.__getitem__)
+            if fits:
+                assert cfgmod.parse_config(doc).steps == 120
+            else:
+                with pytest.raises(ConfigurationError) as excinfo:
+                    cfgmod.parse_config(doc)
+                assert f"step operator of {operator:.3g} bytes" in str(excinfo.value)
 
     def test_matrix_run_at_the_byte_boundary(self, tmp_path, monkeypatch):
         # a matrix basis of 3 nodes and 3 modes is counted once it is built:
@@ -272,8 +302,9 @@ class TestParseConfig:
         assert 2 * 64 * 8 * m <= peak <= 2 * 64 * 8 * m + 4096
         assert st.block_bytes(m) == 5 * 65 * 8 * m
         # 10 snapshot rows, 512 bytes per step, the 8 m n bytes the shared
-        # basis keeps and the block arrays, and not one byte more
-        need = 2 * 10 * m * 8 + 512 * 121 + 8 * m * n + 5 * 65 * 8 * m
+        # basis keeps, the block arrays and a direction along the modes, and
+        # not one byte more
+        need = 2 * 10 * m * 8 + 512 * 121 + 8 * m * n + 5 * 65 * 8 * m + 8 * n * (m + n)
         for memory, fits in ((need, True), (need - 1, False)):
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
             monkeypatch.setattr(cfgmod.os, "sysconf", pages.__getitem__)
@@ -694,14 +725,20 @@ class TestCliErrors:
         assert not out.exists()
 
     def test_dense_step_operator_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch):
-        # at 4 MiB of memory: with two bases on 513 nodes the dense step
-        # operator takes up to 5 * 8 * 513**2 bytes (1.05e7) and the run is
-        # rejected before any step; on one shared basis of 12 modes K is
-        # applied along them and the same run fits
-        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**10}
+        # at 8 MiB of memory: zero-boundary and zero-flux bases of 300 modes
+        # each on 513 nodes span 332 columns, more than 3/5 of the grid, so
+        # K is dense.  The bound takes all 600 modes as columns: the five
+        # dense arrays and the columns, 1.3e7 bytes, and the SVD of the
+        # union, 2.78e7 bytes, either beyond memory, so the run is rejected
+        # before any step; on one shared basis of 12 modes K is applied
+        # along them and the same run fits
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**11}
         monkeypatch.setattr(cfgmod.os, "sysconf", pages.__getitem__)
         doc = MINIMAL.replace("grid_points = 25", "grid_points = 513")
-        two_bases = doc.replace("[operator_a]\nkind = neumann", "[operator_a]\nkind = dirichlet")
+        two_bases = doc.replace("modes = 12", "modes = 300").replace(
+            "[operator_a]\nkind = neumann", "[operator_a]\nkind = dirichlet")
+        m, n = 513, 600
+        assert 5 * 8 * m * m + 8 * m * n > 8 * 2**20
         path, out = write_config(tmp_path, "two.ini", doc=two_bases)
         assert cli.main(["simulate", str(path)]) == 2
         captured = capsys.readouterr()
@@ -709,7 +746,7 @@ class TestCliErrors:
         assert captured.out == "" and len(err) == 1
         payload = json.loads(err[0])
         assert payload["exit_code"] == 2 and "] steps:" in payload["message"]
-        assert "dense step operator of 1.05e+07 bytes" in payload["message"]
+        assert "step operator of 2.78e+07 bytes" in payload["message"]
         assert "physical memory" in payload["message"]
         assert not out.exists()
         path, out = write_config(tmp_path, "shared.ini", doc=doc)

@@ -10,8 +10,9 @@ The serialization examples draw float arrays and check that the JSON of an
 array is the JSON of its nested list.  The Newton-direction examples check
 the step operator and its shifted inverse built from a shared basis
 against the dense assembly and inverse, the reduced branch and the branch
-along the modes against the dense solve, and a workspace that reuses its
-active-set factors against a fresh one, bit for bit.  The limit-set
+along the modes against the dense solve, on one basis or two, and a
+workspace that reuses its active-set factors against a fresh one, bit for
+bit.  The limit-set
 examples draw snapshot rows, some of them repeated, and check the gap to
 the last snapshot and the tail diameter of the long-time report against
 the dense matrix of all snapshot gaps, bit for bit.  The warm-start
@@ -278,20 +279,31 @@ GRIDS = hs.integers(5, 33) | hs.integers(st._FACTORED_GRID, st._FACTORED_GRID + 
 
 
 def direction_config(kind, points, exponent, data):
-    """An obstacle scheme on an interval basis, for Newton directions alone.
+    """An obstacle scheme on one or two interval bases, for Newton directions alone.
 
-    Below the factored grid size the basis has as many modes as the grid
-    allows, at most 33.  From there on it has a drawn count of at most 33,
-    so that ``K`` spans the same eigenvalues on both sides: the dense
+    Below the factored grid size the first basis has as many modes as the
+    grid allows, at most 33.  From there on it has a drawn count of at most
+    33, so that ``K`` spans the same eigenvalues on both sides: the dense
     oracle's own error grows with the condition number, and with 143 modes
     and an exponent near 1 (condition number 1e7) the dense LU of ``K +
-    diag(slope)`` misses it by 7.6e-10 relative, factored or not.
+    diag(slope)`` misses it by 7.6e-10 relative, factored or not.  The
+    second operator may take a basis of its own, of a drawn kind and mode
+    count within the same limits.  Their union then has more columns than
+    3/5 of the nodes below the factored grid size (every mode the grid
+    allows, and more), and fewer from there on, so that ``K`` is dense on
+    the one side and applied along the columns on the other.
     """
-    top = points - 2 if kind == "dirichlet" else points
-    modes = top if points < st._FACTORED_GRID else data.draw(hs.integers(1, 33), label="modes")
-    basis = sp.build_interval_basis(kind, modes, 2.0, points)
+    def basis(kind):
+        top = points - 2 if kind == "dirichlet" else points
+        modes = top if points < st._FACTORED_GRID else data.draw(hs.integers(1, 33),
+                                                                 label="modes")
+        return sp.build_interval_basis(kind, modes, 2.0, points)
+    basis_a = basis(kind)
+    kind_b = data.draw(hs.sampled_from((None, "neumann", "dirichlet")), label="second basis")
+    basis_b = basis_a if kind_b is None else basis(kind_b)
     return st.SchemeConfig(
-        op_A=sp.FractionalOperator(basis, exponent), op_B=sp.FractionalOperator(basis, exponent),
+        op_A=sp.FractionalOperator(basis_a, exponent),
+        op_B=sp.FractionalOperator(basis_b, exponent),
         spec=pot.make_potential("obstacle", c2=1.0), yosida_lambda=1e-2, tau=0.5, h=0.02,
         steps=1)
 

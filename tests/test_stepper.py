@@ -231,28 +231,42 @@ class TestSolveStep:
         assert sp.norm(y_a - y_b) <= 10 * config.newton_tol
 
 
-def direction_workspace(kind, shared=True):
-    """Step operator of an obstacle run on an interval basis or a matrix operator.
+#: Two interval bases built apart: the kind and mode count of the first
+#: operator's basis, those of the second's, and the grid size
+TWO_BASES = {
+    "two-bases": ("neumann", 8, "neumann", 8, 17),    # equal bases: 8 columns
+    "dirichlet-neumann": ("dirichlet", 8, "neumann", 8, 17),
+    "dirichlet-neumann-factored": ("dirichlet", 8, "neumann", 8, st._FACTORED_GRID),
+    "nested": ("neumann", 8, "neumann", 12, 17),      # the 8 modes within the 12: 12 columns
+}
+
+
+def direction_workspace(kind):
+    """Step operator of an obstacle run on an interval basis, a matrix
+    operator or two bases.
 
     The interval bases hold 8 modes on 17 nodes, the matrix operator 12 on
     12, and ``factored`` 8 cosine modes on as many nodes as it takes for
-    ``K`` to be applied along them; ``shared=False`` builds the basis of the
-    second operator again.
+    ``K`` to be applied along them.  A key of :data:`TWO_BASES` builds its
+    two bases.
     """
-    def basis():
+    def basis(kind, n=8, points=17):
         if kind == "matrix":
             a = np.random.default_rng(3).normal(size=(12, 12))
             return sp.build_matrix_basis(0.5 * (a @ a.T + a.T @ a))
         if kind == "factored":
-            return sp.build_interval_basis("neumann", 8, 2.0, st._FACTORED_GRID)
-        return sp.build_interval_basis(kind, 8, 2.0, 17)
-    basis_a = basis()
+            return sp.build_interval_basis("neumann", n, 2.0, st._FACTORED_GRID)
+        return sp.build_interval_basis(kind, n, 2.0, points)
+    if kind in TWO_BASES:
+        kind_a, n_a, kind_b, n_b, points = TWO_BASES[kind]
+        basis_a, basis_b = basis(kind_a, n_a, points), basis(kind_b, n_b, points)
+    else:
+        basis_a = basis_b = basis(kind)
     ws = st._Workspace(st.SchemeConfig(
-        op_A=sp.FractionalOperator(basis_a, 0.5),
-        op_B=sp.FractionalOperator(basis_a if shared else basis(), 0.7),
+        op_A=sp.FractionalOperator(basis_a, 0.5), op_B=sp.FractionalOperator(basis_b, 0.7),
         spec=pot.make_potential("obstacle", c2=1.0), yosida_lambda=1e-2, tau=0.3,
         h=0.05, steps=1))
-    assert (ws.k is None) == (kind == "factored" and shared)
+    assert (ws.k is None) == (ws.config.grid.size >= st._FACTORED_GRID)
     return ws
 
 
@@ -264,10 +278,13 @@ def assert_dense_direction(ws, slope, g):
     return delta
 
 
+ONE_BASIS = ["neumann", "dirichlet", "matrix", "factored"]
+
+
 class TestNewtonDirection:
     """``_Workspace.direction`` against the dense solve of ``K + diag(slope)``."""
 
-    @pytest.mark.parametrize("kind", ["neumann", "dirichlet", "matrix", "factored"])
+    @pytest.mark.parametrize("kind", ONE_BASIS + sorted(TWO_BASES))
     def test_matches_dense_solve(self, kind):
         ws = direction_workspace(kind)
         m = ws.config.grid.size
@@ -290,25 +307,30 @@ class TestNewtonDirection:
         assert ws.shift == -1.5 and ws.inverse is not inverse
         assert np.array_equal(ws.apply(probe), k_probe)
 
-    @pytest.mark.parametrize("kind, shared", [
-        ("neumann", True), ("dirichlet", True),
-        ("matrix", True),            # as many modes as nodes
-        ("neumann", False),          # two bases: K from both, G the dense inverse
-        ("factored", True),          # K and G along the modes
-    ], ids=["neumann", "dirichlet", "matrix", "two-bases", "factored"])
-    def test_closed_forms_match_dense_assembly(self, kind, shared):
-        ws = direction_workspace(kind, shared)
+    @pytest.mark.parametrize("kind", ONE_BASIS + sorted(TWO_BASES))
+    def test_closed_forms_match_dense_assembly(self, kind):
+        ws = direction_workspace(kind)
         for shift in (-2.0, 0.5, 1e2):
             assert_step_operator_closed_forms(ws, shift)
 
-    @pytest.mark.parametrize("kind, shared, inversions", [
-        ("neumann", True, 0),
-        ("matrix", True, 0),
-        ("neumann", False, 2),       # two equal bases built apart: one inverse per shift
-        ("factored", True, 0),
-    ], ids=["neumann", "matrix", "two-bases", "factored"])
-    def test_dense_inverse_only_for_two_bases(self, kind, shared, inversions, monkeypatch):
-        config = direction_workspace(kind, shared).config
+    @pytest.mark.parametrize("kind, columns", [
+        ("two-bases", 8), ("nested", 12), ("dirichlet-neumann", None),
+        ("dirichlet-neumann-factored", None)])
+    def test_two_bases_take_orthonormal_columns(self, kind, columns):
+        # the columns span both bases, orthonormal in the quadrature inner
+        # product; equal or nested bases collapse to the larger one's count
+        ws = direction_workspace(kind)
+        n = ws.modes.shape[1]
+        gram = (ws.modes * ws.w[:, None]).T @ ws.modes
+        assert np.abs(gram - np.eye(n)).max() <= 1e-12
+        assert n == (columns or sum(b.n for b in ws.bases))
+        assert ws.kappa.shape == (n,)
+
+    @pytest.mark.parametrize("kind", ["neumann", "matrix", "factored"] + sorted(TWO_BASES))
+    def test_no_dense_inverse(self, kind, monkeypatch):
+        # G comes from its closed form on any basis: no workspace inverts
+        # or forms the identity
+        config = direction_workspace(kind).config
         m = config.grid.size
         calls = []
         inv, eye = np.linalg.inv, np.eye
@@ -321,10 +343,10 @@ class TestNewtonDirection:
         # two shift changes, each followed by a call that keeps the shift
         for slope in (few, few[::-1].copy(), few + 0.5, few[::-1] + 0.5):
             ws.direction(slope, g)
-        assert calls == [(m, m)] * inversions
+        assert calls == []
 
     def test_failed_inversion_leaves_no_factors(self, monkeypatch):
-        ws = direction_workspace("neumann", shared=False)
+        ws = direction_workspace("dirichlet-neumann")
         m = ws.config.grid.size
         probe = np.random.default_rng(9).normal(size=m)
         k_probe = ws.apply(probe)
@@ -334,28 +356,30 @@ class TestNewtonDirection:
         assert_dense_direction(ws, few, g)
         assert ws.active is not None
 
-        def singular(a):
-            raise np.linalg.LinAlgError("Singular matrix")
+        def failing(ws, c):
+            raise MemoryError("G does not fit")   # as forming a dense G can
 
-        monkeypatch.setattr(np.linalg, "inv", singular)
-        with pytest.raises(np.linalg.LinAlgError):
+        monkeypatch.setattr(st._Workspace, "_shifted_inverse", failing)
+        with pytest.raises(MemoryError):
             ws.direction(few + 0.5, g)
         assert ws.inverse is None and np.isnan(ws.shift) and ws.active is None
         assert np.array_equal(ws.apply(probe), k_probe)
         monkeypatch.undo()
-        # the old shift again: nothing is left to hit, so G is inverted anew
+        # the old shift again: nothing is left to hit, so G is formed anew
         assert_dense_direction(ws, few, g)
         assert ws.shift == -2.0
 
-    @pytest.mark.parametrize("kind, shared, order", [
-        ("neumann", True, 8),        # one basis of 8 modes on 17 nodes: along the modes
-        ("neumann", False, 17),      # two equal bases built apart: dense LU
-        ("matrix", True, 12),        # as many modes as nodes: dense LU
-        ("factored", True, 8),
-    ], ids=["neumann", "two-bases", "matrix", "factored"])
-    def test_more_than_half_off_takes_modes_or_dense_branch(self, kind, shared, order,
-                                                             monkeypatch):
-        ws = direction_workspace(kind, shared)
+    @pytest.mark.parametrize("kind, order", [
+        ("neumann", 8),        # one basis of 8 modes on 17 nodes: along the modes
+        ("two-bases", 8),      # two equal bases built apart: along their 8 columns
+        ("matrix", 12),        # as many modes as nodes: dense LU
+        ("factored", 8),
+        ("dirichlet-neumann", 17),              # 16 columns on 17 nodes: dense LU
+        ("dirichlet-neumann-factored", 16),
+    ], ids=["neumann", "two-bases", "matrix", "factored", "dirichlet-neumann",
+            "dirichlet-neumann-factored"])
+    def test_more_than_half_off_takes_modes_or_dense_branch(self, kind, order, monkeypatch):
+        ws = direction_workspace(kind)
         m = ws.config.grid.size
         rng = np.random.default_rng(6)
         slope = np.full(m, -2.0)
@@ -392,7 +416,8 @@ class TestNewtonDirection:
         assert n < m
         assert calls == [(0, 0), (2, 2), (2, 2), (n, n), (2, 2)]
 
-    @pytest.mark.parametrize("kind", ["neumann", "matrix", "factored"])
+    @pytest.mark.parametrize("kind", ["neumann", "matrix", "factored", "dirichlet-neumann",
+                                      "dirichlet-neumann-factored"])
     def test_cached_factors_match_a_fresh_workspace(self, kind):
         ws = direction_workspace(kind)
         m = ws.config.grid.size
