@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CoercivityError, ConfigurationError, DomainError, NumericalError
 
-#: Default ladder of coercivity slopes scanned from largest to smallest.
+#: The ladder of coercivity slopes, scanned from largest to smallest.
 ALPHA_LADDER = (8.0, 4.0, 2.0, 1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0,
                 1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0)
 
@@ -318,8 +318,7 @@ def custom_potential(**fields) -> PotentialSpec:
     return spec
 
 
-def validate_potential(spec: PotentialSpec, samples: int = 1000, seed: int = 0,
-                       span: float = 3.0) -> None:
+def validate_potential(spec: PotentialSpec) -> None:
     """Sampled check of the structural hypotheses; raises on failure.
 
     Verifies ``beta_hat(0) = 0`` and nonnegativity, monotonicity of the
@@ -327,7 +326,8 @@ def validate_potential(spec: PotentialSpec, samples: int = 1000, seed: int = 0,
     constant of the perturbation derivative.  :func:`custom_potential`
     runs it on every spec it builds.
     """
-    rng = np.random.default_rng(seed)
+    samples, span = 1000, 3.0   # drawn points, and the half-width of their range
+    rng = np.random.default_rng(0)
     b0 = float(spec.beta_hat(np.array([0.0]))[0])
     if abs(b0) > 1e-12:
         raise ConfigurationError(f"beta_hat(0) = {b0!r}, expected 0")
@@ -485,8 +485,8 @@ class CoercivityCertificate:
 
 
 def coercivity_check(spec: PotentialSpec, lambdas, scan_range=(-5.0, 5.0),
-                     grid: int = 2001, ladder=ALPHA_LADDER) -> CoercivityCertificate:
-    """Scan for the largest ladder slope admitting a finite offset.
+                     grid: int = 2001) -> CoercivityCertificate:
+    """Scan for the largest slope of :data:`ALPHA_LADDER` admitting a finite offset.
 
     For each candidate ``alpha`` (descending) the deficit
     ``beta_hat_lam + pi_hat - alpha*s^2`` is evaluated on the grid for all
@@ -509,7 +509,7 @@ def coercivity_check(spec: PotentialSpec, lambdas, scan_range=(-5.0, 5.0),
         base = np.minimum(base, yosida_primal(spec, lam, s) + spec.pi_hat(s))
     edge_tol = 1e-9 * max(1.0, float(np.abs(base[np.isfinite(base)]).max()))
     rejected = {}
-    for alpha in ladder:
+    for alpha in ALPHA_LADDER:
         deficit = base - alpha * s * s
         falling_right = deficit[-1] < deficit[-2] - edge_tol
         falling_left = deficit[0] < deficit[1] - edge_tol

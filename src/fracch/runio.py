@@ -28,7 +28,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import asdict, dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -406,8 +406,7 @@ def load_run(directory) -> StoredRun:
                      meta=meta)
 
 
-def stored_longtime_report(stored: StoredRun, window_fraction: float = 0.5,
-                           overshoot_tol: Optional[float] = None) -> dict:
+def stored_longtime_report(stored: StoredRun, window_fraction: float = 0.5) -> dict:
     """Limit-point analysis of a stored run; the payload of report.json.
 
     Feeds the reloaded tables to :func:`longtime.longtime_report`.
@@ -415,4 +414,4 @@ def stored_longtime_report(stored: StoredRun, window_fraction: float = 0.5,
     return longtime.longtime_report(
         stored.scheme, stored.data, stored.y_snapshots, stored.snapshot_steps,
         stored.columns, (stored.meta["y_min"], stored.meta["y_max"]),
-        window_fraction, overshoot_tol)
+        window_fraction)

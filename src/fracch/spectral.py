@@ -206,9 +206,10 @@ class EigenBasis:
         g.flat[:: self.n + 1] -= 1.0   # minus the identity, in place
         return float(np.abs(g, out=g).max())
 
-    def first_mode_is_constant(self, tol: float = CONSTANT_MODE_TOL) -> bool:
+    def first_mode_is_constant(self) -> bool:
         e1 = self.modes[:, 0]
-        return float(np.abs(e1 - e1.mean()).max()) <= tol * max(1.0, float(np.abs(e1).max()))
+        return (float(np.abs(e1 - e1.mean()).max())
+                <= CONSTANT_MODE_TOL * max(1.0, float(np.abs(e1).max())))
 
     def span_projection_defect(self, f: Field) -> float:
         """Norm of the component of ``f`` outside the truncated span."""

@@ -20,24 +20,21 @@ Each basis keeps one ``m`` x ``n`` array, its modes ``Phi``: a synthesis
 quadrature before its product with ``Phi``, pass over the same array.
 ``K`` is a multiple of the identity plus a term along ``N`` columns
 ``Psi``, orthonormal in the quadrature inner product: the modes of a basis
-both operators share, or else found once per run to span both bases.  With
-at most 3/5 as many columns as nodes, on a grid of at least 257 nodes,
-``K`` is applied in that form, one analysis and one synthesis per product,
-so that a run holds no ``m`` x ``m`` array; otherwise it is built once per
-run as one product along ``Psi``.  Damped Newton solves for ``d`` from the
-previous step's increment ``y^n - y^(n-1)`` (from ``d = 0`` on the first
-step), the state moving at a constant rate being a better guess than a
-state at rest.  The start changes where Newton begins, not the equation it
-solves or ``mu+``, which stays eliminated exactly.  Newton takes ``K``
-plus the slope diagonal ``beta_lam' + pi'`` as Jacobian.  Its direction is
-found in one of three ways, picked by the slope and by ``N``:
+both operators share, or else found once per run to span both bases.  ``K``
+is applied in that form, one analysis and one synthesis per product, on
+every grid.  Damped Newton solves for ``d`` from the previous step's
+increment ``y^n - y^(n-1)`` (from ``d = 0`` on the first step), the state
+moving at a constant rate being a better guess than a state at rest.  The
+start changes where Newton begins, not the equation it solves or ``mu+``,
+which stays eliminated exactly.  Newton takes ``K`` plus the slope diagonal
+``beta_lam' + pi'`` as Jacobian.  Its direction is found in one of three
+ways, picked by the slope and by ``N``:
 
 - At most half of the nodes lie above the smallest slope ``c`` (the
   obstacle well, whose Yosida slope is 0 or 1/lam): the Woodbury
   correction of ``G = (K + c I)^(-1)`` on those nodes.  ``G`` has a closed
-  form along ``Psi``, in which it is applied where ``K`` is; otherwise
-  ``G`` is formed from that closed form as a dense matrix, once per run
-  and again only when ``c`` changes.  Each iteration solves a system the
+  form along ``Psi``, in which it is applied where ``K`` is, with weights
+  found again only when ``c`` changes.  Each iteration solves a system the
   size of that node set.  The obstacle slope changes only where the
   contact set does, so the factors of ``G`` on that set and the small
   system's matrix are kept from one iteration and one step to the next
@@ -45,8 +42,9 @@ found in one of three ways, picked by the slope and by ``N``:
 - More nodes above ``c`` (the smooth wells, whose slope differs from node
   to node), and ``N`` at most 3/5 of the grid size: the Woodbury identity
   along ``Psi`` leaves one ``N`` x ``N`` system per iteration.
-- Otherwise (as many columns as nodes, as a matrix operator has) the
-  dense LU of the Jacobian.
+- Otherwise (more columns, as a matrix operator has) the dense LU of the
+  Jacobian, from ``K`` built as an ``m`` x ``m`` matrix on the first such
+  direction.  Nothing else in a run builds an ``m`` x ``m`` array.
 
 Each iteration makes exactly one ``numpy.linalg.solve`` call.  Newton
 stops once the residual is at most ``newton_tol``.  A residual it can
@@ -62,12 +60,11 @@ applied once per trial point of the line search; and the spectral part
 and one synthesis, stacked when both operators share their basis.  With
 the analysis and synthesis of ``mu+ = S (mu - d/h)`` a step thus makes
 four passes over the modes of a shared basis and six over those of two
-bases, plus two for each product with ``K`` and each node direction where
-``K`` is applied along ``Psi``.  ``run`` and ``solve_step`` take every
-step through one routine.  ``solve_step`` computes the carry from its rows
-and start; from the rows of a run and the increment Newton returned for
-the step before, that carry is the carried one bit for bit, and so is the
-step.
+bases, plus two for each product with ``K`` and each node direction.
+``run`` and ``solve_step`` take every step through one routine.
+``solve_step`` computes the carry from its rows and start; from the rows of
+a run and the increment Newton returned for the step before, that carry is
+the carried one bit for bit, and so is the step.
 
 Trajectories start from ``y0`` with ``mu0 = 0``; that
 initialization is part of the scheme, not a configurable choice, and it
@@ -453,21 +450,15 @@ class _Recorder:
 #: slower and 7% faster at 0.70, and slower on all three at 0.75.
 _MODE_SHARE = 0.6
 
-#: The smallest grid on which such columns apply ``K`` along them.
-#: Timed per step against the dense ``K`` and ``G`` on the obstacle runs of
-#: the benchmark (one BLAS thread, half as many modes as nodes), the
-#: factored form is 6% slower at 129 nodes and 2% to 4% faster at 257 and
-#: 513: below this size its four passes per direction, in place of two
-#: products with the dense arrays, cost more than they save.
-_FACTORED_GRID = 257
-
 #: Entries of ``K`` per block of rows when its absolute row sums are taken.
 _ROW_BLOCK = 1 << 15
 
-#: How many ``m`` x ``m`` arrays a dense step operator holds at once, at
-#: most: ``K``, ``G``, the cached ``G[:, off]`` and capacitance matrix (at
-#: most half and a quarter of one), and a dense LU's Jacobian and its copy.
-_DENSE_ARRAYS = 5
+#: How many ``m`` x ``m`` arrays a run with more than ``_MODE_SHARE`` columns
+#: per node holds at once, at most: ``K``, a dense LU's Jacobian and LAPACK's
+#: copy of it, and beside them the node branch's cached factors of ``G`` on
+#: at most half of the nodes, ``Psi[off] gamma`` and ``(Psi^T W)[:, off]``
+#: (half of one each), and its capacitance matrix (a quarter).
+_DENSE_ARRAYS = 4.25
 
 
 def _mode_branch(grid_size: int, columns: int) -> bool:
@@ -476,27 +467,18 @@ def _mode_branch(grid_size: int, columns: int) -> bool:
     return columns <= _MODE_SHARE * grid_size
 
 
-def _factored_operator(grid_size: int, columns: int) -> bool:
-    """Whether a run applies ``K`` along its columns, holding no ``m`` x
-    ``m`` array: as many as :func:`_mode_branch` asks, on a grid of at least
-    ``_FACTORED_GRID`` nodes."""
-    return _mode_branch(grid_size, columns) and grid_size >= _FACTORED_GRID
-
-
 def step_operator_bytes(grid_size: int, basis_modes: tuple) -> int:
     """Bytes a run's step operator holds at once beyond its bases, at most, on
     ``grid_size`` nodes and one basis per entry of ``basis_modes`` (its mode
-    count), so along at most ``n = sum(basis_modes)`` columns: the dense
-    arrays unless :func:`_factored_operator` holds, the ``(n, m)`` root and
-    ``n`` x ``n`` capacitance of a direction on the :func:`_mode_branch`,
-    and for two bases their columns, ``8 m n``, on top, or the peak of the
-    SVD that builds them if larger, ``8 (4 m n + 6 n^2 + 13 n + 64 (m +
-    n))``: the union, LAPACK's copy of it, either factor twice and a
-    workspace of at most ``4 n^2 + 7 n + 64 (m + n)`` doubles."""
+    count), so along at most ``n = sum(basis_modes)`` columns: the ``(n, m)``
+    root and ``n`` x ``n`` capacitance of a direction on the
+    :func:`_mode_branch`, or else the dense arrays, and for two bases their
+    columns, ``8 m n``, on top, or the peak of the SVD that builds them if
+    larger, ``8 (4 m n + 6 n^2 + 13 n + 64 (m + n))``: the union, LAPACK's
+    copy of it, either factor twice and a workspace of at most ``4 n^2 + 7 n
+    + 64 (m + n)`` doubles."""
     m, n = grid_size, sum(basis_modes)
-    held = 0 if _factored_operator(m, n) else _DENSE_ARRAYS * 8 * m * m
-    if _mode_branch(m, n):
-        held += 8 * n * (m + n)
+    held = 8 * n * (m + n) if _mode_branch(m, n) else int(_DENSE_ARRAYS * 8 * m * m)
     if len(basis_modes) == 1:
         return held
     return max(held + 8 * m * n, 8 * (4 * m * n + 6 * n * n + 13 * n + 64 * (m + n)))
@@ -518,14 +500,11 @@ class _Workspace:
     ``W^(1/2) U = P s Q^T`` cut where ``s <= s_max max(m, N) eps`` (numpy's
     rank tolerance for the ``N`` columns of ``U``) and the eigenpairs ``R
     diag(sigma) R^T = V diag(kappa) V^T`` of ``R = s Q^T``, so that nested
-    or nearly dependent bases give fewer columns.  With ``n`` columns, at
-    most ``_MODE_SHARE`` per node, on a grid of at least ``_FACTORED_GRID``
-    nodes (:func:`_factored_operator`), :meth:`apply` computes ``K d = a d +
-    Psi (kappa * Psi^T W d)``, one analysis and one synthesis, and the
-    workspace holds no ``m`` x ``m`` array.  Otherwise ``K`` is assembled
-    once as ``(Psi diag(kappa)) Psi^T``, whose columns are then scaled by
-    ``W``, and applied as a dense matrix.  ``k_rows``, the absolute row sums
-    of ``K`` that size its round-off, are taken a block of rows at a time.
+    or nearly dependent bases give fewer columns.  :meth:`apply` computes
+    ``K d = a d + Psi (kappa * Psi^T W d)``, one analysis and one synthesis,
+    and ``k_rows``, the absolute row sums of ``K`` that size its round-off,
+    are taken a block of rows at a time.  Only the dense branch below holds
+    ``K`` as an ``m`` x ``m`` matrix.
 
     ``spectral`` gives the rows a step carries, ``A2r mu`` and ``S mu - mu -
     B2s y = -Phi_A diag(q) Phi_A^T W mu - Phi_B diag(lam_B^2s) Phi_B^T W y``,
@@ -549,25 +528,23 @@ class _Workspace:
         G = (I - Psi diag(gamma) Psi^T W) / (a + c),   gamma = kappa / (a + c + kappa),
 
     whose denominators are positive, as ``a + c >= 1 + 1/h`` and ``kappa >
-    -1/h``.  With ``K`` factored, ``G`` stays in this form too, and
+    -1/h``, and
 
         delta = (Psi (gamma * (Psi^T W g + (Psi^T W)[:, off] t)) - g - P_off t) / (a + c),
 
     with ``P_off`` placing a vector on ``off``: one analysis and one
-    synthesis per direction.  A dense ``K`` takes ``G`` as a dense matrix,
-    the closed form above as one product.  ``G`` is cached until ``c``
-    changes.  The capacitance matrix ``I + E G[off, off]`` is ``E (E^(-1) +
-    G[off, off])`` without the division, so a slope gap that rounds to a
-    subnormal cannot overflow.  ``active`` keeps the factors of the last
-    call under the key ``(off, slope[off] - c)`` for the cached shift: the
-    capacitance matrix and either the columns ``G[:, off]`` as one
-    contiguous copy or, with ``K`` factored, the rows ``Psi[off] gamma`` and
-    the weighted columns ``(Psi^T W)[:, off] = (W_off Psi[off])^T``, whose
-    product gives ``G[off, off]``.  A call whose key equals it bit for bit
-    reuses them; any other key rebuilds them, and a new shift drops them
-    before ``G`` is formed again, so that a failure while it is formed
-    leaves no factors behind.  A hit feeds the same arrays to the same
-    products, so its direction is the rebuilt one bit for bit.
+    synthesis per direction.  ``gamma`` is cached until ``c`` changes.  The
+    capacitance matrix ``I + E G[off, off]`` is ``E (E^(-1) + G[off, off])``
+    without the division, so a slope gap that rounds to a subnormal cannot
+    overflow.  ``active`` keeps the factors of the last call under the key
+    ``(off, slope[off] - c)`` for the cached shift: the rows ``Psi[off]
+    gamma``, the weighted columns ``(Psi^T W)[:, off] = (W_off Psi[off])^T``,
+    whose product gives ``G[off, off]``, and the capacitance matrix.  A call
+    whose key equals it bit for bit reuses them; any other key rebuilds
+    them, and a new shift drops them before ``gamma`` is found again, so
+    that a failure meanwhile leaves no factors behind.  A hit feeds the same
+    arrays to the same products, so its direction is the rebuilt one bit for
+    bit.
 
     *Modes.*  More nodes off, with ``n <= _MODE_SHARE * m``.  With ``D = a +
     slope``, which is at least ``1 + 1/h``, and ``z = -g / D``, the
@@ -581,11 +558,12 @@ class _Workspace:
     is the Gram matrix of the rows of ``Psi^T (W / D)^(1/2)``.  The branch
     keeps no state between calls.
 
-    *Dense.*  Otherwise the dense LU of ``K + diag(slope)``.  Neither of
-    the last two branches touches the node branch's factors.  Every branch
-    makes one ``numpy.linalg.solve`` call, the capacitance solve running
-    even for an empty ``off`` and on every hit, so that a count of linear
-    solves (the benchmark's trace) equals the Newton iteration count.
+    *Dense.*  Otherwise the dense LU of ``K + diag(slope)``, from ``K``
+    assembled on the branch's first call, and kept.  Neither of the last
+    two branches touches the node branch's factors.  Every branch makes one
+    ``numpy.linalg.solve`` call, the capacitance solve running even for an
+    empty ``off`` and on every hit, so that a count of linear solves (the
+    benchmark's trace) equals the Newton iteration count.
     """
 
     def __init__(self, config: SchemeConfig):
@@ -616,24 +594,28 @@ class _Workspace:
             self.modes /= root
         n = self.modes.shape[1]
         self.mode_branch = _mode_branch(m, n)
-        self.k = None         # the dense K, None when it is factored
-        if not _factored_operator(m, n):
-            self.k = (self.modes * self.kappa) @ self.modes.T
-            self.k *= self.w      # the weights of Psi^T W, one per column
-            self.diagonal = np.diag_indices(m)
-            self.k[self.diagonal] += self.a
         self.config = config
-        # G = (K + c I)^(-1) for the cached shift c: the dense matrix, or
-        # its weights gamma along the columns when K is factored
-        self.inverse = None
+        self.inverse = None   # the weights gamma of G = (K + c I)^(-1) for the cached shift c
         self.shift = np.nan
         self.active = None    # (off, excess, factors of G on off, capacitance) of the last set
 
     def apply(self, d: np.ndarray) -> np.ndarray:
         """``K d`` (see the class docstring)."""
-        if self.k is not None:
-            return self.k @ d
         return self.a * d + self.modes @ (self.kappa * ((d * self.w) @ self.modes))
+
+    def _k_block(self, start: int, stop: int) -> np.ndarray:
+        """The rows ``start:stop`` of ``K`` as a matrix: ``(Psi diag(kappa))
+        Psi^T`` with its columns scaled by ``W``, plus ``a`` on the diagonal."""
+        rows = (self.modes[start:stop] * self.kappa) @ self.modes.T
+        rows *= self.w      # the weights of Psi^T W, one per column
+        rows.flat[start:: self.w.size + 1] += self.a   # the diagonal entries of these rows
+        return rows
+
+    @functools.cached_property
+    def k_matrix(self) -> np.ndarray:
+        """``K`` as an ``m`` x ``m`` matrix, for the dense branch alone (see the
+        class docstring)."""
+        return self._k_block(0, self.w.size)
 
     @functools.cached_property
     def k_rows(self) -> float:
@@ -644,14 +626,8 @@ class _Workspace:
         size = max(1, _ROW_BLOCK // m)
         for start in range(0, m, size):
             stop = min(start + size, m)
-            if self.k is not None:
-                rows = np.abs(self.k[start:stop])
-            else:
-                rows = (self.modes[start:stop] * self.kappa) @ self.modes.T
-                rows *= self.w
-                rows.flat[start:: m + 1] += self.a   # the diagonal entries of these rows
-                np.abs(rows, out=rows)
-            sums[start:stop] = rows.sum(axis=1)
+            rows = self._k_block(start, stop)
+            sums[start:stop] = np.abs(rows, out=rows).sum(axis=1)
         return self.h_norm(sums)
 
     def direction(self, slope: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -661,12 +637,12 @@ class _Workspace:
         if 2 * off.size > slope.size:
             if self.mode_branch:
                 return self._along_modes(slope, g)
-            jac = self.k.copy()
-            jac[self.diagonal] += slope
+            jac = self.k_matrix.copy()
+            jac.flat[:: len(jac) + 1] += slope
             return np.linalg.solve(jac, -g)
         if c != self.shift:
-            # drop every factor of the old G before forming the new one, so
-            # that a failed inversion leaves nothing to hit
+            # drop every factor of the old G before finding the new one, so
+            # that a failure meanwhile leaves nothing to hit
             self.inverse, self.shift, self.active = None, np.nan, None
             self.inverse = self._shifted_inverse(c)
             self.shift = c
@@ -674,42 +650,26 @@ class _Workspace:
         if (self.active is None or not np.array_equal(self.active[0], off)
                 or not np.array_equal(self.active[1], excess)):
             self.active = (off, excess, *self._node_factors(off, excess))
-        if self.k is None:
-            return self._factored_node_direction(g)
-        _, _, columns, capacitance = self.active
-        x = self.inverse @ -g
-        return x - columns @ np.linalg.solve(capacitance, excess * x[off])
+        return self._node_direction(g)
 
     def _shifted_inverse(self, c: float) -> np.ndarray:
-        """``G = (K + c I)^(-1)``, or its ``gamma`` with ``K`` factored (see
-        the class docstring)."""
-        scale = self.a + c
-        if self.k is None:
-            return self.kappa / (scale + self.kappa)
-        inverse = (self.modes * (self.kappa / (-scale * (scale + self.kappa)))) @ self.modes.T
-        inverse *= self.w
-        inverse[self.diagonal] += 1.0 / scale
-        return inverse
+        """The weights ``gamma`` of ``G = (K + c I)^(-1)`` (see the class docstring)."""
+        return self.kappa / (self.a + c + self.kappa)
 
     def _node_factors(self, off: np.ndarray, excess: np.ndarray):
         """The factors of ``G`` on ``off`` and the capacitance matrix (see the
         class docstring)."""
-        if self.k is None:
-            rows = self.modes[off] * self.inverse
-            columns = (self.modes[off] * self.w[off, None]).T
-            capacitance = rows @ columns
-            np.negative(capacitance, out=capacitance)
-            capacitance.flat[:: off.size + 1] += 1.0   # now (a + c) G[off, off]
-            capacitance *= excess[:, None] / (self.a + self.shift)
-            capacitance.flat[:: off.size + 1] += 1.0
-            return rows, columns, capacitance
-        columns = self.inverse[:, off]
-        capacitance = excess[:, None] * columns[off]
-        capacitance[np.diag_indices_from(capacitance)] += 1.0
-        return columns, capacitance
+        rows = self.modes[off] * self.inverse
+        columns = (self.modes[off] * self.w[off, None]).T
+        capacitance = rows @ columns
+        np.negative(capacitance, out=capacitance)
+        capacitance.flat[:: off.size + 1] += 1.0   # now (a + c) G[off, off]
+        capacitance *= excess[:, None] / (self.a + self.shift)
+        capacitance.flat[:: off.size + 1] += 1.0
+        return rows, columns, capacitance
 
-    def _factored_node_direction(self, g: np.ndarray) -> np.ndarray:
-        """The node branch's direction with ``K`` factored (see the class docstring)."""
+    def _node_direction(self, g: np.ndarray) -> np.ndarray:
+        """The node branch's direction (see the class docstring)."""
         off, excess, rows, columns, capacitance = self.active
         scale = self.a + self.shift
         analysed = (g * self.w) @ self.modes

@@ -263,10 +263,28 @@ class TestParseConfig:
                     cfgmod.parse_config(doc)
                 assert f"step operator of {operator:.3g} bytes" in str(excinfo.value)
 
+    def test_readme_basis_at_the_byte_boundary(self, monkeypatch):
+        # 64 shared modes on 129 nodes, the basis of the README example: its
+        # step operator holds a direction along the modes, 8 n (m + n) bytes,
+        # and no m x m array
+        m, n = 129, 64
+        doc = MINIMAL.replace("grid_points = 25", f"grid_points = {m}").replace(
+            "modes = 12", f"modes = {n}")
+        assert st.step_operator_bytes(m, (n,)) == 8 * n * (m + n) == 98816
+        need = 2 * 10 * m * 8 + 512 * 121 + 8 * m * n + 5 * 65 * 8 * m + 8 * n * (m + n)
+        for memory, fits in ((need, True), (need - 1, False)):
+            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+            monkeypatch.setattr(cfgmod.os, "sysconf", pages.__getitem__)
+            if fits:
+                assert cfgmod.parse_config(doc).steps == 120
+            else:
+                with pytest.raises(ConfigurationError, match="physical memory"):
+                    cfgmod.parse_config(doc)
+
     def test_matrix_run_at_the_byte_boundary(self, tmp_path, monkeypatch):
         # a matrix basis of 3 nodes and 3 modes is counted once it is built:
         # 10 snapshot rows, 512 bytes per step, the 8 m^2 bytes the basis
-        # keeps, the block arrays and the dense step operator's 5 m^2 doubles
+        # keeps, the block arrays and the dense step operator's 4.25 m^2 doubles
         (tmp_path / "op.txt").write_text("3\n0 0 0\n0 1 0\n0 0 2\n")
         section = "kind = neumann\nmodes = 12\nlength = 4.0\ngrid_points = 25\nexponent = 0.5\n"
         doc = MINIMAL.replace(section, "kind = matrix\nmatrix_file = op.txt\nexponent = 0.5\n")
@@ -274,7 +292,7 @@ class TestParseConfig:
         cfg = cfgmod.parse_config(doc.replace("u_bump = cosine 0 0.05", "u_bump = constant 0"),
                                   base_dir=str(tmp_path))
         m = 3
-        need = 2 * 10 * m * 8 + 512 * 121 + 8 * m * m + 5 * 65 * 8 * m + 5 * 8 * m * m
+        need = 2 * 10 * m * 8 + 512 * 121 + 8 * m * m + 5 * 65 * 8 * m + 34 * m * m
         for memory, fits in ((need, True), (need - 1, False)):
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
             monkeypatch.setattr(cfgmod.os, "sysconf", pages.__getitem__)
@@ -727,18 +745,18 @@ class TestCliErrors:
     def test_dense_step_operator_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch):
         # at 8 MiB of memory: zero-boundary and zero-flux bases of 300 modes
         # each on 513 nodes span 332 columns, more than 3/5 of the grid, so
-        # K is dense.  The bound takes all 600 modes as columns: the five
-        # dense arrays and the columns, 1.3e7 bytes, and the SVD of the
-        # union, 2.78e7 bytes, either beyond memory, so the run is rejected
-        # before any step; on one shared basis of 12 modes K is applied
-        # along them and the same run fits
+        # Newton may take the dense LU.  The bound takes all 600 modes as
+        # columns: the dense arrays and the columns, 1.1e7 bytes, and the SVD
+        # of the union, 2.78e7 bytes, either beyond memory, so the run is
+        # rejected before any step; on one shared basis of 12 modes the same
+        # run fits
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**11}
         monkeypatch.setattr(cfgmod.os, "sysconf", pages.__getitem__)
         doc = MINIMAL.replace("grid_points = 25", "grid_points = 513")
         two_bases = doc.replace("modes = 12", "modes = 300").replace(
             "[operator_a]\nkind = neumann", "[operator_a]\nkind = dirichlet")
         m, n = 513, 600
-        assert 5 * 8 * m * m + 8 * m * n > 8 * 2**20
+        assert 34 * m * m + 8 * m * n > 8 * 2**20
         path, out = write_config(tmp_path, "two.ini", doc=two_bases)
         assert cli.main(["simulate", str(path)]) == 2
         captured = capsys.readouterr()

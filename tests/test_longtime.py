@@ -204,8 +204,7 @@ class TestOmegaProbe:
 
     def test_zero_branch_report(self, small_obstacle_run):
         n = small_obstacle_run.steps
-        report = fresh_longtime_report(with_snapshots(small_obstacle_run, [n // 2, n]),
-                                       overshoot_tol=1e-2)
+        report = fresh_longtime_report(with_snapshots(small_obstacle_run, [n // 2, n]))
         assert report["branch"] == "lambda1_zero"
         assert report["mu_infinity"] is not None
         assert report["mu_infinity"]["spread"] >= 0.0

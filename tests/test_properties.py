@@ -28,6 +28,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -273,30 +274,28 @@ def test_streamed_columns_match_the_whole_array_pass(steps, problem, data):
                          max(highs[name] - theirs[name], theirs[name] - lows[name]))
 
 
-#: Grid sizes on both sides of the size from which a shared basis of at most
-#: ``_MODE_SHARE`` modes per node applies ``K`` and ``G`` along its modes.
-GRIDS = hs.integers(5, 33) | hs.integers(st._FACTORED_GRID, st._FACTORED_GRID + 24)
+#: Grid sizes of the Newton direction properties.
+GRIDS = hs.integers(5, 33)
 
 
 def direction_config(kind, points, exponent, data):
     """An obstacle scheme on one or two interval bases, for Newton directions alone.
 
-    Below the factored grid size the first basis has as many modes as the
-    grid allows, at most 33.  From there on it has a drawn count of at most
-    33, so that ``K`` spans the same eigenvalues on both sides: the dense
-    oracle's own error grows with the condition number, and with 143 modes
-    and an exponent near 1 (condition number 1e7) the dense LU of ``K +
-    diag(slope)`` misses it by 7.6e-10 relative, factored or not.  The
-    second operator may take a basis of its own, of a drawn kind and mode
-    count within the same limits.  Their union then has more columns than
-    3/5 of the nodes below the factored grid size (every mode the grid
-    allows, and more), and fewer from there on, so that ``K`` is dense on
-    the one side and applied along the columns on the other.
+    The first basis has either as many modes as the grid allows, more than
+    ``_MODE_SHARE`` per node, so that a direction with more than half of
+    the nodes off takes the dense LU, or a drawn count of at most that
+    share, so that it goes along the modes.  The grid has at most 33 nodes:
+    the dense oracle's own error grows with the condition number, and with
+    143 modes and an exponent near 1 (condition number 1e7) the dense LU of
+    ``K + diag(slope)`` misses it by 7.6e-10 relative.  The second operator
+    may take a basis of its own, of a drawn kind and mode count within the
+    same limits, whose union with the first has more columns or fewer than
+    ``_MODE_SHARE`` per node.
     """
     def basis(kind):
         top = points - 2 if kind == "dirichlet" else points
-        modes = top if points < st._FACTORED_GRID else data.draw(hs.integers(1, 33),
-                                                                 label="modes")
+        share = hs.integers(1, max(1, math.floor(st._MODE_SHARE * top)))
+        modes = data.draw(hs.just(top) | share, label="modes")
         return sp.build_interval_basis(kind, modes, 2.0, points)
     basis_a = basis(kind)
     kind_b = data.draw(hs.sampled_from((None, "neumann", "dirichlet")), label="second basis")
@@ -349,7 +348,7 @@ def test_step_operator_closed_forms_match_dense_assembly(kind, points, exponents
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(kind=hs.sampled_from(("neumann", "dirichlet")),
-       points=hs.integers(5, 17) | hs.integers(st._FACTORED_GRID, st._FACTORED_GRID + 16),
+       points=GRIDS,
        exponent=hs.floats(0.1, 1.0), data=hs.data())
 def test_cached_newton_direction_matches_a_fresh_workspace(kind, points, exponent, data):
     # two-valued slopes like the obstacle's pi' + {0, 1/lam}, drawn from a few

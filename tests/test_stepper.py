@@ -236,7 +236,7 @@ class TestSolveStep:
 TWO_BASES = {
     "two-bases": ("neumann", 8, "neumann", 8, 17),    # equal bases: 8 columns
     "dirichlet-neumann": ("dirichlet", 8, "neumann", 8, 17),
-    "dirichlet-neumann-factored": ("dirichlet", 8, "neumann", 8, st._FACTORED_GRID),
+    "dirichlet-neumann-factored": ("dirichlet", 8, "neumann", 8, 129),   # 16 columns
     "nested": ("neumann", 8, "neumann", 12, 17),      # the 8 modes within the 12: 12 columns
 }
 
@@ -246,16 +246,16 @@ def direction_workspace(kind):
     operator or two bases.
 
     The interval bases hold 8 modes on 17 nodes, the matrix operator 12 on
-    12, and ``factored`` 8 cosine modes on as many nodes as it takes for
-    ``K`` to be applied along them.  A key of :data:`TWO_BASES` builds its
-    two bases.
+    12, and ``factored`` 8 cosine modes on 129 nodes, the grid of the README
+    example.  A key of :data:`TWO_BASES` builds its two bases.  No workspace
+    holds ``K`` as a matrix before a direction takes the dense LU.
     """
     def basis(kind, n=8, points=17):
         if kind == "matrix":
             a = np.random.default_rng(3).normal(size=(12, 12))
             return sp.build_matrix_basis(0.5 * (a @ a.T + a.T @ a))
         if kind == "factored":
-            return sp.build_interval_basis("neumann", n, 2.0, st._FACTORED_GRID)
+            return sp.build_interval_basis("neumann", n, 2.0, 129)
         return sp.build_interval_basis(kind, n, 2.0, points)
     if kind in TWO_BASES:
         kind_a, n_a, kind_b, n_b, points = TWO_BASES[kind]
@@ -266,7 +266,7 @@ def direction_workspace(kind):
         op_A=sp.FractionalOperator(basis_a, 0.5), op_B=sp.FractionalOperator(basis_b, 0.7),
         spec=pot.make_potential("obstacle", c2=1.0), yosida_lambda=1e-2, tau=0.3,
         h=0.05, steps=1))
-    assert (ws.k is None) == (ws.config.grid.size >= st._FACTORED_GRID)
+    assert "k_matrix" not in vars(ws)
     return ws
 
 
@@ -460,21 +460,46 @@ class TestNewtonDirection:
         assert traj.steps == 3
         assert peak < 8 * grid.size ** 2
 
+    def test_shared_basis_run_builds_no_m_by_m_array(self, counted_workspaces, monkeypatch):
+        # the README example's basis, 64 shared modes on 129 nodes: no array
+        # the workspace keeps, and no matrix a linear solve takes, is m x m.
+        # tracemalloc cannot show this at such a grid, where the block
+        # buffers alone outweigh 8 m^2 bytes
+        basis = sp.build_interval_basis("neumann", 64, 4.0, 129)
+        config = st.SchemeConfig(op_A=sp.FractionalOperator(basis, 0.5),
+                                 op_B=sp.FractionalOperator(basis, 0.5),
+                                 spec=pot.make_potential("obstacle", c2=1.0),
+                                 yosida_lambda=1e-3, tau=0.25, h=0.01, steps=20)
+        grid = config.grid
+        m = grid.size
+        source = st.DecaySource(sp.constant_field(0.8, grid), cosine_field(grid, [0, 0, 1.0]), 0.5)
+        shapes = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(a.shape) or solve(a, b))
+        traj = st.run(config, st.ProblemData(y0=cosine_field(grid, [0.1, 0.6, 0.2]), source=source))
+        (ws,) = counted_workspaces
+        held = [*vars(ws).values(), *(ws.active or ())]
+        assert not any(isinstance(a, np.ndarray) and a.shape == (m, m) for a in held)
+        assert len(shapes) == sum(s.iterations for s in traj.solver_stats)
+        assert any(side > 0 for side, _ in shapes)   # node directions on a contact set
+        assert all(side < m for side, _ in shapes)
 
-@pytest.mark.parametrize("points", [100, 300], ids=["dense", "factored"])
-def test_analysis_matches_the_weighted_matrix_off_powers_of_two(points):
+
+@pytest.mark.parametrize("points, modes", [(100, 80), (300, 50)], ids=["dense", "factored"])
+def test_analysis_matches_the_weighted_matrix_off_powers_of_two(points, modes):
     # length 3 gives the grid the weights 3/(points - 1), no powers of two, so
     # weighting the rows before the product with the modes rounds apart from
     # the product with the weighted matrix modes.T diag(w) the basis once kept;
-    # the two agree to round-off, with K dense (100 nodes) or along the modes
-    basis = sp.build_interval_basis("neumann", 50, 3.0, points)
+    # the two agree to round-off, with more modes than 3/5 of the nodes, so
+    # that Newton takes the dense LU where it leaves the node branch, or fewer
+    basis = sp.build_interval_basis("neumann", modes, 3.0, points)
     grid = basis.grid
     assert np.any(np.frexp(grid.w)[0] != 0.5)
     ws = st._Workspace(st.SchemeConfig(
         op_A=sp.FractionalOperator(basis, 0.5), op_B=sp.FractionalOperator(basis, 0.7),
         spec=pot.make_potential("obstacle", c2=1.0), yosida_lambda=1e-2, tau=0.3,
         h=0.05, steps=1))
-    assert (ws.k is None) == (points >= st._FACTORED_GRID)
+    assert ws.mode_branch == (points == 300)
     weighted = (basis.modes * grid.w[:, None]).T
 
     def assert_close(ours, oracle):
@@ -702,9 +727,8 @@ CARRY_PROBLEMS = {
     # the arguments of carry_problem, and the steps whose line search damps
     "shared-obstacle": (("neumann", "neumann", "obstacle", 0.5, 20, "decay"), [0]),
     "shared-logarithmic": (("neumann", "neumann", "logarithmic", 0.1, 20, "decay"), []),
-    # K applied along the modes
-    "factored-obstacle": (("neumann", "neumann", "obstacle", 0.5, 20, "decay",
-                           st._FACTORED_GRID), [0, 1, 2, 3]),
+    # the same run on the grid of the README example
+    "factored-obstacle": (("neumann", "neumann", "obstacle", 0.5, 20, "decay", 129), [0, 2]),
     "two-bases-obstacle": (("dirichlet", "neumann", "obstacle", 0.05, 40, "tabulated"),
                            [8, 11, 18, 29]),
     "two-bases-logarithmic": (("dirichlet", "neumann", "logarithmic", 0.1, 20, "decay"), []),
