@@ -33,12 +33,12 @@ ways, picked by the slope and by ``N``:
 - At most half of the nodes lie above the smallest slope ``c`` (the
   obstacle well, whose Yosida slope is 0 or 1/lam): the Woodbury
   correction of ``G = (K + c I)^(-1)`` on those nodes.  ``G`` has a closed
-  form along ``Psi``, in which it is applied where ``K`` is, with weights
-  found again only when ``c`` changes.  Each iteration solves a system the
-  size of that node set.  The obstacle slope changes only where the
-  contact set does, so the factors of ``G`` on that set and the small
-  system's matrix are kept from one iteration and one step to the next
-  until the set or its slopes move.
+  form along ``Psi``, in which it is applied where ``K`` is.  Each
+  iteration solves a system the size of that node set.  The obstacle slope
+  changes only where the contact set does, so the weights of ``G``, its
+  factors on that set and the small system's matrix are kept with the
+  slope they were found for, from one iteration and one step to the next,
+  and found again only when the slope moves.
 - More nodes above ``c`` (the smooth wells, whose slope differs from node
   to node), and ``N`` at most 3/5 of the grid size: the Woodbury identity
   along ``Psi`` leaves one ``N`` x ``N`` system per iteration.
@@ -533,18 +533,17 @@ class _Workspace:
         delta = (Psi (gamma * (Psi^T W g + (Psi^T W)[:, off] t)) - g - P_off t) / (a + c),
 
     with ``P_off`` placing a vector on ``off``: one analysis and one
-    synthesis per direction.  ``gamma`` is cached until ``c`` changes.  The
-    capacitance matrix ``I + E G[off, off]`` is ``E (E^(-1) + G[off, off])``
-    without the division, so a slope gap that rounds to a subnormal cannot
-    overflow.  ``active`` keeps the factors of the last call under the key
-    ``(off, slope[off] - c)`` for the cached shift: the rows ``Psi[off]
+    synthesis per direction.  The capacitance matrix ``I + E G[off, off]``
+    is ``E (E^(-1) + G[off, off])`` without the division, so a slope gap
+    that rounds to a subnormal cannot overflow.  ``active`` keeps a copy of
+    the slope of the last call on this branch and what it determines:
+    ``off``, ``a + c``, ``gamma``, ``E / (a + c)``, the rows ``Psi[off]
     gamma``, the weighted columns ``(Psi^T W)[:, off] = (W_off Psi[off])^T``,
     whose product gives ``G[off, off]``, and the capacitance matrix.  A call
-    whose key equals it bit for bit reuses them; any other key rebuilds
-    them, and a new shift drops them before ``gamma`` is found again, so
-    that a failure meanwhile leaves no factors behind.  A hit feeds the same
-    arrays to the same products, so its direction is the rebuilt one bit for
-    bit.
+    whose slope equals the kept one in value goes straight to them; any
+    other slope on this branch drops them before rebuilding, so that a
+    failure meanwhile leaves nothing to hit.  A hit feeds the same arrays
+    to the same products, so its direction is the rebuilt one bit for bit.
 
     *Modes.*  More nodes off, with ``n <= _MODE_SHARE * m``.  With ``D = a +
     slope``, which is at least ``1 + 1/h``, and ``z = -g / D``, the
@@ -595,9 +594,7 @@ class _Workspace:
         n = self.modes.shape[1]
         self.mode_branch = _mode_branch(m, n)
         self.config = config
-        self.inverse = None   # the weights gamma of G = (K + c I)^(-1) for the cached shift c
-        self.shift = np.nan
-        self.active = None    # (off, excess, factors of G on off, capacitance) of the last set
+        self.active = None    # the node branch's factors, keyed by their slope
 
     def apply(self, d: np.ndarray) -> np.ndarray:
         """``K d`` (see the class docstring)."""
@@ -632,49 +629,42 @@ class _Workspace:
 
     def direction(self, slope: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Newton direction: the solution of ``(K + diag(slope)) delta = -g``."""
-        c = slope.min()
-        off = np.flatnonzero(slope - c)
-        if 2 * off.size > slope.size:
-            if self.mode_branch:
-                return self._along_modes(slope, g)
-            jac = self.k_matrix.copy()
-            jac.flat[:: len(jac) + 1] += slope
-            return np.linalg.solve(jac, -g)
-        if c != self.shift:
-            # drop every factor of the old G before finding the new one, so
-            # that a failure meanwhile leaves nothing to hit
-            self.inverse, self.shift, self.active = None, np.nan, None
-            self.inverse = self._shifted_inverse(c)
-            self.shift = c
-        excess = slope[off] - c
-        if (self.active is None or not np.array_equal(self.active[0], off)
-                or not np.array_equal(self.active[1], excess)):
-            self.active = (off, excess, *self._node_factors(off, excess))
+        if self.active is None or not np.array_equal(self.active[0], slope):
+            c = slope.min()
+            off = np.flatnonzero(slope - c)
+            if 2 * off.size > slope.size:
+                if self.mode_branch:
+                    return self._along_modes(slope, g)
+                jac = self.k_matrix.copy()
+                jac.flat[:: len(jac) + 1] += slope
+                return np.linalg.solve(jac, -g)
+            self.active = None   # so that a failure below leaves nothing to hit
+            self.active = (slope.copy(), off, *self._node_factors(c, off, slope[off] - c))
         return self._node_direction(g)
 
-    def _shifted_inverse(self, c: float) -> np.ndarray:
-        """The weights ``gamma`` of ``G = (K + c I)^(-1)`` (see the class docstring)."""
-        return self.kappa / (self.a + c + self.kappa)
-
-    def _node_factors(self, off: np.ndarray, excess: np.ndarray):
-        """The factors of ``G`` on ``off`` and the capacitance matrix (see the
-        class docstring)."""
-        rows = self.modes[off] * self.inverse
-        columns = (self.modes[off] * self.w[off, None]).T
+    def _node_factors(self, c: float, off: np.ndarray, excess: np.ndarray):
+        """The scale ``a + c``, the weights ``gamma`` of ``G``, the excess over
+        that scale, the factors of ``G`` on ``off`` and the capacitance matrix
+        (see the class docstring)."""
+        scale = self.a + c
+        gamma = self.kappa / (scale + self.kappa)
+        weight = excess / scale
+        modes = self.modes[off]
+        rows = modes * gamma
+        columns = (modes * self.w[off, None]).T
         capacitance = rows @ columns
         np.negative(capacitance, out=capacitance)
         capacitance.flat[:: off.size + 1] += 1.0   # now (a + c) G[off, off]
-        capacitance *= excess[:, None] / (self.a + self.shift)
+        capacitance *= weight[:, None]
         capacitance.flat[:: off.size + 1] += 1.0
-        return rows, columns, capacitance
+        return scale, gamma, weight, rows, columns, capacitance
 
     def _node_direction(self, g: np.ndarray) -> np.ndarray:
         """The node branch's direction (see the class docstring)."""
-        off, excess, rows, columns, capacitance = self.active
-        scale = self.a + self.shift
+        _, off, scale, gamma, weight, rows, columns, capacitance = self.active
         analysed = (g * self.w) @ self.modes
-        t = np.linalg.solve(capacitance, (excess / scale) * (rows @ analysed - g[off]))
-        delta = self.modes @ (self.inverse * (analysed + columns @ t))
+        t = np.linalg.solve(capacitance, weight * (rows @ analysed - g[off]))
+        delta = self.modes @ (gamma * (analysed + columns @ t))
         delta -= g
         delta[off] -= t
         delta /= scale

@@ -273,7 +273,7 @@ def assert_step_operator_closed_forms(ws, shift):
     expected = np.linalg.inv(shifted)
     slope = np.full(config.grid.size, shift)
     inverse = -np.array([ws.direction(slope, e) for e in eye]).T
-    assert ws.shift == shift
+    assert np.array_equal(ws.active[0], slope)   # one node-branch build, then hits
     gram = (ws.modes * ws.w[:, None]).T @ ws.modes
     defect = np.abs(gram - np.eye(len(gram))).max() + np.finfo(float).eps
     tol = max(1e-12, 16 * defect * np.linalg.cond(shifted))

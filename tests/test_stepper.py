@@ -297,14 +297,16 @@ class TestNewtonDirection:
         few[rng.choice(m, 3, replace=False)] += 1.0 / 1e-2
         assert_dense_direction(ws, floor, g)   # no node off the floor
         assert_dense_direction(ws, few, g)
-        assert ws.shift == -2.0
-        inverse = ws.inverse
-        assert_dense_direction(ws, few[::-1].copy(), g)
-        assert ws.inverse is inverse   # same shift: G is reused
+        kept = ws.active
+        assert_dense_direction(ws, few, g)
+        assert ws.active is kept   # same slope: the factors are kept
         assert np.array_equal(ws.apply(probe), k_probe)
-        # a new shift rebuilds G and leaves K bit for bit as it was
+        # a new slope gives new factors and leaves K bit for bit as it was
+        assert_dense_direction(ws, np.roll(few, 1), g)
+        assert ws.active is not kept
+        kept = ws.active
         assert_dense_direction(ws, few + 0.5, g)
-        assert ws.shift == -1.5 and ws.inverse is not inverse
+        assert ws.active is not kept
         assert np.array_equal(ws.apply(probe), k_probe)
 
     @pytest.mark.parametrize("kind", ONE_BASIS + sorted(TWO_BASES))
@@ -356,18 +358,19 @@ class TestNewtonDirection:
         assert_dense_direction(ws, few, g)
         assert ws.active is not None
 
-        def failing(ws, c):
-            raise MemoryError("G does not fit")   # as forming a dense G can
+        def failing(ws, c, off, excess):
+            # as the k x k capacitance of a huge contact set can
+            raise MemoryError("the capacitance does not fit")
 
-        monkeypatch.setattr(st._Workspace, "_shifted_inverse", failing)
+        monkeypatch.setattr(st._Workspace, "_node_factors", failing)
         with pytest.raises(MemoryError):
             ws.direction(few + 0.5, g)
-        assert ws.inverse is None and np.isnan(ws.shift) and ws.active is None
+        assert ws.active is None
         assert np.array_equal(ws.apply(probe), k_probe)
         monkeypatch.undo()
-        # the old shift again: nothing is left to hit, so G is formed anew
+        # the earlier slope again: nothing is left to hit, so the factors are built anew
         assert_dense_direction(ws, few, g)
-        assert ws.shift == -2.0
+        assert np.array_equal(ws.active[0], few)
 
     @pytest.mark.parametrize("kind, order", [
         ("neumann", 8),        # one basis of 8 modes on 17 nodes: along the modes
@@ -391,7 +394,7 @@ class TestNewtonDirection:
         assert_dense_direction(ws, rng.uniform(-2.0, 5.0, m), rng.normal(size=m))
         # the oracle's dense solve comes first, then the direction's one solve
         assert calls == [(m, m), (order, order)] * 2
-        assert ws.inverse is None
+        assert ws.active is None
 
     def test_one_linear_solve_per_direction(self, monkeypatch):
         self.assert_one_linear_solve_per_direction("neumann", monkeypatch)
@@ -427,9 +430,11 @@ class TestNewtonDirection:
         steeper = np.full(m, -2.0)   # the same nodes off the floor, a new excess
         steeper[[1, 4, 6]] += 1.0 / 1e-3
         dense = np.linspace(0.0, 1.0, m)
-        # (slope, whether the call reuses the factors of the call before it)
-        sequence = [(few, False), (few, True), (steeper, False), (dense, None),
-                    (steeper, True), (few + 0.5, False), (few, False), (few, True)]
+        # (slope, whether the call reuses the factors of the call before it);
+        # hits go by value, so ``few.copy()``, a new array, hits too
+        sequence = [(few, False), (few, True), (few.copy(), True), (steeper, False),
+                    (dense, None), (steeper, True), (few + 0.5, False), (few, False),
+                    (few, True)]
         for slope, hit in sequence:
             before = ws.active
             g = rng.normal(size=m)
