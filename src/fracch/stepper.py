@@ -32,13 +32,11 @@ ways, picked by the slope and by ``N``:
 
 - At most half of the nodes lie above the smallest slope ``c`` (the
   obstacle well, whose Yosida slope is 0 or 1/lam): the Woodbury
-  correction of ``G = (K + c I)^(-1)`` on those nodes.  ``G`` has a closed
-  form along ``Psi``, in which it is applied where ``K`` is.  Each
-  iteration solves a system the size of that node set.  The obstacle slope
-  changes only where the contact set does, so the weights of ``G``, its
-  factors on that set and the small system's matrix are kept with the
-  slope they were found for, from one iteration and one step to the next,
-  and found again only when the slope moves.
+  correction on those nodes of ``G = (K + c I)^(-1)``, which has a closed
+  form along ``Psi``.  The obstacle slope changes only where the contact
+  set does, so what it determines is kept from one iteration and step to
+  the next: a new slope solves the system on its node set, and a kept one
+  applies that system's inverse, found on its first reuse, in one product.
 - More nodes above ``c`` (the smooth wells, whose slope differs from node
   to node), and ``N`` at most 3/5 of the grid size: the Woodbury identity
   along ``Psi`` leaves one ``N`` x ``N`` system per iteration.
@@ -46,9 +44,8 @@ ways, picked by the slope and by ``N``:
   Jacobian, from ``K`` built as an ``m`` x ``m`` matrix on the first such
   direction.  Nothing else in a run builds an ``m`` x ``m`` array.
 
-Each iteration makes exactly one ``numpy.linalg.solve`` call.  Newton
-stops once the residual is at most ``newton_tol``.  A residual it can
-reduce no further is accepted at its round-off floor, which for large
+Newton stops once the residual is at most ``newton_tol``.  A residual it
+can reduce no further is accepted at its round-off floor, which for large
 operator powers lies above ``newton_tol``.
 
 A step hands three things to the next one: Newton's accepted increment,
@@ -151,7 +148,6 @@ class SchemeConfig:
         return (a.n,) if a is b else (a.n, b.n)
 
 
-
 @dataclass(frozen=True)
 class DecaySource:
     """Source ``u(t) = u_inf + bump * exp(-rate*t)``.
@@ -251,9 +247,8 @@ class ProblemData:
 def validate(config: SchemeConfig, data: ProblemData) -> None:
     """Check the structural and data hypotheses; raise a named error on failure.
 
-    Returns None when every hypothesis holds.  With a positive first
-    eigenvalue of the first operator the mean-value hypotheses are skipped.
-    With a zero first eigenvalue the zero must be simple with a constant
+    A positive first eigenvalue of the first operator skips the mean-value
+    hypotheses.  With a zero one the zero must be simple with a constant
     first mode, constants must be representable in the second operator's
     basis, and the initial mean must lie strictly inside the graph domain.
     On both branches the data must lie on the scheme grid, the initial state
@@ -457,7 +452,7 @@ _ROW_BLOCK = 1 << 15
 #: per node holds at once, at most: ``K``, a dense LU's Jacobian and LAPACK's
 #: copy of it, and beside them the node branch's cached factors of ``G`` on
 #: at most half of the nodes, ``Psi[off] gamma`` and ``(Psi^T W)[:, off]``
-#: (half of one each), and its capacitance matrix (a quarter).
+#: (half of one each), and its capacitance matrix or its inverse (a quarter).
 _DENSE_ARRAYS = 4.25
 
 
@@ -539,11 +534,15 @@ class _Workspace:
     the slope of the last call on this branch and what it determines:
     ``off``, ``a + c``, ``gamma``, ``E / (a + c)``, the rows ``Psi[off]
     gamma``, the weighted columns ``(Psi^T W)[:, off] = (W_off Psi[off])^T``,
-    whose product gives ``G[off, off]``, and the capacitance matrix.  A call
-    whose slope equals the kept one in value goes straight to them; any
-    other slope on this branch drops them before rebuilding, so that a
-    failure meanwhile leaves nothing to hit.  A hit feeds the same arrays
-    to the same products, so its direction is the rebuilt one bit for bit.
+    whose product gives ``G[off, off]``, the capacitance matrix and whether
+    it is inverted.  A call whose slope equals the kept one in value (a hit)
+    goes straight to them; any other slope on this branch drops them before
+    rebuilding, so that a failure meanwhile leaves nothing to hit.  New
+    factors solve for ``t``, as a fresh workspace does, bit for bit.  The
+    first hit on a nonempty ``off`` inverts the capacitance matrix in its
+    place, and every hit takes ``t`` from one product: for ``E = I / lam``
+    (the obstacle well) the matrix is similar to a symmetric one no worse
+    conditioned than ``K + c I``.  An empty ``off`` solves every time.
 
     *Modes.*  More nodes off, with ``n <= _MODE_SHARE * m``.  With ``D = a +
     slope``, which is at least ``1 + 1/h``, and ``z = -g / D``, the
@@ -559,10 +558,7 @@ class _Workspace:
 
     *Dense.*  Otherwise the dense LU of ``K + diag(slope)``, from ``K``
     assembled on the branch's first call, and kept.  Neither of the last
-    two branches touches the node branch's factors.  Every branch makes one
-    ``numpy.linalg.solve`` call, the capacitance solve running even for an
-    empty ``off`` and on every hit, so that a count of linear solves (the
-    benchmark's trace) equals the Newton iteration count.
+    two branches touches the node branch's factors.
     """
 
     def __init__(self, config: SchemeConfig):
@@ -629,18 +625,19 @@ class _Workspace:
 
     def direction(self, slope: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Newton direction: the solution of ``(K + diag(slope)) delta = -g``."""
-        if self.active is None or not np.array_equal(self.active[0], slope):
-            c = slope.min()
-            off = np.flatnonzero(slope - c)
-            if 2 * off.size > slope.size:
-                if self.mode_branch:
-                    return self._along_modes(slope, g)
-                jac = self.k_matrix.copy()
-                jac.flat[:: len(jac) + 1] += slope
-                return np.linalg.solve(jac, -g)
-            self.active = None   # so that a failure below leaves nothing to hit
-            self.active = (slope.copy(), off, *self._node_factors(c, off, slope[off] - c))
-        return self._node_direction(g)
+        if self.active is not None and np.array_equal(self.active[0], slope):
+            return self._node_direction(g, hit=True)
+        c = slope.min()
+        off = np.flatnonzero(slope - c)
+        if 2 * off.size > slope.size:
+            if self.mode_branch:
+                return self._along_modes(slope, g)
+            jac = self.k_matrix.copy()
+            jac.flat[:: len(jac) + 1] += slope
+            return np.linalg.solve(jac, -g)
+        self.active = None   # so that a failure below leaves nothing to hit
+        self.active = [slope.copy(), off, *self._node_factors(c, off, slope[off] - c), False]
+        return self._node_direction(g, hit=False)
 
     def _node_factors(self, c: float, off: np.ndarray, excess: np.ndarray):
         """The scale ``a + c``, the weights ``gamma`` of ``G``, the excess over
@@ -659,11 +656,14 @@ class _Workspace:
         capacitance.flat[:: off.size + 1] += 1.0
         return scale, gamma, weight, rows, columns, capacitance
 
-    def _node_direction(self, g: np.ndarray) -> np.ndarray:
+    def _node_direction(self, g: np.ndarray, hit: bool) -> np.ndarray:
         """The node branch's direction (see the class docstring)."""
-        _, off, scale, gamma, weight, rows, columns, capacitance = self.active
+        _, off, scale, gamma, weight, rows, columns, capacitance, inverted = self.active
+        if hit and off.size and not inverted:   # the inverse takes the matrix's place
+            self.active[-2:] = capacitance, inverted = np.linalg.inv(capacitance), True
         analysed = (g * self.w) @ self.modes
-        t = np.linalg.solve(capacitance, weight * (rows @ analysed - g[off]))
+        rhs = weight * (rows @ analysed - g[off])
+        t = capacitance @ rhs if inverted else np.linalg.solve(capacitance, rhs)
         delta = self.modes @ (gamma * (analysed + columns @ t))
         delta -= g
         delta[off] -= t

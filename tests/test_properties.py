@@ -11,8 +11,8 @@ array is the JSON of its nested list.  The Newton-direction examples check
 the step operator and its shifted inverse built from a shared basis
 against the dense assembly and inverse, the reduced branch and the branch
 along the modes against the dense solve, on one basis or two, and a
-workspace that reuses its active-set factors against a fresh one, bit for
-bit.  The limit-set
+workspace that builds new active-set factors against a fresh one, bit for
+bit, and one that reuses them against the dense solve.  The limit-set
 examples draw snapshot rows, some of them repeated, and check the gap to
 the last snapshot and the tail diameter of the long-time report against
 the dense matrix of all snapshot gaps, bit for bit.  The warm-start
@@ -354,7 +354,9 @@ def test_cached_newton_direction_matches_a_fresh_workspace(kind, points, exponen
     # two-valued slopes like the obstacle's pi' + {0, 1/lam}, drawn from a few
     # contact sets, floors and gaps, so that whole cache keys repeat in the
     # sequence; with more than half of the nodes in contact a call takes the
-    # dense branch or the branch along the modes in between
+    # dense branch or the branch along the modes in between.  New factors give
+    # the fresh direction bit for bit; reused ones apply the inverse of the
+    # capacitance matrix and are held to the dense oracle
     config = direction_config(kind, points, exponent, data)
     ws = st._Workspace(config)
     contact = data.draw(hs.lists(hs.lists(hs.booleans(), min_size=points, max_size=points),
@@ -364,10 +366,17 @@ def test_cached_newton_direction_matches_a_fresh_workspace(kind, points, exponen
                                          hs.sampled_from((1e2, 1e3))),
                                min_size=2, max_size=8))
     rng = np.random.default_rng(points)
+    k = dense_step_operator(config)
     for index, floor, gap in calls:
         slope = np.where(contact[index], floor + gap, floor)
         g = rng.normal(size=points)
-        assert np.array_equal(ws.direction(slope, g), st._Workspace(config).direction(slope, g))
+        hit = ws.active is not None and np.array_equal(ws.active[0], slope)
+        delta = ws.direction(slope, g)
+        if hit:
+            expected = np.linalg.solve(k + np.diag(slope), -g)
+            assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
+        else:
+            assert np.array_equal(delta, st._Workspace(config).direction(slope, g))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

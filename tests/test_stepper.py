@@ -270,6 +270,15 @@ def direction_workspace(kind):
     return ws
 
 
+def readme_obstacle_config(steps):
+    """The obstacle scheme of the README example: 64 shared modes on 129 nodes."""
+    basis = sp.build_interval_basis("neumann", 64, 4.0, 129)
+    return st.SchemeConfig(op_A=sp.FractionalOperator(basis, 0.5),
+                           op_B=sp.FractionalOperator(basis, 0.5),
+                           spec=pot.make_potential("obstacle", c2=1.0),
+                           yosida_lambda=1e-3, tau=0.25, h=0.01, steps=steps)
+
+
 def assert_dense_direction(ws, slope, g):
     k = dense_step_operator(ws.config)
     expected = np.linalg.solve(k + np.diag(slope), -g)
@@ -330,8 +339,9 @@ class TestNewtonDirection:
 
     @pytest.mark.parametrize("kind", ["neumann", "matrix", "factored"] + sorted(TWO_BASES))
     def test_no_dense_inverse(self, kind, monkeypatch):
-        # G comes from its closed form on any basis: no workspace inverts
-        # or forms the identity
+        # G comes from its closed form on any basis: no workspace forms the
+        # identity, and the only inverse is the 2 x 2 capacitance matrix's,
+        # on the first call that reuses its factors
         config = direction_workspace(kind).config
         m = config.grid.size
         calls = []
@@ -342,10 +352,9 @@ class TestNewtonDirection:
         few = np.full(m, -2.0)
         few[[1, 4]] += 1.0 / 1e-2
         g = np.random.default_rng(8).normal(size=m)
-        # two shift changes, each followed by a call that keeps the shift
-        for slope in (few, few[::-1].copy(), few + 0.5, few[::-1] + 0.5):
+        for slope in (few, few[::-1].copy(), few + 0.5, few[::-1] + 0.5, few, few, few):
             ws.direction(slope, g)
-        assert calls == []
+        assert calls == [(2, 2)]
 
     def test_failed_inversion_leaves_no_factors(self, monkeypatch):
         ws = direction_workspace("dirichlet-neumann")
@@ -396,28 +405,34 @@ class TestNewtonDirection:
         assert calls == [(m, m), (order, order)] * 2
         assert ws.active is None
 
-    def test_one_linear_solve_per_direction(self, monkeypatch):
-        self.assert_one_linear_solve_per_direction("neumann", monkeypatch)
+    def test_linear_algebra_per_direction(self, monkeypatch):
+        self.assert_linear_algebra_per_direction("neumann", monkeypatch)
 
-    def test_one_linear_solve_per_direction_factored(self, monkeypatch):
-        self.assert_one_linear_solve_per_direction("factored", monkeypatch)
+    def test_linear_algebra_per_direction_factored(self, monkeypatch):
+        self.assert_linear_algebra_per_direction("factored", monkeypatch)
 
     @staticmethod
-    def assert_one_linear_solve_per_direction(kind, monkeypatch):
+    def assert_linear_algebra_per_direction(kind, monkeypatch):
         ws = direction_workspace(kind)
         m = ws.config.grid.size
         calls = []
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
-        few = np.full(m, -2.0)
+        solve, inv = np.linalg.solve, np.linalg.inv
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: calls.append(("solve", a.shape)) or solve(a, b))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(("inv", a.shape)) or inv(a))
+        floor = np.full(m, -2.0)
+        few = floor.copy()
         few[[2, 7]] = 98.0
-        # the second and the last call with ``few`` reuse the cached factors;
-        # the linear slope takes the branch along the shared basis's modes
-        for slope in (np.full(m, -2.0), few, few, np.linspace(0.0, 1.0, m), few):
+        # an empty contact set solves on every call; new factors solve on
+        # their first use, are inverted on their first reuse and then take a
+        # product alone, also after the linear slope has taken the branch
+        # along the shared basis's modes
+        for slope in (floor, floor, few, few, few, np.linspace(0.0, 1.0, m), few):
             ws.direction(slope, np.ones(m))
         n = ws.config.op_A.basis.n
         assert n < m
-        assert calls == [(0, 0), (2, 2), (2, 2), (n, n), (2, 2)]
+        assert calls == [("solve", (0, 0)), ("solve", (0, 0)), ("solve", (2, 2)),
+                         ("inv", (2, 2)), ("solve", (n, n))]
 
     @pytest.mark.parametrize("kind", ["neumann", "matrix", "factored", "dirichlet-neumann",
                                       "dirichlet-neumann-factored"])
@@ -439,8 +454,8 @@ class TestNewtonDirection:
             before = ws.active
             g = rng.normal(size=m)
             delta = assert_dense_direction(ws, slope, g)
-            # the cached factors are the fresh ones, bit for bit
-            assert np.array_equal(delta, st._Workspace(ws.config).direction(slope, g))
+            if not hit:   # new factors give the fresh direction, bit for bit
+                assert np.array_equal(delta, st._Workspace(ws.config).direction(slope, g))
             if hit is not None:
                 assert (ws.active is before) == hit
 
@@ -470,24 +485,59 @@ class TestNewtonDirection:
         # the workspace keeps, and no matrix a linear solve takes, is m x m.
         # tracemalloc cannot show this at such a grid, where the block
         # buffers alone outweigh 8 m^2 bytes
-        basis = sp.build_interval_basis("neumann", 64, 4.0, 129)
-        config = st.SchemeConfig(op_A=sp.FractionalOperator(basis, 0.5),
-                                 op_B=sp.FractionalOperator(basis, 0.5),
-                                 spec=pot.make_potential("obstacle", c2=1.0),
-                                 yosida_lambda=1e-3, tau=0.25, h=0.01, steps=20)
+        config = readme_obstacle_config(steps=20)
         grid = config.grid
         m = grid.size
         source = st.DecaySource(sp.constant_field(0.8, grid), cosine_field(grid, [0, 0, 1.0]), 0.5)
-        shapes = []
-        solve = np.linalg.solve
+        shapes, inverted = [], []
+        solve, inv = np.linalg.solve, np.linalg.inv
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(a.shape) or solve(a, b))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
         traj = st.run(config, st.ProblemData(y0=cosine_field(grid, [0.1, 0.6, 0.2]), source=source))
         (ws,) = counted_workspaces
         held = [*vars(ws).values(), *(ws.active or ())]
         assert not any(isinstance(a, np.ndarray) and a.shape == (m, m) for a in held)
-        assert len(shapes) == sum(s.iterations for s in traj.solver_stats)
+        # each direction solves or inverts at most once, and reused factors
+        # that were inverted before do neither
+        assert 0 < len(inverted) < len(shapes) + len(inverted) < sum(
+            s.iterations for s in traj.solver_stats)
         assert any(side > 0 for side, _ in shapes)   # node directions on a contact set
-        assert all(side < m for side, _ in shapes)
+        assert all(side < m for side, _ in shapes + inverted)
+
+    def test_reused_factors_on_half_the_nodes_match_dense_solve(self):
+        # 64 of the README example's 129 nodes in contact, the most the node
+        # branch takes: the explicit inverse of the 64 x 64 capacitance
+        # matrix, which reused factors apply, meets the dense oracle
+        ws = st._Workspace(readme_obstacle_config(steps=1))
+        m = ws.config.grid.size
+        rng = np.random.default_rng(12)
+        for contact in (np.arange(30, 94), rng.choice(m, 64, replace=False)):
+            slope = np.full(m, -2.0)
+            slope[contact] += 1.0 / ws.config.yosida_lambda
+            for inverted in (False, True, True):   # new factors, their first reuse, a later one
+                assert_dense_direction(ws, slope, rng.normal(size=m))
+                assert ws.active[-1] == inverted
+
+    @pytest.mark.parametrize("kind", ["matrix", "factored"])
+    def test_reused_factors_hold_one_k_by_k_array(self, kind):
+        # the inverse takes the capacitance matrix's place: with half of the
+        # nodes in contact the kept factors stay within the 1.25 m x m
+        # arrays that _DENSE_ARRAYS and step_operator_bytes count for them
+        ws = direction_workspace(kind)
+        m = ws.config.grid.size
+        k = m // 2
+        slope = np.full(m, -2.0)
+        slope[:k] += 1.0 / 1e-2
+        g = np.random.default_rng(13).normal(size=m)
+        for _ in range(3):
+            assert_dense_direction(ws, slope, g)
+        matrices = [a for a in ws.active if isinstance(a, np.ndarray) and a.ndim == 2]
+        assert [a.shape for a in matrices].count((k, k)) == 1
+        assert ws.active[-1]   # the kept k x k array is the inverse
+        n = ws.modes.shape[1]
+        assert sum(a.size for a in matrices) == 2 * k * n + k * k
+        if kind == "matrix":
+            assert sum(a.nbytes for a in matrices) <= (st._DENSE_ARRAYS - 3) * 8 * m * m
 
 
 @pytest.mark.parametrize("points, modes", [(100, 80), (300, 50)], ids=["dense", "factored"])
