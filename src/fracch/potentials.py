@@ -407,11 +407,12 @@ def _resolvent_bisection(spec, lam, s, budget=200):
 
 def _pointwise(fn, lam: float, s, *values):
     # scalars map to floats, arrays to arrays of the same shape; 1-d float
-    # arrays, the stepper's rows, go through as they are
-    args = (s, *values)
-    if all(type(v) is np.ndarray and v.ndim == 1 and v.dtype == np.float64 for v in args):
-        return fn(lam, *args)
-    out = fn(lam, *(np.atleast_1d(np.asarray(v, dtype=float)) for v in args))
+    # arrays, the stepper's rows, go through as they are (values: at most one)
+    value = values[0] if values else s
+    if (type(s) is np.ndarray and s.ndim == 1 and s.dtype == np.float64
+            and type(value) is np.ndarray and value.ndim == 1 and value.dtype == np.float64):
+        return fn(lam, s, *values)
+    out = fn(lam, *[np.atleast_1d(np.asarray(v, dtype=float)) for v in (s, *values)])
     return float(out[0]) if np.isscalar(s) else out
 
 

@@ -1,24 +1,24 @@
 """Deterministic file output and reload of runs.
 
 Every number is serialized with 17 significant digits, which round-trips
-doubles exactly.  A finite float array is formatted a row at a time
-through one ``'%.17g'`` template per row; any other value, a non-finite
-array among them, goes element by element, with the same bytes either
-way.  A run directory contains the verbatim configuration, a
-per-step scalar table, the energy ledger, field snapshots at the
-configured schedule, a metadata file and a gnuplot script referencing the
-tables.  Every file is written from the trajectory's scalar columns and
-snapshot rows, which :func:`stepper.run` reduced its states to as it
-marched; no file needs a state that is not a snapshot.  Nothing time- or
-host-dependent is ever written.  A run
-directory is written into a temporary sibling and swapped in as a whole
-once complete, so a failure midway leaves the previous directory intact
-and no file of an earlier run survives a rerun; ``report.json`` is
-replaced through a temporary file in the same way.  The long-time
-report of a stored run is :func:`longtime.longtime_report` fed with the
-reloaded tables, which are bit-identical to what the fresh run computed;
-analyzing a reloaded run therefore reproduces the fresh analysis byte for
-byte.
+doubles exactly.  A table, some 1024 values at a time, and a finite float
+array in JSON, a row at a time, go through one ``'%.17g'`` template per
+row, which gives a table ``numpy.savetxt``'s bytes; any other JSON value, a
+non-finite array among them, goes element by element, with the same bytes
+either way.  A run directory contains the verbatim configuration, a
+per-step scalar table, the energy ledger, field snapshots at the configured
+schedule, a metadata file and a gnuplot script referencing the tables.
+Every file is written from the trajectory's scalar columns and snapshot
+rows, which :func:`stepper.run` reduced its states to as it marched; no
+file needs a state that is not a snapshot.  Nothing time- or host-dependent
+is ever written.  A run directory is written into a temporary sibling and
+swapped in as a whole once complete, so a failure midway leaves the
+previous directory intact and no file of an earlier run survives a rerun;
+``report.json`` is replaced through a temporary file in the same way.  The
+long-time report of a stored run is :func:`longtime.longtime_report` fed
+with the reloaded tables, which are bit-identical to what the fresh run
+computed; analyzing a reloaded run therefore reproduces the fresh analysis
+byte for byte.
 """
 
 from __future__ import annotations
@@ -134,10 +134,12 @@ def trajectory_rows(traj: st.DiscreteTrajectory) -> np.ndarray:
 
 
 def _write_table(path, header, rows: np.ndarray, sep: str) -> None:
-    # '%.17g' formats exactly like fmt(); integral values print without a point
+    # one '%.17g' template per row (fmt()'s and numpy.savetxt's bytes), 1024 values at a time
+    template, size = sep.join(["%.17g"] * rows.shape[1]) + "\n", max(1, 1024 // rows.shape[1])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=sep, header=sep.join(header),
-                   comments="")
+        fh.write(sep.join(header) + "\n")
+        for start in range(0, len(rows), size):
+            fh.write("".join([template % tuple(row) for row in rows[start:start + size].tolist()]))
 
 
 PLOT_SCRIPT = """\
@@ -402,8 +404,8 @@ def load_run(directory) -> StoredRun:
     check_snapshots("snapshots_mu.csv",
                     *_table_layout(os.path.join(directory, "snapshots_mu.csv"), ","))
     return StoredRun(run_config=run_cfg, scheme=scheme, data=data, columns=columns,
-                     snapshot_steps=meta["snapshot_steps"], y_snapshots=y_rows[:, 1:],
-                     meta=meta)
+                     snapshot_steps=meta["snapshot_steps"],
+                     y_snapshots=np.ascontiguousarray(y_rows[:, 1:]), meta=meta)
 
 
 def stored_longtime_report(stored: StoredRun, window_fraction: float = 0.5) -> dict:

@@ -418,19 +418,6 @@ def power_rows(op: FractionalOperator, rows: np.ndarray, multiplier: float = 1.0
     return (op.power_weights(multiplier) * c) @ op.basis.modes.T
 
 
-def solve_shifted(op: FractionalOperator, rows: np.ndarray) -> np.ndarray:
-    """Solve ``(I + A^(2r)) u = f`` for each row ``f`` of a (..., m) array.
-
-    The operator acts as zero outside the truncated span, so the inverse is
-    the identity there and diagonal on the span.  The returned rows satisfy
-    the shifted equation nodally to round-off.
-    """
-    c = op.basis.coefficients(rows)
-    weights = op.power_weights(2.0)
-    # identity off the span, diagonal 1/(1 + lambda^2r) on it
-    return rows - (c * weights / (1.0 + weights)) @ op.basis.modes.T
-
-
 def dual_norms(op: FractionalOperator, coefficients: np.ndarray) -> np.ndarray:
     """Norm in the dual of the operator's fractional domain space, from
     expansion coefficients along the last axis.
@@ -468,7 +455,12 @@ def row_power_norms(op: FractionalOperator, rows: np.ndarray) -> np.ndarray:
     The power lies in the span, where the quadrature norm is the Euclidean
     norm of the coefficients, so one analysis serves every row.
     """
-    c = op.power_weights() * op.basis.coefficients(rows)
+    return power_norms(op, op.basis.coefficients(rows))
+
+
+def power_norms(op: FractionalOperator, coefficients: np.ndarray) -> np.ndarray:
+    """:func:`row_power_norms` from expansion coefficients along the last axis."""
+    c = op.power_weights() * coefficients
     return np.sqrt(np.sum(c * c, axis=-1))
 
 

@@ -27,41 +27,36 @@ increment ``y^n - y^(n-1)`` (from ``d = 0`` on the first step), the state
 moving at a constant rate being a better guess than a state at rest.  The
 start changes where Newton begins, not the equation it solves or ``mu+``,
 which stays eliminated exactly.  Newton takes ``K`` plus the slope diagonal
-``beta_lam' + pi'`` as Jacobian.  Its direction is found in one of three
-ways, picked by the slope and by ``N``:
-
-- At most half of the nodes lie above the smallest slope ``c`` (the
-  obstacle well, whose Yosida slope is 0 or 1/lam): the Woodbury
-  correction on those nodes of ``G = (K + c I)^(-1)``, which has a closed
-  form along ``Psi``.  The obstacle slope changes only where the contact
-  set does, so what it determines is kept from one iteration and step to
-  the next: a new slope solves the system on its node set, and a kept one
-  applies that system's inverse, found on its first reuse, in one product.
-- More nodes above ``c`` (the smooth wells, whose slope differs from node
-  to node), and ``N`` at most 3/5 of the grid size: the Woodbury identity
-  along ``Psi`` leaves one ``N`` x ``N`` system per iteration.
-- Otherwise (more columns, as a matrix operator has) the dense LU of the
-  Jacobian, from ``K`` built as an ``m`` x ``m`` matrix on the first such
-  direction.  Nothing else in a run builds an ``m`` x ``m`` array.
+``beta_lam' + pi'`` as Jacobian, and :class:`_Workspace` finds its
+direction on one of three branches: the Woodbury correction of ``(K + c
+I)^(-1)``, closed along ``Psi``, on the nodes above the smallest slope
+``c`` while they are at most half (the obstacle well, whose slope is kept
+with what it determines from one iteration and step to the next); the
+Woodbury identity along ``Psi``, one ``N`` x ``N`` system, for other slopes
+while ``N`` is at most 3/5 of the grid size; else the dense LU of the
+Jacobian, the one thing in a run that builds an ``m`` x ``m`` array.
 
 Newton stops once the residual is at most ``newton_tol``.  A residual it
 can reduce no further is accepted at its round-off floor, which for large
 operator powers lies above ``newton_tol``.
 
-A step hands three things to the next one: Newton's accepted increment,
-which starts the next Newton solve; its product ``K d``, which the next
-step's first residual takes in place of a new product, so that ``K`` is
-applied once per trial point of the line search; and the spectral part
-``S mu - mu - B2s y`` of the next right-hand side.  That part and the
-``A2r mu+`` of the phase residual come from one analysis of ``(mu+, y+)``
-and one synthesis, stacked when both operators share their basis.  With
-the analysis and synthesis of ``mu+ = S (mu - d/h)`` a step thus makes
-four passes over the modes of a shared basis and six over those of two
-bases, plus two for each product with ``K`` and each node direction.
-``run`` and ``solve_step`` take every step through one routine.
-``solve_step`` computes the carry from its rows and start; from the rows of
-a run and the increment Newton returned for the step before, that carry is
-the carried one bit for bit, and so is the step.
+A step hands the next one Newton's increment ``d`` as its start, ``K d``
+and the analysis ``Psi^T W d`` of that product, which its first residual
+reuses, so that ``K`` is applied once per trial point of the line search,
+the coefficients ``c(mu)`` and ``c(y)`` of the rows along the first and
+the second basis, and the spectral part ``S mu - mu - B2s y`` of its
+right-hand side.  With ``c(d)`` (Newton's on a shared basis, one analysis
+per basis with two), ``mu+ = mu - d/h - Phi_A (q (c(mu) - c(d)/h))``, ``q
+= lam_A^2r / (1 + lam_A^2r)``, is analysed once, ``c(y+) = c(y) + c(d)``,
+and one two-row synthesis gives ``A2r mu+`` of the phase residual and the
+next spectral part: three passes over the modes of a shared basis, six
+over those of two, plus two per product with ``K`` and per node direction.
+``c(y)`` drifts from a fresh analysis by about a rounding per step, so
+``run`` analyses the rows afresh at the first step of each block of 64.
+``run`` and ``solve_step`` take every step through one routine;
+``solve_step`` computes the carry from its rows and start, which at the
+first step of a block of a run gives the carried one, and the step, bit
+for bit, and elsewhere agrees to round-off.
 
 Trajectories start from ``y0`` with ``mu0 = 0``; that
 initialization is part of the scheme, not a configurable choice, and it
@@ -399,22 +394,22 @@ class _Recorder:
             parts["split_energy"].append(np.sum(grid.w * values, axis=1))
             parts["split_energy_abs"].append(np.sum(grid.w * np.abs(values), axis=1))
         dy = np.diff(y, axis=0)
-        basis_a = cfg.op_A.basis
+        basis_a, basis_b = cfg.op_A.basis, cfg.op_B.basis
         c_mu = basis_a.coefficients(mu)
-        # the coefficients of dy / h, the weights folded into the scaling: one (K, m) copy
-        c_rate = (dy * (grid.w * (1.0 / cfg.h))) @ basis_a.modes
+        c_dy = basis_b.coefficients(dy)
+        c_dy_a = c_dy if basis_a is basis_b else basis_a.coefficients(dy)
         for name, column in (
                 ("mean_y", sp.row_means(new_y, grid)),
                 ("mean_mu", sp.row_means(new_mu, grid)),
                 ("norm_y", sp.row_norms(new_y, grid)),
                 ("norm_B_sigma_y", sp.row_power_norms(cfg.op_B, new_y)),
                 ("norm_mu", sp.row_norms(new_mu, grid)),
-                ("norm_Ar_mu", sp.row_power_norms(cfg.op_A, new_mu)),
+                ("norm_Ar_mu", sp.power_norms(cfg.op_A, c_mu[skip:])),
                 ("norm_dy", sp.row_norms(dy, grid)),
                 ("norm_dmu", sp.row_norms(np.diff(mu, axis=0), grid)),
-                ("norm_B_sigma_dy", sp.row_power_norms(cfg.op_B, dy)),
+                ("norm_B_sigma_dy", sp.power_norms(cfg.op_B, c_dy)),
                 ("source_pairing", sp.row_inner(sources, dy, grid)),
-                ("dual_rate", sp.dual_norms(cfg.op_A, c_rate)),
+                ("dual_rate", sp.dual_norms(cfg.op_A, c_dy_a) / cfg.h),
                 ("dual_rate_identity", sp.dual_norms(
                     cfg.op_A, c_mu[:-1] - c_mu[1:] - cfg.op_A.power_weights(2.0) * c_mu[1:]))):
             parts[name].append(column)
@@ -495,17 +490,17 @@ class _Workspace:
     ``W^(1/2) U = P s Q^T`` cut where ``s <= s_max max(m, N) eps`` (numpy's
     rank tolerance for the ``N`` columns of ``U``) and the eigenpairs ``R
     diag(sigma) R^T = V diag(kappa) V^T`` of ``R = s Q^T``, so that nested
-    or nearly dependent bases give fewer columns.  :meth:`apply` computes
-    ``K d = a d + Psi (kappa * Psi^T W d)``, one analysis and one synthesis,
-    and ``k_rows``, the absolute row sums of ``K`` that size its round-off,
-    are taken a block of rows at a time.  Only the dense branch below holds
-    ``K`` as an ``m`` x ``m`` matrix.
+    or nearly dependent bases give fewer columns.  :meth:`apply` returns ``K d
+    = a d + Psi (kappa * Psi^T W d)`` with the analysis ``Psi^T W d`` it
+    takes, and ``k_rows``, the absolute row sums of ``K`` that size its
+    round-off, are taken a block of rows at a time.  Only the dense branch
+    below holds ``K`` as an ``m`` x ``m`` matrix.
 
-    ``spectral`` gives the rows a step carries, ``A2r mu`` and ``S mu - mu -
-    B2s y = -Phi_A diag(q) Phi_A^T W mu - Phi_B diag(lam_B^2s) Phi_B^T W y``,
-    from one analysis and one synthesis per basis: on a shared basis the
-    stacked rows ``(mu, y)`` are weighted in place and multiplied by the
-    modes, and the two coefficient rows by their transpose.
+    :meth:`synthesize` gives ``S mu - mu - B2s y = Phi_A (-q c(mu)) - Phi_B
+    (lam_B^2s c(y))`` from the coefficients ``c(mu) = Phi_A^T W mu`` and
+    ``c(y) = Phi_B^T W y``, stacked under ``Phi_A c`` for each further
+    coefficient row ``c``: one synthesis on a shared basis, and one more
+    along ``Phi_B`` with two.  :meth:`carried` analyses the rows for them.
 
     ``direction`` solves ``(K + diag(slope)) delta = -g`` along one of three
     branches.  With ``c`` the smallest slope and ``off`` the nodes above it,
@@ -575,8 +570,9 @@ class _Workspace:
         self.shifted_a = -weights / (1.0 + weights)
         self.power_b = config.op_B.power_weights(2.0)
         self.bases = (basis, basis_b)
+        self.shared = basis is basis_b
         self.w = config.grid.w
-        if basis is basis_b:
+        if self.shared:
             self.modes, self.kappa = basis.modes, self.power_b - q_h
         else:   # Psi from the SVD of W^(1/2) U and R diag(sigma) R^T (see the class docstring)
             root = np.sqrt(self.w)[:, None]
@@ -592,9 +588,10 @@ class _Workspace:
         self.config = config
         self.active = None    # the node branch's factors, keyed by their slope
 
-    def apply(self, d: np.ndarray) -> np.ndarray:
-        """``K d`` (see the class docstring)."""
-        return self.a * d + self.modes @ (self.kappa * ((d * self.w) @ self.modes))
+    def apply(self, d: np.ndarray):
+        """``K d`` and the analysis ``Psi^T W d`` it takes (see the class docstring)."""
+        c = (d * self.w) @ self.modes
+        return self.a * d + self.modes @ (self.kappa * c), c
 
     def _k_block(self, start: int, stop: int) -> np.ndarray:
         """The rows ``start:stop`` of ``K`` as a matrix: ``(Psi diag(kappa))
@@ -625,7 +622,7 @@ class _Workspace:
 
     def direction(self, slope: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Newton direction: the solution of ``(K + diag(slope)) delta = -g``."""
-        if self.active is not None and np.array_equal(self.active[0], slope):
+        if self.active is not None and (self.active[0] == slope).all():
             return self._node_direction(g, hit=True)
         c = slope.min()
         off = np.flatnonzero(slope - c)
@@ -681,21 +678,25 @@ class _Workspace:
         coefficients = np.linalg.solve(capacitance, self.kappa * ((z * self.w) @ self.modes))
         return z - inv_d * (self.modes @ coefficients)
 
-    def spectral(self, mu: np.ndarray, y: np.ndarray):
-        """The rows ``A2r mu`` and ``S mu - mu - B2s y`` (see the class docstring)."""
+    def carried(self, y: np.ndarray, mu: np.ndarray):
+        """The part of a carry the rows determine (see the class docstring)."""
+        c_mu, c_y = self.bases[0].coefficients(mu), self.bases[1].coefficients(y)
+        return c_mu, c_y, self.synthesize(c_mu, c_y)[0]
+
+    def synthesize(self, c_mu: np.ndarray, c_y: np.ndarray, *rows: np.ndarray) -> np.ndarray:
+        """The rows ``Phi_A c`` for each coefficient row ``c`` of ``rows``, then
+        the spectral part of ``c_mu`` and ``c_y`` (see the class docstring)."""
         basis, basis_b = self.bases
-        if basis is basis_b:
-            stacked = np.array((mu, y))
-            stacked *= self.w
-            c_mu, c_y = stacked @ self.modes
-            return (np.array((self.power_a * c_mu, self.shifted_a * c_mu - self.power_b * c_y))
-                    @ self.modes.T)
-        c_mu = basis.coefficients(mu)
-        a_mu, s_mu = np.array((self.power_a * c_mu, self.shifted_a * c_mu)) @ basis.modes.T
-        return a_mu, s_mu - (self.power_b * basis_b.coefficients(y)) @ basis_b.modes.T
+        part = self.shifted_a * c_mu
+        if self.shared:
+            part -= self.power_b * c_y
+        out = np.array((*rows, part)) @ basis.modes.T
+        if not self.shared:
+            out[-1] -= (self.power_b * c_y) @ basis_b.modes.T
+        return out
 
     def h_norm(self, v: np.ndarray) -> float:
-        return math.sqrt((self.w * v * v).sum())
+        return math.sqrt(v @ (self.w * v))
 
     def roundoff_floor(self, d: np.ndarray, *summands: np.ndarray) -> float:
         """Round-off floor of the residual ``K d + sum(summands)``.
@@ -712,27 +713,29 @@ class _Workspace:
 
 
 def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarray,
-                  kd: np.ndarray):
+                  kd: np.ndarray, cd: np.ndarray):
     """Damped Newton for ``K d + beta_lam(y_prev + d) + pi(y_prev + d) = r``, from ``d``.
 
-    ``kd`` is ``K d`` of the start; every later iterate takes one product
-    with ``K``.  Returns the accepted iterate, its ``K d``, the iteration
-    count, the residual and the damping count.  Each residual evaluation
-    solves the resolvent once, through :func:`potentials.yosida`.  The
-    Jacobian slope and the round-off floor of an accepted iterate reuse the
-    Yosida value of its residual, so no iterate solves the resolvent twice.
-    When the line search fails or ``newton_max`` is reached above
-    ``newton_tol``, the residual is accepted if it is finite and at its
-    round-off floor (see :meth:`_Workspace.roundoff_floor`).
+    ``kd, cd = ws.apply(d)`` of the start; every later iterate takes one
+    product with ``K``.  Returns the accepted iterate, its ``K d`` and
+    ``Psi^T W d``, the iteration count, the residual and the damping count.
+    Each residual solves the resolvent once, through :func:`potentials.yosida`,
+    whose value the slope and round-off floor of the iterate reuse.  When
+    the line search fails or ``newton_max`` is reached above ``newton_tol``,
+    the residual is accepted if it is finite and at its round-off floor (see
+    :meth:`_Workspace.roundoff_floor`).
     """
     cfg = ws.config
     spec, lam = cfg.spec, cfg.yosida_lambda
 
     def residual(dc, kdc):
-        # the residual at y_prev + dc and the Yosida value in it
+        # the residual at y_prev + dc and the Yosida value in it, summed in place
         yc = y_prev + dc
         beta = pot.yosida(spec, lam, yc)
-        return kdc + beta + spec.pi(yc) - r, beta
+        g = kdc + beta
+        g += spec.pi(yc)
+        g -= r
+        return g, beta
 
     def floor_at(dc, beta):
         return ws.roundoff_floor(dc, beta, spec.pi(y_prev + dc), r)
@@ -743,13 +746,13 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
     dampings = 0
     for iteration in range(cfg.newton_max):
         if res <= cfg.newton_tol:
-            return d, kd, iteration, res, dampings
+            return d, kd, cd, iteration, res, dampings
         y = y_prev + d
         delta = ws.direction(pot.yosida_derivative(spec, lam, y, beta) + spec.pi_prime(y), g)
         alpha = 1.0
         for _ in range(30):
-            d_new = d + alpha * delta
-            kd_new = ws.apply(d_new)
+            d_new = d + delta if alpha == 1.0 else d + alpha * delta
+            kd_new, cd_new = ws.apply(d_new)
             g_new, beta_new = residual(d_new, kd_new)
             res_new = ws.h_norm(g_new)
             if res_new < res:
@@ -759,17 +762,17 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
         else:
             floor = floor_at(d, beta)
             if res <= floor < math.inf:
-                return d, kd, iteration, res, dampings
+                return d, kd, cd, iteration, res, dampings
             raise StepError(
                 f"Newton step could not reduce the residual {res:.3e} below newton_tol "
                 f"{cfg.newton_tol:.1e} or its round-off floor {floor:.1e} after 30 halvings; "
                 "try a smaller step size or a larger regularization level",
                 residual_history=history,
             )
-        d, kd, g, beta, res = d_new, kd_new, g_new, beta_new, res_new
+        d, kd, cd, g, beta, res = d_new, kd_new, cd_new, g_new, beta_new, res_new
         history.append(res)
     if res <= cfg.newton_tol or res <= floor_at(d, beta) < math.inf:
-        return d, kd, cfg.newton_max, res, dampings
+        return d, kd, cd, cfg.newton_max, res, dampings
     raise StepError(
         f"Newton did not reach tolerance {cfg.newton_tol:.1e} in {cfg.newton_max} "
         "iterations; try a smaller step size or a larger regularization level",
@@ -779,28 +782,29 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
 
 def _fresh_carry(ws: _Workspace, y: np.ndarray, mu: np.ndarray, d: np.ndarray):
     """The carry of a step from the rows ``(y, mu)`` that starts Newton at ``d``."""
-    return d, ws.apply(d), ws.spectral(mu, y)[1]
+    return (d, *ws.apply(d), *ws.carried(y, mu))
 
 
 def _advance(ws: _Workspace, y: np.ndarray, mu: np.ndarray, u_next: np.ndarray, carry):
-    """One step from the rows ``(y, mu)`` with the carry of the step before.
-
-    ``carry`` is ``(d, K d, S mu - mu - B2s y)``: Newton's start, its
-    product with ``K`` and the spectral part of the right-hand side, as
+    """One step from the rows ``(y, mu)`` with the carry of the step before:
+    ``(d, K d, Psi^T W d, c(mu), c(y), S mu - mu - B2s y)``, as
     :func:`_fresh_carry` computes it or the step before returned it.
     Returns the new rows, the carry of the next step, which starts Newton
     at this step's increment ``d = y+ - y``, and the stats.
     """
     cfg = ws.config
-    d, kd, part = carry
-    d, kd, iters, res, dampings = _newton_solve(ws, y, u_next + mu + part, d, kd)
+    d, kd, cd, c_mu, c_y, part = carry
+    d, kd, cd, iters, res, dampings = _newton_solve(ws, y, u_next + mu + part, d, kd, cd)
     rate = d / cfg.h
-    y_next = y + d
-    mu_next = sp.solve_shifted(cfg.op_A, mu - rate)
-    a_mu, part = ws.spectral(mu_next, y_next)
-    phase_res = ws.h_norm(rate + mu_next + a_mu - mu)
-    return y_next, mu_next, (d, kd, part), StepStats(
-        iterations=iters, residual_phase=phase_res, residual_potential=res, dampings=dampings)
+    basis, basis_b = ws.bases
+    c_da, c_db = (cd, cd) if ws.shared else (basis.coefficients(d), basis_b.coefficients(d))
+    mu_next = mu - rate   # then (I + A2r)^(-1) of it, the identity off the span
+    mu_next += (ws.shifted_a * (c_mu - c_da / cfg.h)) @ basis.modes.T
+    c_mu = basis.coefficients(mu_next)
+    c_y = c_y + c_db
+    a_mu, part = ws.synthesize(c_mu, c_y, ws.power_a * c_mu)
+    phase = ws.h_norm(rate + mu_next + a_mu - mu)
+    return y + d, mu_next, (d, kd, cd, c_mu, c_y, part), StepStats(iters, phase, res, dampings)
 
 
 def solve_step(prev_y: sp.Field, prev_mu: sp.Field, u_next: sp.Field,
@@ -870,4 +874,5 @@ def run(config: SchemeConfig, data: ProblemData,
         end = len(sources)
         recorder.add(y[:end + 1], mu[:end + 1], sources)
         y[0], mu[0] = y[end], mu[end]
+        carry = carry[:3] + ws.carried(y[0], mu[0])   # the drift spans one block
     return recorder.trajectory(stats)

@@ -39,6 +39,23 @@ def neumann16():
     return sp.build_interval_basis("neumann", 16, 4.0, 33)
 
 
+def readme_problem(steps):
+    """The physics of the README example over ``steps`` steps: the obstacle
+    well on 64 shared zero-flux modes of 129 nodes, with a decaying source."""
+    basis = sp.build_interval_basis("neumann", 64, 4.0, 129)
+    op = sp.FractionalOperator(basis, 0.5)
+    config = st.SchemeConfig(
+        op_A=op, op_B=op, spec=pot.make_potential("obstacle", c2=1.0),
+        yosida_lambda=1e-3, tau=0.25, h=0.01, steps=steps,
+    )
+    grid = config.grid
+    y0 = cosine_field(grid, [0.1, 0.4, 0.2])
+    bump = cosine_field(grid, [0.0, 0.05])
+    data = st.ProblemData(y0=y0, source=st.DecaySource(
+        sp.constant_field(0.0, grid), bump, 0.5))
+    return config, data
+
+
 @pytest.fixture(scope="session")
 def obstacle_run():
     """64-mode zero-eigenvalue obstacle run, horizon 40 = 4 x 10 time units.
@@ -46,18 +63,37 @@ def obstacle_run():
     The first 1000 steps are the 10^3-step reference run; the 2000- and
     4000-step prefixes provide the doubled horizons.
     """
-    basis = sp.build_interval_basis("neumann", 64, 4.0, 129)
-    op = sp.FractionalOperator(basis, 0.5)
-    config = st.SchemeConfig(
-        op_A=op, op_B=op, spec=pot.make_potential("obstacle", c2=1.0),
-        yosida_lambda=1e-3, tau=0.25, h=0.01, steps=4000,
-    )
-    grid = config.grid
-    y0 = cosine_field(grid, [0.1, 0.4, 0.2])
-    bump = cosine_field(grid, [0.0, 0.05])
-    data = st.ProblemData(y0=y0, source=st.DecaySource(
-        sp.constant_field(0.0, grid), bump, 0.5))
-    return st.run(config, data)
+    return st.run(*readme_problem(4000))
+
+
+@pytest.fixture(scope="session")
+def readme_long_run():
+    """6000 steps of the README physics, as :func:`recorded_run` records them,
+    and the carries at each boundary between two blocks of steps.
+
+    Returns the config, the (N+1, m) rows of ``y`` and ``mu``, and a dict
+    mapping each step ``n > 0`` that starts a block to the pair of carries
+    there: the one the step before returned and the one step ``n`` took.
+    """
+    config, data = readme_problem(6000)
+    advance, returned, boundaries = st._advance, {}, {}
+    steps = iter(range(config.steps))
+
+    def at_boundaries(ws, y, mu, u, carry):
+        n = next(steps)
+        if n and n % st._SOURCE_BLOCK == 0:
+            boundaries[n] = (returned.pop(n), carry)
+        out = advance(ws, y, mu, u, carry)
+        if (n + 1) % st._SOURCE_BLOCK == 0:
+            returned[n + 1] = out[2]
+        return out
+
+    st._advance = at_boundaries
+    try:
+        _, ys, mus = recorded_run(config, data)
+    finally:
+        st._advance = advance
+    return config, ys, mus, boundaries
 
 
 @pytest.fixture(scope="session")
@@ -240,11 +276,14 @@ def fresh_longtime_report(traj, **kwargs):
 
 def dense_step_operator(config):
     """The step operator ``K`` of ``config`` as a dense matrix: the operator
-    applied to the unit vectors, as ``power_rows`` and ``solve_shifted``
-    apply it to any rows.  It is the oracle of every test of ``K``, of its
-    shifted inverse and of the Newton directions."""
+    applied to the unit vectors, with ``power_rows`` for ``B2s`` and the
+    columns of ``(I + A2r)^(-1)`` from their coefficients, the identity off
+    the span and ``1 / (1 + lambda^2r)`` on it.  It is the oracle of every
+    test of ``K``, of its shifted inverse and of the Newton directions."""
     eye = np.eye(config.grid.size)
-    k = (sp.power_rows(config.op_B, eye, 2.0) + sp.solve_shifted(config.op_A, eye) / config.h).T
+    basis, weights = config.op_A.basis, config.op_A.power_weights(2.0)
+    shifted = eye - (basis.coefficients(eye) * weights / (1.0 + weights)) @ basis.modes.T
+    k = (sp.power_rows(config.op_B, eye, 2.0) + shifted / config.h).T
     k += (config.tau / config.h + config.spec.stability_shift) * eye
     return k
 
@@ -267,7 +306,7 @@ def assert_step_operator_closed_forms(ws, shift):
     config = ws.config
     eye = np.eye(config.grid.size)
     k = dense_step_operator(config)
-    assert np.abs(np.array([ws.apply(e) for e in eye]).T - k).max() <= 1e-13 * np.abs(k).max()
+    assert np.abs(np.array([ws.apply(e)[0] for e in eye]).T - k).max() <= 1e-13 * np.abs(k).max()
     assert ws.k_rows == pytest.approx(ws.h_norm(np.abs(k).sum(axis=1)), rel=1e-12)
     shifted = k + shift * eye
     expected = np.linalg.inv(shifted)

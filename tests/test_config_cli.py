@@ -349,6 +349,23 @@ class TestSerialization:
         assert loaded["b"] == [1, 2.5]
         assert loaded["c"] == 'say "hi"'
 
+    @pytest.mark.parametrize("count", [0, 1, 65])
+    @pytest.mark.parametrize("sep", [",", "\t"])
+    def test_tables_are_the_bytes_of_savetxt(self, tmp_path, count, sep):
+        # 65 rows of 16 values span two chunks of 1024 values; every row holds
+        # each special value, an integral step number and six normal draws
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 3.0, -1e300, 5e-324, 0.1]
+        rows = np.random.default_rng(count).normal(size=(count, 16))
+        rows[:, 0] = np.arange(count)
+        for i in range(count):
+            rows[i, 1:len(specials) + 1] = np.roll(specials, i)
+        header = [f"c{i}" for i in range(rows.shape[1])]
+        runio._write_table(tmp_path / "ours", header, rows, sep)
+        with open(tmp_path / "theirs", "w", encoding="utf-8", newline="\n") as fh:
+            np.savetxt(fh, rows, fmt="%.17g", delimiter=sep, header=sep.join(header),
+                       comments="")
+        assert (tmp_path / "ours").read_bytes() == (tmp_path / "theirs").read_bytes()
+
 
 def write_config(tmp_path, name="run.ini", doc=None):
     out = tmp_path / "out"
@@ -395,6 +412,7 @@ class TestRunDirectory:
         stored = runio.load_run(str(out))
         traj = st.run(scheme, data, stored.snapshot_steps)
         assert np.array_equal(stored.y_snapshots, traj.y_snapshots)
+        assert stored.y_snapshots.flags.c_contiguous
         _, mu_rows = runio._read_table(str(out / "snapshots_mu.csv"), ",")
         assert np.array_equal(mu_rows[:, 1:], traj.mu_snapshots)
 

@@ -317,7 +317,7 @@ def test_newton_direction_matches_dense_solve(kind, points, exponent, levels, da
     config = direction_config(kind, points, exponent, data)
     ws = st._Workspace(config)
     probe = np.linspace(-1.0, 1.0, points)
-    k_probe = ws.apply(probe)
+    k_probe = ws.apply(probe)[0]
     index = data.draw(hs.lists(hs.integers(0, len(levels) - 1), min_size=points,
                                max_size=points))
     slope = np.asarray(levels)[index] - 2.0
@@ -325,7 +325,7 @@ def test_newton_direction_matches_dense_solve(kind, points, exponent, levels, da
     expected = np.linalg.solve(dense_step_operator(config) + np.diag(slope), -g)
     delta = ws.direction(slope, g)
     assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
-    assert np.array_equal(ws.apply(probe), k_probe)
+    assert np.array_equal(ws.apply(probe)[0], k_probe)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -193,17 +193,21 @@ class TestApplyPower:
 
 
 class TestSolveShifted:
-    def test_shifted_equation_holds_nodally(self, neumann16):
-        rng = np.random.default_rng(21)
-        op = sp.FractionalOperator(neumann16, 0.5)
-        rows = np.array([random_field(neumann16, rng).values for _ in range(3)])
-        u = sp.solve_shifted(op, rows)  # rows include out-of-span components
-        back = u + sp.power_rows(op, u, 2.0)
-        scale = np.maximum(sp.row_norms(rows, neumann16.grid), 1.0)
-        assert np.all(sp.row_norms(back - rows, neumann16.grid) <= 1e-12 * scale)
-        single = sp.solve_shifted(op, rows[1])
-        assert single.shape == (neumann16.grid.size,)
-        assert np.allclose(single, u[1], rtol=0.0, atol=1e-14)
+    """A step takes ``mu+ = (I + A2r)^(-1) (mu - d/h)`` from the carried ``c(mu)``."""
+
+    def test_shifted_equation_holds_nodally(self, readme_long_run):
+        # on every step of a long run, against a fresh analysis of each mu+:
+        # (I + A2r) mu+ = mu - d/h to 1e-12 of the row scale, the larger of
+        # |mu - d/h| and |mu+| times the largest weight of I + A2r, which
+        # multiplies the rounding of mu+ in its top mode (2.8e-15 of it on
+        # this run, as when each step analyses mu - d/h afresh)
+        config, ys, mus, _ = readme_long_run
+        grid = config.grid
+        rest = mus[:-1] - np.diff(ys, axis=0) / config.h
+        shifted = mus[1:] + sp.power_rows(config.op_A, mus[1:], 2.0)
+        scale = np.maximum(sp.row_norms(rest, grid), (1.0 + config.op_A.power_weights(2.0).max())
+                           * sp.row_norms(mus[1:], grid))
+        assert np.all(sp.row_norms(shifted - rest, grid) <= 1e-12 * scale)
 
 
 class TestNorms:

@@ -299,7 +299,7 @@ class TestNewtonDirection:
         m = ws.config.grid.size
         rng = np.random.default_rng(5)
         probe = rng.normal(size=m)
-        k_probe = ws.apply(probe)
+        k_probe = ws.apply(probe)[0]
         g = rng.normal(size=m)
         floor = np.full(m, -2.0)   # obstacle slope pi' away from the contact
         few = floor.copy()
@@ -309,14 +309,14 @@ class TestNewtonDirection:
         kept = ws.active
         assert_dense_direction(ws, few, g)
         assert ws.active is kept   # same slope: the factors are kept
-        assert np.array_equal(ws.apply(probe), k_probe)
+        assert np.array_equal(ws.apply(probe)[0], k_probe)
         # a new slope gives new factors and leaves K bit for bit as it was
         assert_dense_direction(ws, np.roll(few, 1), g)
         assert ws.active is not kept
         kept = ws.active
         assert_dense_direction(ws, few + 0.5, g)
         assert ws.active is not kept
-        assert np.array_equal(ws.apply(probe), k_probe)
+        assert np.array_equal(ws.apply(probe)[0], k_probe)
 
     @pytest.mark.parametrize("kind", ONE_BASIS + sorted(TWO_BASES))
     def test_closed_forms_match_dense_assembly(self, kind):
@@ -360,7 +360,7 @@ class TestNewtonDirection:
         ws = direction_workspace("dirichlet-neumann")
         m = ws.config.grid.size
         probe = np.random.default_rng(9).normal(size=m)
-        k_probe = ws.apply(probe)
+        k_probe = ws.apply(probe)[0]
         few = np.full(m, -2.0)
         few[[1, 4]] += 1.0 / 1e-2
         g = np.ones(m)
@@ -375,7 +375,7 @@ class TestNewtonDirection:
         with pytest.raises(MemoryError):
             ws.direction(few + 0.5, g)
         assert ws.active is None
-        assert np.array_equal(ws.apply(probe), k_probe)
+        assert np.array_equal(ws.apply(probe)[0], k_probe)
         monkeypatch.undo()
         # the earlier slope again: nothing is left to hit, so the factors are built anew
         assert_dense_direction(ws, few, g)
@@ -563,8 +563,11 @@ def test_analysis_matches_the_weighted_matrix_off_powers_of_two(points, modes):
     rng = np.random.default_rng(11)
     mu, y, d = rng.normal(size=(3, points))
     assert_close(basis.coefficients(np.array((mu, y))), np.array((mu, y)) @ weighted.T)
-    assert_close(ws.apply(d), ws.a * d + basis.modes @ (ws.kappa * (weighted @ d)))
-    a_mu, part = ws.spectral(mu, y)
+    assert_close(ws.apply(d)[0], ws.a * d + basis.modes @ (ws.kappa * (weighted @ d)))
+    c_mu, c_y, part = ws.carried(y, mu)
+    assert_close(c_mu, weighted @ mu)
+    assert_close(c_y, weighted @ y)
+    a_mu, _ = ws.synthesize(c_mu, c_y, ws.power_a * c_mu)
     assert_close(a_mu, basis.modes @ (ws.power_a * (weighted @ mu)))
     assert_close(part, basis.modes @ (ws.shifted_a * (weighted @ mu)
                                       - ws.power_b * (weighted @ y)))
@@ -811,10 +814,16 @@ def counted_workspaces(monkeypatch):
     return built
 
 
+def assert_close_to(ours, fresh, rel=1e-12):
+    """``ours`` within ``rel`` of ``fresh``, relative to its largest entry."""
+    assert np.abs(ours - fresh).max() <= rel * np.abs(fresh).max()
+
+
 class TestCarry:
-    """``run`` hands each step's increment, its ``K d`` and the spectral part
-    of the next right-hand side to the next step; ``solve_step`` computes
-    them from its rows."""
+    """``run`` hands each step's increment, its ``K d`` and analysis, the
+    coefficients of the new rows and the spectral part of the next
+    right-hand side to the next step, and analyses the rows afresh at the
+    first step of each block; ``solve_step`` computes them from its rows."""
 
     @pytest.mark.parametrize("problem", sorted(CARRY_PROBLEMS))
     def test_every_step_matches_a_step_with_a_fresh_carry(self, problem, monkeypatch):
@@ -833,27 +842,62 @@ class TestCarry:
             y, mu = ys[n], mus[n]
             # the increment of the step before, as Newton returned it
             fresh = st._fresh_carry(ws, y, mu, carry[0])
-            assert all(np.array_equal(a, b) for a, b in zip(carry, fresh))
             y_next, mu_next, _, stats = st._advance(
                 ws, y, mu, data.source.at((n + 1) * config.h).values, fresh)
-            assert np.array_equal(y_next, ys[n + 1])
-            assert np.array_equal(mu_next, mus[n + 1])
-            assert stats == traj.solver_stats[n]
+            if n % st._SOURCE_BLOCK == 0:   # the first step of a block: bit for bit
+                assert all(np.array_equal(a, b) for a, b in zip(carry, fresh))
+                assert np.array_equal(y_next, ys[n + 1])
+                assert np.array_equal(mu_next, mus[n + 1])
+                assert stats == traj.solver_stats[n]
+                continue
+            # Newton's increment, K d and its analysis and the analysis of mu
+            # are the fresh ones bit for bit; c(y) and the spectral part were
+            # carried, so the step agrees to round-off
+            assert all(np.array_equal(a, b) for a, b in zip(carry[:4], fresh[:4]))
+            assert_close_to(y_next, ys[n + 1])
+            assert_close_to(mu_next, mus[n + 1])
+            ran = traj.solver_stats[n]
+            assert (stats.iterations, stats.dampings) == (ran.iterations, ran.dampings)
+
+    def test_carried_coefficients_drift_within_a_block(self, readme_long_run):
+        # a step analyses mu+ once, so the carried c(mu) is the fresh one bit
+        # for bit (c(mu+) = c(mu - d/h) / (1 + lambda^2r) would drift with the
+        # Gram defect of the modes, the same amount every step); c(y+) = c(y)
+        # + c(d) adds about one rounding of an m-term sum per step, a random
+        # walk that run restarts at the first step of every block, so at its
+        # end c(y) and the spectral part stay within sqrt(64) m eps of fresh
+        # analyses, relative to |y| and to |y| and |mu| times the largest
+        # weights of B2s and S - I
+        config, ys, mus, boundaries = readme_long_run
+        assert sorted(boundaries) == list(range(64, config.steps, 64))
+        ws = st._Workspace(config)
+        tol = np.sqrt(st._SOURCE_BLOCK) * config.grid.size * np.finfo(float).eps
+        for n, (carried, taken) in boundaries.items():
+            y, mu = ys[n], mus[n]
+            fresh = st._fresh_carry(ws, y, mu, carried[0])
+            assert all(np.array_equal(a, b) for a, b in zip(taken, fresh))
+            assert all(np.array_equal(a, b) for a, b in zip(carried[:4], fresh[:4]))
+            _, _, _, _, c_y, part = fresh
+            rows_part = (np.abs(ws.shifted_a).max() * ws.h_norm(mu)
+                         + ws.power_b.max() * ws.h_norm(y))
+            assert np.abs(carried[4] - c_y).max() <= tol * ws.h_norm(y)
+            assert np.abs(carried[5] - part).max() <= tol * rows_part
 
     def test_every_newton_exit_returns_k_times_its_iterate(self, monkeypatch):
         exits = set()
         newton = st._newton_solve
 
-        def checked(ws, y_prev, r, d, kd):
-            d, kd, iterations, res, dampings = newton(ws, y_prev, r, d, kd)
-            assert np.array_equal(kd, ws.apply(d))
+        def checked(ws, y_prev, r, d, kd, cd):
+            d, kd, cd, iterations, res, dampings = newton(ws, y_prev, r, d, kd, cd)
+            k_d, c_d = ws.apply(d)
+            assert np.array_equal(kd, k_d) and np.array_equal(cd, c_d)
             cfg = ws.config
             if res > cfg.newton_tol:
                 exits.add("floor, line search" if iterations < cfg.newton_max
                           else "floor, newton_max")
             else:
                 exits.add("start" if iterations == 0 else "converged")
-            return d, kd, iterations, res, dampings
+            return d, kd, cd, iterations, res, dampings
 
         monkeypatch.setattr(st, "_newton_solve", checked)
         # a settling run: from the previous increment some steps meet
