@@ -270,7 +270,7 @@ def main(argv=None) -> int:
     payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code}
     if isinstance(exc, StepError):
         payload.update(step_index=exc.step_index, residual_history=exc.residual_history)
-    sys.stderr.write(runio._json_value(payload) + "\n")
+    sys.stderr.write(runio.json_text(payload) + "\n")
     return exc.exit_code
 
 

@@ -388,8 +388,7 @@ def _build_source(cfg: RunConfig, grid: sp.Grid):
             raise ConfigurationError(
                 "tabulated source rows must be a time followed by nodal values"
             )
-        fields = [sp.Field(row[1:], grid) for row in table]
-        return st.TabulatedSource(table[:, 0], fields)
+        return st.TabulatedSource(table[:, 0], table[:, 1:], grid)
     raise ConfigurationError(f"unknown source descriptor {kind!r}")
 
 

@@ -1,13 +1,13 @@
 """Deterministic file output and reload of runs.
 
-Every number is serialized with 17 significant digits, which round-trips
-doubles exactly.  A table, some 1024 values at a time, and a finite float
-array in JSON, a row at a time, go through one ``'%.17g'`` template per
-row, which gives a table ``numpy.savetxt``'s bytes; any other JSON value, a
-non-finite array among them, goes element by element, with the same bytes
-either way.  A run directory contains the verbatim configuration, a
-per-step scalar table, the energy ledger, field snapshots at the configured
-schedule, a metadata file and a gnuplot script referencing the tables.
+A table carries 17 significant digits: one ``'%.17g'`` template per row,
+some 1024 values at a time, gives ``numpy.savetxt``'s bytes.  A JSON
+document is :func:`json.dumps` of plain Python values, so its numbers are
+the shortest decimals of the same doubles and a non-finite one is the
+string ``"nan"``, ``"inf"`` or ``"-inf"``.  Both read back exactly.  A run
+directory contains the verbatim configuration, a per-step scalar table,
+the energy ledger, field snapshots at the configured schedule, a metadata
+file and a gnuplot script referencing the tables.
 Every file is written from the trajectory's scalar columns and snapshot
 rows, which :func:`stepper.run` reduced its states to as it marched; no
 file needs a state that is not a snapshot.  Nothing time- or host-dependent
@@ -24,6 +24,7 @@ byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -50,41 +51,24 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _json_value(obj) -> str:
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if np.isnan(v):
-            return '"nan"'
-        if np.isinf(v):
-            return '"inf"' if v > 0 else '"-inf"'
-        return fmt(v)
-    if isinstance(obj, np.ndarray):
-        if obj.ndim and obj.dtype.kind == "f" and np.isfinite(obj).all():
-            return _float_rows(obj, "[" + ", ".join(["%.17g"] * obj.shape[-1]) + "]")
-        # row by row: a whole-matrix tolist() would hold every element as a float object
-        return _json_value(obj.tolist() if obj.ndim <= 1 else list(obj))
+def _plain(obj):
+    """``obj`` as the Python values :func:`json.dumps` takes: numpy scalars and
+    arrays become numbers and lists, dict keys strings, and a non-finite float
+    the string ``"nan"``, ``"inf"`` or ``"-inf"``."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if obj != obj else "inf" if obj > 0 else "-inf"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in obj) + "]"
+        return [_plain(v) for v in obj]
     if isinstance(obj, dict):
-        items = (f"{_json_value(str(k))}: {_json_value(v)}" for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        return {str(k): _plain(v) for k, v in obj.items()}
+    return obj
 
 
-def _float_rows(array: np.ndarray, row_template: str) -> str:
-    """A finite float array as ``_json_value`` writes its list: one
-    ``'%.17g'`` template per row, which formats exactly like :func:`fmt`."""
-    if array.ndim == 1:
-        return row_template % tuple(array.tolist())
-    return "[" + ", ".join(_float_rows(sub, row_template) for sub in array) + "]"
+def json_text(obj) -> str:
+    """``obj`` as one line of strict JSON (no NaN or Infinity token)."""
+    return json.dumps(_plain(obj), allow_nan=False)
 
 
 def _write_text(path, text: str) -> None:
@@ -93,7 +77,7 @@ def _write_text(path, text: str) -> None:
 
 
 def write_json(path, obj) -> None:
-    _write_text(path, _json_value(obj) + "\n")
+    _write_text(path, json_text(obj) + "\n")
 
 
 def _umask_mode(mode: int) -> int:
@@ -110,7 +94,7 @@ def write_report(directory, report: dict) -> str:
     over ``report.json``: a reader sees the old report or the new one, never
     a part of either.
     """
-    text = _json_value(report) + "\n"
+    text = json_text(report) + "\n"
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=TEMP_PREFIX)

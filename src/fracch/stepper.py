@@ -184,38 +184,42 @@ class DecaySource:
 
 @dataclass(frozen=True)
 class TabulatedSource:
-    """Right-continuous step source through tabulated (time, field) samples."""
+    """Right-continuous step source through tabulated (time, nodal values) rows.
+
+    ``table`` holds one row of nodal values on ``grid`` per time.  It is kept
+    as given, read-only, not copied.
+    """
 
     times: np.ndarray
-    fields: Sequence[sp.Field]
+    table: np.ndarray
+    grid: sp.Grid
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size != len(self.fields) or t.size == 0:
-            raise ConfigurationError("tabulated source needs matching times and fields")
+        table = np.asarray(self.table, dtype=float)
+        if t.ndim != 1 or t.size == 0 or table.shape != (t.size, self.grid.size):
+            raise ConfigurationError("tabulated source needs matching times and rows")
         if np.any(np.diff(t) <= 0):
             raise ConfigurationError("tabulated times must be strictly increasing")
-        t.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        table = np.array([f.values for f in self.fields])
-        table.flags.writeable = False
-        object.__setattr__(self, "_table", table)
+        for name, array in (("times", t), ("table", table)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def u_inf(self) -> sp.Field:
-        return self.fields[-1]
+        return sp.Field(self.table[-1], self.grid)
 
     def at(self, t: float) -> sp.Field:
-        return sp.Field(self.values(np.array([t]))[0], self.u_inf.grid)
+        return sp.Field(self.values(np.array([t]))[0], self.grid)
 
     def values(self, times: np.ndarray) -> np.ndarray:
         """Nodal values at each of the given times, one row per time."""
         idx = np.searchsorted(self.times, times, side="right") - 1
-        return self._table[np.maximum(idx, 0)]
+        return self.table[np.maximum(idx, 0)]
 
     def derivative_l1(self, horizon):
         """Sum of the jump norms at the tabulated times up to each horizon."""
-        jumps = sp.row_norms(np.diff(self._table, axis=0), self.u_inf.grid)
+        jumps = sp.row_norms(np.diff(self.table, axis=0), self.grid)
         totals = np.concatenate(([0.0], np.cumsum(jumps)))
         return totals[np.searchsorted(self.times[1:], horizon, side="right")]
 

@@ -7,11 +7,29 @@ the same trajectories.
 
 import numpy as np
 import pytest
+from hypothesis.internal.conjecture import providers
 
 from fracch import longtime as lt
 from fracch import potentials as pot
 from fracch import spectral as sp
 from fracch import stepper as st
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_mined_constants():
+    """Derandomized draws that depend on the test alone.
+
+    Hypothesis mixes literals it mines from the package and test sources
+    into its draws (``providers._get_local_constants``, no public switch),
+    so any edit would draw other examples for every derandomized test.  The
+    pool is emptied for the session; the literals that matter are explicit
+    ``@example`` cases instead.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(providers, "_get_local_constants", providers.Constants)
+        providers.CONSTANTS_CACHE.cache.clear()
+        yield
+    providers.CONSTANTS_CACHE.cache.clear()
 
 
 def zero_potential():

@@ -60,6 +60,22 @@ seed = 42
 """
 
 
+def readme_example():
+    """The config document of the README's example."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        (example,) = re.findall(r"^```ini\n(.*?)^```$", fh.read(), re.S | re.M)
+    return example
+
+
+def strict_json(text):
+    """``text`` parsed as JSON that holds no NaN or Infinity token."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 # both operators zero-boundary with the quartic well: the positive branch
 POSITIVE_BRANCH = MINIMAL.replace("kind = neumann", "kind = dirichlet") \
                          .replace("name = obstacle\nc2 = 1.0", "name = regular") \
@@ -128,11 +144,7 @@ class TestParseConfig:
         ]
 
     def test_readme_example_parses(self):
-        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                              "README.md")
-        with open(readme, encoding="utf-8") as fh:
-            (example,) = re.findall(r"^```ini\n(.*?)^```$", fh.read(), re.S | re.M)
-        cfg = cfgmod.parse_config(example)
+        cfg = cfgmod.parse_config(readme_example())
         assert (cfg.operator_a.exponent, cfg.potential_params, cfg.tau) == (0.5, {"c2": 1.0}, 0.25)
         scheme, data = cfgmod.build_problem(cfg)
         assert (scheme.steps, scheme.grid.size) == (1000, 129)
@@ -165,6 +177,19 @@ class TestParseConfig:
         np.savetxt(path, values)
         f = cfgmod._build_field(f"file {path.name}", grid, str(tmp_path))
         assert np.allclose(f.values, values)
+
+    def test_tabulated_source_holds_its_table_once(self, tmp_path):
+        # times and rows are read-only views of the one array read from the file
+        grid = sp.interval_grid(4.0, 25)
+        table = np.column_stack([[0.0, 0.3, 1.0], np.outer([0.05, -0.02, 0.0], grid.x)])
+        np.savetxt(tmp_path / "tab.txt", table)
+        doc = MINIMAL.replace("source = decay 0.5", "source = tabulated tab.txt")
+        cfg = cfgmod.parse_config(doc, base_dir=str(tmp_path))
+        source = cfgmod.build_problem(cfg)[1].source
+        assert source.table.base is not None and source.table.base is source.times.base
+        assert not source.times.flags.writeable and not source.table.flags.writeable
+        assert np.array_equal(source.table, table[:, 1:])
+        assert np.array_equal(source.u_inf.values, table[-1, 1:])
 
     def test_unknown_descriptor(self):
         grid = sp.interval_grid(4.0, 25)
@@ -341,13 +366,16 @@ class TestSerialization:
 
     def test_json_escapes_and_specials(self, tmp_path):
         path = tmp_path / "x.json"
-        runio.write_json(path, {"a": float("inf"), "b": [1, 2.5], "c": 'say "hi"'})
-        import json
-
-        loaded = json.loads(path.read_text())
+        runio.write_json(path, {"a": float("inf"), "b": [1, 2.5], "c": 'say "hi"\t\n\x00',
+                                "d": np.array([np.nan, -np.inf, 0.1]), 3: np.int64(7)})
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        loaded = strict_json(text)
         assert loaded["a"] == "inf"
         assert loaded["b"] == [1, 2.5]
-        assert loaded["c"] == 'say "hi"'
+        assert loaded["c"] == 'say "hi"\t\n\x00'
+        assert loaded["d"] == ["nan", "-inf", 0.1]
+        assert loaded["3"] == 7
 
     @pytest.mark.parametrize("count", [0, 1, 65])
     @pytest.mark.parametrize("sep", [",", "\t"])
@@ -473,8 +501,22 @@ class TestRunDirectory:
         traj = st.run(*cfgmod.build_problem(cfg), cfgmod.snapshot_steps(cfg.snapshots, cfg.steps))
         payload = fresh_longtime_report(traj)
         assert payload["branch"] == branch
-        fresh = (runio._json_value(payload) + "\n").encode()
+        fresh = (runio.json_text(payload) + "\n").encode()
         assert fresh == (out / "report.json").read_bytes()
+
+    def test_readme_run_writes_strict_json(self, tmp_path):
+        # every JSON file of the README example's run directory, report.json
+        # included, parses without a NaN or Infinity token
+        path = tmp_path / "example.ini"
+        path.write_text(readme_example())
+        out = tmp_path / "run"
+        assert cli.main(["longtime-report", "--config", str(path), "--out", str(out)]) == 0
+        names = sorted(name for name in os.listdir(out) if name.endswith(".json"))
+        assert names == ["estimates.json", "meta.json", "report.json"]
+        for name in names:
+            text = (out / name).read_text()
+            assert text.count("\n") == 1
+            assert isinstance(strict_json(text), dict)
 
     def test_relative_inputs_travel_with_the_run(self, tmp_path):
         grid = sp.interval_grid(4.0, 25)
@@ -598,6 +640,16 @@ class TestCliErrors:
         assert cli.main(["simulate", str(path)]) == 2
         err = capsys.readouterr().err
         assert '"exit_code": 2' in err
+
+    def test_control_characters_in_a_path_give_one_json_line(self, tmp_path, capsys):
+        # the message names the path, whose tab and newline JSON escapes
+        path = str(tmp_path / "no\tsuch\nfile.ini")
+        assert cli.main(["simulate", path]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1
+        payload = strict_json(err[0])
+        assert payload["exit_code"] == 2 and path in payload["message"]
 
     def test_hypothesis_error_exit_code(self, tmp_path):
         doc = MINIMAL.replace("y0 = cosine 0.1 0.4 0.2", "y0 = constant 1.0")

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from fracch import potentials as pot
@@ -137,6 +137,9 @@ class TestLogarithmicResolvent:
            s=hs.lists(hs.one_of(hs.floats(-3.0, 3.0),
                                 hs.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -5e-324, 1e-13])),
                       min_size=1, max_size=64))
+    # 0 and the ends of the domain at the smallest and the largest level
+    @example(exponent=-6.0, s=[1.0, -1.0, 0.0, 3.0, -3.0])
+    @example(exponent=-1.0, s=[1.0, -1.0, 0.0, 3.0, -3.0])
     def test_random_batches_converge_quickly(self, exponent, s):
         # at most 15 Newton updates: the budget counts residual evaluations,
         # each followed by an update, the last one the polish after
@@ -152,6 +155,8 @@ class TestLogarithmicResolvent:
            s=hs.lists(hs.one_of(hs.floats(-3.0, 3.0),
                                 hs.sampled_from([0.0, -0.0, 1.0, 1.0 - 1e-16, 1e-300, 5e-324])),
                       min_size=1, max_size=64))
+    @example(exponent=-8.0, s=[1.0, -1.0, 0.0, 1.0 - 1e-16, 3.0])
+    @example(exponent=-1.0, s=[1.0, -1.0, 0.0, 1.0 - 1e-16, 3.0])
     def test_random_batches_reach_round_off_oddly(self, exponent, s):
         # the polish leaves the equation's defect at round-off of its terms,
         # and the iteration on |s| makes the resolvent odd bit for bit

@@ -7,12 +7,13 @@ energy ledger against a plain Field-by-Field evaluation, the exact mass
 identity and the ledger slack.  The regularization examples draw a graph,
 two points and a level, and check the resolvent and Yosida identities.
 The serialization examples draw float arrays and check that the JSON of an
-array is the JSON of its nested list.  The Newton-direction examples check
-the step operator and its shifted inverse built from a shared basis
-against the dense assembly and inverse, the reduced branch and the branch
-along the modes against the dense solve, on one basis or two, and a
-workspace that builds new active-set factors against a fresh one, bit for
-bit, and one that reuses them against the dense solve.  The limit-set
+array is the JSON of its nested list and reads back to the same doubles.
+The Newton-direction examples check the step operator and its shifted
+inverse built from a shared basis against the dense assembly and inverse,
+the reduced branch and the branch along the modes against the dense
+solve, on one basis or two, and a workspace that builds new active-set
+factors against a fresh one, bit for bit, and one that reuses them against
+the dense solve.  The limit-set
 examples draw snapshot rows, some of them repeated, and check the gap to
 the last snapshot and the tail diameter of the long-time report against
 the dense matrix of all snapshot gaps, bit for bit.  The warm-start
@@ -21,7 +22,10 @@ against ``solve_step`` chained from ``d = 0``.  The fuzzing examples
 mutate a small run document or the matrix file its operators read, or
 draw the flags of ``check-potentials``, ``example-best`` and ``sweep``,
 and hold ``cli.main`` to its input contract.  The examples are
-derandomized so that the suite gives the same verdict on every run.
+derandomized so that the suite gives the same verdict on every run, and
+``conftest.no_mined_constants`` keeps the literals of the sources out of
+the draws, so that an edit elsewhere draws the same examples; the literals
+that matter are explicit examples.
 """
 
 import contextlib
@@ -38,6 +42,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hs
 from hypothesis.extra import numpy as hnp
+from hypothesis.internal.conjecture import providers
 
 from fracch import cli
 from fracch import estimates as est
@@ -54,35 +59,61 @@ POTENTIALS = ("regular", "logarithmic", "obstacle", "example_best")
 EPS = np.finfo(float).eps
 
 
+def test_mined_literals_stay_out_of_the_draws():
+    # conftest.no_mined_constants empties hypothesis's pool of literals mined
+    # from the sources through this private name; without it, every edit
+    # would draw other examples for each derandomized test
+    assert callable(getattr(providers, "_get_local_constants", None))
+    pool = providers.HypothesisProvider(None)._local_constants
+    assert not any(pool.set_for_type(kind) for kind in ("integer", "float", "bytes", "string"))
+
+
+def problem(kind, points, modes, length, name, params, exponents, lam, tau, h, steps,
+            y0, bump, u_inf, rate):
+    """A scheme on one interval basis with a cosine initial state and a
+    decaying cosine source, from the values :func:`problems` draws."""
+    basis = sp.build_interval_basis(kind, modes, length, points)
+    config = st.SchemeConfig(
+        op_A=sp.FractionalOperator(basis, exponents[0]),
+        op_B=sp.FractionalOperator(basis, exponents[1]),
+        spec=pot.make_potential(name, **params),
+        yosida_lambda=lam, tau=tau, h=h, steps=steps)
+    grid = config.grid
+    source = st.DecaySource(sp.constant_field(u_inf, grid), cosine_field(grid, bump), rate)
+    return config, st.ProblemData(y0=cosine_field(grid, y0), source=source)
+
+
 @hs.composite
 def problems(draw):
     kind = draw(hs.sampled_from(("neumann", "dirichlet")))
     points = draw(hs.integers(9, 33))
     modes = draw(hs.integers(2, points - 2 if kind == "dirichlet" else points))
-    basis = sp.build_interval_basis(kind, modes, draw(hs.floats(0.5, 4.0)), points)
+    length = draw(hs.floats(0.5, 4.0))
     name = draw(hs.sampled_from(POTENTIALS))
     params = {}
     if name == "logarithmic":
         params["c1"] = draw(hs.floats(1.05, 2.0))
     if name == "obstacle":
         params["c2"] = draw(hs.floats(0.2, 2.0))
-    config = st.SchemeConfig(
-        op_A=sp.FractionalOperator(basis, draw(hs.floats(0.1, 1.0))),
-        op_B=sp.FractionalOperator(basis, draw(hs.floats(0.1, 1.0))),
-        spec=pot.make_potential(name, **params),
-        yosida_lambda=draw(hs.floats(1e-3, 1e-1)),
-        tau=draw(hs.floats(0.0, 1.0)),
-        h=draw(hs.floats(1e-3, 0.05)),
-        steps=draw(hs.integers(1, 30)),
-    )
-    grid = config.grid
-    # |y0| <= 0.8 keeps every value inside the singular wells' domains
-    coeffs = draw(hs.lists(hs.floats(-0.2, 0.2), min_size=1, max_size=4))
-    y0 = cosine_field(grid, coeffs)
-    bump = cosine_field(grid, draw(hs.lists(hs.floats(-0.5, 0.5), min_size=1, max_size=3)))
-    source = st.DecaySource(sp.constant_field(draw(hs.floats(-0.5, 0.5)), grid), bump,
-                            draw(hs.floats(0.1, 2.0)))
-    return config, st.ProblemData(y0=y0, source=source)
+    return problem(
+        kind, points, modes, length, name, params,
+        exponents=(draw(hs.floats(0.1, 1.0)), draw(hs.floats(0.1, 1.0))),
+        lam=draw(hs.floats(1e-3, 1e-1)), tau=draw(hs.floats(0.0, 1.0)),
+        h=draw(hs.floats(1e-3, 0.05)), steps=draw(hs.integers(1, 30)),
+        # |y0| <= 0.8 keeps every value inside the singular wells' domains
+        y0=draw(hs.lists(hs.floats(-0.2, 0.2), min_size=1, max_size=4)),
+        bump=draw(hs.lists(hs.floats(-0.5, 0.5), min_size=1, max_size=3)),
+        u_inf=draw(hs.floats(-0.5, 0.5)), rate=draw(hs.floats(0.1, 2.0)))
+
+
+# tau at both ends of [0, 1], each run on a singular well with the initial
+# state at its largest drawn reach, 0.8, and the source at its ends
+TAU_ENDS = (
+    problem("neumann", 17, 17, 4.0, "obstacle", {"c2": 2.0}, (1.0, 0.1), 1e-3, 0.0, 0.05,
+            30, [0.2, 0.2, 0.2, 0.2], [0.5, -0.5, 0.5], 0.5, 2.0),
+    problem("dirichlet", 9, 7, 0.5, "logarithmic", {"c1": 1.05}, (0.1, 1.0), 1e-1, 1.0,
+            1e-3, 30, [-0.2, -0.2, -0.2, -0.2], [-0.5], -0.5, 0.1),
+)
 
 
 def oracle_ledger(traj, y, mu):
@@ -139,6 +170,8 @@ def oracle_ledger(traj, y, mu):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(problems())
+@example(TAU_ENDS[0])
+@example(TAU_ENDS[1])
 def test_ledger_mass_and_slack_on_random_problems(problem):
     config, data = problem
     traj, y, mu = recorded_run(config, data)
@@ -163,6 +196,8 @@ def test_ledger_mass_and_slack_on_random_problems(problem):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(problems())
+@example(TAU_ENDS[0])
+@example(TAU_ENDS[1])
 def test_warm_started_run_matches_the_cold_chain(problem):
     config, data = problem
     assert_matches_cold_chain(config, data)
@@ -383,6 +418,9 @@ def test_cached_newton_direction_matches_a_fresh_workspace(kind, points, exponen
 @given(kind=hs.sampled_from(("neumann", "dirichlet")), points=hs.integers(5, 65),
        exponents=hs.tuples(hs.floats(0.1, 1.0), hs.floats(0.1, 1.0)),
        tau=hs.floats(0.0, 1.0), h=hs.floats(1e-3, 0.05), seed=hs.integers(0, 2**32 - 1))
+# the ends of every range
+@example(kind="dirichlet", points=5, exponents=(1.0, 0.1), tau=0.0, h=1e-3, seed=0)
+@example(kind="neumann", points=65, exponents=(0.1, 1.0), tau=1.0, h=0.05, seed=2**32 - 1)
 def test_mode_newton_direction_matches_dense_solve(kind, points, exponents, tau, h, seed):
     # both operators on one basis of about half as many modes as nodes, and
     # continuous slopes in [-Lip(pi), 1/lam] like a smooth well's: the
@@ -459,6 +497,13 @@ GRAPH_SLOPE = {
 # a small level with |s| below it: the bisection's narrow-bracket midpoint
 # must pass the bisection's own selection check
 @example(name="zero", s=0.0, t=2.220446049250313e-16, log_lam=-6.0)
+# 0 and the ends of the bounded domains, +-1, at both ends of the levels
+@example(name="logarithmic", s=1.0, t=-1.0, log_lam=-6.0)
+@example(name="logarithmic", s=0.0, t=1.0, log_lam=-1.0)
+@example(name="obstacle", s=1.0, t=-1.0, log_lam=-6.0)
+@example(name="obstacle", s=0.0, t=-1.0, log_lam=-1.0)
+@example(name="regular", s=0.0, t=1.0, log_lam=-6.0)
+@example(name="example_best", s=-1.0, t=0.0, log_lam=-1.0)
 def test_regularization_identities(name, s, t, log_lam):
     spec, lam, err = GRAPHS[name], 10.0 ** log_lam, RESOLVENT_ERROR[name]
     points = np.array([s, t])
@@ -491,15 +536,23 @@ def float_arrays(finite):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(array=hs.booleans().flatmap(float_arrays))
-# empty shapes, and non-finite entries that must take the element-wise path
+# empty shapes, and non-finite entries that become strings
 @example(array=np.zeros((0,)))
 @example(array=np.zeros((0, 3)))
 @example(array=np.zeros((3, 0)))
 @example(array=np.array([[0.5, np.nan], [-np.inf, -0.0]]))
 @example(array=np.array([[[1.0, np.inf]], [[2.0, 3.0]]]))
+# doubles whose shortest decimal is far shorter than 17 digits, and the specials
+@example(array=np.array((0.1, 1.0 / 3.0, 64.0) + SPECIAL_FLOATS))
 def test_float_array_json_matches_its_list(array):
-    # the nested-list path is the element-wise serializer, kept as the oracle
-    assert runio._json_value(array) == runio._json_value(array.tolist())
+    # numpy's floats and Python's give the same text, nested lists the array's
+    text = runio.json_text(array)
+    assert text == runio.json_text(array.tolist())
+    # every finite double reads back as itself, sign of zero included
+    if np.isfinite(array).all():
+        back = np.array(json.loads(text), dtype=float).reshape(array.shape)
+        assert np.array_equal(np.signbit(back), np.signbit(array))
+        assert np.array_equal(back, array)
 
 
 # the fuzzed document: grid 9, 4 steps; each entry lists the values a mutation

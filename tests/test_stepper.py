@@ -725,9 +725,9 @@ class TestWarmStart:
         # increment is a poor start
         config = warm_start_config(kind, "obstacle", h=0.05, steps=40)
         grid = config.grid
-        fields = [cosine_field(grid, c)
-                  for c in ([0.0, 1.5], [1.0, -1.6, 0.2], [-1.2, 0.0, 1.4], [0.0])]
-        source = st.TabulatedSource(np.array([0.0, 0.4, 0.9, 1.5]), fields)
+        table = np.array([cosine_field(grid, c).values
+                          for c in ([0.0, 1.5], [1.0, -1.6, 0.2], [-1.2, 0.0, 1.4], [0.0])])
+        source = st.TabulatedSource(np.array([0.0, 0.4, 0.9, 1.5]), table, grid)
         assert_matches_cold_chain(config, st.ProblemData(
             y0=cosine_field(grid, [0.1, 0.6, 0.2]), source=source))
 
@@ -775,9 +775,9 @@ def carry_problem(kind_a, kind_b, well, h, steps, source, points=33):
     if source == "decay":
         u = st.DecaySource(sp.constant_field(0.8, grid), cosine_field(grid, [0.0, 0.0, 1.0]), 0.5)
     else:   # jumps at t = 0.4, 0.9 and 1.5
-        fields = [cosine_field(grid, c)
-                  for c in ([0.0, 1.5], [1.0, -1.6, 0.2], [-1.2, 0.0, 1.4], [0.0])]
-        u = st.TabulatedSource(np.array([0.0, 0.4, 0.9, 1.5]), fields)
+        table = np.array([cosine_field(grid, c).values
+                          for c in ([0.0, 1.5], [1.0, -1.6, 0.2], [-1.2, 0.0, 1.4], [0.0])])
+        u = st.TabulatedSource(np.array([0.0, 0.4, 0.9, 1.5]), table, grid)
     return config, st.ProblemData(y0=cosine_field(grid, [0.1, 0.6, 0.2]), source=u)
 
 
@@ -961,7 +961,8 @@ class TestSources:
     def test_tabulated_source_lookup(self, neumann16):
         grid = neumann16.grid
         fields = [sp.constant_field(v, grid) for v in (1.0, 2.0, 3.0)]
-        source = st.TabulatedSource(np.array([0.0, 1.0, 2.0]), fields)
+        source = st.TabulatedSource(np.array([0.0, 1.0, 2.0]),
+                                    np.array([f.values for f in fields]), grid)
         assert sp.mean(source.at(0.5)) == 1.0
         assert sp.mean(source.at(1.0)) == 2.0
         assert sp.mean(source.at(5.0)) == 3.0
