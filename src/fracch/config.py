@@ -216,10 +216,13 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
 
 def input_files(cfg: RunConfig) -> list:
-    """Relative paths of the files the document reads; a run directory keeps a
-    copy of each, so a path leaving the document's directory is an error."""
-    descriptors = [cfg.y0_descriptor, cfg.u_inf_descriptor, cfg.source_descriptor]
-    if cfg.source_descriptor.split()[:1] == ["decay"]:
+    """Relative paths of the files the run reads; a run directory keeps a copy
+    of each, so a path leaving the document's directory is an error."""
+    descriptors = [cfg.y0_descriptor, cfg.source_descriptor]
+    kind = cfg.source_descriptor.split()[:1]
+    if kind in (["constant"], ["decay"]):   # the sources that read u_inf
+        descriptors.append(cfg.u_inf_descriptor)
+    if kind == ["decay"]:
         descriptors.append(cfg.u_bump_descriptor)
     named = [tokens[1] for tokens in map(str.split, descriptors)
              if len(tokens) == 2 and tokens[0] in ("file", "tabulated")]
@@ -366,17 +369,17 @@ def _build_field(descriptor: str, grid: sp.Grid, base_dir: str) -> sp.Field:
 def _build_source(cfg: RunConfig, grid: sp.Grid):
     tokens = cfg.source_descriptor.split()
     kind = tokens[0] if tokens else ""
-    u_inf = _build_field(cfg.u_inf_descriptor, grid, cfg.base_dir)
     if kind == "zero":
         return st.zero_source(grid)
     if kind == "constant":
-        return st.DecaySource(u_inf)
+        return st.DecaySource(_build_field(cfg.u_inf_descriptor, grid, cfg.base_dir))
     if kind == "decay":
         if len(tokens) != 2:
             raise ConfigurationError("decay descriptor takes exactly one rate")
         rate = parse_number(tokens[1], "decay descriptor")
         if cfg.u_bump_descriptor is None:
             raise ConfigurationError("decay source needs a u_bump descriptor")
+        u_inf = _build_field(cfg.u_inf_descriptor, grid, cfg.base_dir)
         bump = _build_field(cfg.u_bump_descriptor, grid, cfg.base_dir)
         return st.DecaySource(u_inf, bump, rate)
     if kind == "tabulated":

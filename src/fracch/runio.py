@@ -117,13 +117,15 @@ def trajectory_rows(traj: st.DiscreteTrajectory) -> np.ndarray:
     return np.column_stack([columns[name] for name in TRAJECTORY_COLUMNS])
 
 
-def _write_table(path, header, rows: np.ndarray, sep: str) -> None:
-    # one '%.17g' template per row (fmt()'s and numpy.savetxt's bytes), 1024 values at a time
-    template, size = sep.join(["%.17g"] * rows.shape[1]) + "\n", max(1, 1024 // rows.shape[1])
+def _write_table(path, header, blocks, sep: str) -> None:
+    # one '%.17g' template per row (fmt()'s and numpy.savetxt's bytes), 1024 values at a
+    # time, stacked from the blocks (columns or 2-D arrays of them) only for those rows
+    template, size = sep.join(["%.17g"] * len(header)) + "\n", max(1, 1024 // len(header))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(sep.join(header) + "\n")
-        for start in range(0, len(rows), size):
-            fh.write("".join([template % tuple(row) for row in rows[start:start + size].tolist()]))
+        for start in range(0, len(blocks[0]), size):
+            rows = np.column_stack([block[start:start + size] for block in blocks])
+            fh.write("".join([template % tuple(row) for row in rows.tolist()]))
 
 
 PLOT_SCRIPT = """\
@@ -227,19 +229,18 @@ def write_run(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
 def _write_files(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
                  config_text: str) -> dict:
     config = traj.config
-    rows = trajectory_rows(traj)
-    _write_table(os.path.join(directory, "trajectory.csv"), TRAJECTORY_COLUMNS, rows, ",")
+    _write_table(os.path.join(directory, "trajectory.csv"), TRAJECTORY_COLUMNS,
+                 [trajectory_rows(traj)], ",")
     ledger = est.gronwall_ledger(traj)
     _write_table(os.path.join(directory, "ledger.tsv"),
                  ("step",) + est.LEDGER_TERMS + ("rhs_bound", "slack", "data_bound"),
-                 np.column_stack([ledger.step, ledger.terms, ledger.rhs_bound,
-                                  ledger.slack, ledger.data_bound]), "\t")
+                 [ledger.step, ledger.terms, ledger.rhs_bound, ledger.slack, ledger.data_bound],
+                 "\t")
     snap_header = ["t"] + [f"v{i}" for i in range(config.grid.size)]
     snap_times = traj.h * np.array(traj.snapshot_steps, dtype=float)
     for name, states in (("snapshots_y.csv", traj.y_snapshots),
                          ("snapshots_mu.csv", traj.mu_snapshots)):
-        _write_table(os.path.join(directory, name), snap_header,
-                     np.column_stack([snap_times, states]), ",")
+        _write_table(os.path.join(directory, name), snap_header, [snap_times, states], ",")
     report = est.uniform_report(traj)
     plateau = {}
     steps = len(ledger.step)
@@ -254,8 +255,7 @@ def _write_files(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConf
         "halfway_plateau_ratios": plateau,
     }
     write_json(os.path.join(directory, "estimates.json"), est_payload)
-    columns = dict(zip(TRAJECTORY_COLUMNS, rows.T))
-    mean_y = columns["mean_y"]
+    mean_y = traj.columns["mean_y"]
     meta = {
         "schema": RUN_SCHEMA,
         "seed": run_cfg.seed,
@@ -264,10 +264,10 @@ def _write_files(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConf
         "snapshot_steps": traj.snapshot_steps,
         "initial_mean": mean_y[0],
         "final_mass_identity_defect": abs(
-            mean_y[-1] + traj.h * columns["mean_mu"][-1] - mean_y[0]),
+            mean_y[-1] + traj.h * traj.columns["mean_mu"][-1] - mean_y[0]),
         "y_min": traj.y_range[0],
         "y_max": traj.y_range[1],
-        "newton_iterations_max": int(columns["newton_iters"].max()),
+        "newton_iterations_max": max((s.iterations for s in traj.solver_stats), default=0),
     }
     write_json(os.path.join(directory, "meta.json"), meta)
     _write_text(os.path.join(directory, "config.ini"), config_text)

@@ -48,9 +48,9 @@ the second basis, and the spectral part ``S mu - mu - B2s y`` of its
 right-hand side.  With ``c(d)`` (Newton's on a shared basis, one analysis
 per basis with two), ``mu+ = mu - d/h - Phi_A (q (c(mu) - c(d)/h))``, ``q
 = lam_A^2r / (1 + lam_A^2r)``, is analysed once, ``c(y+) = c(y) + c(d)``,
-and one two-row synthesis gives ``A2r mu+`` of the phase residual and the
-next spectral part: three passes over the modes of a shared basis, six
-over those of two, plus two per product with ``K`` and per node direction.
+and one synthesis gives the next spectral part: three passes over the
+modes of a shared basis, six over those of two, plus two per product with
+``K`` and per node direction.
 ``c(y)`` drifts from a fresh analysis by about a rounding per step, so
 ``run`` analyses the rows afresh at the first step of each block of 64.
 ``run`` and ``solve_step`` take every step through one routine;
@@ -292,10 +292,9 @@ def validate(config: SchemeConfig, data: ProblemData) -> None:
 
 @dataclass(slots=True)
 class StepStats:
-    """Per-step solver diagnostics."""
+    """Per-step Newton diagnostics: iterations, accepted residual, line-search halvings."""
 
     iterations: int
-    residual_phase: float
     residual_potential: float
     dampings: int = 0
 
@@ -500,11 +499,11 @@ class _Workspace:
     round-off, are taken a block of rows at a time.  Only the dense branch
     below holds ``K`` as an ``m`` x ``m`` matrix.
 
-    :meth:`synthesize` gives ``S mu - mu - B2s y = Phi_A (-q c(mu)) - Phi_B
-    (lam_B^2s c(y))`` from the coefficients ``c(mu) = Phi_A^T W mu`` and
-    ``c(y) = Phi_B^T W y``, stacked under ``Phi_A c`` for each further
-    coefficient row ``c``: one synthesis on a shared basis, and one more
-    along ``Phi_B`` with two.  :meth:`carried` analyses the rows for them.
+    :meth:`synthesize` gives the spectral part ``S mu - mu - B2s y = Phi_A
+    (-q c(mu)) - Phi_B (lam_B^2s c(y))`` from the coefficients ``c(mu) =
+    Phi_A^T W mu`` and ``c(y) = Phi_B^T W y``: one synthesis on a shared
+    basis, and one more along ``Phi_B`` with two.  :meth:`carried` analyses
+    the rows for them.
 
     ``direction`` solves ``(K + diag(slope)) delta = -g`` along one of three
     branches.  With ``c`` the smallest slope and ``off`` the nodes above it,
@@ -569,8 +568,7 @@ class _Workspace:
         basis, basis_b = config.op_A.basis, config.op_B.basis
         m = config.grid.size
         self.a = shift + 1.0 / h
-        # the weights of A2r, S - I and B2s along their bases
-        self.power_a = weights
+        # the weights of S - I and B2s along their bases
         self.shifted_a = -weights / (1.0 + weights)
         self.power_b = config.op_B.power_weights(2.0)
         self.bases = (basis, basis_b)
@@ -685,18 +683,17 @@ class _Workspace:
     def carried(self, y: np.ndarray, mu: np.ndarray):
         """The part of a carry the rows determine (see the class docstring)."""
         c_mu, c_y = self.bases[0].coefficients(mu), self.bases[1].coefficients(y)
-        return c_mu, c_y, self.synthesize(c_mu, c_y)[0]
+        return c_mu, c_y, self.synthesize(c_mu, c_y)
 
-    def synthesize(self, c_mu: np.ndarray, c_y: np.ndarray, *rows: np.ndarray) -> np.ndarray:
-        """The rows ``Phi_A c`` for each coefficient row ``c`` of ``rows``, then
-        the spectral part of ``c_mu`` and ``c_y`` (see the class docstring)."""
+    def synthesize(self, c_mu: np.ndarray, c_y: np.ndarray) -> np.ndarray:
+        """The spectral part of ``c_mu`` and ``c_y`` (see the class docstring)."""
         basis, basis_b = self.bases
         part = self.shifted_a * c_mu
         if self.shared:
             part -= self.power_b * c_y
-        out = np.array((*rows, part)) @ basis.modes.T
+        out = part @ basis.modes.T
         if not self.shared:
-            out[-1] -= (self.power_b * c_y) @ basis_b.modes.T
+            out -= (self.power_b * c_y) @ basis_b.modes.T
         return out
 
     def h_norm(self, v: np.ndarray) -> float:
@@ -799,16 +796,14 @@ def _advance(ws: _Workspace, y: np.ndarray, mu: np.ndarray, u_next: np.ndarray, 
     cfg = ws.config
     d, kd, cd, c_mu, c_y, part = carry
     d, kd, cd, iters, res, dampings = _newton_solve(ws, y, u_next + mu + part, d, kd, cd)
-    rate = d / cfg.h
     basis, basis_b = ws.bases
     c_da, c_db = (cd, cd) if ws.shared else (basis.coefficients(d), basis_b.coefficients(d))
-    mu_next = mu - rate   # then (I + A2r)^(-1) of it, the identity off the span
+    mu_next = mu - d / cfg.h   # then (I + A2r)^(-1) of it, the identity off the span
     mu_next += (ws.shifted_a * (c_mu - c_da / cfg.h)) @ basis.modes.T
     c_mu = basis.coefficients(mu_next)
     c_y = c_y + c_db
-    a_mu, part = ws.synthesize(c_mu, c_y, ws.power_a * c_mu)
-    phase = ws.h_norm(rate + mu_next + a_mu - mu)
-    return y + d, mu_next, (d, kd, cd, c_mu, c_y, part), StepStats(iters, phase, res, dampings)
+    part = ws.synthesize(c_mu, c_y)
+    return y + d, mu_next, (d, kd, cd, c_mu, c_y, part), StepStats(iters, res, dampings)
 
 
 def solve_step(prev_y: sp.Field, prev_mu: sp.Field, u_next: sp.Field,

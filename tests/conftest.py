@@ -243,7 +243,26 @@ def states_trajectory(config, data, y, mu, stats=None, snapshot_steps=None):
     steps = len(y) - 1
     recorder = st._Recorder(config, data, (0, steps) if snapshot_steps is None else snapshot_steps)
     recorder.add(y, mu, data.source.values(config.h * np.arange(1, steps + 1)))
-    return recorder.trajectory(stats or [st.StepStats(0, 0.0, 0.0)] * steps)
+    return recorder.trajectory(stats or [st.StepStats(0, 0.0)] * steps)
+
+
+def assert_first_equation(config, y, mu):
+    """The first equation of the scheme, ``(y^(k+1) - y^k)/h + mu^(k+1) +
+    A2r mu^(k+1) = mu^k``, on the (N+1, m) rows ``y`` and ``mu`` of a run.
+
+    A step eliminates ``mu^(k+1)`` through ``(I + A2r)^(-1)``, so the
+    equation holds to round-off of its largest summand, with ``A2r
+    mu^(k+1)`` sized as ``lam_max^2r |mu^(k+1)|``: a bare ``newton_tol``
+    is too tight once ``lam_max^2r`` reaches about 1e6.
+    """
+    grid, h = config.grid, config.h
+    rate = np.diff(y, axis=0) / h
+    defect = sp.row_norms(rate + mu[1:] + sp.power_rows(config.op_A, mu[1:], 2.0) - mu[:-1],
+                          grid)
+    norm_next = sp.row_norms(mu[1:], grid)
+    largest = np.max([sp.row_norms(rate, grid), norm_next, sp.row_norms(mu[:-1], grid),
+                      config.op_A.power_weights(2.0).max() * norm_next], axis=0)
+    assert np.all(defect <= 1e-12 * largest), (defect / largest).max()
 
 
 def cold_chain(config, data):

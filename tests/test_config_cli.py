@@ -381,14 +381,17 @@ class TestSerialization:
     @pytest.mark.parametrize("sep", [",", "\t"])
     def test_tables_are_the_bytes_of_savetxt(self, tmp_path, count, sep):
         # 65 rows of 16 values span two chunks of 1024 values; every row holds
-        # each special value, an integral step number and six normal draws
+        # each special value, an integral step number and six normal draws;
+        # the table is written from an integer column, a float column and two
+        # 2-D blocks of columns
         specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 3.0, -1e300, 5e-324, 0.1]
         rows = np.random.default_rng(count).normal(size=(count, 16))
         rows[:, 0] = np.arange(count)
         for i in range(count):
             rows[i, 1:len(specials) + 1] = np.roll(specials, i)
         header = [f"c{i}" for i in range(rows.shape[1])]
-        runio._write_table(tmp_path / "ours", header, rows, sep)
+        runio._write_table(tmp_path / "ours", header,
+                           [np.arange(count), rows[:, 1], rows[:, 2:9], rows[:, 9:]], sep)
         with open(tmp_path / "theirs", "w", encoding="utf-8", newline="\n") as fh:
             np.savetxt(fh, rows, fmt="%.17g", delimiter=sep, header=sep.join(header),
                        comments="")
@@ -551,6 +554,35 @@ class TestRunDirectory:
         path.write_text(path.read_text().replace("../y0.txt", str(tmp_path / "y0.txt")))
         assert cli.main(["simulate", str(path)]) == 0
         assert cli.main(["longtime-report", str(out)]) == 0
+
+    @pytest.mark.parametrize("source", ["zero", "tabulated tab.txt"])
+    @pytest.mark.parametrize("u_inf", ["file here.txt", "file missing.txt", "file ../x.txt"])
+    def test_unread_u_inf_is_not_read_or_copied(self, tmp_path, source, u_inf):
+        # only a constant or decaying source reads u_inf: a file there, a
+        # missing one or one outside the config's directory stops no other
+        # run, and none is copied into its run directory
+        grid = sp.interval_grid(4.0, 25)
+        bump = np.cos(np.pi * grid.x / 4.0)
+        np.savetxt(tmp_path / "here.txt", bump)
+        np.savetxt(tmp_path / "tab.txt", np.column_stack([[0.0, 0.3], [0.05 * bump, 0.0 * bump]]))
+        doc = MINIMAL.replace("source = decay 0.5", f"source = {source}") \
+                     .replace("u_inf = constant 0", f"u_inf = {u_inf}")
+        path, out = write_config(tmp_path, doc=doc)
+        assert cli.main(["simulate", str(path)]) == 0
+        written = {".", "trajectory.csv", "ledger.tsv", "estimates.json", "snapshots_y.csv",
+                   "snapshots_mu.csv", "meta.json", "config.ini", "plot.gp"}
+        assert set(tree(out)) == written | ({"tab.txt"} if source != "zero" else set())
+        assert cli.main(["longtime-report", str(out)]) == 0
+
+    @pytest.mark.parametrize("source", ["constant", "decay 0.5"])
+    def test_read_u_inf_file_must_exist(self, tmp_path, capsys, source):
+        doc = MINIMAL.replace("source = decay 0.5", f"source = {source}") \
+                     .replace("u_inf = constant 0", "u_inf = file missing.txt")
+        path, out = write_config(tmp_path, doc=doc)
+        assert cli.main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "field file not found" in err[0]
+        assert not out.exists()
 
     def test_failed_write_leaves_previous_run_intact(self, tmp_path, monkeypatch):
         path, out = write_config(tmp_path)

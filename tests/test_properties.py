@@ -4,7 +4,8 @@ Each scheme example draws an interval basis (zero-flux or zero-boundary),
 one of the four canonical potentials, the scheme parameters, a smooth
 initial state and a decaying source, runs the scheme, and checks the
 energy ledger against a plain Field-by-Field evaluation, the exact mass
-identity and the ledger slack.  The regularization examples draw a graph,
+identity, the ledger slack and the first equation of the scheme on the
+recorded rows.  The regularization examples draw a graph,
 two points and a level, and check the resolvent and Yosida identities.
 The serialization examples draw float arrays and check that the JSON of an
 array is the JSON of its nested list and reads back to the same doubles.
@@ -51,9 +52,9 @@ from fracch import runio
 from fracch import spectral as sp
 from fracch import stepper as st
 
-from conftest import (assert_matches_cold_chain, assert_step_operator_closed_forms, cosine_field,
-                      dense_step_operator, fresh_longtime_report, recorded_run,
-                      states_trajectory, zero_potential)
+from conftest import (assert_first_equation, assert_matches_cold_chain,
+                      assert_step_operator_closed_forms, cosine_field, dense_step_operator,
+                      fresh_longtime_report, recorded_run, states_trajectory, zero_potential)
 
 POTENTIALS = ("regular", "logarithmic", "obstacle", "example_best")
 EPS = np.finfo(float).eps
@@ -191,6 +192,17 @@ def test_ledger_mass_and_slack_on_random_problems(problem):
         # the mass identity is exact when the first operator annihilates constants
         mass = sp.row_means(y, config.grid) + traj.h * sp.row_means(mu, config.grid)
         assert np.abs(mass - mass[0]).max() <= 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problems())
+@example(TAU_ENDS[0])
+@example(TAU_ENDS[1])
+def test_first_equation_on_random_problems(problem):
+    config, data = problem
+    _, y, mu = recorded_run(config, data)
+    assert_first_equation(config, y, mu)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,
