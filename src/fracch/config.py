@@ -252,9 +252,9 @@ def states_too_large(need: float, what: str) -> Optional[str]:
     return f"{what}, more than the {total:.3g} bytes of physical memory"
 
 
-#: Bytes a run holds per step beside its snapshots: the trajectory's 14
-#: columns and its solver stats, and the ledger and table rows that
-#: ``runio.write_run`` builds from them.
+#: Bytes a run holds per step beside its snapshots, with room to spare: the
+#: trajectory's 14 float columns and 24-byte solver record (136 bytes), and
+#: the ledger and table rows that ``runio.write_run`` builds from them.
 RUN_BYTES_PER_STEP = 512
 
 

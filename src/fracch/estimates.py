@@ -92,6 +92,11 @@ def _ledger_increments(traj: DiscreteTrajectory):
     return increments, float(energy[0]), 0.5 * float(b_sq[0])
 
 
+def _data_bound(source, horizon):
+    """``|u(0)| + integral |du/dt|`` up to each horizon."""
+    return sp.norm(source.at(0.0)) + source.derivative_l1(horizon)
+
+
 def gronwall_ledger(traj: DiscreteTrajectory) -> EnergyLedger:
     """Accumulate the per-step inequality into one entry per step.
 
@@ -101,22 +106,19 @@ def gronwall_ledger(traj: DiscreteTrajectory) -> EnergyLedger:
     ``data_bound`` carries ``|u(0)| + integral |du/dt|`` up to the entry's
     horizon for uniformity monitoring.
     """
-    source = traj.data.source
     steps = np.arange(1, traj.steps + 1)
-    times = traj.h * steps
     terms, e0_split, e0_b = _ledger_increments(traj)
     lhs = np.cumsum(terms, axis=0)
     # shift the telescoped initial energies onto the right side
     lhs[:, LEDGER_TERMS.index("B_sigma_norm")] += e0_b
     lhs[:, LEDGER_TERMS.index("beta_pi_integral")] += e0_split
     rhs = e0_split + e0_b + np.cumsum(traj.columns["source_pairing"])
-    data_bound = sp.norm(source.at(0.0)) + source.derivative_l1(times)
     return EnergyLedger(
         step=steps,
         terms=lhs,
         rhs_bound=rhs,
         slack=rhs - lhs.sum(axis=1),
-        data_bound=np.broadcast_to(data_bound, steps.shape),
+        data_bound=np.broadcast_to(_data_bound(traj.data.source, traj.h * steps), steps.shape),
     )
 
 
@@ -136,8 +138,7 @@ class UniformReport:
 
 def uniform_report(traj: DiscreteTrajectory) -> UniformReport:
     """Evaluate the uniform-in-horizon quantities of the trajectory."""
-    source, col = traj.data.source, traj.columns
-    h, tau = traj.h, traj.config.tau
+    col, h, tau = traj.columns, traj.h, traj.config.tau
     return UniformReport(
         mu_jump_l2=float(np.sqrt(np.sum(h * col["norm_dmu"] ** 2))),
         ar_mu_l2=float(np.sqrt(np.sum(h * col["norm_Ar_mu"][1:] ** 2))),
@@ -146,7 +147,7 @@ def uniform_report(traj: DiscreteTrajectory) -> UniformReport:
         rate_l2_scaled=float(np.sqrt(tau * np.sum(col["norm_dy"] ** 2 / h))),
         sup_split_energy=float(col["split_energy_abs"].max()),
         dual_rate_l2=dual_norm_report(traj).value,
-        data_bound=float(sp.norm(source.at(0.0)) + source.derivative_l1(traj.final_time)),
+        data_bound=float(_data_bound(traj.data.source, traj.final_time)),
     )
 
 

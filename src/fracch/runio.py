@@ -228,7 +228,6 @@ def write_run(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
 
 def _write_files(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConfig,
                  config_text: str) -> dict:
-    config = traj.config
     _write_table(os.path.join(directory, "trajectory.csv"), TRAJECTORY_COLUMNS,
                  [trajectory_rows(traj)], ",")
     ledger = est.gronwall_ledger(traj)
@@ -236,7 +235,7 @@ def _write_files(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConf
                  ("step",) + est.LEDGER_TERMS + ("rhs_bound", "slack", "data_bound"),
                  [ledger.step, ledger.terms, ledger.rhs_bound, ledger.slack, ledger.data_bound],
                  "\t")
-    snap_header = ["t"] + [f"v{i}" for i in range(config.grid.size)]
+    snap_header = ["t"] + [f"v{i}" for i in range(traj.config.grid.size)]
     snap_times = traj.h * np.array(traj.snapshot_steps, dtype=float)
     for name, states in (("snapshots_y.csv", traj.y_snapshots),
                          ("snapshots_mu.csv", traj.mu_snapshots)):
@@ -255,19 +254,17 @@ def _write_files(directory, traj: st.DiscreteTrajectory, run_cfg: cfgmod.RunConf
         "halfway_plateau_ratios": plateau,
     }
     write_json(os.path.join(directory, "estimates.json"), est_payload)
-    mean_y = traj.columns["mean_y"]
     meta = {
         "schema": RUN_SCHEMA,
         "seed": run_cfg.seed,
         "h": traj.h,
         "steps": traj.steps,
         "snapshot_steps": traj.snapshot_steps,
-        "initial_mean": mean_y[0],
-        "final_mass_identity_defect": abs(
-            mean_y[-1] + traj.h * traj.columns["mean_mu"][-1] - mean_y[0]),
+        "initial_mean": traj.columns["mean_y"][0],
+        "final_mass_identity_defect": longtime.mass_identity_defect(traj.columns, traj.h),
         "y_min": traj.y_range[0],
         "y_max": traj.y_range[1],
-        "newton_iterations_max": max((s.iterations for s in traj.solver_stats), default=0),
+        "newton_iterations_max": traj.solver_stats.iterations.max(initial=0),
     }
     write_json(os.path.join(directory, "meta.json"), meta)
     _write_text(os.path.join(directory, "config.ini"), config_text)

@@ -107,10 +107,6 @@ class Field:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def __add__(self, other):
-        self._check(other)
-        return Field(self.values + other.values, self.grid)
-
     def __sub__(self, other):
         self._check(other)
         return Field(self.values - other.values, self.grid)

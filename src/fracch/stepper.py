@@ -65,8 +65,9 @@ blocks of 64 steps and keeps no state beyond the block: at the end of each
 block it reduces the block's rows, together with the last row of the block
 before, to the per-row and per-step scalar columns every later analysis
 reads (norms, split energies, increments, the source pairing and the dual
-rates), copies the rows at the snapshot steps and drops the rest.  So a
-run holds its snapshots and a few numbers per step, whatever its horizon.
+rates), copies the rows at the snapshot steps and drops the rest.  These
+and Newton's numbers go in place into arrays allocated at the run's
+length, so a run holds its snapshots and 136 bytes per step.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -290,13 +291,9 @@ def validate(config: SchemeConfig, data: ProblemData) -> None:
         )
 
 
-@dataclass(slots=True)
-class StepStats:
-    """Per-step Newton diagnostics: iterations, accepted residual, line-search halvings."""
-
-    iterations: int
-    residual_potential: float
-    dampings: int = 0
+#: Newton's numbers of one step: iterations, accepted residual, line-search halvings.
+STEP_STATS = np.dtype([("iterations", np.int64), ("residual_potential", np.float64),
+                       ("dampings", np.int64)])
 
 
 #: The per-row columns of a trajectory, one entry per state ``k = 0..N``:
@@ -320,8 +317,9 @@ class DiscreteTrajectory:
     ``columns`` maps each name of :data:`ROW_COLUMNS` to an array of N+1
     entries and each name of :data:`STEP_COLUMNS` to one of N entries.
     ``y_snapshots`` and ``mu_snapshots`` are the (S, m) state rows at
-    ``snapshot_steps``, and ``y_range`` is the (min, max) of ``y`` over all
-    states.  No other state is kept, and every array is read-only.
+    ``snapshot_steps``, ``y_range`` is the (min, max) of ``y`` over all
+    states and ``solver_stats`` the record array of N :data:`STEP_STATS`.
+    No other state is kept; every array is the run's own, read-only.
     """
 
     columns: dict
@@ -329,7 +327,7 @@ class DiscreteTrajectory:
     y_snapshots: np.ndarray
     mu_snapshots: np.ndarray
     y_range: tuple
-    solver_stats: List[StepStats]
+    solver_stats: np.recarray
     config: SchemeConfig
     data: ProblemData
 
@@ -361,13 +359,15 @@ _SPLIT_BLOCK = 8192
 
 
 class _Recorder:
-    """The columns, snapshots and range of a trajectory, taken as it marches.
+    """The columns, snapshots, range and Newton numbers of a trajectory,
+    written as it marches into arrays allocated at their final length.
 
     :meth:`add` takes consecutive state rows.  Every call after the first
     starts with the last row of the call before, so that each step's
     increment lies within one call, and every row enters the per-row
-    columns once.  The rows at the snapshot steps are copied; the others are
-    left to the caller.
+    columns once.  The rows at the snapshot steps are copied, in the order
+    of ``snapshot_steps``; the others are left to the caller.  ``run``
+    writes each step's Newton numbers into ``stats``.
     """
 
     def __init__(self, config: SchemeConfig, data: ProblemData, snapshot_steps):
@@ -375,27 +375,32 @@ class _Recorder:
         if any(not 0 <= s <= config.steps for s in self.snapshot_steps):
             raise ConfigurationError(f"snapshot steps must lie in [0, {config.steps}]")
         self.config, self.data = config, data
-        self.wanted = np.array(sorted(set(self.snapshot_steps)), dtype=int)
+        self.wanted = np.array(self.snapshot_steps, dtype=int)
         self.snap_y = np.empty((len(self.wanted), config.grid.size))
         self.snap_mu = np.empty_like(self.snap_y)
-        self.parts = {name: [] for name in ROW_COLUMNS + STEP_COLUMNS}
+        self.columns = {name: np.empty(config.steps + 1) for name in ROW_COLUMNS}
+        self.columns.update((name, np.empty(config.steps)) for name in STEP_COLUMNS)
+        self.stats = np.recarray(config.steps, STEP_STATS)
         self.rows = 0          # rows taken so far
         self.y_min, self.y_max = np.inf, -np.inf
 
     def add(self, y: np.ndarray, mu: np.ndarray, sources: np.ndarray) -> None:
         """Take the (K+1, m) rows ``y`` and ``mu`` and the (K, m) source rows
         of the K steps that end at ``y[1:]``."""
-        cfg, grid, parts = self.config, self.config.grid, self.parts
+        cfg, grid, columns = self.config, self.config.grid, self.columns
         spec, lam = cfg.spec, cfg.yosida_lambda
         skip = 1 if self.rows else 0      # the first row was taken by the call before
         first = self.rows - skip          # the step index of y[0]
         new_y, new_mu = y[skip:], mu[skip:]
+        rows = slice(self.rows, first + len(y))   # the entries of the per-row columns
+        steps = slice(first, first + len(y) - 1)  # and of the per-step ones
         chunk = max(1, _SPLIT_BLOCK // grid.size)
         for start in range(0, len(new_y), chunk):
             block = new_y[start:start + chunk]
             values = pot.yosida_primal(spec, lam, block) + spec.pi_hat(block)
-            parts["split_energy"].append(np.sum(grid.w * values, axis=1))
-            parts["split_energy_abs"].append(np.sum(grid.w * np.abs(values), axis=1))
+            at = slice(self.rows + start, self.rows + start + len(block))
+            columns["split_energy"][at] = np.sum(grid.w * values, axis=1)
+            columns["split_energy_abs"][at] = np.sum(grid.w * np.abs(values), axis=1)
         dy = np.diff(y, axis=0)
         basis_a, basis_b = cfg.op_A.basis, cfg.op_B.basis
         c_mu = basis_a.coefficients(mu)
@@ -415,25 +420,22 @@ class _Recorder:
                 ("dual_rate", sp.dual_norms(cfg.op_A, c_dy_a) / cfg.h),
                 ("dual_rate_identity", sp.dual_norms(
                     cfg.op_A, c_mu[:-1] - c_mu[1:] - cfg.op_A.power_weights(2.0) * c_mu[1:]))):
-            parts[name].append(column)
+            columns[name][rows if name in ROW_COLUMNS else steps] = column
         self.y_min = np.minimum(self.y_min, new_y.min())
         self.y_max = np.maximum(self.y_max, new_y.max())
-        lo, hi = np.searchsorted(self.wanted, (first + skip, first + len(y)))
-        self.snap_y[lo:hi] = y[self.wanted[lo:hi] - first]
-        self.snap_mu[lo:hi] = mu[self.wanted[lo:hi] - first]
-        self.rows = first + len(y)
+        hit = np.flatnonzero((self.wanted >= rows.start) & (self.wanted < rows.stop))
+        self.snap_y[hit] = y[self.wanted[hit] - first]
+        self.snap_mu[hit] = mu[self.wanted[hit] - first]
+        self.rows = rows.stop
 
-    def trajectory(self, stats: List[StepStats]) -> DiscreteTrajectory:
-        """The trajectory of the rows taken, with read-only arrays."""
-        index = np.searchsorted(self.wanted, self.snapshot_steps)
-        columns = {name: np.concatenate(part) for name, part in self.parts.items()}
-        y_snapshots, mu_snapshots = self.snap_y[index], self.snap_mu[index]
-        for array in (*columns.values(), y_snapshots, mu_snapshots):
+    def trajectory(self) -> DiscreteTrajectory:
+        """The trajectory of the rows taken: the recorder's own arrays, made read-only."""
+        for array in (*self.columns.values(), self.snap_y, self.snap_mu, self.stats):
             array.flags.writeable = False
         return DiscreteTrajectory(
-            columns=columns, snapshot_steps=self.snapshot_steps, y_snapshots=y_snapshots,
-            mu_snapshots=mu_snapshots, y_range=(float(self.y_min), float(self.y_max)),
-            solver_stats=stats, config=self.config, data=self.data)
+            columns=self.columns, snapshot_steps=self.snapshot_steps, y_snapshots=self.snap_y,
+            mu_snapshots=self.snap_mu, y_range=(float(self.y_min), float(self.y_max)),
+            solver_stats=self.stats, config=self.config, data=self.data)
 
 
 #: The mode branch pays while ``K`` has at most this share of the grid size
@@ -791,11 +793,11 @@ def _advance(ws: _Workspace, y: np.ndarray, mu: np.ndarray, u_next: np.ndarray, 
     ``(d, K d, Psi^T W d, c(mu), c(y), S mu - mu - B2s y)``, as
     :func:`_fresh_carry` computes it or the step before returned it.
     Returns the new rows, the carry of the next step, which starts Newton
-    at this step's increment ``d = y+ - y``, and the stats.
+    at this step's increment ``d = y+ - y``, and its :data:`STEP_STATS` tuple.
     """
     cfg = ws.config
     d, kd, cd, c_mu, c_y, part = carry
-    d, kd, cd, iters, res, dampings = _newton_solve(ws, y, u_next + mu + part, d, kd, cd)
+    d, kd, cd, *stats = _newton_solve(ws, y, u_next + mu + part, d, kd, cd)
     basis, basis_b = ws.bases
     c_da, c_db = (cd, cd) if ws.shared else (basis.coefficients(d), basis_b.coefficients(d))
     mu_next = mu - d / cfg.h   # then (I + A2r)^(-1) of it, the identity off the span
@@ -803,12 +805,12 @@ def _advance(ws: _Workspace, y: np.ndarray, mu: np.ndarray, u_next: np.ndarray, 
     c_mu = basis.coefficients(mu_next)
     c_y = c_y + c_db
     part = ws.synthesize(c_mu, c_y)
-    return y + d, mu_next, (d, kd, cd, c_mu, c_y, part), StepStats(iters, res, dampings)
+    return y + d, mu_next, (d, kd, cd, c_mu, c_y, part), tuple(stats)
 
 
 def solve_step(prev_y: sp.Field, prev_mu: sp.Field, u_next: sp.Field,
                config: SchemeConfig, start: Optional[sp.Field] = None):
-    """Advance one step; returns ``(next_y, next_mu, stats)``.
+    """Advance one step; returns ``(next_y, next_mu, stats)``, a :data:`STEP_STATS` record.
 
     The potential value is eliminated exactly through the shifted spectral
     inverse, so the first equation holds to round-off by construction; the
@@ -822,7 +824,7 @@ def solve_step(prev_y: sp.Field, prev_mu: sp.Field, u_next: sp.Field,
     y, mu = prev_y.values, prev_mu.values
     carry = _fresh_carry(ws, y, mu, (start or prev_y).values - y)
     y, mu, _, stats = _advance(ws, y, mu, u_next.values, carry)
-    return sp.Field(y, config.grid), sp.Field(mu, config.grid), stats
+    return sp.Field(y, config.grid), sp.Field(mu, config.grid), np.rec.array(stats, STEP_STATS)[()]
 
 
 #: ``run`` marches this many steps at a time: it evaluates the source at their
@@ -858,20 +860,19 @@ def run(config: SchemeConfig, data: ProblemData,
     mu = np.zeros_like(y)
     y[0] = data.y0.values
     carry = _fresh_carry(ws, y[0], mu[0], np.zeros(config.grid.size))
-    stats: List[StepStats] = []
     # one pass with no step when there are none, which takes the initial row alone
     for start in range(0, max(steps, 1), _SOURCE_BLOCK):
         sources = data.source.values(
             config.h * np.arange(start + 1, min(start + _SOURCE_BLOCK, steps) + 1))
         for k, u in enumerate(sources):
             try:
-                y[k + 1], mu[k + 1], carry, st = _advance(ws, y[k], mu[k], u, carry)
+                y[k + 1], mu[k + 1], carry, recorder.stats[start + k] = _advance(
+                    ws, y[k], mu[k], u, carry)
             except StepError as exc:
                 exc.step_index = start + k
                 raise
-            stats.append(st)
         end = len(sources)
         recorder.add(y[:end + 1], mu[:end + 1], sources)
         y[0], mu[0] = y[end], mu[end]
         carry = carry[:3] + ws.carried(y[0], mu[0])   # the drift spans one block
-    return recorder.trajectory(stats)
+    return recorder.trajectory()

@@ -5,6 +5,8 @@ scoped because several test modules and the acceptance gate all analyze
 the same trajectories.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis.internal.conjecture import providers
@@ -237,13 +239,16 @@ def recorded_run(config, data, snapshot_steps=None):
     return traj, np.array(ys), np.array(mus)
 
 
-def states_trajectory(config, data, y, mu, stats=None, snapshot_steps=None):
+def states_trajectory(config, data, y, mu, snapshot_steps=None):
     """The trajectory of the (N+1, m) states ``y`` and ``mu``, reduced in one
-    pass as ``run`` reduces each block of its steps."""
+    pass as ``run`` reduces each block of its steps, under ``config`` with N
+    steps and with zero Newton numbers."""
     steps = len(y) - 1
+    config = dataclasses.replace(config, steps=steps)
     recorder = st._Recorder(config, data, (0, steps) if snapshot_steps is None else snapshot_steps)
     recorder.add(y, mu, data.source.values(config.h * np.arange(1, steps + 1)))
-    return recorder.trajectory(stats or [st.StepStats(0, 0.0)] * steps)
+    recorder.stats.fill(0)
+    return recorder.trajectory()
 
 
 def assert_first_equation(config, y, mu):
@@ -269,15 +274,14 @@ def cold_chain(config, data):
     """``solve_step`` chained from ``(y0, 0)``, each step started at ``d = 0``.
 
     The oracle of the warm start in ``stepper.run``: returns the (N+1, m)
-    arrays of ``y`` and ``mu`` and the per-step stats.
+    arrays of ``y`` and ``mu`` and the record array of the per-step stats.
     """
     y, mu = data.y0, sp.constant_field(0.0, config.grid)
-    ys, mus, stats = [y.values], [mu.values], []
+    ys, mus, stats = [y.values], [mu.values], np.recarray(config.steps, st.STEP_STATS)
     for n in range(config.steps):
-        y, mu, step = st.solve_step(y, mu, data.source.at((n + 1) * config.h), config)
+        y, mu, stats[n] = st.solve_step(y, mu, data.source.at((n + 1) * config.h), config)
         ys.append(y.values)
         mus.append(mu.values)
-        stats.append(step)
     return np.array(ys), np.array(mus), stats
 
 
@@ -298,11 +302,11 @@ def assert_matches_cold_chain(config, data):
     y, mu, stats = cold_chain(config, data)
     assert traj.solver_stats[0] == stats[0]
     assert np.array_equal(warm_y[:2], y[:2]) and np.array_equal(warm_mu[:2], mu[:2])
-    tol = max([config.newton_tol] + [s.residual_potential for s in stats + traj.solver_stats])
+    tol = max(config.newton_tol, *stats.residual_potential, *traj.solver_stats.residual_potential)
     bound = config.steps * tol
     assert sp.row_norms(warm_y - y, config.grid).max() <= bound
     assert sp.row_norms(warm_mu - mu, config.grid).max() <= bound / config.h
-    return (sum(s.iterations for s in traj.solver_stats), sum(s.iterations for s in stats))
+    return traj.solver_stats.iterations.sum(), stats.iterations.sum()
 
 
 def fresh_longtime_report(traj, **kwargs):

@@ -20,7 +20,7 @@ from fracch.errors import (
 
 from conftest import (assert_first_equation, assert_matches_cold_chain,
                       assert_step_operator_closed_forms, cosine_field, dense_step_operator,
-                      final_y, recorded_run, zero_potential)
+                      final_y, readme_problem, recorded_run, zero_potential)
 
 
 def neumann_config(spec, n=8, points=17, length=2.0, r=0.5, sigma=0.5,
@@ -594,9 +594,29 @@ class TestRun:
 
     def test_residuals_within_tolerance(self, small_obstacle_recorded):
         traj, y, mu = small_obstacle_recorded
-        for stats in traj.solver_stats:
-            assert stats.residual_potential <= traj.config.newton_tol
+        stats = traj.solver_stats
+        # one read-only record array, the one the run filled in place
+        assert type(stats) is np.recarray and stats.dtype == st.STEP_STATS
+        assert len(stats) == traj.config.steps and not stats.flags.writeable
+        assert stats.residual_potential.max() <= traj.config.newton_tol
         assert_first_equation(traj.config, y, mu)
+
+    def test_peak_memory_grows_by_the_kept_bytes_per_step(self):
+        # a run keeps 14 float columns and one 24-byte STEP_STATS record per
+        # step, 136 bytes, in arrays allocated once at their final length:
+        # the peak of 4000 README steps exceeds that of 1000 by at most
+        # 1.25 x 136 bytes per extra step (288 with a list of per-step stats
+        # objects and columns concatenated from per-block parts)
+        peaks = []
+        for steps in (1000, 4000):
+            config, data = readme_problem(steps)
+            tracemalloc.start()
+            try:
+                st.run(config, data)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 3000 <= 1.25 * 136
 
     def test_first_equation_on_two_bases(self):
         # a zero-boundary first basis and a zero-flux second one, with a
@@ -854,7 +874,7 @@ class TestCarry:
                 assert all(np.array_equal(a, b) for a, b in zip(carry, fresh))
                 assert np.array_equal(y_next, ys[n + 1])
                 assert np.array_equal(mu_next, mus[n + 1])
-                assert stats == traj.solver_stats[n]
+                assert stats == traj.solver_stats[n].item()
                 continue
             # Newton's increment, K d and its analysis and the analysis of mu
             # are the fresh ones bit for bit; c(y) and the spectral part were
@@ -863,7 +883,7 @@ class TestCarry:
             assert_close_to(y_next, ys[n + 1])
             assert_close_to(mu_next, mus[n + 1])
             ran = traj.solver_stats[n]
-            assert (stats.iterations, stats.dampings) == (ran.iterations, ran.dampings)
+            assert (stats[0], stats[2]) == (ran.iterations, ran.dampings)
 
     def test_carried_coefficients_drift_within_a_block(self, readme_long_run):
         # a step analyses mu+ once, so the carried c(mu) is the fresh one bit
