@@ -30,8 +30,8 @@ which stays eliminated exactly.  Newton takes ``K`` plus the slope diagonal
 ``beta_lam' + pi'`` as Jacobian, and :class:`_Workspace` finds its
 direction on one of three branches: the Woodbury correction of ``(K + c
 I)^(-1)``, closed along ``Psi``, on the nodes above the smallest slope
-``c`` while they are at most half (the obstacle well, whose slope is kept
-with what it determines from one iteration and step to the next); the
+``c`` while they are at most half (the obstacle well, whose factors are
+kept and updated by the nodes that enter or leave that set); the
 Woodbury identity along ``Psi``, one ``N`` x ``N`` system, for other slopes
 while ``N`` is at most 3/5 of the grid size; else the dense LU of the
 Jacobian, the one thing in a run that builds an ``m`` x ``m`` array.
@@ -450,9 +450,10 @@ _ROW_BLOCK = 1 << 15
 
 #: How many ``m`` x ``m`` arrays a run with more than ``_MODE_SHARE`` columns
 #: per node holds at once, at most: ``K``, a dense LU's Jacobian and LAPACK's
-#: copy of it, and beside them the node branch's cached factors of ``G`` on
-#: at most half of the nodes, ``Psi[off] gamma`` and ``(Psi^T W)[:, off]``
-#: (half of one each), and its capacitance matrix or its inverse (a quarter).
+#: copy of it, and beside them the node branch's kept factors of ``G``, of at
+#: most ``m // 2`` rows: ``Psi[off] gamma`` and ``W_off Psi[off]`` (half of one
+#: each) and the kept inverse of its capacitance matrix (a quarter).  An update
+#: that outgrows them copies them into larger ones, never beside a dense LU.
 _DENSE_ARRAYS = 4.25
 
 
@@ -477,6 +478,131 @@ def step_operator_bytes(grid_size: int, basis_modes: tuple) -> int:
     if len(basis_modes) == 1:
         return held
     return max(held + 8 * m * n, 8 * (4 * m * n + 6 * n * n + 13 * n + 64 * (m + n)))
+
+
+class _NodeFactors:
+    """The node branch's kept factors (see the *Nodes* paragraph of
+    :class:`_Workspace`): the first ``size`` entries of ``nodes``,
+    ``weight``, ``rows``, ``weighted`` and the leading block of ``inverse``,
+    with room to spare.  A build borders the inverse of no nodes by all of
+    ``off``; ``spent`` counts the flops of the updates since then."""
+
+    def __init__(self, ws: "_Workspace", slope: np.ndarray, c: float, off: np.ndarray):
+        self.modes, self.w, self.limit = ws.modes, ws.w, slope.size // 2
+        self.slope, self.c, self.scale = slope.copy(), c, ws.a + c
+        self.gamma = ws.kappa / (self.scale + ws.kappa)
+        self.size = self.spent = 0
+        self._reserve(off.size)
+        if off.size:
+            self._append(off, slope)
+
+    def _reserve(self, size: int) -> None:
+        """Room for ``size`` nodes and 16 more, up to half of the grid: one
+        array at a time moves into a larger one, so that at most one is held
+        twice.  Room for a quarter more nodes raised the peak memory of an
+        obstacle run on 513 nodes above a rebuild's."""
+        k, n = self.size, self.modes.shape[1]
+        capacity = min(self.limit, size + 16)
+        kept = slice(0, k)
+        for name, shape in (("nodes", capacity), ("weight", capacity), ("rows", (capacity, n)),
+                            ("weighted", (capacity, n)), ("inverse", (capacity, capacity))):
+            array = np.empty(shape, dtype=np.intp if name == "nodes" else float)
+            if k:
+                at = (kept, kept) if name == "inverse" else kept
+                array[at] = getattr(self, name)[at]
+            setattr(self, name, array)
+
+    def _columns(self, start: int, stop: int) -> np.ndarray:
+        """The capacitance matrix's columns ``start:stop`` on its first ``stop`` rows."""
+        block = self.rows[:stop] @ self.weighted[start:stop].T
+        np.negative(block, out=block)
+        diagonal = block[start:].reshape(-1)[:: stop - start + 1]   # a view
+        diagonal += 1.0   # now (a + c) G on the columns
+        block *= self.weight[:stop, None]
+        diagonal += 1.0
+        return block
+
+    def update(self, slope: np.ndarray, c: float, moved: np.ndarray) -> bool:
+        """Update the factors to ``slope``, of floor ``c``, that differs from
+        the kept one at ``moved``; False, changing nothing, when it differs
+        otherwise or the updates would cost more than a build."""
+        off_now = slope[moved] != c
+        if c != self.c or (off_now == (self.slope[moved] != c)).any():
+            return False
+        left, entered = moved[~off_now], moved[off_now]
+        k, n = self.size, self.modes.shape[1]
+        size = k - left.size + entered.size
+        cost = (moved.size * k + entered.size * n) * k
+        if self.spent + cost > size * size * (n + size):
+            return False
+        self.spent += cost
+        if left.size:
+            self._drop(left)
+        if entered.size:
+            self._append(entered, slope)
+        self.slope[moved] = slope[moved]
+        return True
+
+    def _drop(self, left: np.ndarray) -> None:
+        """Move the nodes ``left`` to the tail of the kept ones and downdate the
+        inverse to the others: ``P - Q S^(-1) R`` from its blocks ``[[P, Q],
+        [R, S]]``."""
+        k = self.size
+        leaving = np.zeros(self.slope.size, dtype=bool)
+        leaving[left] = True
+        r = k - left.size
+        gone = leaving[self.nodes[:r]].nonzero()[0]
+        stay = r + (~leaving[self.nodes[r:k]]).nonzero()[0]
+        swap, into = np.concatenate((gone, stay)), np.concatenate((stay, gone))
+        for array in (self.nodes, self.weight, self.rows, self.weighted):
+            array[swap] = array[into]
+        inverse = self.inverse
+        inverse[swap, :k] = inverse[into, :k]
+        inverse[:k, swap] = inverse[:k, into]
+        inverse[:r, :r] -= inverse[:r, r:k] @ np.linalg.inv(inverse[r:k, r:k]) @ inverse[r:k, :r]
+        self.size = r
+
+    def _append(self, entered: np.ndarray, slope: np.ndarray) -> None:
+        """Append the nodes ``entered`` and border the inverse by them: with the
+        capacitance matrix ``[[M, U], [V, Z]]``, ``X = M^(-1) U`` and the Schur
+        complement ``S = Z - V X``, the new inverse is ``[[M^(-1) + X Y, -X
+        S^(-1)], [-Y, S^(-1)]]``, ``Y = S^(-1) V M^(-1)``."""
+        k, p = self.size, entered.size
+        if k + p > len(self.nodes):
+            self._reserve(k + p)
+        old, new, inverse = slice(0, k), slice(k, k + p), self.inverse
+        modes = self.modes[entered]
+        self.nodes[new] = entered
+        self.weight[new] = (slope[entered] - self.c) / self.scale
+        np.multiply(modes, self.gamma, out=self.rows[new])
+        np.multiply(modes, self.w[entered, None], out=self.weighted[new])
+        self.size = k + p
+        v = self.rows[new] @ self.weighted[old].T
+        v *= -self.weight[new, None]
+        columns = self._columns(k, k + p)
+        x = inverse[old, old] @ columns[old]
+        schur = columns[new]
+        schur -= v @ x
+        s_inv = np.linalg.inv(schur)
+        y = s_inv @ (v @ inverse[old, old])
+        inverse[old, old] += x @ y
+        np.negative(x @ s_inv, out=inverse[old, new])
+        np.negative(y, out=inverse[new, old])
+        inverse[new, new] = s_inv
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """The node branch's direction (see the :class:`_Workspace` docstring)."""
+        k = self.size
+        off, inverse = self.nodes[:k], self.inverse[:k, :k]
+        analysed = (g * self.w) @ self.modes
+        rhs = self.weight[:k] * (self.rows[:k] @ analysed - g[off])
+        # an empty off solves its 0 x 0 system: one linear solve per direction
+        t = inverse @ rhs if k else np.linalg.solve(inverse, rhs)
+        delta = self.modes @ (self.gamma * (analysed + t @ self.weighted[:k]))
+        delta -= g
+        delta[off] -= t
+        delta /= self.scale
+        return delta
 
 
 class _Workspace:
@@ -530,19 +656,24 @@ class _Workspace:
     with ``P_off`` placing a vector on ``off``: one analysis and one
     synthesis per direction.  The capacitance matrix ``I + E G[off, off]``
     is ``E (E^(-1) + G[off, off])`` without the division, so a slope gap
-    that rounds to a subnormal cannot overflow.  ``active`` keeps a copy of
-    the slope of the last call on this branch and what it determines:
-    ``off``, ``a + c``, ``gamma``, ``E / (a + c)``, the rows ``Psi[off]
-    gamma``, the weighted columns ``(Psi^T W)[:, off] = (W_off Psi[off])^T``,
-    whose product gives ``G[off, off]``, the capacitance matrix and whether
-    it is inverted.  A call whose slope equals the kept one in value (a hit)
-    goes straight to them; any other slope on this branch drops them before
-    rebuilding, so that a failure meanwhile leaves nothing to hit.  New
-    factors solve for ``t``, as a fresh workspace does, bit for bit.  The
-    first hit on a nonempty ``off`` inverts the capacitance matrix in its
-    place, and every hit takes ``t`` from one product: for ``E = I / lam``
-    (the obstacle well) the matrix is similar to a symmetric one no worse
-    conditioned than ``K + c I``.  An empty ``off`` solves every time.
+    that rounds to a subnormal cannot overflow; for ``E = I / lam`` (the
+    obstacle well) it is similar to a symmetric matrix no worse conditioned
+    than ``K + c I``.  ``active``, a :class:`_NodeFactors`, keeps the last
+    slope on this branch and what it determines: ``c``, ``a + c``,
+    ``gamma``, the ``k`` nodes of ``off`` in a kept order with ``E / (a +
+    c)``, the rows ``Psi[off] gamma`` and ``W_off Psi[off]``, whose product
+    gives ``G[off, off]``, and the inverse of the capacitance matrix, so
+    that ``t`` takes one product.  An equal slope (a hit) reuses them.  One
+    with the same ``c`` that differs only where ``q`` nodes left ``off`` and
+    ``p`` entered it updates them in ``O((p + q) k^2 + p n k)`` flops, not a
+    build's ``O(k^2 (n + k))``: the inverse is downdated by its block on the
+    nodes that left and bordered by the Schur complement of those that
+    entered (Hager, SIAM Review 31, 1989).  Any other slope builds them
+    anew, as does an update that would take the flops of the updates since
+    the build past a build's, which bounds a chain of updates and its
+    drift.  ``active`` is dropped meanwhile, so that a failure leaves
+    nothing to hit; new factors give a fresh workspace's direction bit for
+    bit.  An empty ``off`` solves its ``0`` x ``0`` system.
 
     *Modes.*  More nodes off, with ``n <= _MODE_SHARE * m``.  With ``D = a +
     slope``, which is at least ``1 + 1/h``, and ``z = -g / D``, the
@@ -590,7 +721,7 @@ class _Workspace:
         n = self.modes.shape[1]
         self.mode_branch = _mode_branch(m, n)
         self.config = config
-        self.active = None    # the node branch's factors, keyed by their slope
+        self.active = None    # the node branch's _NodeFactors
 
     def apply(self, d: np.ndarray):
         """``K d`` and the analysis ``Psi^T W d`` it takes (see the class docstring)."""
@@ -626,8 +757,11 @@ class _Workspace:
 
     def direction(self, slope: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Newton direction: the solution of ``(K + diag(slope)) delta = -g``."""
-        if self.active is not None and (self.active[0] == slope).all():
-            return self._node_direction(g, hit=True)
+        kept = self.active
+        if kept is not None:
+            moved = (slope != kept.slope).nonzero()[0]
+            if not moved.size:
+                return kept.direction(g)
         c = slope.min()
         off = np.flatnonzero(slope - c)
         if 2 * off.size > slope.size:
@@ -637,39 +771,11 @@ class _Workspace:
             jac.flat[:: len(jac) + 1] += slope
             return np.linalg.solve(jac, -g)
         self.active = None   # so that a failure below leaves nothing to hit
-        self.active = [slope.copy(), off, *self._node_factors(c, off, slope[off] - c), False]
-        return self._node_direction(g, hit=False)
-
-    def _node_factors(self, c: float, off: np.ndarray, excess: np.ndarray):
-        """The scale ``a + c``, the weights ``gamma`` of ``G``, the excess over
-        that scale, the factors of ``G`` on ``off`` and the capacitance matrix
-        (see the class docstring)."""
-        scale = self.a + c
-        gamma = self.kappa / (scale + self.kappa)
-        weight = excess / scale
-        modes = self.modes[off]
-        rows = modes * gamma
-        columns = (modes * self.w[off, None]).T
-        capacitance = rows @ columns
-        np.negative(capacitance, out=capacitance)
-        capacitance.flat[:: off.size + 1] += 1.0   # now (a + c) G[off, off]
-        capacitance *= weight[:, None]
-        capacitance.flat[:: off.size + 1] += 1.0
-        return scale, gamma, weight, rows, columns, capacitance
-
-    def _node_direction(self, g: np.ndarray, hit: bool) -> np.ndarray:
-        """The node branch's direction (see the class docstring)."""
-        _, off, scale, gamma, weight, rows, columns, capacitance, inverted = self.active
-        if hit and off.size and not inverted:   # the inverse takes the matrix's place
-            self.active[-2:] = capacitance, inverted = np.linalg.inv(capacitance), True
-        analysed = (g * self.w) @ self.modes
-        rhs = weight * (rows @ analysed - g[off])
-        t = capacitance @ rhs if inverted else np.linalg.solve(capacitance, rhs)
-        delta = self.modes @ (gamma * (analysed + columns @ t))
-        delta -= g
-        delta[off] -= t
-        delta /= scale
-        return delta
+        if kept is None or not kept.update(slope, c, moved):
+            kept = None   # the old factors go before the new ones are allocated
+            kept = _NodeFactors(self, slope, c, off)
+        self.active = kept
+        return kept.direction(g)
 
     def _along_modes(self, slope: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The direction of the mode branch (see the class docstring)."""

@@ -5,6 +5,8 @@ scoped because several test modules and the acceptance gate all analyze
 the same trajectories.
 """
 
+import collections
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -59,10 +61,11 @@ def neumann16():
     return sp.build_interval_basis("neumann", 16, 4.0, 33)
 
 
-def readme_problem(steps):
+def readme_problem(steps, modes=64, points=129):
     """The physics of the README example over ``steps`` steps: the obstacle
-    well on 64 shared zero-flux modes of 129 nodes, with a decaying source."""
-    basis = sp.build_interval_basis("neumann", 64, 4.0, 129)
+    well on 64 shared zero-flux modes of 129 nodes (or as many as given),
+    with a decaying source."""
+    basis = sp.build_interval_basis("neumann", modes, 4.0, points)
     op = sp.FractionalOperator(basis, 0.5)
     config = st.SchemeConfig(
         op_A=op, op_B=op, spec=pot.make_potential("obstacle", c2=1.0),
@@ -329,6 +332,43 @@ def dense_step_operator(config):
     return k
 
 
+def assert_dense_direction(ws, slope, g):
+    """The workspace's Newton direction, held to the dense solve of ``K +
+    diag(slope)`` to 1e-10 relative."""
+    k = dense_step_operator(ws.config)
+    expected = np.linalg.solve(k + np.diag(slope), -g)
+    delta = ws.direction(slope, g)
+    assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
+    return delta
+
+
+@contextlib.contextmanager
+def counted_factor_work():
+    """Counts of the node branch's work while the block runs: ``builds`` of
+    its factors, ``updates`` of kept ones (a hit is neither), ``chain``, the
+    updates since the last build, and ``longest``, the longest such chain."""
+    counts = collections.Counter()
+    init, update = st._NodeFactors.__init__, st._NodeFactors.update
+
+    def counted_init(factors, *args):
+        init(factors, *args)
+        counts["builds"] += 1
+        counts["chain"] = 0
+
+    def counted_update(factors, *args):
+        done = update(factors, *args)
+        if done:
+            counts["updates"] += 1
+            counts["chain"] += 1
+            counts["longest"] = max(counts["longest"], counts["chain"])
+        return done
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(st._NodeFactors, "__init__", counted_init)
+        patch.setattr(st._NodeFactors, "update", counted_update)
+        yield counts
+
+
 def assert_step_operator_closed_forms(ws, shift):
     """``K`` and ``G = (K + shift I)^(-1)`` of a workspace against their dense
     oracles.
@@ -353,7 +393,7 @@ def assert_step_operator_closed_forms(ws, shift):
     expected = np.linalg.inv(shifted)
     slope = np.full(config.grid.size, shift)
     inverse = -np.array([ws.direction(slope, e) for e in eye]).T
-    assert np.array_equal(ws.active[0], slope)   # one node-branch build, then hits
+    assert np.array_equal(ws.active.slope, slope)   # one node-branch build, then hits
     gram = (ws.modes * ws.w[:, None]).T @ ws.modes
     defect = np.abs(gram - np.eye(len(gram))).max() + np.finfo(float).eps
     tol = max(1e-12, 16 * defect * np.linalg.cond(shifted))

@@ -52,9 +52,10 @@ from fracch import runio
 from fracch import spectral as sp
 from fracch import stepper as st
 
-from conftest import (assert_first_equation, assert_matches_cold_chain,
-                      assert_step_operator_closed_forms, cosine_field, dense_step_operator,
-                      fresh_longtime_report, recorded_run, states_trajectory, zero_potential)
+from conftest import (assert_dense_direction, assert_first_equation, assert_matches_cold_chain,
+                      assert_step_operator_closed_forms, cosine_field, counted_factor_work,
+                      dense_step_operator, fresh_longtime_report, recorded_run,
+                      states_trajectory, zero_potential)
 
 POTENTIALS = ("regular", "logarithmic", "obstacle", "example_best")
 EPS = np.finfo(float).eps
@@ -402,8 +403,7 @@ def test_cached_newton_direction_matches_a_fresh_workspace(kind, points, exponen
     # contact sets, floors and gaps, so that whole cache keys repeat in the
     # sequence; with more than half of the nodes in contact a call takes the
     # dense branch or the branch along the modes in between.  New factors give
-    # the fresh direction bit for bit; reused ones apply the inverse of the
-    # capacitance matrix and are held to the dense oracle
+    # the fresh direction bit for bit; updated or reused ones meet it to 1e-12
     config = direction_config(kind, points, exponent, data)
     ws = st._Workspace(config)
     contact = data.draw(hs.lists(hs.lists(hs.booleans(), min_size=points, max_size=points),
@@ -413,17 +413,70 @@ def test_cached_newton_direction_matches_a_fresh_workspace(kind, points, exponen
                                          hs.sampled_from((1e2, 1e3))),
                                min_size=2, max_size=8))
     rng = np.random.default_rng(points)
-    k = dense_step_operator(config)
     for index, floor, gap in calls:
         slope = np.where(contact[index], floor + gap, floor)
         g = rng.normal(size=points)
-        hit = ws.active is not None and np.array_equal(ws.active[0], slope)
-        delta = ws.direction(slope, g)
-        if hit:
-            expected = np.linalg.solve(k + np.diag(slope), -g)
-            assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
+        with counted_factor_work() as work:
+            delta = ws.direction(slope, g)
+        fresh = st._Workspace(config).direction(slope, g)
+        if work["builds"]:
+            assert np.array_equal(delta, fresh)
         else:
-            assert np.array_equal(delta, st._Workspace(config).direction(slope, g))
+            assert np.abs(delta - fresh).max() <= 1e-12 * np.abs(fresh).max()
+
+
+@hs.composite
+def slope_chains(draw, points):
+    """Sequences of two-valued slopes like the obstacle's ``pi' + {0, 1/lam}``.
+
+    From a contact set of fewer than half of the ``points`` nodes one node
+    enters, which updates the factors the first slope built; then each slope
+    adds, drops or swaps up to three contact nodes, changes the excess or the
+    floor, or returns to an earlier slope.  The contact set may pass half of
+    the nodes, where a direction leaves the node branch.
+    """
+    nodes = hs.integers(0, points - 1)
+    contact = draw(hs.sets(nodes, max_size=points // 2 - 1), label="contact")
+    floor, gap = -2.0, draw(hs.sampled_from((1e2, 1e3)), label="excess")
+
+    def slope():
+        values = np.full(points, floor)
+        values[sorted(contact)] += gap
+        return values
+
+    chain = [slope()]
+    contact.add(draw(hs.sampled_from(sorted(set(range(points)) - contact)), label="entering"))
+    chain.append(slope())
+    moves = hs.sampled_from(("add", "drop", "swap", "excess", "floor", "back"))
+    for move in draw(hs.lists(moves, max_size=12), label="moves"):
+        if move in ("drop", "swap") and contact:
+            contact -= draw(hs.sets(hs.sampled_from(sorted(contact)), min_size=1, max_size=3))
+        if move in ("add", "swap"):
+            contact |= draw(hs.sets(nodes, min_size=1, max_size=3))
+        if move == "excess":
+            gap = draw(hs.floats(1.0, 1e3))
+        if move == "floor":
+            floor = draw(hs.sampled_from((-2.0, -1.5)))
+        chain.append(draw(hs.sampled_from(chain)) if move == "back" else slope())
+    return chain
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=hs.sampled_from(("neumann", "dirichlet")), points=GRIDS,
+       exponent=hs.floats(0.1, 1.0), data=hs.data())
+def test_node_factor_updates_match_dense_solve(kind, points, exponent, data):
+    # every direction along a chain of updates, builds (for a new floor or
+    # excess, or where the updates would cost more than a build) and hits
+    # meets the dense solve; the node that enters after the first slope
+    # always updates the kept factors
+    config = direction_config(kind, points, exponent, data)
+    ws = st._Workspace(config)
+    chain = data.draw(slope_chains(points), label="slopes")
+    rng = np.random.default_rng(points)
+    with counted_factor_work() as work:
+        for slope in chain:
+            assert_dense_direction(ws, slope, rng.normal(size=points))
+    assert work["updates"] > 0
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -1,6 +1,7 @@
 """Time stepping: validation, single steps against a dense oracle, trajectories."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -18,9 +19,9 @@ from fracch.errors import (
     SourceTailHypothesisError,
 )
 
-from conftest import (assert_first_equation, assert_matches_cold_chain,
-                      assert_step_operator_closed_forms, cosine_field, dense_step_operator,
-                      final_y, readme_problem, recorded_run, zero_potential)
+from conftest import (assert_dense_direction, assert_first_equation, assert_matches_cold_chain,
+                      assert_step_operator_closed_forms, cosine_field, counted_factor_work,
+                      dense_step_operator, final_y, readme_problem, recorded_run, zero_potential)
 
 
 def neumann_config(spec, n=8, points=17, length=2.0, r=0.5, sigma=0.5,
@@ -280,14 +281,6 @@ def readme_obstacle_config(steps):
                            yosida_lambda=1e-3, tau=0.25, h=0.01, steps=steps)
 
 
-def assert_dense_direction(ws, slope, g):
-    k = dense_step_operator(ws.config)
-    expected = np.linalg.solve(k + np.diag(slope), -g)
-    delta = ws.direction(slope, g)
-    assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
-    return delta
-
-
 ONE_BASIS = ["neumann", "dirichlet", "matrix", "factored"]
 
 
@@ -341,8 +334,9 @@ class TestNewtonDirection:
     @pytest.mark.parametrize("kind", ["neumann", "matrix", "factored"] + sorted(TWO_BASES))
     def test_no_dense_inverse(self, kind, monkeypatch):
         # G comes from its closed form on any basis: no workspace forms the
-        # identity, and the only inverse is the 2 x 2 capacitance matrix's,
-        # on the first call that reuses its factors
+        # identity, and the only inverses are small ones: a build's k x k
+        # capacitance matrix and an update's p x p Schur complement of the
+        # nodes that entered or q x q block of the nodes that left
         config = direction_workspace(kind).config
         m = config.grid.size
         calls = []
@@ -352,10 +346,14 @@ class TestNewtonDirection:
         ws = st._Workspace(config)
         few = np.full(m, -2.0)
         few[[1, 4]] += 1.0 / 1e-2
+        more = few.copy()
+        more[6] = few[1]
         g = np.random.default_rng(8).normal(size=m)
-        for slope in (few, few[::-1].copy(), few + 0.5, few[::-1] + 0.5, few, few, few):
+        # a build, an update by a node that enters and one by a node that
+        # leaves, two builds for a new floor, then a hit
+        for slope in (few, more, few, few + 0.5, few, few):
             ws.direction(slope, g)
-        assert calls == [(2, 2)]
+        assert calls == [(2, 2), (1, 1), (1, 1), (2, 2), (2, 2)]
 
     def test_failed_inversion_leaves_no_factors(self, monkeypatch):
         ws = direction_workspace("dirichlet-neumann")
@@ -364,23 +362,43 @@ class TestNewtonDirection:
         k_probe = ws.apply(probe)[0]
         few = np.full(m, -2.0)
         few[[1, 4]] += 1.0 / 1e-2
+        more = few.copy()
+        more[6] = few[1]
         g = np.ones(m)
-        assert_dense_direction(ws, few, g)
-        assert ws.active is not None
 
-        def failing(ws, c, off, excess):
-            # as the k x k capacitance of a huge contact set can
+        def assert_nothing_kept():
+            assert ws.active is None
+            assert np.array_equal(ws.apply(probe)[0], k_probe)
+            monkeypatch.undo()
+            # the earlier slope again: nothing is left to hit, so the factors are built anew
+            with counted_factor_work() as work:
+                assert_dense_direction(ws, few, g)
+            assert work["builds"] == 1
+            assert np.array_equal(ws.active.slope, few)
+
+        assert_dense_direction(ws, few, g)
+        inverted = []
+
+        def singular(a):
+            inverted.append(a.shape)
+            raise np.linalg.LinAlgError("singular matrix")
+
+        # an update that fails midway, once the entering node is placed
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(np.linalg.LinAlgError):
+            ws.direction(more, g)
+        assert inverted == [(1, 1)]   # the Schur complement of the node that entered
+        assert_nothing_kept()
+
+        def failing(factors, size):
+            # as the k x k arrays of a huge contact set can
             raise MemoryError("the capacitance does not fit")
 
-        monkeypatch.setattr(st._Workspace, "_node_factors", failing)
+        # a build that fails
+        monkeypatch.setattr(st._NodeFactors, "_reserve", failing)
         with pytest.raises(MemoryError):
             ws.direction(few + 0.5, g)
-        assert ws.active is None
-        assert np.array_equal(ws.apply(probe)[0], k_probe)
-        monkeypatch.undo()
-        # the earlier slope again: nothing is left to hit, so the factors are built anew
-        assert_dense_direction(ws, few, g)
-        assert np.array_equal(ws.active[0], few)
+        assert_nothing_kept()
 
     @pytest.mark.parametrize("kind, order", [
         ("neumann", 8),        # one basis of 8 modes on 17 nodes: along the modes
@@ -424,16 +442,19 @@ class TestNewtonDirection:
         floor = np.full(m, -2.0)
         few = floor.copy()
         few[[2, 7]] = 98.0
-        # an empty contact set solves on every call; new factors solve on
-        # their first use, are inverted on their first reuse and then take a
-        # product alone, also after the linear slope has taken the branch
-        # along the shared basis's modes
-        for slope in (floor, floor, few, few, few, np.linspace(0.0, 1.0, m), few):
+        # an empty contact set solves its 0 x 0 system on every call; two
+        # nodes that enter it border the kept inverse by their 2 x 2 Schur
+        # complement, and then every call takes a product alone, also after
+        # the linear slope has taken the branch along the shared basis's
+        # modes; back on the empty set, a build (of nothing) costs less than
+        # the downdate, and a new floor builds the factors, which invert the
+        # 2 x 2 capacitance matrix at once
+        for slope in (floor, floor, few, few, np.linspace(0.0, 1.0, m), few, floor, few + 0.5):
             ws.direction(slope, np.ones(m))
         n = ws.config.op_A.basis.n
         assert n < m
-        assert calls == [("solve", (0, 0)), ("solve", (0, 0)), ("solve", (2, 2)),
-                         ("inv", (2, 2)), ("solve", (n, n))]
+        assert calls == [("solve", (0, 0)), ("solve", (0, 0)), ("inv", (2, 2)),
+                         ("solve", (n, n)), ("solve", (0, 0)), ("inv", (2, 2))]
 
     @pytest.mark.parametrize("kind", ["neumann", "matrix", "factored", "dirichlet-neumann",
                                       "dirichlet-neumann-factored"])
@@ -494,51 +515,87 @@ class TestNewtonDirection:
         solve, inv = np.linalg.solve, np.linalg.inv
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(a.shape) or solve(a, b))
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
-        traj = st.run(config, st.ProblemData(y0=cosine_field(grid, [0.1, 0.6, 0.2]), source=source))
+        with counted_factor_work() as work:
+            traj = st.run(config, st.ProblemData(y0=cosine_field(grid, [0.1, 0.6, 0.2]),
+                                                 source=source))
         (ws,) = counted_workspaces
-        held = [*vars(ws).values(), *(ws.active or ())]
+        held = [*vars(ws).values(), *vars(ws.active).values()]
         assert not any(isinstance(a, np.ndarray) and a.shape == (m, m) for a in held)
-        # each direction solves or inverts at most once, and reused factors
-        # that were inverted before do neither
-        assert 0 < len(inverted) < len(shapes) + len(inverted) < sum(
-            s.iterations for s in traj.solver_stats)
-        assert any(side > 0 for side, _ in shapes)   # node directions on a contact set
+        # a build inverts once, an update at most twice (the nodes that left
+        # and those that entered), a hit neither, and no direction solves
+        # and inverts both
+        assert work["updates"] > 0
+        assert 0 < len(inverted) <= work["builds"] + 2 * work["updates"]
+        assert len(shapes) + len(inverted) < sum(s.iterations for s in traj.solver_stats)
         assert all(side < m for side, _ in shapes + inverted)
 
     def test_reused_factors_on_half_the_nodes_match_dense_solve(self):
         # 64 of the README example's 129 nodes in contact, the most the node
-        # branch takes: the explicit inverse of the 64 x 64 capacitance
-        # matrix, which reused factors apply, meets the dense oracle
+        # branch takes: the kept inverse of the 64 x 64 capacitance matrix,
+        # built at once or bordered by the nodes that entered, meets the
+        # dense oracle, also when reused
         ws = st._Workspace(readme_obstacle_config(steps=1))
         m = ws.config.grid.size
         rng = np.random.default_rng(12)
         for contact in (np.arange(30, 94), rng.choice(m, 64, replace=False)):
             slope = np.full(m, -2.0)
             slope[contact] += 1.0 / ws.config.yosida_lambda
-            for inverted in (False, True, True):   # new factors, their first reuse, a later one
-                assert_dense_direction(ws, slope, rng.normal(size=m))
-                assert ws.active[-1] == inverted
+            fewer = slope.copy()
+            fewer[contact[::8]] = -2.0
+            with counted_factor_work() as work:
+                for current in (slope, slope, fewer, slope, slope):
+                    assert_dense_direction(ws, current, rng.normal(size=m))
+            assert ws.active.size == 64
+            assert work["updates"] == 2   # 8 nodes leave, then enter again
+
+    def test_long_update_chains_match_dense_solve(self, monkeypatch):
+        # the physics of the obstacle-513 benchmark, 256 shared modes on 513
+        # nodes, for 300 steps: the contact set grows past a hundred nodes in
+        # updates by one or a few nodes; every 9th direction meets the dense LU
+        config, data = readme_problem(300, modes=256, points=513)
+        k = dense_step_operator(config)
+        calls, errors = itertools.count(1), []
+        direction = st._Workspace.direction
+
+        def sampled(ws, slope, g):
+            delta = direction(ws, slope, g)
+            if next(calls) % 9 == 0:
+                expected = np.linalg.solve(k + np.diag(slope), -g)
+                errors.append(np.abs(delta - expected).max() / np.abs(expected).max())
+            return delta
+
+        monkeypatch.setattr(st._Workspace, "direction", sampled)
+        with counted_factor_work() as work:
+            st.run(config, data)
+        assert work["longest"] >= 20
+        assert max(errors) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["matrix", "factored"])
     def test_reused_factors_hold_one_k_by_k_array(self, kind):
-        # the inverse takes the capacitance matrix's place: with half of the
-        # nodes in contact the kept factors stay within the 1.25 m x m
+        # the kept inverse is the one k x k array: from one node to half of
+        # them, each entering in its own update, the kept factors grow with
+        # room to spare, yet at any capacity stay within the 1.25 m x m
         # arrays that _DENSE_ARRAYS and step_operator_bytes count for them
         ws = direction_workspace(kind)
         m = ws.config.grid.size
-        k = m // 2
-        slope = np.full(m, -2.0)
-        slope[:k] += 1.0 / 1e-2
-        g = np.random.default_rng(13).normal(size=m)
-        for _ in range(3):
-            assert_dense_direction(ws, slope, g)
-        matrices = [a for a in ws.active if isinstance(a, np.ndarray) and a.ndim == 2]
-        assert [a.shape for a in matrices].count((k, k)) == 1
-        assert ws.active[-1]   # the kept k x k array is the inverse
         n = ws.modes.shape[1]
-        assert sum(a.size for a in matrices) == 2 * k * n + k * k
-        if kind == "matrix":
-            assert sum(a.nbytes for a in matrices) <= (st._DENSE_ARRAYS - 3) * 8 * m * m
+        g = np.random.default_rng(13).normal(size=m)
+        capacities = set()
+        with counted_factor_work() as work:
+            for k in range(1, m // 2 + 1):
+                slope = np.full(m, -2.0)
+                slope[:k] += 1.0 / 1e-2
+                assert_dense_direction(ws, slope, g)
+                factors = ws.active
+                capacity = len(factors.nodes)
+                capacities.add(capacity)
+                assert factors.size == k <= capacity <= m // 2
+                matrices = [a for a in vars(factors).values()
+                            if isinstance(a, np.ndarray) and a.ndim == 2 and a is not ws.modes]
+                assert [a.shape for a in matrices] == [(capacity, n)] * 2 + [(capacity,) * 2]
+                assert sum(a.nbytes for a in matrices) <= (st._DENSE_ARRAYS - 3) * 8 * m * m
+        assert work["builds"] == 1 and work["updates"] == m // 2 - 1
+        assert len(capacities) > 1 or capacities == {m // 2}   # grew, or started at the cap
 
 
 @pytest.mark.parametrize("points, modes", [(100, 80), (300, 50)], ids=["dense", "factored"])
