@@ -158,18 +158,40 @@ def _logarithmic_newton(lam, s, tol=1e-12, budget=100):
     # sech^2 + 2 lam > 0 and f'' = -2 sech^2 tanh, f is concave on [0, theta*] for s > 0: Newton
     # climbs to theta* from any point there.  Lower bounds: the Newton step from atanh(s) > theta*
     # (s < 1), (s - 1)/(2 lam) as tanh < 1, s/(1 + 2 lam) as tanh x <= x.  s < 0 mirrors via |s|.
+    # The arrays are formed in place, by the operations of the formulas in the comments below in
+    # their order, so that the values are those of the formulas evaluated as written.
     s = np.asarray(s, dtype=float)
+    if s.ndim == 0:
+        j, value = _logarithmic_newton(lam, s[None], tol, budget)
+        return j[0], value[0]
+    two_lam = 2.0 * lam
     a = np.abs(s)
     u = np.where(a < 1.0, a, 0.0)
-    v = 1.0 - u * u
-    bound = np.maximum((a - 1.0) / (2.0 * lam), a / (1.0 + 2.0 * lam))
-    theta = np.copysign(np.maximum(np.arctanh(u) * v / (v + 2.0 * lam), bound), s)
+    v = np.multiply(u, u)
+    np.subtract(1.0, v, out=v)               # 1 - u^2
+    bound = np.subtract(a, 1.0)
+    bound /= two_lam
+    a /= 1.0 + two_lam
+    np.maximum(bound, a, out=bound)
+    theta = np.arctanh(u)
+    theta *= v
+    v += two_lam
+    theta /= v
+    np.maximum(theta, bound, out=theta)
+    np.copysign(theta, s, out=theta)
+    t, f, step = u, v, bound                 # the start's arrays, reused
     for _ in range(budget):
-        t = np.tanh(theta)
-        f = t + 2.0 * lam * theta - s
+        np.tanh(theta, out=t)
+        np.multiply(two_lam, theta, out=f)
+        f += t
+        f -= s                               # f = t + 2 lam theta - s
+        np.multiply(t, t, out=step)
+        np.subtract(1.0, step, out=step)
+        step += two_lam
+        np.divide(f, step, out=step)
+        theta -= step                        # theta - f / ((1 - t^2) + 2 lam)
         # the step after |f| < tol polishes theta to round-off for the nodal residual
-        theta = theta - f / ((1.0 - t * t) + 2.0 * lam)
-        if np.max(np.abs(f)) < tol:
+        if np.abs(f, out=f).max() < tol:
             break
     else:
         worst = float(np.max(np.abs(np.tanh(theta) + 2.0 * lam * theta - s)))
@@ -177,7 +199,9 @@ def _logarithmic_newton(lam, s, tol=1e-12, budget=100):
             f"logarithmic resolvent failed to converge: residual {worst:.3e} "
             f"after {budget} iterations at level {lam}"
         )
-    return np.tanh(theta), 2.0 * theta
+    np.tanh(theta, out=t)
+    theta *= 2.0
+    return t, theta
 
 
 def _logarithmic_spec(c1: float) -> PotentialSpec:
@@ -193,9 +217,15 @@ def _logarithmic_spec(c1: float) -> PotentialSpec:
         return v, v
 
     def yosida_slope(lam, s, value):
-        # value = 2*theta exactly, so tanh(value/2) is the resolvent bit for bit
+        # value = 2*theta exactly, so tanh(value/2) is the resolvent bit for
+        # bit.  The slope 2 / ((1 - j^2) + 2 lam) is formed in place as
+        # -2 / ((j^2 - 1) - 2 lam), the same bits as rounding is odd, by
+        # augmented operations, which leave a scalar value a scalar
         j = np.tanh(0.5 * value)
-        return 2.0 / ((1.0 - j * j) + 2.0 * lam)
+        j *= j
+        j -= 1.0
+        j -= 2.0 * lam
+        return -2.0 / j
 
     return PotentialSpec(
         beta_hat=beta_hat,
@@ -327,14 +357,13 @@ def validate_potential(spec: PotentialSpec) -> None:
     runs it on every spec it builds.
     """
     samples, span = 1000, 3.0   # drawn points, and the half-width of their range
-    rng = np.random.default_rng(0)
     b0 = float(spec.beta_hat(np.array([0.0]))[0])
     if abs(b0) > 1e-12:
         raise ConfigurationError(f"beta_hat(0) = {b0!r}, expected 0")
     dom = spec.beta_domain
     lo = max(dom.lo, -span)
     hi = min(dom.hi, span)
-    pts = rng.uniform(lo, hi, size=2 * samples)
+    pts = uniform_draws(lo, hi, 2 * samples)
     pts = pts[dom.contains(pts)]
     vals = spec.beta_hat(pts)
     if np.any(vals < -1e-12):
@@ -346,12 +375,34 @@ def validate_potential(spec: PotentialSpec) -> None:
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ConfigurationError(f"graph is not monotone between {s[i]} and {t[i]}")
-    a = rng.uniform(-span, span, size=samples)
-    b = rng.uniform(-span, span, size=samples)
+    a = uniform_draws(-span, span, samples, seed=1)
+    b = uniform_draws(-span, span, samples, seed=2)
     gap = np.abs(spec.pi(a) - spec.pi(b))
     bound = spec.lipschitz_pi * np.abs(a - b)
     if np.any(gap > bound + 1e-10 * np.maximum(1.0, bound)):
         raise ConfigurationError("declared Lipschitz constant of pi is violated")
+
+
+def uniform_draws(lo: float, hi: float, size, seed: int = 0) -> np.ndarray:
+    """Numbers in ``[lo, hi)`` of shape ``size``, the same ones on every call.
+
+    They are splitmix64 (Steele, Lea & Flood, OOPSLA 2014) on the ``uint64``
+    counter ``seed + k * 0x9E3779B97F4A7C15``, ``k = 1, 2, ...``, each output's
+    top 53 bits making the fraction: plain numpy, so that the sampled checks
+    do not import ``numpy.random``.
+    """
+    z = np.arange(1, int(np.prod(size)) + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    unit = z.astype(float)   # at most two arrays of the draws' size at once
+    unit *= (hi - lo) * 2.0 ** -53
+    unit += lo
+    return unit.reshape(size)
 
 
 def _resolvent_bisection(spec, lam, s, budget=200):

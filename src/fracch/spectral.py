@@ -198,7 +198,8 @@ class EigenBasis:
 
     def gram_defect(self) -> float:
         """Max deviation of the quadrature Gram matrix from the identity."""
-        g = (self.modes * self.grid.w[:, None]).T @ self.modes
+        r = self.modes * np.sqrt(self.grid.w)[:, None]
+        g = r.T @ r   # a matrix times its own transpose: numpy's symmetric product
         g.flat[:: self.n + 1] -= 1.0   # minus the identity, in place
         return float(np.abs(g, out=g).max())
 

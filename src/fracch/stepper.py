@@ -23,10 +23,18 @@ quadrature before its product with ``Phi``, pass over the same array.
 both operators share, or else found once per run to span both bases.  ``K``
 is applied in that form, one analysis and one synthesis per product, on
 every grid.  Damped Newton solves for ``d`` from the previous step's
-increment ``y^n - y^(n-1)`` (from ``d = 0`` on the first step), the state
-moving at a constant rate being a better guess than a state at rest.  The
-start changes where Newton begins, not the equation it solves or ``mu+``,
-which stays eliminated exactly.  Newton takes ``K`` plus the slope diagonal
+increment ``d1 = y^n - y^(n-1)`` (from ``d = 0`` on the first step), the
+state moving at a constant rate being a better guess than a state at rest.
+On a smooth well (``spec.smooth_graph``) it starts instead at whichever of
+``0``, ``d1`` and the quadratic extrapolation ``3 d1 - 3 d2 + d3`` of the
+last three increments would have come nearest, in the quadrature norm, to
+the previous step's increment (Hairer & Wanner, Solving Ordinary
+Differential Equations II, IV.8): a settled run starts at ``0``, where
+``d1``, a little too large, costs an iteration.  Obstacle runs given the
+choice took line-search halvings and ran slower, so the other graphs keep
+``d1``.  The start changes where Newton begins, not the equation it solves
+or ``mu+``, which stays eliminated exactly.
+Newton takes ``K`` plus the slope diagonal
 ``beta_lam' + pi'`` as Jacobian, and :class:`_Workspace` finds its
 direction on one of three branches: the Woodbury correction of ``(K + c
 I)^(-1)``, closed along ``Psi``, on the nodes above the smallest slope
@@ -40,12 +48,14 @@ Newton stops once the residual is at most ``newton_tol``.  A residual it
 can reduce no further is accepted at its round-off floor, which for large
 operator powers lies above ``newton_tol``.
 
-A step hands the next one Newton's increment ``d`` as its start, ``K d``
-and the analysis ``Psi^T W d`` of that product, which its first residual
-reuses, so that ``K`` is applied once per trial point of the line search,
-the coefficients ``c(mu)`` and ``c(y)`` of the rows along the first and
-the second basis, and the spectral part ``S mu - mu - B2s y`` of its
-right-hand side.  With ``c(d)`` (Newton's on a shared basis, one analysis
+A step hands the next one Newton's increment ``d``, ``K d`` and the
+analysis ``Psi^T W d`` of that product, which its first residual reuses
+when it starts at ``d``, so that ``K`` is applied once per trial point of
+the line search and once per other start; on a smooth well, the two
+increments before ``d`` and the choice of start; the coefficients ``c(mu)``
+and ``c(y)`` of the rows along the first and the second basis; and the
+spectral part ``S mu - mu - B2s y`` of its right-hand side.
+With ``c(d)`` (Newton's on a shared basis, one analysis
 per basis with two), ``mu+ = mu - d/h - Phi_A (q (c(mu) - c(d)/h))``, ``q
 = lam_A^2r / (1 + lam_A^2r)``, is analysed once, ``c(y+) = c(y) + c(d)``,
 and one synthesis gives the next spectral part: three passes over the
@@ -53,10 +63,11 @@ modes of a shared basis, six over those of two, plus two per product with
 ``K`` and per node direction.
 ``c(y)`` drifts from a fresh analysis by about a rounding per step, so
 ``run`` analyses the rows afresh at the first step of each block of 64.
-``run`` and ``solve_step`` take every step through one routine;
-``solve_step`` computes the carry from its rows and start, which at the
-first step of a block of a run gives the carried one, and the step, bit
-for bit, and elsewhere agrees to round-off.
+``run`` and ``solve_step`` take every step through one routine.  The
+carry computed from the rows, the increment and the start history is, at
+the first step of a block of a run, the carried one, and gives the step
+bit for bit, and elsewhere agrees to round-off; ``solve_step`` computes it
+from its rows and start, without a history.
 
 Trajectories start from ``y0`` with ``mu0 = 0``; that
 initialization is part of the scheme, not a configurable choice, and it
@@ -889,21 +900,40 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
     )
 
 
-def _fresh_carry(ws: _Workspace, y: np.ndarray, mu: np.ndarray, d: np.ndarray):
-    """The carry of a step from the rows ``(y, mu)`` that starts Newton at ``d``."""
-    return (d, *ws.apply(d), *ws.carried(y, mu))
+def _fresh_carry(ws: _Workspace, y: np.ndarray, mu: np.ndarray, d: np.ndarray,
+                 history=None):
+    """The carry of a step from the rows ``(y, mu)`` whose last increment is
+    ``d``, with the ``history`` of :func:`_advance`: ``None`` starts Newton at
+    ``d``."""
+    return (d, *ws.apply(d), history, *ws.carried(y, mu))
 
 
 def _advance(ws: _Workspace, y: np.ndarray, mu: np.ndarray, u_next: np.ndarray, carry):
     """One step from the rows ``(y, mu)`` with the carry of the step before:
-    ``(d, K d, Psi^T W d, c(mu), c(y), S mu - mu - B2s y)``, as
+    ``(d, K d, Psi^T W d, history, c(mu), c(y), S mu - mu - B2s y)``, as
     :func:`_fresh_carry` computes it or the step before returned it.
-    Returns the new rows, the carry of the next step, which starts Newton
-    at this step's increment ``d = y+ - y``, and its :data:`STEP_STATS` tuple.
+
+    With ``history`` ``None`` Newton starts at the last increment ``d``.
+    Otherwise it is ``(d2, d3, choice)``: the two increments before ``d`` and
+    the index of the start to take among ``0``, ``d`` and the quadratic
+    extrapolation ``3 d - 3 d2 + d3``, the order in which a tie prefers
+    them.  A start other than ``d`` takes a product with ``K`` of its own.
+    The step then chooses the next start: the candidate of this step that
+    came nearest to its accepted increment.  Returns the new rows, the carry
+    of the next step and the step's :data:`STEP_STATS` tuple.
     """
     cfg = ws.config
-    d, kd, cd, c_mu, c_y, part = carry
-    d, kd, cd, *stats = _newton_solve(ws, y, u_next + mu + part, d, kd, cd)
+    d1, kd, cd, history, c_mu, c_y, part = carry
+    start = d1, kd, cd
+    if history is not None:
+        d2, d3, choice = history
+        starts = (np.zeros_like(d1), d1, 3.0 * (d1 - d2) + d3)
+        if choice != 1:
+            start = (starts[choice], *ws.apply(starts[choice]))
+    d, kd, cd, *stats = _newton_solve(ws, y, u_next + mu + part, *start)
+    if history is not None:
+        misses = [ws.h_norm(d - s) for s in starts]
+        history = (d1, d2, misses.index(min(misses)))
     basis, basis_b = ws.bases
     c_da, c_db = (cd, cd) if ws.shared else (basis.coefficients(d), basis_b.coefficients(d))
     mu_next = mu - d / cfg.h   # then (I + A2r)^(-1) of it, the identity off the span
@@ -911,7 +941,7 @@ def _advance(ws: _Workspace, y: np.ndarray, mu: np.ndarray, u_next: np.ndarray, 
     c_mu = basis.coefficients(mu_next)
     c_y = c_y + c_db
     part = ws.synthesize(c_mu, c_y)
-    return y + d, mu_next, (d, kd, cd, c_mu, c_y, part), tuple(stats)
+    return y + d, mu_next, (d, kd, cd, history, c_mu, c_y, part), tuple(stats)
 
 
 def solve_step(prev_y: sp.Field, prev_mu: sp.Field, u_next: sp.Field,
@@ -953,7 +983,8 @@ def run(config: SchemeConfig, data: ProblemData,
     """Validate, then march the scheme from (y0, 0) for the configured steps.
 
     Newton starts step 0 at ``d = 0`` and every later step at the previous
-    step's increment ``y^n - y^(n-1)``.  The states of each block of
+    step's increment ``y^n - y^(n-1)``, or on a smooth well at the start
+    the module docstring describes.  The states of each block of
     ``_SOURCE_BLOCK`` steps are reduced to the trajectory's columns at the
     end of the block; only the rows at ``snapshot_steps`` (by default the
     first and the last step) are kept.
@@ -965,7 +996,9 @@ def run(config: SchemeConfig, data: ProblemData,
     y = np.empty((_SOURCE_BLOCK + 1, config.grid.size))
     mu = np.zeros_like(y)
     y[0] = data.y0.values
-    carry = _fresh_carry(ws, y[0], mu[0], np.zeros(config.grid.size))
+    zeros = np.zeros(config.grid.size)
+    carry = _fresh_carry(ws, y[0], mu[0], zeros,
+                         (zeros, zeros, 1) if config.spec.smooth_graph else None)
     # one pass with no step when there are none, which takes the initial row alone
     for start in range(0, max(steps, 1), _SOURCE_BLOCK):
         sources = data.source.values(
@@ -980,5 +1013,5 @@ def run(config: SchemeConfig, data: ProblemData,
         end = len(sources)
         recorder.add(y[:end + 1], mu[:end + 1], sources)
         y[0], mu[0] = y[end], mu[end]
-        carry = carry[:3] + ws.carried(y[0], mu[0])   # the drift spans one block
+        carry = carry[:4] + ws.carried(y[0], mu[0])   # the drift spans one block
     return recorder.trajectory()

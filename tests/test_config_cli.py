@@ -469,6 +469,20 @@ class TestRunDirectory:
         assert report["branch"] == "lambda1_zero"
         assert report["mass_identity_defect"] <= 1e-10
 
+    def test_longtime_report_does_not_import_numpy_random(self, tmp_path):
+        # the report's sampled check draws from potentials.uniform_draws; in
+        # a fresh process, numpy.random costs an import and peak memory
+        path, out = write_config(tmp_path)
+        assert cli.main(["simulate", str(path)]) == 0
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        probe = ("import io, sys, contextlib; from fracch import cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = cli.main(['longtime-report', sys.argv[1]])\n"
+                 "print(code, 'numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", probe, str(out)], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
+
     def test_longtime_report_fresh_config(self, tmp_path):
         path, out = write_config(tmp_path)
         out2 = tmp_path / "fresh"

@@ -122,7 +122,42 @@ def logarithmic_defect(lam, s, value):
     return np.abs(np.tanh(theta) + 2.0 * lam * theta - s)
 
 
+def reference_logarithmic_newton(lam, s, tol=1e-12, budget=100):
+    """``potentials._logarithmic_newton`` with each formula as one expression,
+    the oracle of its in-place arithmetic."""
+    s = np.asarray(s, dtype=float)
+    a = np.abs(s)
+    u = np.where(a < 1.0, a, 0.0)
+    v = 1.0 - u * u
+    bound = np.maximum((a - 1.0) / (2.0 * lam), a / (1.0 + 2.0 * lam))
+    theta = np.copysign(np.maximum(np.arctanh(u) * v / (v + 2.0 * lam), bound), s)
+    for _ in range(budget):
+        t = np.tanh(theta)
+        f = t + 2.0 * lam * theta - s
+        theta = theta - f / ((1.0 - t * t) + 2.0 * lam)
+        if np.max(np.abs(f)) < tol:
+            return np.tanh(theta), 2.0 * theta
+    raise NumericalError("no convergence")
+
+
 class TestLogarithmicResolvent:
+    @pytest.mark.parametrize("lam", [1e-1, 1e-4, 1e-8])
+    def test_in_place_arithmetic_matches_the_formulas(self, lam):
+        s = np.random.default_rng(5).uniform(-3.0, 3.0, (7, 129))
+        s[0, :12] = [0.0, -0.0, 1.0, -1.0, 1e-300, -5e-324, 1e-13, 1 - 1e-16, 3.0, -3.0,
+                     0.999999, 1.0000001]
+        for ours, oracle in zip(pot._logarithmic_newton(lam, s),
+                                reference_logarithmic_newton(lam, s)):
+            assert ours.shape == oracle.shape and ours.tobytes() == oracle.tobytes()
+        for point in (0.3, -0.7, 1.0, 2.5, -0.0):
+            ours = pot._logarithmic_newton(lam, point)
+            oracle = reference_logarithmic_newton(lam, point)
+            assert all(np.isscalar(x) for x in ours)
+            assert np.array_equal(ours, oracle) and np.signbit(ours[1]) == np.signbit(oracle[1])
+            slope = ALL_SPECS["logarithmic"].yosida_slope(lam, point, ours[1])
+            j = np.tanh(0.5 * ours[1])
+            assert np.isscalar(slope) and slope == 2.0 / ((1.0 - j * j) + 2.0 * lam)
+
     @pytest.mark.parametrize("lam", [1e-1, 1e-4, 1e-6])
     def test_exact_zero_beside_other_nodes(self, lam):
         # s = 0 has residual exactly 0 at its first iterate; bisecting it back
@@ -347,6 +382,26 @@ class TestRegularizationProperties:
         exact = math.log(1.5 / 0.5)
         approx = pot.yosida(spec, 1e-4, 0.5)
         assert abs(approx - exact) < 1e-2
+
+
+def reference_splitmix64(seed, count):
+    """The first ``count`` outputs of splitmix64 from ``seed``, in Python integers."""
+    mask, state, out = (1 << 64) - 1, seed, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 2**64 - 1])
+def test_uniform_draws_are_splitmix64_fractions(seed):
+    draws = pot.uniform_draws(-3.0, 5.0, (40, 25), seed=seed)
+    unit = np.array([z >> 11 for z in reference_splitmix64(seed, 1000)]) * 2.0**-53
+    assert draws.shape == (40, 25)
+    np.testing.assert_array_equal(draws.ravel(), -3.0 + 8.0 * unit)
+    assert -3.0 <= draws.min() and draws.max() < 5.0
 
 
 class TestValidatePotential:

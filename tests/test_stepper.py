@@ -786,7 +786,8 @@ def warm_start_config(kind, well, h=0.1, steps=20):
 
 
 class TestWarmStart:
-    """``run`` starts Newton at the previous increment; the cold start of
+    """``run`` starts Newton at the previous increment, or on a smooth well
+    at the best of three predicted increments; the cold start of
     ``solve_step`` (``d = 0`` on every step) is its oracle."""
 
     @pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
@@ -824,16 +825,18 @@ class TestWarmStart:
             y0=cosine_field(grid, [0.1, 0.6, 0.2]), source=source))
 
     @pytest.mark.parametrize("kind, length, exponent_a, y0, totals", [
-        ("neumann", 1.0, 1.0, [0.1, 0.05], (23, 13)),
-        ("dirichlet", 0.5, 0.5, [0.1, 0.1, 0.05], (20, 10)),
+        ("neumann", 1.0, 1.0, [0.1, 0.05], (13, 13)),
+        ("dirichlet", 0.5, 0.5, [0.1, 0.1, 0.05], (10, 10)),
     ], ids=["neumann", "dirichlet"])
     def test_settling_run_iteration_totals(self, kind, length, exponent_a, y0, totals):
         # the run settles within about ten steps; from there the cold start
-        # meets newton_tol at d = 0, while the previous increment, too large
-        # by a little, costs one iteration about every other step.  The
-        # totals are pinned as they stand, so that a change of the start
-        # rule shows in them.  Every start residual lies at least 1.9% away
-        # from newton_tol, far outside round-off
+        # meets newton_tol at d = 0.  The previous increment, too large by a
+        # little, cost one iteration about every other step (23 and 20
+        # iterations); the predicted start takes d = 0 there, since it came
+        # nearest to the increment of the step before.  The totals are
+        # pinned as they stand, so that a change of the start rule shows in
+        # them.  Every start residual lies at least 1.9% away from
+        # newton_tol, far outside round-off
         basis = sp.build_interval_basis(kind, 8, length, 17)
         config = st.SchemeConfig(op_A=sp.FractionalOperator(basis, exponent_a),
                                  op_B=sp.FractionalOperator(basis, 1.0),
@@ -872,7 +875,9 @@ CARRY_PROBLEMS = {
     "factored-obstacle": (("neumann", "neumann", "obstacle", 0.5, 20, "decay", 129), [0, 2]),
     "two-bases-obstacle": (("dirichlet", "neumann", "obstacle", 0.05, 40, "tabulated"),
                            [8, 11, 18, 29]),
-    "two-bases-logarithmic": (("dirichlet", "neumann", "logarithmic", 0.1, 20, "decay"), []),
+    # the quadratic extrapolation overshoots once: 70 iterations and 1 damping,
+    # against 72 and none from the previous increment
+    "two-bases-logarithmic": (("dirichlet", "neumann", "logarithmic", 0.1, 20, "decay"), [9]),
 }
 
 
@@ -902,11 +907,24 @@ def assert_close_to(ours, fresh, rel=1e-12):
     assert np.abs(ours - fresh).max() <= rel * np.abs(fresh).max()
 
 
+def carry_entries(carry):
+    """The entries of a carry in order, with those of its start history (the
+    two older increments and the choice of start) in place of the history."""
+    d, kd, cd, history, *rows = carry
+    return [d, kd, cd, *(history or ()), *rows]
+
+
+def assert_same_entries(ours, fresh):
+    assert len(ours) == len(fresh)
+    assert all(np.array_equal(a, b) for a, b in zip(ours, fresh))
+
+
 class TestCarry:
     """``run`` hands each step's increment, its ``K d`` and analysis, the
-    coefficients of the new rows and the spectral part of the next
-    right-hand side to the next step, and analyses the rows afresh at the
-    first step of each block; ``solve_step`` computes them from its rows."""
+    start history of a smooth well, the coefficients of the new rows and the
+    spectral part of the next right-hand side to the next step, and
+    analyses the rows afresh at the first step of each block;
+    ``solve_step`` computes them from its rows."""
 
     @pytest.mark.parametrize("problem", sorted(CARRY_PROBLEMS))
     def test_every_step_matches_a_step_with_a_fresh_carry(self, problem, monkeypatch):
@@ -921,26 +939,32 @@ class TestCarry:
         assert len(carries) == config.steps
         assert [n for n, s in enumerate(traj.solver_stats) if s.dampings] == damped
         ws = st._Workspace(config)
+        predicted = 0
         for n, carry in enumerate(carries):
             y, mu = ys[n], mus[n]
-            # the increment of the step before, as Newton returned it
-            fresh = st._fresh_carry(ws, y, mu, carry[0])
+            # the increment of the step before, as Newton returned it, and
+            # on a smooth well the start history the step before left
+            assert (carry[3] is None) == (not config.spec.smooth_graph)
+            predicted += carry[3] is not None and carry[3][2] != 1
+            fresh = st._fresh_carry(ws, y, mu, carry[0], carry[3])
             y_next, mu_next, _, stats = st._advance(
                 ws, y, mu, data.source.at((n + 1) * config.h).values, fresh)
             if n % st._SOURCE_BLOCK == 0:   # the first step of a block: bit for bit
-                assert all(np.array_equal(a, b) for a, b in zip(carry, fresh))
+                assert_same_entries(carry_entries(carry), carry_entries(fresh))
                 assert np.array_equal(y_next, ys[n + 1])
                 assert np.array_equal(mu_next, mus[n + 1])
                 assert stats == traj.solver_stats[n].item()
                 continue
-            # Newton's increment, K d and its analysis and the analysis of mu
-            # are the fresh ones bit for bit; c(y) and the spectral part were
-            # carried, so the step agrees to round-off
-            assert all(np.array_equal(a, b) for a, b in zip(carry[:4], fresh[:4]))
+            # Newton's increment, K d and its analysis, the start history and
+            # the analysis of mu are the fresh ones bit for bit; c(y) and the
+            # spectral part were carried, so the step agrees to round-off
+            assert_same_entries(carry_entries(carry)[:-2], carry_entries(fresh)[:-2])
             assert_close_to(y_next, ys[n + 1])
             assert_close_to(mu_next, mus[n + 1])
             ran = traj.solver_stats[n]
             assert (stats[0], stats[2]) == (ran.iterations, ran.dampings)
+        # a smooth well starts some steps at 0 or the quadratic extrapolation
+        assert (predicted > 0) == config.spec.smooth_graph
 
     def test_carried_coefficients_drift_within_a_block(self, readme_long_run):
         # a step analyses mu+ once, so the carried c(mu) is the fresh one bit
@@ -957,14 +981,14 @@ class TestCarry:
         tol = np.sqrt(st._SOURCE_BLOCK) * config.grid.size * np.finfo(float).eps
         for n, (carried, taken) in boundaries.items():
             y, mu = ys[n], mus[n]
-            fresh = st._fresh_carry(ws, y, mu, carried[0])
-            assert all(np.array_equal(a, b) for a, b in zip(taken, fresh))
-            assert all(np.array_equal(a, b) for a, b in zip(carried[:4], fresh[:4]))
-            _, _, _, _, c_y, part = fresh
+            fresh = st._fresh_carry(ws, y, mu, carried[0], carried[3])
+            assert_same_entries(carry_entries(taken), carry_entries(fresh))
+            assert_same_entries(carry_entries(carried)[:-2], carry_entries(fresh)[:-2])
+            *_, c_y, part = fresh
             rows_part = (np.abs(ws.shifted_a).max() * ws.h_norm(mu)
                          + ws.power_b.max() * ws.h_norm(y))
-            assert np.abs(carried[4] - c_y).max() <= tol * ws.h_norm(y)
-            assert np.abs(carried[5] - part).max() <= tol * rows_part
+            assert np.abs(carried[-2] - c_y).max() <= tol * ws.h_norm(y)
+            assert np.abs(carried[-1] - part).max() <= tol * rows_part
 
     def test_every_newton_exit_returns_k_times_its_iterate(self, monkeypatch):
         exits = set()
@@ -1010,17 +1034,24 @@ class TestCarry:
     @pytest.mark.parametrize("problem", sorted(CARRY_PROBLEMS))
     def test_k_products_per_run(self, problem, counted_workspaces, monkeypatch):
         # every residual takes one product with K, except the first residual
-        # of each step after the first, which takes the carried one
+        # of each step after the first, which takes the carried one; a start
+        # other than the last increment (0 or the quadratic extrapolation,
+        # on a smooth well) takes one more
         config, data = carry_problem(*CARRY_PROBLEMS[problem][0])
-        calls = []
-        yosida = pot.yosida
+        calls, carries = [], []
+        yosida, advance = pot.yosida, st._advance
         monkeypatch.setattr(pot, "yosida",
                             lambda spec, lam, s: calls.append(1) or yosida(spec, lam, s))
+        monkeypatch.setattr(st, "_advance", lambda ws, y, mu, u, carry:
+                            carries.append(carry) or advance(ws, y, mu, u, carry))
         traj = st.run(config, data, (1, 2))
         (ws,) = counted_workspaces
         trial_points = sum(s.iterations + s.dampings for s in traj.solver_stats)
+        predicted = sum(c[3] is not None and c[3][2] != 1 for c in carries)
+        assert (predicted > 0) == config.spec.smooth_graph
         assert len(calls) == config.steps + trial_points
-        assert ws.products == len(calls) - (config.steps - 1) == trial_points + 1
+        assert ws.products == len(calls) - (config.steps - 1) + predicted
+        assert ws.products == trial_points + 1 + predicted
         calls.clear()
         st.solve_step(*traj.snapshot(1), data.source.at(2 * config.h), config,
                       start=traj.snapshot(2)[0])
