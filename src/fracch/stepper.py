@@ -44,9 +44,15 @@ Woodbury identity along ``Psi``, one ``N`` x ``N`` system, for other slopes
 while ``N`` is at most 3/5 of the grid size; else the dense LU of the
 Jacobian, the one thing in a run that builds an ``m`` x ``m`` array.
 
-Newton stops once the residual is at most ``newton_tol``.  A residual it
-can reduce no further is accepted at its round-off floor, which for large
-operator powers lies above ``newton_tol``.
+Newton stops once the residual ``g`` is at most ``newton_tol``.  A finite
+residual it can reduce no further is accepted at its round-off floor, node
+by node: every ``|g_i|`` at most ``_ROUNDOFF`` times the largest summand at
+node ``i`` among ``K d``, sized as :meth:`_Workspace.apply` computes it,
+``beta_lam``, ``pi``, the right-hand side and ``slope * (y + d)``, the
+rounding of the state times its slope (Oettli and Prager's componentwise
+backward error; Higham, Accuracy and Stability of Numerical Algorithms,
+ch. 7).  Large operator powers, and slopes of ``1/lam`` at contact nodes,
+put that floor above ``newton_tol``.
 
 A step hands the next one Newton's increment ``d``, ``K d`` and the
 analysis ``Psi^T W d`` of that product, which its first residual reuses
@@ -105,9 +111,9 @@ from .errors import (
 )
 
 
-#: A Newton residual within this many times its largest summand (16
-#: machine epsilons) is round-off; no step size or regularization level
-#: reduces it.
+#: A Newton residual within this many times its largest summand at every
+#: node (16 machine epsilons) is round-off; no step size or regularization
+#: level reduces it.
 _ROUNDOFF = 16.0 * np.finfo(float).eps
 
 
@@ -456,9 +462,6 @@ class _Recorder:
 #: slower and 7% faster at 0.70, and slower on all three at 0.75.
 _MODE_SHARE = 0.6
 
-#: Entries of ``K`` per block of rows when its absolute row sums are taken.
-_ROW_BLOCK = 1 << 15
-
 #: How many ``m`` x ``m`` arrays a run with more than ``_MODE_SHARE`` columns
 #: per node holds at once, at most: ``K``, a dense LU's Jacobian and LAPACK's
 #: copy of it, and beside them the node branch's kept factors of ``G``, of at
@@ -634,9 +637,9 @@ class _Workspace:
     diag(sigma) R^T = V diag(kappa) V^T`` of ``R = s Q^T``, so that nested
     or nearly dependent bases give fewer columns.  :meth:`apply` returns ``K d
     = a d + Psi (kappa * Psi^T W d)`` with the analysis ``Psi^T W d`` it
-    takes, and ``k_rows``, the absolute row sums of ``K`` that size its
-    round-off, are taken a block of rows at a time.  Only the dense branch
-    below holds ``K`` as an ``m`` x ``m`` matrix.
+    takes, and :meth:`apply_bound` bounds its summands at each node in the
+    same two passes, ``a |d| + |Psi| (|kappa| * |Psi|^T W |d|) >= |K| |d|``.
+    Only the dense branch below holds ``K`` as an ``m`` x ``m`` matrix.
 
     :meth:`synthesize` gives the spectral part ``S mu - mu - B2s y = Phi_A
     (-q c(mu)) - Phi_B (lam_B^2s c(y))`` from the coefficients ``c(mu) =
@@ -739,32 +742,21 @@ class _Workspace:
         c = (d * self.w) @ self.modes
         return self.a * d + self.modes @ (self.kappa * c), c
 
-    def _k_block(self, start: int, stop: int) -> np.ndarray:
-        """The rows ``start:stop`` of ``K`` as a matrix: ``(Psi diag(kappa))
-        Psi^T`` with its columns scaled by ``W``, plus ``a`` on the diagonal."""
-        rows = (self.modes[start:stop] * self.kappa) @ self.modes.T
-        rows *= self.w      # the weights of Psi^T W, one per column
-        rows.flat[start:: self.w.size + 1] += self.a   # the diagonal entries of these rows
-        return rows
+    def apply_bound(self, d: np.ndarray) -> np.ndarray:
+        """A bound on ``|K| |d|``, the summands of ``K d`` at each node as
+        :meth:`apply` computes it (see the class docstring)."""
+        size, modes = np.abs(d), np.abs(self.modes)
+        return self.a * size + modes @ (np.abs(self.kappa) * ((size * self.w) @ modes))
 
     @functools.cached_property
     def k_matrix(self) -> np.ndarray:
         """``K`` as an ``m`` x ``m`` matrix, for the dense branch alone (see the
-        class docstring)."""
-        return self._k_block(0, self.w.size)
-
-    @functools.cached_property
-    def k_rows(self) -> float:
-        """The quadrature norm of the absolute row sums of ``K``, taken a block
-        of rows at a time when a round-off floor first needs it."""
-        m = self.w.size
-        sums = np.empty(m)
-        size = max(1, _ROW_BLOCK // m)
-        for start in range(0, m, size):
-            stop = min(start + size, m)
-            rows = self._k_block(start, stop)
-            sums[start:stop] = np.abs(rows, out=rows).sum(axis=1)
-        return self.h_norm(sums)
+        class docstring): ``(Psi diag(kappa)) Psi^T`` with its columns scaled
+        by ``W``, plus ``a`` on the diagonal."""
+        k = (self.modes * self.kappa) @ self.modes.T
+        k *= self.w
+        k.flat[:: self.w.size + 1] += self.a
+        return k
 
     def direction(self, slope: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Newton direction: the solution of ``(K + diag(slope)) delta = -g``."""
@@ -818,19 +810,6 @@ class _Workspace:
     def h_norm(self, v: np.ndarray) -> float:
         return math.sqrt(v @ (self.w * v))
 
-    def roundoff_floor(self, d: np.ndarray, *summands: np.ndarray) -> float:
-        """Round-off floor of the residual ``K d + sum(summands)``.
-
-        That is :data:`_ROUNDOFF` times the quadrature norm of its largest
-        summand.  The products ``K_ij d_j`` are summands too; once the high
-        modes are damped they exceed ``K d`` by orders of magnitude, so
-        ``K d`` is sized by the absolute row sums of ``K`` times the largest
-        ``|d_j|``.
-        """
-        largest = max(self.k_rows * float(np.abs(d).max()),
-                      math.sqrt(max(self.w @ (t * t) for t in summands)))
-        return _ROUNDOFF * largest
-
 
 def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarray,
                   kd: np.ndarray, cd: np.ndarray):
@@ -842,8 +821,8 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
     Each residual solves the resolvent once, through :func:`potentials.yosida`,
     whose value the slope and round-off floor of the iterate reuse.  When
     the line search fails or ``newton_max`` is reached above ``newton_tol``,
-    the residual is accepted if it is finite and at its round-off floor (see
-    :meth:`_Workspace.roundoff_floor`).
+    the residual is accepted if it is finite and at its round-off floor at
+    every node (see the module docstring).
     """
     cfg = ws.config
     spec, lam = cfg.spec, cfg.yosida_lambda
@@ -857,18 +836,18 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
         g -= r
         return g, beta
 
-    def floor_at(dc, beta):
-        return ws.roundoff_floor(dc, beta, spec.pi(y_prev + dc), r)
-
     g, beta = residual(d, kd)
     res = ws.h_norm(g)
     history = [res]
     dampings = 0
-    for iteration in range(cfg.newton_max):
+    for iteration in range(cfg.newton_max + 1):
         if res <= cfg.newton_tol:
             return d, kd, cd, iteration, res, dampings
         y = y_prev + d
-        delta = ws.direction(pot.yosida_derivative(spec, lam, y, beta) + spec.pi_prime(y), g)
+        slope = pot.yosida_derivative(spec, lam, y, beta) + spec.pi_prime(y)
+        if iteration == cfg.newton_max:
+            break   # the floor below takes this slope
+        delta = ws.direction(slope, g)
         alpha = 1.0
         for _ in range(30):
             d_new = d + delta if alpha == 1.0 else d + alpha * delta
@@ -880,22 +859,21 @@ def _newton_solve(ws: _Workspace, y_prev: np.ndarray, r: np.ndarray, d: np.ndarr
             alpha *= 0.5
             dampings += 1
         else:
-            floor = floor_at(d, beta)
-            if res <= floor < math.inf:
-                return d, kd, cd, iteration, res, dampings
-            raise StepError(
-                f"Newton step could not reduce the residual {res:.3e} below newton_tol "
-                f"{cfg.newton_tol:.1e} or its round-off floor {floor:.1e} after 30 halvings; "
-                "try a smaller step size or a larger regularization level",
-                residual_history=history,
-            )
+            break   # the line search failed at d
         d, kd, cd, g, beta, res = d_new, kd_new, cd_new, g_new, beta_new, res_new
         history.append(res)
-    if res <= cfg.newton_tol or res <= floor_at(d, beta) < math.inf:
-        return d, kd, cd, cfg.newton_max, res, dampings
+    size = np.abs(g)
+    floor = _ROUNDOFF * np.abs([ws.apply_bound(d), beta, spec.pi(y), r, slope * y]).max(axis=0)
+    if math.isfinite(res) and np.all(size <= floor):   # the guard: inf <= _ROUNDOFF * inf
+        return d, kd, cd, iteration, res, dampings
+    # a floor of 0 comes with a residual of 0 at its node: no division by zero
+    node = int(np.argmax(size / np.maximum(floor, np.finfo(float).tiny)))
+    stop = "after 30 halvings" if iteration < cfg.newton_max else f"in {iteration} iterations"
     raise StepError(
-        f"Newton did not reach tolerance {cfg.newton_tol:.1e} in {cfg.newton_max} "
-        "iterations; try a smaller step size or a larger regularization level",
+        f"Newton step could not reduce the residual {res:.3e} below newton_tol "
+        f"{cfg.newton_tol:.1e} or its round-off floor {stop}: |g| {size[node]:.3e} "
+        f"against a floor of {floor[node]:.1e} at node {node}; try a smaller step size "
+        "or a larger regularization level",
         residual_history=history,
     )
 

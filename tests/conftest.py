@@ -61,11 +61,11 @@ def neumann16():
     return sp.build_interval_basis("neumann", 16, 4.0, 33)
 
 
-def readme_problem(steps, modes=64, points=129):
+def readme_problem(steps, modes=64, points=129, length=4.0):
     """The physics of the README example over ``steps`` steps: the obstacle
-    well on 64 shared zero-flux modes of 129 nodes (or as many as given),
-    with a decaying source."""
-    basis = sp.build_interval_basis("neumann", modes, 4.0, points)
+    well on 64 shared zero-flux modes of 129 nodes on an interval of length 4
+    (or as given), with a decaying source."""
+    basis = sp.build_interval_basis("neumann", modes, length, points)
     op = sp.FractionalOperator(basis, 0.5)
     config = st.SchemeConfig(
         op_A=op, op_B=op, spec=pot.make_potential("obstacle", c2=1.0),
@@ -374,8 +374,10 @@ def assert_step_operator_closed_forms(ws, shift):
     oracles.
 
     The oracle of ``K`` is :func:`dense_step_operator`, compared with what
-    the workspace's ``apply`` makes of the unit vectors, and its absolute
-    row sums size the round-off floor.  The oracle of ``G`` is the dense
+    the workspace's ``apply`` makes of the unit vectors; ``|K| |d|`` bounds
+    from below, to the round-off of either side, the ``apply_bound`` that
+    sizes the round-off floor, for each unit vector and for a random ``d``,
+    at every node.  The oracle of ``G`` is the dense
     inverse of that ``K`` plus the shift.  The closed form of ``G`` holds
     for orthonormal columns ``ws.modes``; their Gram defect and the
     oracle's own round-off each move ``G`` by about the condition number
@@ -388,7 +390,8 @@ def assert_step_operator_closed_forms(ws, shift):
     eye = np.eye(config.grid.size)
     k = dense_step_operator(config)
     assert np.abs(np.array([ws.apply(e)[0] for e in eye]).T - k).max() <= 1e-13 * np.abs(k).max()
-    assert ws.k_rows == pytest.approx(ws.h_norm(np.abs(k).sum(axis=1)), rel=1e-12)
+    for d in (*eye, np.random.default_rng(0).standard_normal(config.grid.size)):
+        assert np.all(ws.apply_bound(d) >= (1.0 - 1e-12) * (np.abs(k) @ np.abs(d)))
     shifted = k + shift * eye
     expected = np.linalg.inv(shifted)
     slope = np.full(config.grid.size, shift)

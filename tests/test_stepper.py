@@ -2,12 +2,14 @@
 
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracch import estimates as est
+from fracch import longtime as lt
 from fracch import potentials as pot
 from fracch import spectral as sp
 from fracch import stepper as st
@@ -220,6 +222,21 @@ class TestSolveStep:
         start = sp.constant_field(np.nan, grid)
         with pytest.raises(st.StepError) as excinfo:
             st.solve_step(cosine_field(grid, [0.1, 0.3]), zero, zero, config, start=start)
+        assert excinfo.value.exit_code == 3
+
+    def test_infinite_start_raises(self):
+        # from y = 1e300 the obstacle's Yosida value (y - 1) / lam overflows
+        # at lam = 1e-300: an infinite residual at every node, whose floor is
+        # infinite too, and inf <= 16 eps inf holds, so only its being
+        # infinite refuses it (a run under the CLI stops at the overflow)
+        config = neumann_config(pot.make_potential("obstacle", c2=1.0), lam=1e-300)
+        grid = config.grid
+        zero = sp.constant_field(0.0, grid)
+        start = sp.constant_field(1e300, grid)
+        with pytest.raises(st.StepError) as excinfo, np.errstate(over="ignore", invalid="ignore"):
+            st.solve_step(cosine_field(grid, [0.1, 0.3]), zero, zero, config, start=start)
+        assert excinfo.value.residual_history[0] == np.inf
+        assert "|g| inf against a floor of inf" in str(excinfo.value)
         assert excinfo.value.exit_code == 3
 
     def test_uniqueness_proxy_two_starts(self):
@@ -734,6 +751,24 @@ class TestRun:
         assert message.startswith(f"Newton step could not reduce the residual {residual:.3e} "
                                   "below newton_tol 1.0e-10 or its round-off floor ")
         assert excinfo.value.exit_code == 3
+        # the node whose residual is furthest above its floor, with both values:
+        # its weighted square is part of the residual's
+        found = re.search(r"\|g\| (\S+) against a floor of (\S+) at node (\d+);", message)
+        size, floor, node = float(found[1]), float(found[2]), int(found[3])
+        assert 0.0 < floor < size
+        assert size * np.sqrt(config.grid.w[node]) <= residual * (1 + 1e-3)
+
+    @pytest.mark.parametrize("lam, h", [(1e-8, 1.0), (1e-6, 1e4), (1e-6, 1.0)])
+    def test_obstacle_at_small_regularization_finishes(self, lam, h):
+        # the README physics on 33 nodes: some steps end at the state's
+        # rounding times slopes of 1/lam, above newton_tol, where the
+        # node-wise round-off floor accepts them
+        config, data = readme_problem(20, modes=16, points=33, length=2.0)
+        config = dataclasses.replace(config, yosida_lambda=lam, h=h)
+        traj, y, mu = recorded_run(config, data)
+        assert (traj.solver_stats.residual_potential > config.newton_tol).any()
+        assert_first_equation(config, y, mu)
+        assert lt.mass_identity_defect(traj.columns, h) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
     def test_mode_directions_match_the_dense_lu_run(self, kind, monkeypatch):
